@@ -18,8 +18,8 @@ from .matching import (DailyAggregate, DailyPrevalence, Matcher,
                        aggregate_daily, build_matcher, match_doc,
                        write_prevalence_csv)
 from .reporting import (EventRecord, HeatmapSpec, StageWindow, annotate_peaks,
-                        crime_view, load_events_csv, load_stages_csv,
-                        render_heatmap, stage_prevalence_table)
+                        load_events_csv, load_stages_csv, render_heatmap,
+                        stage_prevalence_table)
 from .series import (AnalysisConfig, Peak, Series, filter_peaks, find_peaks,
                      gradient, joint_peaks, marker_peaks, smooth,
                      smoothed_gradient)
@@ -51,7 +51,6 @@ __all__ = [
     "build_matcher",
     "compute_corpus_stats",
     "cosine",
-    "crime_view",
     "expand_lexicon",
     "filter_analyzable",
     "filter_peaks",

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
+from typing import Iterator
 
 from . import corpus as corpus_mod
 from . import matching, reporting, series
@@ -48,7 +48,7 @@ class RunConfig:
     date_to: str | None = None
     tz_offset_hours: int = corpus_mod.DEFAULT_TZ_OFFSET_HOURS
     out: str = "out"
-    workers: int = 0  # 0 = all available cores
+    workers: int = 1  # accepted for recorded configs; has no effect
     strict: bool = False
 
     @classmethod
@@ -64,9 +64,6 @@ class RunConfig:
         if unknown:
             raise FormatError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
         return cls(**obj)
-
-    def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
     def date_range(self) -> tuple[date, date]:
         if not self.date_from or not self.date_to:
@@ -100,17 +97,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _iter_corpus_lines(paths: list[str]):
+def _iter_corpus_lines(paths: list[str]) -> Iterator[bytes]:
+    # Binary mode: parse_corpus decodes each line, so a bad byte is one
+    # malformed line rather than an error that ends the whole read.
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             yield from fh
 
 
-def _load_docs(cfg: RunConfig) -> tuple[list[corpus_mod.TokenizedDoc], corpus_mod.ParseReport]:
+def _load_docs(
+    cfg: RunConfig, report: corpus_mod.ParseReport
+) -> Iterator[corpus_mod.TokenizedDoc]:
+    """Lazy stream of analyzable documents; parse outcomes land on ``report``."""
     if not cfg.corpus:
         raise ValueError("config needs at least one corpus path")
-    report = corpus_mod.ParseReport()
-    docs = [
+    return (
         corpus_mod.tokenize_tweet(t)
         for t in corpus_mod.parse_corpus(
             _iter_corpus_lines(cfg.corpus),
@@ -119,9 +120,7 @@ def _load_docs(cfg: RunConfig) -> tuple[list[corpus_mod.TokenizedDoc], corpus_mo
             report=report,
         )
         if corpus_mod.filter_analyzable(t)
-    ]
-    _report_skips(report)
-    return docs, report
+    )
 
 
 def _report_skips(report: corpus_mod.ParseReport) -> None:
@@ -193,11 +192,16 @@ def cmd_analyze(cfg: RunConfig) -> int:
         raise ValueError("config needs a category-set path")
     start, end = cfg.date_range()
     cats = load_category_set(cfg.categories)
-    docs, _ = _load_docs(cfg)
+    marker_order = cfg.markers if cfg.markers else sorted(cats.categories)
+    unknown = [m for m in marker_order if m not in cats.categories]
+    if unknown:
+        raise ValueError(f"unknown markers in config: {', '.join(unknown)}")
+    events = reporting.load_events_csv(cfg.events) if cfg.events else None
+    stages = reporting.load_stages_csv(cfg.stages) if cfg.stages else None
     matcher = matching.build_matcher(cats)
-    agg = matching.aggregate_daily(
-        docs, matcher, start, end, workers=cfg.effective_workers()
-    )
+    report = corpus_mod.ParseReport()
+    agg = matching.aggregate_daily(_load_docs(cfg, report), matcher, start, end)
+    _report_skips(report)
     if agg.dropped:
         print(f"dropped {agg.dropped} document(s) outside {start}..{end}",
               file=sys.stderr)
@@ -220,10 +224,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
     peaks_by_marker: dict[str, list[series.Peak]] = {
         name: series.marker_peaks(s, acfg) for name, s in raw.items()
     }
-    marker_order = cfg.markers if cfg.markers else sorted(raw)
-    unknown = [m for m in marker_order if m not in raw]
-    if unknown:
-        raise ValueError(f"unknown markers in config: {', '.join(unknown)}")
     joint = series.joint_peaks([raw[m] for m in marker_order], acfg)
     peaks_by_marker["JOINT"] = joint
     series.write_peaks_csv(out / "peaks.csv", peaks_by_marker)
@@ -233,13 +233,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
         reporting.render_heatmap(smoothed, spec)
     )
 
-    if cfg.events:
-        events = reporting.load_events_csv(cfg.events)
+    if events is not None:
         annotated = reporting.annotate_peaks(joint, events, lead=cfg.lead)
         reporting.write_annotations_csv(out / "annotations.csv", annotated)
 
-    if cfg.stages:
-        stages = reporting.load_stages_csv(cfg.stages)
+    if stages is not None:
         table = reporting.stage_prevalence_table(
             {m: smoothed[m] for m in marker_order}, stages
         )
@@ -293,7 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int)
         p.add_argument("--m", type=int)
         p.add_argument("--sigma-mult", dest="sigma_mult", type=float)
-        p.add_argument("--workers", type=int)
+        p.add_argument("--workers", type=int,
+                       help="accepted for compatibility; has no effect "
+                            "(the corpus is read in one process)")
         p.add_argument("--out")
         p.add_argument("--strict", action="store_true",
                        help="abort on the first malformed corpus line")

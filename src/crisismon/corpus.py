@@ -183,18 +183,21 @@ def parse_corpus(
     Blank lines are ignored. In lenient mode (the default) malformed lines
     are skipped and recorded on ``report``; in strict mode the first
     malformed line raises :class:`CorpusFormatError` with its line number.
+    Byte lines are decoded as UTF-8: invalid bytes are replaced with U+FFFD
+    in lenient mode and make the line malformed in strict mode.
     An empty ``id`` is malformed; id uniqueness is trusted, not checked
     (verifying it would require holding every id of a corpus in memory).
     """
     tz = timezone(timedelta(hours=tz_offset_hours))
+    errors = "strict" if strict else "replace"
     for lineno, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8", errors="strict" if strict else "replace")
         if report is not None:
             report.lines += 1
-        if not line.strip():
-            continue
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8", errors=errors)
+            if not line.strip():
+                continue
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("line is not a JSON object")

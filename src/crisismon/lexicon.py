@@ -8,7 +8,7 @@ semantics from drifting apart.
 
 Category sets bundle many lexicons under one name ("empath", "sentisense")
 and are the unit the matcher is compiled from. All objects are immutable
-after load and freely shareable across workers.
+after load.
 """
 
 from __future__ import annotations

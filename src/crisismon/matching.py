@@ -8,9 +8,12 @@ occurs; multiword terms require consecutive tokens; multiplicity is ignored
 (three occurrences count the same as one, since tweet length makes repeat
 counts a poor intensity signal).
 
-Daily aggregation shares one denominator across categories: the number of
-documents seen that day. Days with no documents yield a missing percentage
-rather than 0, so downstream smoothing can tell absence from zero signal.
+Daily aggregation is a single fold over a document stream into a
+categories × days count matrix; it never holds the documents, so memory
+grows with days × categories, not with the corpus. All categories share one
+denominator: the number of documents seen that day. Days with no documents
+yield a missing percentage rather than 0, so downstream smoothing can tell
+absence from zero signal.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import csv
 import logging
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -151,9 +153,21 @@ class DailyAggregate:
     dropped: int  # documents outside the configured date range
 
 
-def _count_chunk(
-    matcher: Matcher, docs: list[TokenizedDoc], start: date, n_days: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+def aggregate_daily(
+    docs: Iterable[TokenizedDoc],
+    matcher: Matcher,
+    start: date,
+    end: date,
+) -> DailyAggregate:
+    """Count matches per category per day over [start, end] inclusive.
+
+    ``docs`` is iterated once and each document is released before the next
+    is drawn, so a generator over a corpus of any size runs in memory
+    proportional to days × categories.
+    """
+    if start > end:
+        raise ValueError(f"start {start} after end {end}")
+    n_days = (end - start).days + 1
     matched = np.zeros((len(matcher), n_days), dtype=np.int64)
     totals = np.zeros(n_days, dtype=np.int64)
     dropped = 0
@@ -165,47 +179,6 @@ def _count_chunk(
         totals[di] += 1
         for ci in matcher.match_indices(doc.tokens):
             matched[ci, di] += 1
-    return matched, totals, dropped
-
-
-def aggregate_daily(
-    docs: Iterable[TokenizedDoc],
-    matcher: Matcher,
-    start: date,
-    end: date,
-    workers: int = 1,
-) -> DailyAggregate:
-    """Count matches per category per day over [start, end] inclusive.
-
-    With ``workers > 1`` the documents are split into contiguous chunks and
-    counted in parallel; counts merge by summation, so the result is
-    identical for any worker count.
-    """
-    if start > end:
-        raise ValueError(f"start {start} after end {end}")
-    n_days = (end - start).days + 1
-
-    if workers > 1:
-        doc_list = list(docs)
-        chunk = max(1, -(-len(doc_list) // workers))
-        parts = [doc_list[i : i + chunk] for i in range(0, len(doc_list), chunk)]
-        matched = np.zeros((len(matcher), n_days), dtype=np.int64)
-        totals = np.zeros(n_days, dtype=np.int64)
-        dropped = 0
-        if parts:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for m, t, d in pool.map(
-                    _count_chunk,
-                    [matcher] * len(parts),
-                    parts,
-                    [start] * len(parts),
-                    [n_days] * len(parts),
-                ):
-                    matched += m
-                    totals += t
-                    dropped += d
-    else:
-        matched, totals, dropped = _count_chunk(matcher, list(docs), start, n_days)
 
     if dropped:
         log.info("aggregate_daily: dropped %d documents outside %s..%s",

@@ -22,8 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError
-from .lexicon import CategorySet
-from .matching import DailyAggregate, aggregate_daily, build_matcher
 from .series import Peak, Series
 
 DEFAULT_EVENT_LEAD_DAYS = 6
@@ -208,40 +206,6 @@ def _stage_cell(s: Series, w: StageWindow, median: float | None) -> float | None
     if not seg.size:
         return None
     return float(np.max(100.0 * (seg - median) / median))
-
-
-def crime_view(
-    cats: CategorySet,
-    docs,
-    start: date,
-    end: date,
-    categories: Sequence[str],
-    workers: int = 1,
-    cell_w: float = 8.0,
-    cell_h: float = 16.0,
-) -> tuple[DailyAggregate, bytes]:
-    """Prevalence plus heatmap for a configured category subset.
-
-    Pure composition of aggregation and rendering; the subset is typically
-    crime- or emotion-related categories, but any selection works.
-    """
-    if not categories:
-        raise ValueError("category subset must be non-empty")
-    unknown = [c for c in categories if c not in cats.categories]
-    if unknown:
-        raise ValueError(f"unknown categories: {', '.join(unknown)}")
-    sub = CategorySet(
-        name=f"{cats.name}:subset",
-        categories={c: cats.categories[c] for c in categories},
-    )
-    agg = aggregate_daily(docs, build_matcher(sub), start, end, workers=workers)
-    spec = HeatmapSpec(
-        markers=list(categories), start=start, end=end, cell_w=cell_w, cell_h=cell_h
-    )
-    svg = render_heatmap(
-        {name: prev.to_series() for name, prev in agg.prevalence.items()}, spec
-    )
-    return agg, svg
 
 
 def load_events_csv(path: str | Path) -> list[EventRecord]:

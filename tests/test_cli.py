@@ -87,6 +87,23 @@ class TestStats:
         code = run_cli("stats", "--strict", "--out", str(tmp_path / "o2"), str(corpus))
         assert code == 2
 
+    def test_invalid_utf8_is_one_malformed_line(self, tmp_path, capsys):
+        good = json.dumps(
+            {"id": "a", "created_at": "2020-03-01T10:00:00Z", "text": "hola",
+             "kind": "original", "user_id": "u"}
+        ).encode("utf-8")
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(
+            good + b"\n" + b'{"id": \xff}\n' + good.replace(b"hola", b"ho\xffla") + b"\n"
+        )
+        assert run_cli("stats", "--out", str(tmp_path / "o1"), str(corpus)) == 0
+        assert "skipped 1 malformed line(s) of 3" in capsys.readouterr().err
+        stats = json.loads((tmp_path / "o1" / "stats.json").read_text())
+        assert stats["total"] == 2
+        code = run_cli("stats", "--strict", "--out", str(tmp_path / "o2"), str(corpus))
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestExpand:
     def _workspace(self, tmp_path):
@@ -220,6 +237,26 @@ class TestAnalyze:
         cfg["markers"] = ["alfa", "desconocido"]
         ws["config"].write_text(json.dumps(cfg))
         assert run_cli("analyze", "--config", str(ws["config"])) == 1
+        assert not (ws["out"] / "prevalence.csv").exists()
+
+    def test_missing_stages_file_fails_before_any_output(self, tmp_path):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        cfg = json.loads(ws["config"].read_text())
+        cfg["date_to"] = "2020-03-10"
+        cfg["stages"] = str(tmp_path / "no_such_stages.csv")
+        ws["config"].write_text(json.dumps(cfg))
+        assert run_cli("analyze", "--config", str(ws["config"])) == 2
+        assert not ws["out"].exists()
+
+    @pytest.mark.parametrize("bad", [b"{broken", b'{"id": \xff}'])
+    def test_lenient_run_reports_malformed_line(self, tmp_path, capsys, bad):
+        ws = write_burst_workspace(tmp_path, seed=27, n_days=10, per_day=10)
+        with ws["corpus"].open("ab") as fh:
+            fh.write(bad + b"\n")
+        assert run_cli("analyze", "--config", str(ws["config"]),
+                       "--to", "2020-03-10") == 0
+        assert "skipped 1 malformed line(s) of 101" in capsys.readouterr().err
+        assert (ws["out"] / "prevalence.csv").exists()
 
 
 class TestRender:

@@ -1,4 +1,5 @@
 import random
+import weakref
 from datetime import date, timedelta
 
 import numpy as np
@@ -166,21 +167,22 @@ class TestAggregateDaily:
             assert np.array_equal(a.prevalence[name].matched, b.prevalence[name].matched)
             assert np.array_equal(a.prevalence[name].total, b.prevalence[name].total)
 
-    @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_worker_count_does_not_change_results(self, workers):
-        raw, docs, n_days = self._random_corpus(43)
-        m = build_matcher(_cats(**raw))
-        end = START + timedelta(days=n_days - 1)
-        serial = aggregate_daily(docs, m, START, end, workers=1)
-        parallel = aggregate_daily(docs, m, START, end, workers=workers)
-        assert serial.dropped == parallel.dropped
-        for name in serial.prevalence:
-            assert np.array_equal(
-                serial.prevalence[name].matched, parallel.prevalence[name].matched
-            )
-            assert np.array_equal(
-                serial.prevalence[name].total, parallel.prevalence[name].total
-            )
+    def test_fold_releases_each_doc_before_drawing_the_next(self):
+        m = build_matcher(_cats(C=["hit"]))
+        refs = []
+
+        def stream():
+            for i in range(50):
+                if i >= 2:
+                    assert refs[i - 2]() is None, f"doc {i - 2} still alive"
+                doc = _doc(i, i % 3, ["hit"] if i % 2 else ["miss"])
+                refs.append(weakref.ref(doc))
+                yield doc
+
+        agg = aggregate_daily(stream(), m, START, START + timedelta(days=2))
+        assert len(refs) == 50
+        assert agg.prevalence["C"].total.sum() == 50
+        assert agg.prevalence["C"].matched.sum() == 25
 
 
 class TestPrevalenceCsv:

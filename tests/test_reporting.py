@@ -4,9 +4,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from crisismon import (CategorySet, EventRecord, HeatmapSpec, Series,
-                       StageWindow, TokenizedDoc, annotate_peaks, crime_view,
-                       load_events_csv, load_stages_csv, make_lexicon,
+from crisismon import (EventRecord, HeatmapSpec, Series, StageWindow,
+                       annotate_peaks, load_events_csv, load_stages_csv,
                        render_heatmap, stage_prevalence_table)
 from crisismon.series import Peak
 from crisismon.reporting import write_stage_table_csv
@@ -217,58 +216,6 @@ class TestStagePrevalenceTable:
         assert lines[0] == "marker,stage,max_pct_diff"
         assert lines[1] == "m,s,12.5"
         assert lines[2] == "m,t,"
-
-
-class TestCrimeView:
-    def _setup(self):
-        cats = CategorySet(
-            name="demo",
-            categories={
-                "crime": make_lexicon("crime", ["robo"]),
-                "government": make_lexicon("government", ["gobierno"]),
-                "health": make_lexicon("health", ["salud"]),
-            },
-        )
-        docs = [
-            TokenizedDoc("a", D0, ("hubo", "un", "robo")),
-            TokenizedDoc("b", D0, ("el", "gobierno", "habló")),
-            TokenizedDoc("c", D0 + timedelta(days=1), ("salud", "pública")),
-        ]
-        return cats, docs
-
-    def test_two_category_subset_renders_two_rows(self):
-        cats, docs = self._setup()
-        agg, svg = crime_view(
-            cats, docs, D0, D0 + timedelta(days=1), ["crime", "government"]
-        )
-        assert set(agg.prevalence) == {"crime", "government"}
-        text = svg.decode("utf-8")
-        assert ">crime</text>" in text and ">government</text>" in text
-        assert ">health</text>" not in text
-
-    def test_empty_subset_errors(self):
-        cats, docs = self._setup()
-        with pytest.raises(ValueError):
-            crime_view(cats, docs, D0, D0, [])
-
-    def test_unknown_category_errors(self):
-        cats, docs = self._setup()
-        with pytest.raises(ValueError, match="unknown"):
-            crime_view(cats, docs, D0, D0, ["narcotráfico"])
-
-    def test_full_subset_equals_general_heatmap(self):
-        cats, docs = self._setup()
-        names = sorted(cats.categories)
-        end = D0 + timedelta(days=1)
-        agg, svg = crime_view(cats, docs, D0, end, names)
-        from crisismon import aggregate_daily, build_matcher
-
-        general = aggregate_daily(docs, build_matcher(cats), D0, end)
-        svg_general = render_heatmap(
-            {n: p.to_series() for n, p in general.prevalence.items()},
-            HeatmapSpec(markers=names, start=D0, end=end),
-        )
-        assert svg == svg_general
 
 
 class TestCsvLoaders:
