@@ -13,7 +13,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from crisismon import (TokenizedDoc, aggregate_daily, build_matcher,
-                       load_category_set, match_doc, preprocess)
+                       load_category_set, preprocess)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -33,7 +33,7 @@ for text in [
     "triste triste triste",
 ]:
     doc = TokenizedDoc("x", date(2020, 3, 1), tuple(preprocess(text)))
-    print(f"  {text!r:40} -> {sorted(match_doc(matcher, doc))}")
+    print(f"  {text!r:40} -> {sorted(matcher.match(doc.tokens))}")
 
 # --- a month of synthetic traffic ----------------------------------------------
 # Fear-related chatter ramps up in the second half of the month.

@@ -39,15 +39,16 @@ raw[60:64] += 7.0  # four loud days
 series = Series(start=start, values=raw)
 
 print("raw:              ", sparkline(raw))
-print("smoothed:         ", sparkline(smooth(series, 7).values))
-sg = smoothed_gradient(series, 7)
+smoothed = smooth(series, 7)
+print("smoothed:         ", sparkline(smoothed.values))
+sg = smoothed_gradient(smoothed, 7)
 print("smoothed gradient:", sparkline(sg.values))
 
 candidates = find_peaks(sg)
 kept = filter_peaks(candidates, cfg.sigma_mult)
 print(f"\n{len(candidates)} rise candidates, {len(kept)} above mean+sigma")
 
-for p in marker_peaks(series, cfg):
+for p in marker_peaks(sg, cfg):
     print(f"  {p.date}  {p.direction:4}  height={p.height:+.4f}  "
           f"prominence={p.prominence:.4f}")
 # The rise lands within a window of the onset (trailing smoothing delays the
@@ -60,7 +61,7 @@ markers = []
 for _ in range(4):
     v = rng.normal(5.0, 0.4, 120)
     v[60:63] += 6.0
-    markers.append(Series(start=start, values=v))
+    markers.append(smoothed_gradient(smooth(Series(start=start, values=v), 7), 7))
 
 print("\njoint peaks over 4 markers with a common burst at day 60:")
 for p in joint_peaks(markers, cfg):

@@ -19,7 +19,7 @@ from pathlib import Path
 from crisismon import (AnalysisConfig, aggregate_daily, annotate_peaks,
                        build_matcher, filter_analyzable, joint_peaks,
                        load_category_set, load_events_csv, load_stages_csv,
-                       parse_corpus, render_heatmap, smooth,
+                       parse_corpus, render_heatmap, smooth, smoothed_gradient,
                        stage_prevalence_table, tokenize_tweet)
 from crisismon.reporting import HeatmapSpec
 
@@ -70,8 +70,8 @@ print(f"{len(docs)} analyzable docs across {n_days} days, "
 # --- joint peaks over the surged markers, annotated with real events --------------
 cfg = AnalysisConfig()
 markers = ["fear", "health", "nervousness", "sadness"]
-raw = {m: agg.prevalence[m].to_series() for m in markers}
-peaks = joint_peaks([raw[m] for m in markers], cfg)
+smoothed = {m: smooth(agg.prevalence[m].to_series(), cfg.window) for m in markers}
+peaks = joint_peaks([smoothed_gradient(smoothed[m], cfg.window) for m in markers], cfg)
 
 events = load_events_csv(DATA / "events" / "mental_health.csv")
 print("\njoint peaks and the events of the preceding week:")
@@ -81,7 +81,6 @@ for peak, matched in annotate_peaks(peaks, events, lead=6):
         print(f"      {e.date}  {e.description[:70]}")
 
 # --- heatmap of the smoothed prevalence --------------------------------------------
-smoothed = {m: smooth(s, cfg.window) for m, s in raw.items()}
 spec = HeatmapSpec(markers=markers, start=START, end=END)
 svg = render_heatmap(smoothed, spec)
 (OUT / "heatmap.svg").write_bytes(svg)

@@ -15,8 +15,7 @@ from .expansion import (EmbeddingTable, ExpansionConfig, associate_categories,
 from .lexicon import (CategorySet, Lexicon, MarkerMapping, load_category_set,
                       load_lexicon, load_manifest, make_lexicon, save_lexicon)
 from .matching import (DailyAggregate, DailyPrevalence, Matcher,
-                       aggregate_daily, build_matcher, match_doc,
-                       write_prevalence_csv)
+                       aggregate_daily, build_matcher, write_prevalence_csv)
 from .reporting import (EventRecord, HeatmapSpec, StageWindow, annotate_peaks,
                         load_events_csv, load_stages_csv, render_heatmap,
                         stage_prevalence_table)
@@ -66,7 +65,6 @@ __all__ = [
     "load_stages_csv",
     "make_lexicon",
     "marker_peaks",
-    "match_doc",
     "parse_corpus",
     "preprocess",
     "render_heatmap",

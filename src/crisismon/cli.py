@@ -206,43 +206,41 @@ def cmd_analyze(cfg: RunConfig) -> int:
         print(f"dropped {agg.dropped} document(s) outside {start}..{end}",
               file=sys.stderr)
 
-    out = _out_dir(cfg)
-    matching.write_prevalence_csv(out / "prevalence.csv", agg)
-
+    # Everything is computed before the first file is written, so a run that
+    # fails validation (a negative lead, say) leaves no output behind.
     acfg = series.AnalysisConfig(window=cfg.window, sigma_mult=cfg.sigma_mult)
-    raw = {name: prev.to_series() for name, prev in agg.prevalence.items()}
-    smoothed = {name: series.smooth(s, cfg.window) for name, s in raw.items()}
+    smoothed = {
+        name: series.smooth(prev.to_series(), cfg.window)
+        for name, prev in agg.prevalence.items()
+    }
+    sg = {name: series.smoothed_gradient(s, cfg.window) for name, s in smoothed.items()}
     derived = {
-        name: {
-            "smoothed": smoothed[name],
-            "smoothed_gradient": series.smoothed_gradient(raw[name], cfg.window),
-        }
-        for name in raw
+        name: {"smoothed": smoothed[name], "smoothed_gradient": sg[name]}
+        for name in smoothed
     }
-    series.write_series_csv(out / "series.csv", derived)
-
-    peaks_by_marker: dict[str, list[series.Peak]] = {
-        name: series.marker_peaks(s, acfg) for name, s in raw.items()
-    }
-    joint = series.joint_peaks([raw[m] for m in marker_order], acfg)
+    peaks_by_marker = {name: series.marker_peaks(s, acfg) for name, s in sg.items()}
+    joint = series.joint_peaks([sg[m] for m in marker_order], acfg)
     peaks_by_marker["JOINT"] = joint
-    series.write_peaks_csv(out / "peaks.csv", peaks_by_marker)
-
     spec = reporting.HeatmapSpec(markers=marker_order, start=start, end=end)
-    (out / "heatmap.svg").write_bytes(
-        reporting.render_heatmap(smoothed, spec)
+    svg = reporting.render_heatmap(smoothed, spec)
+    annotated = (
+        reporting.annotate_peaks(joint, events, lead=cfg.lead)
+        if events is not None else None
+    )
+    table = (
+        reporting.stage_prevalence_table({m: smoothed[m] for m in marker_order}, stages)
+        if stages is not None else None
     )
 
-    if events is not None:
-        annotated = reporting.annotate_peaks(joint, events, lead=cfg.lead)
+    out = _out_dir(cfg)
+    matching.write_prevalence_csv(out / "prevalence.csv", agg)
+    series.write_series_csv(out / "series.csv", derived)
+    series.write_peaks_csv(out / "peaks.csv", peaks_by_marker)
+    (out / "heatmap.svg").write_bytes(svg)
+    if annotated is not None:
         reporting.write_annotations_csv(out / "annotations.csv", annotated)
-
-    if stages is not None:
-        table = reporting.stage_prevalence_table(
-            {m: smoothed[m] for m in marker_order}, stages
-        )
+    if table is not None:
         reporting.write_stage_table_csv(out / "stage_table.csv", table)
-
     print(out / "peaks.csv")
     return 0
 
@@ -266,13 +264,9 @@ def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int
     )
     spec = reporting.HeatmapSpec(markers=marker_order, start=start, end=end)
     out = _out_dir(cfg) / "heatmap.svg"
-    out.write_bytes(render_subset(shown, spec))
+    out.write_bytes(reporting.render_heatmap(shown, spec))
     print(out)
     return 0
-
-
-def render_subset(shown: dict[str, series.Series], spec: reporting.HeatmapSpec) -> bytes:
-    return reporting.render_heatmap(shown, spec)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -228,7 +228,7 @@ def tokenize_tweet(tweet: Tweet) -> TokenizedDoc:
 
 @dataclass
 class CorpusStats:
-    """Exact corpus counts, mergeable across partitioned ingests."""
+    """Exact corpus counts, folded one tweet at a time."""
 
     total: int = 0
     n_original: int = 0
@@ -250,19 +250,6 @@ class CorpusStats:
             self.n_with_hashtag += 1
         self.per_user[tweet.user_id] += 1
         self.per_day[tweet.date] += 1
-
-    def merge(self, other: "CorpusStats") -> "CorpusStats":
-        """Combine two partial counts by summation (order-independent)."""
-        out = CorpusStats(
-            total=self.total + other.total,
-            n_original=self.n_original + other.n_original,
-            n_retweet=self.n_retweet + other.n_retweet,
-            n_reply=self.n_reply + other.n_reply,
-            n_with_hashtag=self.n_with_hashtag + other.n_with_hashtag,
-            per_user=self.per_user + other.per_user,
-            per_day=self.per_day + other.per_day,
-        )
-        return out
 
     def user_summary(self) -> dict | None:
         """min/avg/max/median tweets per user; None for an empty corpus.

@@ -47,15 +47,6 @@ class CategorySet:
     def __len__(self) -> int:
         return len(self.categories)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "categories": {
-                cat: lex.to_json_dict()["terms"]
-                for cat, lex in sorted(self.categories.items())
-            },
-        }
-
 
 @dataclass(frozen=True)
 class MarkerMapping:
@@ -153,14 +144,6 @@ def load_category_set(path: str | Path) -> CategorySet:
         cat: make_lexicon(cat, terms) for cat, terms in cats.items()
     }
     return CategorySet(name=str(obj["name"]), categories=categories)
-
-
-def save_category_set(cats: CategorySet, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(cats.to_json_dict(), ensure_ascii=False, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
 
 
 def load_manifest(path: str | Path) -> dict[str, Lexicon]:

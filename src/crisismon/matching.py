@@ -6,14 +6,16 @@ document is matched against tens of thousands of terms in a single pass over
 its tokens. A document matches a category when at least one of its terms
 occurs; multiword terms require consecutive tokens; multiplicity is ignored
 (three occurrences count the same as one, since tweet length makes repeat
-counts a poor intensity signal).
+counts a poor intensity signal). ``Matcher.match(doc.tokens)`` gives a
+document's category names, ``Matcher.match_indices`` their indices.
 
 Daily aggregation is a single fold over a document stream into a
 categories × days count matrix; it never holds the documents, so memory
-grows with days × categories, not with the corpus. All categories share one
-denominator: the number of documents seen that day. Days with no documents
-yield a missing percentage rather than 0, so downstream smoothing can tell
-absence from zero signal.
+grows with days × categories, not with the corpus. Each category's counts are
+a read-only row of that matrix, and all categories share one denominator:
+the number of documents seen that day. Days with no documents yield a
+missing percentage rather than 0, so downstream smoothing can tell absence
+from zero signal.
 """
 
 from __future__ import annotations
@@ -110,19 +112,14 @@ def build_matcher(cats: CategorySet) -> Matcher:
     return Matcher(cats)
 
 
-def match_doc(matcher: Matcher, doc: TokenizedDoc) -> set[str]:
-    """Category names with at least one term occurring in the document."""
-    return matcher.match(doc.tokens)
-
-
 @dataclass(frozen=True)
 class DailyPrevalence:
     """Per-day matched/total counts for one category over a date range."""
 
     category: str
     start: date
-    matched: np.ndarray  # int64, one cell per day
-    total: np.ndarray  # int64, shared across categories
+    matched: np.ndarray  # int64, one cell per day; a row of the count matrix
+    total: np.ndarray  # int64, the one array shared across categories
 
     def percent(self) -> np.ndarray:
         """100*matched/total per day; NaN where the day had no documents."""
@@ -183,10 +180,12 @@ def aggregate_daily(
     if dropped:
         log.info("aggregate_daily: dropped %d documents outside %s..%s",
                  dropped, start, end)
+    # Each category's row is a read-only view of the one matrix, and all of
+    # them share the one read-only totals vector.
+    matched.flags.writeable = False
+    totals.flags.writeable = False
     prevalence = {
-        name: DailyPrevalence(
-            category=name, start=start, matched=matched[ci].copy(), total=totals.copy()
-        )
+        name: DailyPrevalence(category=name, start=start, matched=matched[ci], total=totals)
         for ci, name in enumerate(matcher.category_names)
     }
     return DailyAggregate(start=start, end=end, prevalence=prevalence, dropped=dropped)

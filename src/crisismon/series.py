@@ -5,8 +5,11 @@ excludes itself from window means, and never hosts a peak.
 
 Peaks are detected on the *smoothed gradient* of a prevalence series
 (trailing moving average, then central-difference gradient, then the same
-moving average again). The trailing window makes the series respond slowly
-to recent changes, so a detected change lags its cause by up to a window.
+moving average again). A caller derives it once per marker,
+``smoothed_gradient(smooth(raw, w), w)``, and hands that one series to both
+``marker_peaks`` and ``joint_peaks``; neither derives it again. The trailing
+window makes the series respond slowly to recent changes, so a detected
+change lags its cause by up to a window.
 Candidate peaks are strict local maxima (plateaus count once, at their
 leftmost index), scored by topographic prominence: height above the higher
 of the two minima separating the peak from higher terrain on either side.
@@ -91,20 +94,22 @@ def smooth(s: Series, window: int) -> Series:
     The leading edge averages the available prefix; a window with no present
     values yields a missing day. The mean is computed relative to the first
     present value in the window, so constant stretches come out exactly
-    constant.
+    constant. All days are computed in one pass over a (days x window) view.
     """
     if s.kind not in ("raw", "gradient"):
         raise ValueError(f"cannot smooth a series of kind {s.kind!r}")
     if window < 1:
         raise ValueError("window must be >= 1")
     v = s.values
-    out = np.full(len(v), np.nan)
-    for i in range(len(v)):
-        win = v[max(0, i - window + 1) : i + 1]
-        present = win[~np.isnan(win)]
-        if present.size:
-            base = present[0]
-            out[i] = base + (present - base).sum() / present.size
+    # Row i holds days i-window+1..i; NaN padding stands in for days before
+    # the start (``window`` of them, so an empty series still has one view).
+    padded = np.concatenate([np.full(window, np.nan), v])
+    wins = np.lib.stride_tricks.sliding_window_view(padded, window)[1:]
+    present = ~np.isnan(wins)
+    base = wins[np.arange(len(v)), present.argmax(axis=1)]  # NaN if none present
+    dev = np.where(present, wins - base[:, None], 0.0)
+    with np.errstate(invalid="ignore"):
+        out = base + dev.sum(axis=1) / present.sum(axis=1)
     return Series(start=s.start, values=out, kind="smoothed")
 
 
@@ -124,9 +129,16 @@ def gradient(s: Series) -> Series:
     return Series(start=s.start, values=g, kind="gradient")
 
 
-def smoothed_gradient(raw: Series, window: int) -> Series:
-    """The signal peaks are detected on: smooth, differentiate, smooth again."""
-    return smooth(gradient(smooth(raw, window)), window)
+def smoothed_gradient(smoothed: Series, window: int) -> Series:
+    """The signal peaks are detected on: differentiate, then smooth again.
+
+    Takes the output of ``smooth(raw, window)``, so the first smoothing is
+    shared with whatever else the caller shows of the marker; any other kind
+    of series is a ``ValueError``.
+    """
+    if smoothed.kind != "smoothed":
+        raise ValueError(f"smoothed_gradient needs a smoothed series, not {smoothed.kind!r}")
+    return smooth(gradient(smoothed), window)
 
 
 def _candidate_indices(v: np.ndarray) -> list[int]:
@@ -202,15 +214,13 @@ def filter_peaks(peaks: Sequence[Peak], sigma_mult: float = 1.0) -> list[Peak]:
     return [p for p in peaks if p.prominence > threshold]
 
 
-def marker_peaks(raw: Series, cfg: AnalysisConfig) -> list[Peak]:
-    """Signed change peaks of one marker's prevalence series.
+def marker_peaks(sg: Series, cfg: AnalysisConfig) -> list[Peak]:
+    """Signed change peaks of one marker, given its smoothed gradient ``sg``.
 
-    Rises and falls are detected separately: once on the smoothed gradient
-    and once on its negation (fall peaks score the magnitude of decrease),
-    each followed by its own prominence filter. Results are merged in date
-    order.
+    Rises and falls are detected separately: once on ``sg`` and once on its
+    negation (fall peaks score the magnitude of decrease), each followed by
+    its own prominence filter. Results are merged in date order.
     """
-    sg = smoothed_gradient(raw, cfg.window)
     rises = filter_peaks(find_peaks(sg), cfg.sigma_mult)
     neg = replace(sg, values=-sg.values)
     falls = [
@@ -232,11 +242,11 @@ def _zscore(v: np.ndarray) -> np.ndarray:
 def joint_peaks(markers: Sequence[Series], cfg: AnalysisConfig) -> list[Peak]:
     """Moments when several markers vary together.
 
-    Each marker's smoothed gradient is z-normalized and folded to absolute
-    magnitude; the pointwise mean across markers is the joint variation
-    signal, peak-detected and prominence-filtered like any other. A joint
-    peak's direction reports whether the markers' signed changes were, on
-    average, rising or falling at that moment.
+    ``markers`` are the markers' smoothed gradients. Each is z-normalized
+    and folded to absolute magnitude; the pointwise mean across markers is
+    the joint variation signal, peak-detected and prominence-filtered like
+    any other. A joint peak's direction reports whether the markers' signed
+    changes were, on average, rising or falling at that moment.
     """
     if not markers:
         raise ValueError("need at least one marker series")
@@ -244,9 +254,7 @@ def joint_peaks(markers: Sequence[Series], cfg: AnalysisConfig) -> list[Peak]:
     for m in markers[1:]:
         if m.start != first.start or len(m) != len(first):
             raise ValueError("marker series must share one date axis")
-    zs = np.vstack(
-        [_zscore(smoothed_gradient(m, cfg.window).values) for m in markers]
-    )
+    zs = np.vstack([_zscore(m.values) for m in markers])
     combined = Series(start=first.start, values=np.abs(zs).mean(axis=0), kind="gradient")
     signed_mean = zs.mean(axis=0)
     peaks = filter_peaks(find_peaks(combined), cfg.sigma_mult)

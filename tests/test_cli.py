@@ -248,6 +248,17 @@ class TestAnalyze:
         assert run_cli("analyze", "--config", str(ws["config"])) == 2
         assert not ws["out"].exists()
 
+    def test_negative_lead_fails_before_any_output(self, tmp_path, data_dir):
+        ws = write_burst_workspace(tmp_path, seed=25, n_days=10, per_day=10)
+        cfg = json.loads(ws["config"].read_text())
+        cfg["date_to"] = "2020-03-10"
+        cfg["events"] = str(data_dir / "events" / "mental_health.csv")
+        cfg["lead"] = -1
+        ws["config"].write_text(json.dumps(cfg))
+        assert run_cli("analyze", "--config", str(ws["config"])) == 1
+        for name in ["prevalence.csv", "series.csv", "peaks.csv", "heatmap.svg"]:
+            assert not (ws["out"] / name).exists()
+
     @pytest.mark.parametrize("bad", [b"{broken", b'{"id": \xff}'])
     def test_lenient_run_reports_malformed_line(self, tmp_path, capsys, bad):
         ws = write_burst_workspace(tmp_path, seed=27, n_days=10, per_day=10)

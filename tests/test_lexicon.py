@@ -6,7 +6,6 @@ import pytest
 from crisismon import (load_category_set, load_lexicon, load_manifest,
                        make_lexicon, save_lexicon)
 from crisismon.errors import EmptyLexiconError, LexiconFormatError
-from crisismon.lexicon import save_category_set
 
 
 def _write(tmp_path, name, obj):
@@ -73,17 +72,6 @@ class TestRoundTripAndOrder:
             path = _write(tmp_path, "perm.json", {"name": "p", "terms": terms})
             lexes.add(load_lexicon(path))
         assert len(lexes) == 1
-
-    def test_category_set_round_trip(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "cats.json",
-            {"name": "demo", "categories": {"a": ["uno"], "b": ["dos tres"]}},
-        )
-        cats = load_category_set(path)
-        out = tmp_path / "cats2.json"
-        save_category_set(cats, out)
-        assert load_category_set(out) == cats
 
 
 class TestLoadCategorySet:

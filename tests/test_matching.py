@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crisismon import (CategorySet, TokenizedDoc, aggregate_daily,
-                       build_matcher, make_lexicon, match_doc)
+                       build_matcher, make_lexicon)
 from crisismon.matching import read_prevalence_csv, write_prevalence_csv
 
 from oracles import naive_aggregate, naive_match
@@ -33,23 +33,23 @@ class TestMatcher:
 
     def test_single_word_category(self):
         m = build_matcher(_cats(sadness=["triste"]))
-        assert match_doc(m, _doc(0, 0, ["me", "siento", "triste"])) == {"sadness"}
-        assert match_doc(m, _doc(1, 0, ["me", "siento", "bien"])) == set()
+        assert m.match(["me", "siento", "triste"]) == {"sadness"}
+        assert m.match(["me", "siento", "bien"]) == set()
 
     def test_phrase_requires_consecutive_tokens(self):
         m = build_matcher(_cats(panic=["panic attack"]))
-        assert match_doc(m, _doc(0, 0, ["panic", "attack", "hoy"])) == {"panic"}
-        assert match_doc(m, _doc(1, 0, ["panic", "y", "attack"])) == set()
+        assert m.match(["panic", "attack", "hoy"]) == {"panic"}
+        assert m.match(["panic", "y", "attack"]) == set()
 
     def test_multiplicity_is_ignored(self):
         m = build_matcher(_cats(sadness=["triste"]))
-        once = match_doc(m, _doc(0, 0, ["triste"]))
-        thrice = match_doc(m, _doc(1, 0, ["triste", "triste", "triste"]))
+        once = m.match(["triste"])
+        thrice = m.match(["triste", "triste", "triste"])
         assert once == thrice == {"sadness"}
 
     def test_empty_doc(self):
         m = build_matcher(_cats(sadness=["triste"]))
-        assert match_doc(m, _doc(0, 0, [])) == set()
+        assert m.match([]) == set()
 
     def test_rebuild_is_deterministic(self):
         cats = _cats(a=["uno", "dos tres"], b=["tres", "cuatro cinco seis"])
@@ -115,7 +115,12 @@ class TestAggregateDaily:
         m = build_matcher(_cats(A=["a"], B=["b"]))
         docs = [_doc(0, 0, ["a"]), _doc(1, 0, ["b"]), _doc(2, 0, ["c"])]
         agg = aggregate_daily(docs, m, START, START)
-        assert agg.prevalence["A"].total[0] == agg.prevalence["B"].total[0] == 3
+        a, b = agg.prevalence["A"], agg.prevalence["B"]
+        assert a.total[0] == b.total[0] == 3
+        # one read-only totals array, and rows that are read-only views of one matrix
+        assert a.total is b.total
+        assert np.shares_memory(a.matched.base, b.matched)
+        assert not (a.total.flags.writeable or a.matched.flags.writeable)
 
     def _random_corpus(self, seed, n_days=30, docs_per_day=25):
         rng = random.Random(seed)

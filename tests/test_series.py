@@ -19,6 +19,11 @@ def S(values, kind="raw"):
     return Series(start=D0, values=np.asarray(values, dtype=np.float64), kind=kind)
 
 
+def SG(values, window=7):
+    """The smoothed gradient of a raw series, as analyze derives it."""
+    return smoothed_gradient(smooth(S(values), window), window)
+
+
 class TestSmooth:
     @pytest.mark.parametrize("c", [0.0, 5.0, 0.1, -2.7, 1e6])
     def test_constant_is_exactly_constant(self, c):
@@ -65,6 +70,10 @@ class TestSmooth:
         assert smoothed.kind == "smoothed"
         with pytest.raises(ValueError):
             smooth(smoothed, 2)
+        assert smoothed_gradient(smoothed, 2).kind == "smoothed"
+        for kind in ("raw", "gradient"):
+            with pytest.raises(ValueError):
+                smoothed_gradient(S([1, 2, 3], kind=kind), 2)
 
 
 class TestGradient:
@@ -224,26 +233,25 @@ class TestAffineInvariance:
 
 class TestMarkerPeaks:
     def test_constant_series_has_no_peaks(self):
-        assert marker_peaks(S([3.0] * 60), AnalysisConfig()) == []
+        assert marker_peaks(SG([3.0] * 60), AnalysisConfig()) == []
 
     def test_step_series_candidates_and_filter(self):
         # A pure noiseless step yields exactly one rise candidate near the
         # step; being the only candidate it cannot beat mean + std, so the
         # filtered pipeline is empty. Realistic (noisy) series are covered
         # below.
-        step = S([0.0] * 45 + [10.0] * 45)
-        sg = smoothed_gradient(step, 7)
+        sg = SG([0.0] * 45 + [10.0] * 45)
         rises = find_peaks(sg)
         assert len(rises) == 1
         assert 45 <= rises[0].index <= 45 + 7 - 1
         neg = S(-sg.values, kind="gradient")
         assert find_peaks(neg) == []  # no fall candidates at all
-        assert marker_peaks(step, AnalysisConfig()) == []
+        assert marker_peaks(sg, AnalysisConfig()) == []
 
     def test_noisy_step_yields_rise_near_step(self):
         rng = np.random.default_rng(42)
         v = np.concatenate([np.zeros(45), np.full(45, 10.0)]) + rng.normal(0, 0.2, 90)
-        peaks = marker_peaks(S(v), AnalysisConfig())
+        peaks = marker_peaks(SG(v), AnalysisConfig())
         rises = [p for p in peaks if p.direction == "rise"]
         assert len(rises) == 1
         assert 45 <= rises[0].index <= 45 + 7 - 1
@@ -254,7 +262,7 @@ class TestMarkerPeaks:
             v = np.round(rng.normal(size=180).cumsum(), 6)
             got = [
                 (p.index, p.direction, p.height, p.prominence)
-                for p in marker_peaks(S(v), AnalysisConfig())
+                for p in marker_peaks(SG(v), AnalysisConfig())
             ]
             ref = ref_marker_peaks(list(v), 7, 1.0)
             assert [(g[0], g[1]) for g in got] == [(r[0], r[1]) for r in ref]
@@ -266,7 +274,7 @@ class TestMarkerPeaks:
         rng = np.random.default_rng(29)
         v = rng.normal(5, 0.1, 90)
         v[40:43] += 10  # sharp burst: rise into it, fall out of it
-        peaks = marker_peaks(S(v), AnalysisConfig())
+        peaks = marker_peaks(SG(v), AnalysisConfig())
         falls = [p for p in peaks if p.direction == "fall"]
         assert falls and all(p.height > 0 for p in falls)
 
@@ -276,8 +284,8 @@ class TestJointPeaks:
         rng = np.random.default_rng(31)
         v = rng.normal(5, 1, 120)
         v[50:53] += 6
-        joint = joint_peaks([S(v)], AnalysisConfig())
-        sg = smoothed_gradient(S(v), 7)
+        sg = SG(v)
+        joint = joint_peaks([sg], AnalysisConfig())
         alone = filter_peaks(
             find_peaks(S(np.abs(_zscore(sg.values)), kind="gradient")), 1.0
         )
@@ -289,8 +297,8 @@ class TestJointPeaks:
         rng = np.random.default_rng(37)
         v = rng.normal(5, 1, 120)
         v[50:53] += 6
-        one = joint_peaks([S(v)], AnalysisConfig())
-        two = joint_peaks([S(v), S(v.copy())], AnalysisConfig())
+        one = joint_peaks([SG(v)], AnalysisConfig())
+        two = joint_peaks([SG(v), SG(v.copy())], AnalysisConfig())
         assert [(p.index, p.prominence) for p in one] == [
             (p.index, p.prominence) for p in two
         ]
@@ -301,7 +309,7 @@ class TestJointPeaks:
         for _ in range(5):
             v = rng.normal(5.0, 0.3, 90)
             v[40:43] += 10.0
-            markers.append(S(v))
+            markers.append(SG(v))
         peaks = joint_peaks(markers, AnalysisConfig())
         in_window = [p for p in peaks if 40 <= p.index <= 40 + 7 - 1]
         assert len(in_window) == 1

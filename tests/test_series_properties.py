@@ -1,0 +1,56 @@
+"""Property-based checks of smoothing and peak finding against the oracles."""
+
+from datetime import date
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crisismon import Series, find_peaks, smooth
+
+from oracles import brute_peaks, ref_smooth
+
+D0 = date(2020, 3, 1)
+NAN = float("nan")
+
+
+def _runs(values):
+    """A series built from runs: each run repeats one value (NaN = a hole)."""
+    return st.lists(
+        st.tuples(values, st.integers(1, 12)), max_size=12
+    ).map(lambda runs: [x for x, n in runs for _ in range(n)])
+
+
+# Runs of arbitrary values give constant stretches and NaN holes; single
+# days between them give ordinary noise.
+smooth_values = st.one_of(
+    st.just(NAN), st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+)
+# Few distinct levels, so plateaus, ties and NaN neighbours are common.
+peak_values = st.one_of(st.just(NAN), st.integers(-4, 4).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs(smooth_values), st.integers(1, 30))
+def test_smooth_equals_reference_mean(values, window):
+    got = smooth(Series(start=D0, values=values), window).values
+    ref = ref_smooth(values, window)
+    assert len(got) == len(ref)
+    for i, (g, r) in enumerate(zip(got, ref)):
+        if r is None:
+            assert np.isnan(g)
+            continue
+        assert abs(g - r) <= 1e-9
+        present = {x for x in values[max(0, i - window + 1) : i + 1] if x == x}
+        if len(present) == 1:  # a constant stretch stays exactly constant
+            assert g == present.pop()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs(peak_values) | st.lists(peak_values, max_size=60))
+def test_find_peaks_equals_brute_force(values):
+    got = [(p.index, p.prominence) for p in find_peaks(Series(start=D0, values=values))]
+    assert got == brute_peaks(values)
