@@ -196,6 +196,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     unknown = [m for m in marker_order if m not in cats.categories]
     if unknown:
         raise ValueError(f"unknown markers in config: {', '.join(unknown)}")
+    acfg = series.AnalysisConfig(window=cfg.window, sigma_mult=cfg.sigma_mult)
     events = reporting.load_events_csv(cfg.events) if cfg.events else None
     stages = reporting.load_stages_csv(cfg.stages) if cfg.stages else None
     matcher = matching.build_matcher(cats)
@@ -208,12 +209,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     # Everything is computed before the first file is written, so a run that
     # fails validation (a negative lead, say) leaves no output behind.
-    acfg = series.AnalysisConfig(window=cfg.window, sigma_mult=cfg.sigma_mult)
     smoothed = {
-        name: series.smooth(prev.to_series(), cfg.window)
+        name: series.smooth(prev.to_series(), acfg.window)
         for name, prev in agg.prevalence.items()
     }
-    sg = {name: series.smoothed_gradient(s, cfg.window) for name, s in smoothed.items()}
+    sg = {name: series.smoothed_gradient(s, acfg.window) for name, s in smoothed.items()}
     derived = {
         name: {"smoothed": smoothed[name], "smoothed_gradient": sg[name]}
         for name in smoothed

@@ -1,4 +1,4 @@
-"""Tweet corpus ingestion: JSONL parsing, text normalization, corpus statistics.
+r"""Tweet corpus ingestion: JSONL parsing, text normalization, corpus statistics.
 
 Corpora arrive as UTF-8 line-delimited JSON, one tweet per line with keys
 ``id``, ``created_at`` (ISO-8601), ``text``, ``kind`` (``original`` |
@@ -11,6 +11,15 @@ Normalization keeps diacritics (the Spanish lexicons carry accents), removes
 URLs and @-mentions, splits hashtags into their constituent words, applies
 Unicode compatibility normalization plus lowercasing, and emits maximal runs
 of letters or digits. No stemming or lemmatization is applied.
+
+Every tweet takes this path, so it skips work that cannot change the result.
+Each substitution runs only when its literal trigger is in the text (``://``
+or ``www.`` for URLs, ``@`` for mentions, ``#`` for hashtags): no pattern can
+match without it. Text that is ASCII after the substitutions skips NFKC and
+uses an ASCII token pattern: NFKC leaves ASCII unchanged, ``lower()`` keeps
+it ASCII, and on ASCII the letter class ``[^\W\d_]`` is ``[A-Za-z]`` and
+``\d`` is ``[0-9]``. ``Tweet`` and ``TokenizedDoc`` are named tuples, cheaper
+to build than dataclasses and just as immutable.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CorpusFormatError
 
@@ -43,13 +52,14 @@ _HASHTAG_RE = re.compile(r"#(\w+)")
 # A token is a maximal run of letters (any script, accents included) or a
 # maximal run of digits; everything else separates.
 _TOKEN_RE = re.compile(r"[^\W\d_]+|\d+")
+# The same tokens on ASCII text, where [^\W\d_] is [A-Za-z] and \d is [0-9].
+_ASCII_TOKEN_RE = re.compile(r"[a-z]+|[0-9]+")
 _HAS_HASHTAG_RE = re.compile(r"#\w")
 
 _REQUIRED_KEYS = ("id", "created_at", "text", "kind", "user_id")
 
 
-@dataclass(frozen=True)
-class Tweet:
+class Tweet(NamedTuple):
     """One raw post with its day bucket already resolved."""
 
     id: str
@@ -62,8 +72,7 @@ class Tweet:
     lang: str = ""
 
 
-@dataclass(frozen=True)
-class TokenizedDoc:
+class TokenizedDoc(NamedTuple):
     """Normalized token sequence of a tweet, keyed by its calendar day."""
 
     tweet_id: str
@@ -129,12 +138,21 @@ def preprocess(text: str) -> list[str]:
     letters or of digits. Punctuation and symbols act as separators, so
     "covid-19" yields ["covid", "19"].
     """
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    text = _HASHTAG_RE.sub(lambda m: " " + " ".join(split_hashtag(m.group(1))) + " ", text)
+    # Each pattern needs its literal trigger, so a text without it is left
+    # as it is without running the substitution.
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(
+            lambda m: " " + " ".join(split_hashtag(m.group(1))) + " ", text
+        )
+    # NFKC leaves ASCII unchanged and lower() keeps it ASCII.
+    if text.isascii():
+        return _ASCII_TOKEN_RE.findall(text.lower())
     text = unicodedata.normalize("NFKC", text)
-    text = text.lower()
-    return _TOKEN_RE.findall(text)
+    return _TOKEN_RE.findall(text.lower())
 
 
 def _parse_created_at(raw: str) -> datetime:
@@ -167,7 +185,7 @@ def _tweet_from_obj(obj: dict, tz: timezone) -> Tweet:
         text=text,
         kind=kind,
         user_id=str(obj["user_id"]),
-        has_hashtag=bool(_HAS_HASHTAG_RE.search(text)),
+        has_hashtag="#" in text and _HAS_HASHTAG_RE.search(text) is not None,
         lang=str(obj.get("lang", "")),
     )
 
@@ -221,9 +239,7 @@ def filter_analyzable(tweet: Tweet) -> bool:
 
 
 def tokenize_tweet(tweet: Tweet) -> TokenizedDoc:
-    return TokenizedDoc(
-        tweet_id=tweet.id, date=tweet.date, tokens=tuple(preprocess(tweet.text))
-    )
+    return TokenizedDoc(tweet.id, tweet.date, tuple(preprocess(tweet.text)))
 
 
 @dataclass

@@ -7,7 +7,10 @@ its tokens. A document matches a category when at least one of its terms
 occurs; multiword terms require consecutive tokens; multiplicity is ignored
 (three occurrences count the same as one, since tweet length makes repeat
 counts a poor intensity signal). ``Matcher.match(doc.tokens)`` gives a
-document's category names, ``Matcher.match_indices`` their indices.
+document's category names, ``Matcher.match_indices`` their indices. Most
+documents share no token with any term; the matcher keeps the set of term
+tokens and returns no match for such a document without walking the
+automaton, which is exact because every term consists of those tokens.
 
 Daily aggregation is a single fold over a document stream into a
 categories × days count matrix; it never holds the documents, so memory
@@ -26,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,8 +46,8 @@ class Matcher:
     States are integers; ``children[s]`` maps a token to the next state,
     ``fail[s]`` is the longest-proper-suffix fallback, and ``out[s]`` is the
     set of category indices whose term ends at (or suffix-ends at) ``s``.
-    Built deterministically: identical category sets compile to identical
-    automata.
+    ``_vocab`` is every token of every term. Built deterministically:
+    identical category sets compile to identical automata.
     """
 
     def __init__(self, cats: CategorySet):
@@ -82,11 +85,14 @@ class Matcher:
         self._children = children
         self._fail = fail
         self._out: list[frozenset[int]] = [frozenset(s) for s in out]
+        self._vocab = frozenset(tok for node in children for tok in node)
 
     def __len__(self) -> int:
         return len(self.category_names)
 
-    def match_indices(self, tokens: Iterable[str]) -> set[int]:
+    def match_indices(self, tokens: Sequence[str]) -> set[int]:
+        if self._vocab.isdisjoint(tokens):
+            return set()
         children = self._children
         fail = self._fail
         out = self._out
@@ -104,7 +110,7 @@ class Matcher:
                     break
         return found
 
-    def match(self, tokens: Iterable[str]) -> set[str]:
+    def match(self, tokens: Sequence[str]) -> set[str]:
         return {self.category_names[i] for i in self.match_indices(tokens)}
 
 

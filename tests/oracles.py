@@ -8,7 +8,9 @@ evidence rather than tautology.
 from __future__ import annotations
 
 import math
+import re
 import statistics
+import unicodedata
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -96,6 +98,22 @@ def brute_filter(prominences, sigma_mult=1.0) -> list[int]:
     mu = statistics.fmean(prominences)
     sd = statistics.pstdev(prominences)
     return [i for i, p in enumerate(prominences) if p > mu + sigma_mult * sd]
+
+
+def ref_preprocess(text: str) -> list[str]:
+    """The tokenizer with no shortcut: every substitution runs on every text,
+    then NFKC, lowercasing and the Unicode token pattern."""
+    # Imported here: the benchmark's workload builder imports this module
+    # without crisismon on its path.
+    from crisismon.corpus import split_hashtag
+
+    text = re.sub(r"\b[a-zA-Z][a-zA-Z0-9+.-]*://\S+|\bwww\.\S+", " ", text)
+    text = re.sub(r"@\w+", " ", text)
+    text = re.sub(
+        r"#(\w+)", lambda m: " " + " ".join(split_hashtag(m.group(1))) + " ", text
+    )
+    text = unicodedata.normalize("NFKC", text).lower()
+    return re.findall(r"[^\W\d_]+|\d+", text)
 
 
 def ref_smooth(values, window) -> list:

@@ -239,6 +239,13 @@ class TestAnalyze:
         assert run_cli("analyze", "--config", str(ws["config"])) == 1
         assert not (ws["out"] / "prevalence.csv").exists()
 
+    def test_bad_window_fails_before_the_corpus_is_read(self, tmp_path):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        missing = str(tmp_path / "no_such_corpus.jsonl")
+        assert run_cli("analyze", "--config", str(ws["config"]),
+                       "--window", "0", missing) == 1
+        assert not ws["out"].exists()
+
     def test_missing_stages_file_fails_before_any_output(self, tmp_path):
         ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
         cfg = json.loads(ws["config"].read_text())

@@ -222,3 +222,12 @@ def test_tokenize_tweet_keeps_date_and_id():
     assert doc.tweet_id == "t7"
     assert doc.date == t.date
     assert doc.tokens == ("hola", "mundo", "2020")
+
+
+def test_records_are_immutable():
+    (t,) = parse_corpus([_line(7)])
+    doc = tokenize_tweet(t)
+    with pytest.raises(AttributeError):
+        t.text = "otro texto"
+    with pytest.raises(AttributeError):
+        doc.tokens = ()

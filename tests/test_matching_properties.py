@@ -20,7 +20,10 @@ category_sets = st.dictionaries(
     st.lists(terms, min_size=1, max_size=6),
     max_size=5,
 )
-token_streams = st.lists(st.sampled_from(VOCAB), max_size=40)
+# Tokens no term uses: streams made only of them, or of them and tokens of
+# unused terms, share nothing with the matcher's vocabulary.
+OUTSIDE = ["nada", "x1"]
+token_streams = st.lists(st.sampled_from(VOCAB + OUTSIDE), max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
