@@ -19,8 +19,8 @@ from pathlib import Path
 from crisismon import (AnalysisConfig, aggregate_daily, annotate_peaks,
                        build_matcher, filter_analyzable, joint_peaks,
                        load_category_set, load_events_csv, load_stages_csv,
-                       parse_corpus, render_heatmap, smooth, smoothed_gradient,
-                       stage_prevalence_table, tokenize_tweet)
+                       parse_corpus, render_heatmap, Series, smooth,
+                       smoothed_gradient, stage_prevalence_table, tokenize_tweet)
 from crisismon.reporting import HeatmapSpec
 
 HERE = Path(__file__).resolve().parent
@@ -70,7 +70,9 @@ print(f"{len(docs)} analyzable docs across {n_days} days, "
 # --- joint peaks over the surged markers, annotated with real events --------------
 cfg = AnalysisConfig()
 markers = ["fear", "health", "nervousness", "sadness"]
-smoothed = {m: smooth(agg.prevalence[m].to_series(), cfg.window) for m in markers}
+smoothed = {
+    m: smooth(Series(START, agg.prevalence[m].percent()), cfg.window) for m in markers
+}
 peaks = joint_peaks([smoothed_gradient(smoothed[m], cfg.window) for m in markers], cfg)
 
 events = load_events_csv(DATA / "events" / "mental_health.csv")

@@ -1,9 +1,14 @@
 """Command-line pipeline: stats, expand, analyze, render.
 
 Runs are driven by a JSON config file; command-line flags override config
-values so a recorded config reproduces a run exactly. Exit codes: 0 on
-success, 1 for validation or contract failures (bad date range, empty
-lexicon), 2 for I/O and parse failures (missing file, malformed input).
+values so a recorded config reproduces a run exactly. Each subcommand takes
+only the flags it reads; a flag sets the config field of its name. A config
+value must have its field's type: a string or list of strings, ``null`` only
+where the field allows it, an integer (not ``true``/``false``) for an int,
+an integer or float for a float, a boolean for a bool; anything else is a
+format error naming the key. Exit codes: 0 on success, 1 for validation or
+contract failures (bad date range, empty lexicon), 2 for I/O and format
+failures (missing file, malformed input, a wrongly typed config value).
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 from . import corpus as corpus_mod
 from . import matching, reporting, series
@@ -59,10 +64,13 @@ class RunConfig:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise FormatError(f"{path}: config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
+        unknown = set(obj) - set(_FIELD_TYPES)
         if unknown:
             raise FormatError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+        for key, value in obj.items():
+            if not _fits(value, _FIELD_TYPES[key]):
+                raise FormatError(f"{path}: config key {key!r} must be "
+                                  f"{cls.__annotations__[key]}, got {value!r}")
         return cls(**obj)
 
     def date_range(self) -> tuple[date, date]:
@@ -75,52 +83,51 @@ class RunConfig:
         return lo, hi
 
 
+_FIELD_TYPES = get_type_hints(RunConfig)
+
+
+def _fits(value: object, hint: object) -> bool:
+    """Whether a JSON value has the annotated type; a bool is no int."""
+    if hint is float:
+        return type(value) in (int, float)
+    if get_origin(hint) is list:
+        return type(value) is list and all(_fits(v, get_args(hint)[0]) for v in value)
+    if get_args(hint):  # a union such as ``str | None``
+        return any(_fits(value, a) for a in get_args(hint))
+    return type(value) is hint
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        "date_from": args.date_from,
-        "date_to": args.date_to,
-        "window": args.window,
-        "k": args.k,
-        "m": args.m,
-        "sigma_mult": args.sigma_mult,
-        "workers": args.workers,
-        "out": args.out,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "strict", False):
-        cfg.strict = True
-    if getattr(args, "corpus", None):
-        cfg.corpus = args.corpus
-    return cfg
+    # Absent flags leave no attribute, so only the given ones override.
+    given = vars(args)
+    cfg = RunConfig.from_file(given["config"]) if "config" in given else RunConfig()
+    return replace(cfg, **{k: v for k, v in given.items() if k in _FIELD_TYPES})
 
 
-def _iter_corpus_lines(paths: list[str]) -> Iterator[bytes]:
-    # Binary mode: parse_corpus decodes each line, so a bad byte is one
-    # malformed line rather than an error that ends the whole read.
-    for path in paths:
-        with open(path, "rb") as fh:
-            yield from fh
-
-
-def _load_docs(
+def _tweets(
     cfg: RunConfig, report: corpus_mod.ParseReport
-) -> Iterator[corpus_mod.TokenizedDoc]:
-    """Lazy stream of analyzable documents; parse outcomes land on ``report``."""
+) -> Iterator[corpus_mod.Tweet]:
+    """Lazy stream of every parsed tweet; parse outcomes land on ``report``."""
     if not cfg.corpus:
         raise ValueError("config needs at least one corpus path")
-    return (
-        corpus_mod.tokenize_tweet(t)
-        for t in corpus_mod.parse_corpus(
-            _iter_corpus_lines(cfg.corpus),
-            tz_offset_hours=cfg.tz_offset_hours,
-            strict=cfg.strict,
-            report=report,
-        )
-        if corpus_mod.filter_analyzable(t)
+
+    def lines() -> Iterator[bytes]:
+        # Binary mode: parse_corpus decodes each line, so a bad byte is one
+        # malformed line rather than an error that ends the whole read.
+        for path in cfg.corpus:
+            with open(path, "rb") as fh:
+                yield from fh
+
+    return corpus_mod.parse_corpus(
+        lines(), tz_offset_hours=cfg.tz_offset_hours, strict=cfg.strict, report=report
     )
+
+
+def _raw_series(prevalence: dict[str, matching.DailyPrevalence]) -> dict[str, series.Series]:
+    return {
+        name: series.Series(start=p.start, values=p.percent(), kind="raw")
+        for name, p in prevalence.items()
+    }
 
 
 def _report_skips(report: corpus_mod.ParseReport) -> None:
@@ -141,17 +148,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_stats(cfg: RunConfig) -> int:
     """Corpus statistics over all tweets (retweets included) as JSON."""
-    if not cfg.corpus:
-        raise ValueError("config needs at least one corpus path")
     report = corpus_mod.ParseReport()
-    stats = corpus_mod.compute_corpus_stats(
-        corpus_mod.parse_corpus(
-            _iter_corpus_lines(cfg.corpus),
-            tz_offset_hours=cfg.tz_offset_hours,
-            strict=cfg.strict,
-            report=report,
-        )
-    )
+    stats = corpus_mod.compute_corpus_stats(_tweets(cfg, report))
     _report_skips(report)
     out = _out_dir(cfg) / "stats.json"
     out.write_text(
@@ -201,7 +199,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
     stages = reporting.load_stages_csv(cfg.stages) if cfg.stages else None
     matcher = matching.build_matcher(cats)
     report = corpus_mod.ParseReport()
-    agg = matching.aggregate_daily(_load_docs(cfg, report), matcher, start, end)
+    docs = (
+        corpus_mod.tokenize_tweet(t)
+        for t in _tweets(cfg, report)
+        if corpus_mod.filter_analyzable(t)
+    )
+    agg = matching.aggregate_daily(docs, matcher, start, end)
     _report_skips(report)
     if agg.dropped:
         print(f"dropped {agg.dropped} document(s) outside {start}..{end}",
@@ -210,8 +213,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     # Everything is computed before the first file is written, so a run that
     # fails validation (a negative lead, say) leaves no output behind.
     smoothed = {
-        name: series.smooth(prev.to_series(), acfg.window)
-        for name, prev in agg.prevalence.items()
+        name: series.smooth(raw, acfg.window)
+        for name, raw in _raw_series(agg.prevalence).items()
     }
     sg = {name: series.smoothed_gradient(s, acfg.window) for name, s in smoothed.items()}
     derived = {
@@ -247,7 +250,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int:
     """Re-render a heatmap from a previously written prevalence CSV."""
-    raw = matching.read_prevalence_csv(input_csv)
+    raw = _raw_series(matching.read_prevalence_csv(input_csv))
     if not raw:
         raise ValueError(f"{input_csv}: no prevalence rows")
     if window and window > 1:
@@ -269,6 +272,30 @@ def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int
     return 0
 
 
+# Each flag's dest is the RunConfig field it sets.
+_FLAGS = {
+    "--from": dict(dest="date_from", metavar="DATE"),
+    "--to": dict(dest="date_to", metavar="DATE"),
+    "--window": dict(type=int),
+    "--k": dict(type=int),
+    "--m": dict(type=int),
+    "--sigma-mult": dict(dest="sigma_mult", type=float),
+    "--workers": dict(type=int, help="accepted for compatibility; has no effect "
+                                     "(the corpus is read in one process)"),
+    "--out": dict(),
+    "--strict": dict(action="store_true", help="abort on the first malformed corpus line"),
+}
+
+_SUBCOMMANDS = {
+    "stats": ("corpus statistics JSON", ["--out", "--strict"]),
+    "expand": ("expand lexicons, rank categories", ["--k", "--m", "--out"]),
+    "analyze": ("prevalence, peaks, heatmap, stage table",
+                ["--from", "--to", "--window", "--sigma-mult", "--workers", "--out",
+                 "--strict"]),
+    "render": ("heatmap from a prevalence CSV", ["--from", "--to", "--window", "--out"]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crisismon",
@@ -276,39 +303,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON run config; flags override it")
-        p.add_argument("--from", dest="date_from", metavar="DATE")
-        p.add_argument("--to", dest="date_to", metavar="DATE")
-        p.add_argument("--window", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--sigma-mult", dest="sigma_mult", type=float)
-        p.add_argument("--workers", type=int,
-                       help="accepted for compatibility; has no effect "
-                            "(the corpus is read in one process)")
-        p.add_argument("--out")
-        p.add_argument("--strict", action="store_true",
-                       help="abort on the first malformed corpus line")
-
-    p_stats = sub.add_parser("stats", help="corpus statistics JSON")
-    common(p_stats)
-    p_stats.add_argument("corpus", nargs="*", help="corpus JSONL paths")
-
-    p_expand = sub.add_parser("expand", help="expand lexicons, rank categories")
-    common(p_expand)
-
-    p_analyze = sub.add_parser(
-        "analyze", help="prevalence, peaks, heatmap, stage table"
-    )
-    common(p_analyze)
-    p_analyze.add_argument("corpus", nargs="*", help="corpus JSONL paths")
-
-    p_render = sub.add_parser("render", help="heatmap from a prevalence CSV")
-    common(p_render)
-    p_render.add_argument("input", help="prevalence CSV from a previous run")
-
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        if name in ("stats", "analyze"):
+            p.add_argument("corpus", nargs="*", help="corpus JSONL paths")
+        if name == "render":
+            p.add_argument("input", help="prevalence CSV from a previous run")
     return parser
 
 
@@ -321,16 +324,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = _config_from_args(args)
-        if args.command == "stats":
-            return cmd_stats(cfg)
-        if args.command == "expand":
-            return cmd_expand(cfg)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
         if args.command == "render":
-            return cmd_render(cfg, args.input, window=args.window)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (FormatError, OSError) as exc:
+            return cmd_render(cfg, args.input, window=getattr(args, "window", None))
+        commands = {"stats": cmd_stats, "expand": cmd_expand, "analyze": cmd_analyze}
+        return commands[args.command](cfg)
+    except (FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

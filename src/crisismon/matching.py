@@ -34,8 +34,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import TokenizedDoc
+from .errors import FormatError
 from .lexicon import CategorySet
-from .series import Series
 
 log = logging.getLogger(__name__)
 
@@ -142,9 +142,6 @@ class DailyPrevalence:
             p = None if np.isnan(pct[i]) else float(pct[i])
             yield d, int(self.matched[i]), int(self.total[i]), p
 
-    def to_series(self) -> Series:
-        return Series(start=self.start, values=self.percent(), kind="raw")
-
 
 @dataclass
 class DailyAggregate:
@@ -207,24 +204,33 @@ def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
                 writer.writerow([d.isoformat(), name, m, t, "" if p is None else repr(p)])
 
 
-def read_prevalence_csv(path: str | Path) -> dict[str, Series]:
-    """Rebuild raw percentage Series per category from a long-format CSV."""
-    by_cat: dict[str, dict[date, float]] = {}
+def read_prevalence_csv(path: str | Path) -> dict[str, DailyPrevalence]:
+    """Rebuild each category's daily counts from a long-format CSV.
+
+    A category spans its first to its last listed day; a day with no row has
+    total 0, which reads as missing.
+    """
+    by_cat: dict[str, dict[date, tuple[int, int]]] = {}
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            d = date.fromisoformat(row["date"])
-            cell = row["percent"]
-            by_cat.setdefault(row["category"], {})[d] = (
-                float(cell) if cell not in ("", None) else np.nan
-            )
-    out: dict[str, Series] = {}
+        columns = {"date", "category", "matched", "total", "percent"}
+        if reader.fieldnames is None or not columns <= set(reader.fieldnames):
+            raise FormatError(f"{path}: expected columns date,category,matched,total,percent")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                day = date.fromisoformat(row["date"])
+                counts = int(row["matched"]), int(row["total"])
+            except (ValueError, TypeError) as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+            by_cat.setdefault(row["category"], {})[day] = counts
+    out: dict[str, DailyPrevalence] = {}
     for cat, cells in by_cat.items():
-        days = sorted(cells)
-        start, last = days[0], days[-1]
-        n = (last - start).days + 1
-        values = np.full(n, np.nan)
-        for d, v in cells.items():
-            values[(d - start).days] = v
-        out[cat] = Series(start=start, values=values, kind="raw")
+        start = min(cells)
+        n = (max(cells) - start).days + 1
+        matched = np.zeros(n, dtype=np.int64)
+        total = np.zeros(n, dtype=np.int64)
+        for d, (m, t) in cells.items():
+            i = (d - start).days
+            matched[i], total[i] = m, t
+        out[cat] = DailyPrevalence(category=cat, start=start, matched=matched, total=total)
     return out

@@ -25,6 +25,10 @@ from .errors import FormatError
 from .series import Peak, Series
 
 DEFAULT_EVENT_LEAD_DAYS = 6
+CELL_W = 8.0  # heatmap cell geometry
+CELL_H = 16.0
+LIGHT = 96.0  # luminance percent at the minimum value
+DARK = 12.0  # luminance percent at the maximum value
 
 
 @dataclass(frozen=True)
@@ -52,23 +56,15 @@ class EventRecord:
 
 @dataclass
 class HeatmapSpec:
-    """Row order, date range, gray ramp endpoints, and cell geometry."""
+    """Row order and date range of a heatmap."""
 
     markers: Sequence[str]
     start: date
     end: date
-    cell_w: float = 8.0
-    cell_h: float = 16.0
-    light: float = 96.0  # luminance percent at the minimum value
-    dark: float = 12.0  # luminance percent at the maximum value
 
 
-def _luminance(norm: float, spec: HeatmapSpec) -> float:
-    return spec.light - norm * (spec.light - spec.dark)
-
-
-def _fill(norm: float, spec: HeatmapSpec) -> str:
-    lum = _luminance(norm, spec)
+def _fill(norm: float) -> str:
+    lum = LIGHT - norm * (LIGHT - DARK)
     return f"rgb({lum:.6f}%,{lum:.6f}%,{lum:.6f}%)"
 
 
@@ -94,8 +90,8 @@ def render_heatmap(series_by_marker: dict[str, Series], spec: HeatmapSpec) -> by
     n_days = (spec.end - spec.start).days + 1
     left = 10.0 + 7.2 * max(len(m) for m in spec.markers)
     top = 30.0
-    width = left + n_days * spec.cell_w + 10.0
-    height = top + len(spec.markers) * spec.cell_h + 10.0
+    width = left + n_days * CELL_W + 10.0
+    height = top + len(spec.markers) * CELL_H + 10.0
 
     parts: list[str] = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -117,7 +113,7 @@ def render_heatmap(series_by_marker: dict[str, Series], spec: HeatmapSpec) -> by
     for di in range(n_days):
         d = spec.start + timedelta(days=di)
         if d.day == 1 or di == 0:
-            x = left + di * spec.cell_w
+            x = left + di * CELL_W
             parts.append(
                 f'<line x1="{x:.2f}" y1="{top - 6:.2f}" x2="{x:.2f}" '
                 f'y2="{top:.2f}" stroke="#444444" stroke-width="1"/>'
@@ -128,24 +124,24 @@ def render_heatmap(series_by_marker: dict[str, Series], spec: HeatmapSpec) -> by
             )
 
     for ri, marker in enumerate(spec.markers):
-        y = top + ri * spec.cell_h
+        y = top + ri * CELL_H
         parts.append(
-            f'<text x="{left - 6:.2f}" y="{y + spec.cell_h * 0.72:.2f}" '
+            f'<text x="{left - 6:.2f}" y="{y + CELL_H * 0.72:.2f}" '
             f'font-family="monospace" font-size="12" text-anchor="end" '
             f'fill="#111111">{_xml_escape(marker)}</text>'
         )
         values = cropped[marker].values
         for di in range(n_days):
-            x = left + di * spec.cell_w
+            x = left + di * CELL_W
             v = values[di]
             if np.isnan(v):
                 fill = "url(#missing)"
             else:
                 norm = 0.5 if flat else (float(v) - vmin) / (vmax - vmin)
-                fill = _fill(norm, spec)
+                fill = _fill(norm)
             parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{spec.cell_w:.2f}" '
-                f'height="{spec.cell_h:.2f}" fill="{fill}"/>'
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{CELL_W:.2f}" '
+                f'height="{CELL_H:.2f}" fill="{fill}"/>'
             )
 
     parts.append("</svg>")
@@ -261,9 +257,8 @@ def write_stage_table_csv(
 def write_annotations_csv(
     path: str | Path,
     annotated: Sequence[tuple[Peak, list[EventRecord]]],
-    marker: str = "JOINT",
 ) -> None:
-    """One row per (peak, event); peaks without events keep one blank-event row."""
+    """One row per (joint peak, event); peaks without events keep one blank-event row."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -271,7 +266,7 @@ def write_annotations_csv(
              "event_date", "event_description"]
         )
         for peak, events in annotated:
-            base = [peak.date.isoformat(), marker, peak.direction,
+            base = [peak.date.isoformat(), "JOINT", peak.direction,
                     repr(peak.height), repr(peak.prominence)]
             if events:
                 for e in events:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from datetime import date
@@ -36,6 +37,63 @@ class TestRunConfig:
         cfg = RunConfig(date_from="2020-05-01", date_to="2020-03-01")
         with pytest.raises(ValueError):
             cfg.date_range()
+
+    @pytest.mark.parametrize("key, value", [
+        ("window", "7"), ("lead", "6"), ("date_from", 20200301), ("strict", "no"),
+        ("corpus", "a.jsonl"), ("window", True),
+    ])
+    def test_wrongly_typed_value_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, key, value
+    ):
+        ws = write_burst_workspace(tmp_path, seed=28, n_days=10, per_day=10)
+        cfg = json.loads(ws["config"].read_text())
+        cfg[key] = value
+        ws["config"].write_text(json.dumps(cfg))
+        assert run_cli("analyze", "--config", str(ws["config"])) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not ws["out"].exists()
+
+    @pytest.mark.parametrize("key, value", [("sigma_mult", 2), ("markers", None)])
+    def test_int_for_a_float_and_null_where_allowed(self, tmp_path, key, value):
+        ws = write_burst_workspace(tmp_path, seed=29, n_days=10, per_day=10)
+        cfg = json.loads(ws["config"].read_text())
+        cfg.update({key: value, "date_to": "2020-03-10"})
+        ws["config"].write_text(json.dumps(cfg))
+        assert getattr(RunConfig.from_file(ws["config"]), key) == value
+        assert run_cli("analyze", "--config", str(ws["config"])) == 0
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--from", "2020-04-01"],
+        ["expand", "--window", "7"],
+        ["analyze", "--k", "3"],
+        ["render", "--strict", "prevalence.csv"],
+    ])
+    def test_unread_flag_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_workers_is_accepted_by_analyze(self, tmp_path):
+        ws = write_burst_workspace(tmp_path, seed=30, n_days=10, per_day=10)
+        assert run_cli("analyze", "--config", str(ws["config"]), "--workers", "1",
+                       "--to", "2020-03-10") == 0
+
+    @pytest.mark.parametrize("command, flags", [
+        ("stats", {"--out", "--strict"}),
+        ("expand", {"--k", "--m", "--out"}),
+        ("analyze", {"--from", "--to", "--window", "--sigma-mult", "--workers",
+                     "--out", "--strict"}),
+        ("render", {"--from", "--to", "--window", "--out"}),
+    ])
+    def test_help_lists_exactly_the_flags_read(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == flags | {"--config", "--help"}
 
 
 class TestStats:
@@ -307,6 +365,18 @@ class TestRender:
 
     def test_missing_input_exits_two(self, tmp_path):
         assert run_cli("render", "--out", str(tmp_path), str(tmp_path / "no.csv")) == 2
+
+    @pytest.mark.parametrize("body, says", [
+        (b"date,category,matched,total\n2020-03-01,A,1,2\n", "expected columns"),
+        (b"date,category,matched,total,percent\n2020-13-01,A,1,2,50.0\n", "line 2"),
+        (b"date,category,matched,total,percent\n2020-03-01,\xff,1,2,50.0\n", "utf-8"),
+    ], ids=["missing-column", "bad-date", "invalid-utf8"])
+    def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
+        path = tmp_path / "prevalence.csv"
+        path.write_bytes(body)
+        assert run_cli("render", "--out", str(tmp_path / "out"), str(path)) == 2
+        assert says in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point_runs():

@@ -96,7 +96,7 @@ class TestAggregateDaily:
         agg = aggregate_daily(docs, m, START, START + timedelta(days=2))
         rows = list(agg.prevalence["C"].rows())
         assert rows[1] == (START + timedelta(days=1), 0, 0, None)
-        assert np.isnan(agg.prevalence["C"].to_series().values[1])
+        assert np.isnan(agg.prevalence["C"].percent()[1])
 
     def test_reversed_range_is_an_error(self):
         m = build_matcher(_cats(C=["x"]))
@@ -201,10 +201,12 @@ class TestPrevalenceCsv:
         agg = aggregate_daily(docs, m, START, START + timedelta(days=2))
         path = tmp_path / "prev.csv"
         write_prevalence_csv(path, agg)
-        series = read_prevalence_csv(path)
-        assert set(series) == {"A", "B"}
-        a = series["A"]
+        back = read_prevalence_csv(path)
+        assert set(back) == {"A", "B"}
+        a = back["A"]
         assert a.start == START
-        assert a.values[0] == 50.0
-        assert np.isnan(a.values[1])  # empty day round-trips as missing
-        assert a.values[2] == 0.0
+        assert a.matched.tolist() == [1, 0, 0]
+        assert a.total.tolist() == [2, 0, 1]
+        assert a.percent()[0] == 50.0
+        assert np.isnan(a.percent()[1])  # empty day round-trips as missing
+        assert a.percent()[2] == 0.0

@@ -7,6 +7,7 @@ import pytest
 from crisismon import (EventRecord, HeatmapSpec, Series, StageWindow,
                        annotate_peaks, load_events_csv, load_stages_csv,
                        render_heatmap, stage_prevalence_table)
+from crisismon import reporting
 from crisismon.series import Peak
 from crisismon.reporting import write_stage_table_csv
 
@@ -46,8 +47,7 @@ class TestRenderHeatmap:
         svg = render_heatmap({"m": S([7.0, 7.0, 7.0])}, spec_for(["m"], 3))
         fills = cell_fills(svg)
         assert len(set(fills)) == 1
-        spec = spec_for(["m"], 3)
-        assert lum(fills[0]) == pytest.approx((spec.light + spec.dark) / 2)
+        assert lum(fills[0]) == pytest.approx((reporting.LIGHT + reporting.DARK) / 2)
 
     def test_byte_identical_across_runs(self):
         series = {"a": S([1, 2, 3]), "b": S([3, 2, 1])}
