@@ -54,12 +54,11 @@ for d in range(31):
 agg = aggregate_daily(docs, matcher, start, date(2020, 3, 31))
 
 print("\nday        total   fear%   health%")
-fear, health = agg.prevalence["fear"], agg.prevalence["health"]
-for (day, m_fear, total, pct_fear), (_, m_h, _, pct_h) in zip(
-    fear.rows(), health.rows()
-):
-    bar = "#" * int((pct_fear or 0) / 2)
-    print(f"{day}  {total:5}  {pct_fear:6.2f}  {pct_h:7.2f}  {bar}")
+fear, health = agg.prevalence["fear"].percent(), agg.prevalence["health"].percent()
+for i, total in enumerate(agg.prevalence["fear"].total.tolist()):
+    day = start + timedelta(days=i)
+    bar = "#" * int(fear[i] / 2)
+    print(f"{day}  {total:5}  {fear[i]:6.2f}  {health[i]:7.2f}  {bar}")
 
 # The same counts serialize to a long-format CSV with
 # crisismon.write_prevalence_csv(path, agg) for downstream runs.

@@ -11,7 +11,7 @@ from .corpus import (CorpusStats, ParseReport, Tweet, TokenizedDoc,
                      compute_corpus_stats, filter_analyzable, parse_corpus,
                      preprocess, split_hashtag, tokenize_tweet)
 from .expansion import (EmbeddingTable, ExpansionConfig, associate_categories,
-                        cosine, expand_lexicon, knn, load_embeddings)
+                        expand_lexicon, knn, load_embeddings)
 from .lexicon import (CategorySet, Lexicon, MarkerMapping, load_category_set,
                       load_lexicon, load_manifest, make_lexicon, save_lexicon)
 from .matching import (DailyAggregate, DailyPrevalence, Matcher,
@@ -49,7 +49,6 @@ __all__ = [
     "associate_categories",
     "build_matcher",
     "compute_corpus_stats",
-    "cosine",
     "expand_lexicon",
     "filter_analyzable",
     "filter_peaks",

@@ -24,7 +24,7 @@ from typing import Iterator, get_args, get_origin, get_type_hints
 
 from . import corpus as corpus_mod
 from . import matching, reporting, series
-from .errors import FormatError
+from .errors import FormatError, open_text
 from .expansion import (ExpansionConfig, associate_categories, expand_lexicon,
                         load_embeddings)
 from .lexicon import (load_category_set, load_manifest, save_lexicon,
@@ -58,10 +58,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+        with open_text(path) as fh:
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise FormatError(f"{path}: config must be a JSON object")
         unknown = set(obj) - set(_FIELD_TYPES)
@@ -328,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_render(cfg, args.input, window=getattr(args, "window", None))
         commands = {"stats": cmd_stats, "expand": cmd_expand, "analyze": cmd_analyze}
         return commands[args.command](cfg)
-    except (FormatError, OSError, UnicodeDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -9,6 +9,10 @@ Two broad failure families matter to callers (and to the CLI exit codes):
   (CLI exit code 1).
 """
 
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Iterator
+
 
 class FormatError(Exception):
     """An input file violates its documented on-disk format."""
@@ -32,3 +36,14 @@ class EmptyLexiconError(ValueError):
 
 class OutOfVocabularyError(KeyError):
     """A similarity query token is not in the embedding vocabulary."""
+
+
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open a UTF-8 text input; a decode error while reading names the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        # The codec's position counts from a read buffer, not the file: left out.
+        raise FormatError(f"{path}: not valid utf-8: {exc.reason}") from exc

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmbeddingFormatError, OutOfVocabularyError
+from .errors import EmbeddingFormatError, OutOfVocabularyError, open_text
 from .lexicon import CategorySet, Lexicon, MarkerMapping
 
 log = logging.getLogger(__name__)
@@ -65,12 +65,6 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
-    def vector(self, token: str) -> np.ndarray:
-        try:
-            return self._matrix[self._index[token]]
-        except KeyError:
-            raise OutOfVocabularyError(token) from None
-
     def usable(self, token: str) -> bool:
         """Whether the token can participate in similarity queries."""
         i = self._index.get(token)
@@ -83,10 +77,9 @@ class EmbeddingTable:
             units[ok] = self._matrix[ok] / self._norms[ok, None]
             self._units = units
             # Lexicographic rank per row, for deterministic tie-breaking.
-            rank = np.empty(len(self._tokens), dtype=np.int64)
             order = sorted(range(len(self._tokens)), key=lambda i: self._tokens[i])
-            for r, i in enumerate(order):
-                rank[i] = r
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order))
             self._token_rank = rank
         return self._units, self._token_rank
 
@@ -94,11 +87,11 @@ class EmbeddingTable:
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Parse the "V D" text format into an EmbeddingTable.
 
-    The file must contain exactly V data rows of arity D+1. A duplicate
-    token keeps its last row (with a warning), mirroring common tooling.
+    The file must hold exactly V rows of D+1 fields, all components finite.
+    A duplicate token keeps its last row (with a warning), like common tooling.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:
@@ -113,6 +106,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         tokens: list[str] = []
         matrix = np.empty((vocab, dim), dtype=np.float64)
         seen: dict[str, int] = {}
+        linenos: list[int] = []
         row = 0
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -128,7 +122,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 )
             token = fields[0]
             try:
-                matrix[row] = [float(x) for x in fields[1:]]
+                matrix[row] = np.array(fields[1:], dtype=np.float64)
             except ValueError as exc:
                 raise EmbeddingFormatError(
                     f"{path}: line {lineno}: non-numeric component"
@@ -138,25 +132,17 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                             path, lineno, token)
             seen[token] = row
             tokens.append(token)
+            linenos.append(lineno)
             row += 1
         if row != vocab:
             raise EmbeddingFormatError(
                 f"{path}: expected {vocab} rows, file has {row}"
             )
+    # One check over the whole matrix costs less than one per row.
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise EmbeddingFormatError(f"{path}: line {linenos[bad[0]]}: non-finite component")
     return EmbeddingTable(tokens, matrix)
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two equal-length vectors with nonzero norms."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine undefined for zero-norm vectors")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
@@ -165,6 +151,11 @@ def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
     The query itself is excluded; ties are broken by token lexicographic
     order; fewer than k candidates returns them all. An out-of-vocabulary
     query raises :class:`OutOfVocabularyError`.
+
+    Only a band is sorted, in the order of a full sort: the band is every
+    candidate not worse than the k-th best (``np.partition``), so it holds
+    the whole tie at the k-th place. NumPy sorts NaN last, so the band is
+    ``~(neg > kth)``: a NaN k-th value makes it every candidate.
     """
     if query not in table:
         raise OutOfVocabularyError(query)
@@ -178,10 +169,13 @@ def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
     mask = table._candidate.copy()
     mask[qi] = False
     idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return []
+    neg = -sims[idx]
+    if k < idx.size:
+        kth = np.partition(neg, k - 1)[k - 1]
+        band = ~(neg > kth)
+        idx, neg = idx[band], neg[band]
     # Primary key: similarity descending. Secondary: token lexicographic.
-    order = np.lexsort((token_rank[idx], -sims[idx]))
+    order = np.lexsort((token_rank[idx], neg))
     top = idx[order[:k]]
     return [(table._tokens[i], float(sims[i])) for i in top]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import preprocess
-from .errors import EmptyLexiconError, LexiconFormatError
+from .errors import EmptyLexiconError, LexiconFormatError, open_text
 
 log = logging.getLogger(__name__)
 
@@ -86,13 +86,13 @@ def make_lexicon(name: str, term_strings) -> Lexicon:
     return Lexicon(name=name, terms=frozenset(terms))
 
 
-def _load_json(path: str | Path) -> object:
+def _load_json(path: str | Path, object_pairs_hook=None) -> object:
     path = Path(path)
-    raw = path.read_text(encoding="utf-8")
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise LexiconFormatError(f"{path}: invalid JSON: {exc}") from exc
+    with open_text(path) as fh:
+        try:
+            return json.load(fh, object_pairs_hook=object_pairs_hook)
+        except json.JSONDecodeError as exc:
+            raise LexiconFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -120,7 +120,6 @@ def load_category_set(path: str | Path) -> CategorySet:
     last-wins, since they would change matching behavior.
     """
     path = Path(path)
-    raw = path.read_text(encoding="utf-8")
 
     def no_dupes(pairs):
         keys = [k for k, _ in pairs]
@@ -129,10 +128,7 @@ def load_category_set(path: str | Path) -> CategorySet:
             raise LexiconFormatError(f"{path}: duplicate key {dupe!r}")
         return dict(pairs)
 
-    try:
-        obj = json.loads(raw, object_pairs_hook=no_dupes)
-    except json.JSONDecodeError as exc:
-        raise LexiconFormatError(f"{path}: invalid JSON: {exc}") from exc
+    obj = _load_json(path, object_pairs_hook=no_dupes)
     if not isinstance(obj, dict) or "name" not in obj or "categories" not in obj:
         raise LexiconFormatError(
             f"{path}: expected an object with 'name' and 'categories'"

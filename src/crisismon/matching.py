@@ -29,12 +29,12 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import TokenizedDoc
-from .errors import FormatError
+from .errors import FormatError, open_text
 from .lexicon import CategorySet
 
 log = logging.getLogger(__name__)
@@ -133,15 +133,6 @@ class DailyPrevalence:
             pct = np.where(self.total > 0, 100.0 * self.matched / self.total, np.nan)
         return pct
 
-    def dates(self) -> list[date]:
-        return [self.start + timedelta(days=i) for i in range(len(self.matched))]
-
-    def rows(self) -> Iterator[tuple[date, int, int, float | None]]:
-        pct = self.percent()
-        for i, d in enumerate(self.dates()):
-            p = None if np.isnan(pct[i]) else float(pct[i])
-            yield d, int(self.matched[i]), int(self.total[i]), p
-
 
 @dataclass
 class DailyAggregate:
@@ -196,12 +187,15 @@ def aggregate_daily(
 
 def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
     """Long-format CSV: date, category, matched, total, percent (blank = missing)."""
+    n_days = (aggregate.end - aggregate.start).days + 1
+    days = [(aggregate.start + timedelta(days=i)).isoformat() for i in range(n_days)]
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "category", "matched", "total", "percent"])
         for name in sorted(aggregate.prevalence):
-            for d, m, t, p in aggregate.prevalence[name].rows():
-                writer.writerow([d.isoformat(), name, m, t, "" if p is None else repr(p)])
+            prev = aggregate.prevalence[name]
+            cols = zip(days, prev.matched.tolist(), prev.total.tolist(), prev.percent().tolist())
+            writer.writerows([d, name, m, t, "" if p != p else repr(p)] for d, m, t, p in cols)
 
 
 def read_prevalence_csv(path: str | Path) -> dict[str, DailyPrevalence]:
@@ -211,7 +205,7 @@ def read_prevalence_csv(path: str | Path) -> dict[str, DailyPrevalence]:
     total 0, which reads as missing.
     """
     by_cat: dict[str, dict[date, tuple[int, int]]] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         columns = {"date", "category", "matched", "total", "percent"}
         if reader.fieldnames is None or not columns <= set(reader.fieldnames):

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, open_text
 from .series import Peak, Series
 
 DEFAULT_EVENT_LEAD_DAYS = 6
@@ -207,7 +207,7 @@ def _stage_cell(s: Series, w: StageWindow, median: float | None) -> float | None
 def load_events_csv(path: str | Path) -> list[EventRecord]:
     """Events CSV: header ``date,description``, ISO dates, UTF-8 text."""
     out: list[EventRecord] = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"date", "description"} <= set(reader.fieldnames):
             raise FormatError(f"{path}: expected columns date,description")
@@ -225,7 +225,7 @@ def load_events_csv(path: str | Path) -> list[EventRecord]:
 def load_stages_csv(path: str | Path) -> list[StageWindow]:
     """Stage windows CSV: header ``stage,start,end``, ISO dates, windows may overlap."""
     out: list[StageWindow] = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"stage", "start", "end"} <= set(reader.fieldnames):
             raise FormatError(f"{path}: expected columns stage,start,end")

@@ -16,11 +16,15 @@ of the two minima separating the peak from higher terrain on either side.
 Only candidates with prominence above the candidate mean plus ``sigma_mult``
 population standard deviations survive filtering; with a single candidate
 (or all-equal prominences) the strict inequality keeps nothing.
+
+The peak walks run over Python floats from ``tolist()``, not NumPy scalars;
+the same comparisons and subtraction give bit-identical results.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -141,29 +145,28 @@ def smoothed_gradient(smoothed: Series, window: int) -> Series:
     return smooth(gradient(smoothed), window)
 
 
-def _candidate_indices(v: np.ndarray) -> list[int]:
+def _candidate_indices(v: list[float]) -> list[int]:
     """Strict local maxima; a plateau reports its leftmost index.
 
-    Boundary days never qualify, and NaN neighbors disqualify a run (an
-    unknown neighbor cannot be known to be lower).
+    Boundary days never qualify. A NaN equals nothing and compares false, so
+    it is never a peak and disqualifies the runs beside it (an unknown
+    neighbor cannot be known to be lower).
     """
     n = len(v)
     peaks: list[int] = []
     i = 0
     while i < n:
-        if np.isnan(v[i]):
-            i += 1
-            continue
+        x = v[i]
         j = i
-        while j + 1 < n and v[j + 1] == v[i]:
+        while j + 1 < n and v[j + 1] == x:
             j += 1
-        if i > 0 and j < n - 1 and v[i - 1] < v[i] and v[j + 1] < v[i]:
+        if i > 0 and j < n - 1 and v[i - 1] < x and v[j + 1] < x:
             peaks.append(i)
         i = j + 1
     return peaks
 
 
-def _prominence(v: np.ndarray, i: int) -> float:
+def _prominence(v: list[float], i: int) -> float:
     """Height above the higher of the two side minima.
 
     Each side walk runs to the nearest strictly higher present value or the
@@ -173,30 +176,25 @@ def _prominence(v: np.ndarray, i: int) -> float:
     h = v[i]
     side_mins = []
     for step in (-1, 1):
-        m = np.inf
+        m = math.inf
         j = i + step
         while 0 <= j < len(v):
             x = v[j]
-            if not np.isnan(x):
+            if x == x:  # present
                 if x > h:
                     break
                 if x < m:
                     m = x
             j += step
         side_mins.append(m)
-    return float(h - max(side_mins))
+    return h - max(side_mins)
 
 
 def find_peaks(s: Series) -> list[Peak]:
     """All candidate peaks with their prominences, in index order."""
-    v = s.values
+    v = s.values.tolist()
     return [
-        Peak(
-            date=s.date_of(i),
-            index=i,
-            height=float(v[i]),
-            prominence=_prominence(v, i),
-        )
+        Peak(date=s.date_of(i), index=i, height=v[i], prominence=_prominence(v, i))
         for i in _candidate_indices(v)
     ]
 
@@ -283,14 +281,17 @@ def write_series_csv(path: str | Path, series_by_name: dict[str, dict[str, Serie
     ``series_by_name`` maps category -> kind -> Series, e.g. the smoothed and
     gradient variants of each marker.
     """
+    axes: dict[tuple[date, int], list[str]] = {}
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "category", "kind", "percent"])
         for name in sorted(series_by_name):
             for kind in sorted(series_by_name[name]):
                 s = series_by_name[name][kind]
-                for i, d in enumerate(s.dates()):
-                    x = s.values[i]
-                    writer.writerow(
-                        [d.isoformat(), name, kind, "" if np.isnan(x) else repr(float(x))]
-                    )
+                axis = (s.start, len(s))
+                if axis not in axes:
+                    axes[axis] = [d.isoformat() for d in s.dates()]
+                writer.writerows(
+                    [d, name, kind, "" if x != x else repr(x)]
+                    for d, x in zip(axes[axis], s.values.tolist())
+                )

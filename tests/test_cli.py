@@ -235,6 +235,16 @@ class TestExpand:
         expect = {"miedo"} | {t for t, _ in brute_knn(tokens, matrix, 0, 3)}
         assert set(expanded["terms"]) == expect
 
+    @pytest.mark.parametrize("name", ["seed.json", "manifest.json", "emb.txt", "cats.json",
+                                      "config.json"])
+    def test_invalid_utf8_exits_two_naming_the_file(self, tmp_path, capsys, name):
+        config, out = self._workspace(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert run_cli("expand", "--config", str(config)) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_planted_burst_recovered(self, tmp_path):
@@ -324,6 +334,21 @@ class TestAnalyze:
         for name in ["prevalence.csv", "series.csv", "peaks.csv", "heatmap.svg"]:
             assert not (ws["out"] / name).exists()
 
+    @pytest.mark.parametrize("key", ["categories", "events", "stages"])
+    def test_invalid_utf8_exits_two_naming_the_file(self, tmp_path, capsys, data_dir, key):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        good = {"categories": ws["categories"],
+                "events": data_dir / "events" / "mental_health.csv",
+                "stages": data_dir / "stages" / "argentina_2020.csv"}[key]
+        path = tmp_path / f"bad-{good.name}"
+        path.write_bytes(good.read_bytes() + b"\xff\n")
+        cfg = json.loads(ws["config"].read_text())
+        cfg.update({key: str(path), "date_to": "2020-03-10"})
+        ws["config"].write_text(json.dumps(cfg))
+        assert run_cli("analyze", "--config", str(ws["config"])) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert not ws["out"].exists()
+
     @pytest.mark.parametrize("bad", [b"{broken", b'{"id": \xff}'])
     def test_lenient_run_reports_malformed_line(self, tmp_path, capsys, bad):
         ws = write_burst_workspace(tmp_path, seed=27, n_days=10, per_day=10)
@@ -375,7 +400,9 @@ class TestRender:
         path = tmp_path / "prevalence.csv"
         path.write_bytes(body)
         assert run_cli("render", "--out", str(tmp_path / "out"), str(path)) == 2
-        assert says in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert says in err
+        assert f"error: {path}: " in err
         assert not (tmp_path / "out").exists()
 
 

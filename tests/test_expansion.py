@@ -1,11 +1,10 @@
-import math
 import random
 
 import numpy as np
 import pytest
 
 from crisismon import (CategorySet, EmbeddingTable, ExpansionConfig,
-                       associate_categories, cosine, expand_lexicon, knn,
+                       associate_categories, expand_lexicon, knn,
                        load_embeddings, make_lexicon)
 from crisismon.errors import EmbeddingFormatError, OutOfVocabularyError
 
@@ -27,7 +26,7 @@ class TestLoadEmbeddings:
         table = load_embeddings(path)
         assert len(table) == 2
         assert table.dim == 3
-        assert list(table.vector("dos")) == [0.0, 1.0, 0.0]
+        assert table._matrix[table._index["dos"]].tolist() == [0.0, 1.0, 0.0]
 
     def test_arity_mismatch_reports_line(self, tmp_path):
         path = _write_table(tmp_path, [["uno", 1, 0, 0], ["dos", 0, 1]], header="2 3")
@@ -49,7 +48,7 @@ class TestLoadEmbeddings:
             tmp_path, [["uno", 1, 0], ["uno", 0, 1], ["dos", 1, 1]], header="3 2"
         )
         table = load_embeddings(path)
-        assert list(table.vector("uno")) == [0.0, 1.0]
+        assert table._matrix[table._index["uno"]].tolist() == [0.0, 1.0]
 
     def test_row_count_must_match_header(self, tmp_path):
         path = _write_table(tmp_path, [["uno", 1, 0]], header="2 2")
@@ -62,30 +61,18 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="line 1"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_component_rejected(self, tmp_path, component):
+        path = _write_table(tmp_path, [["uno", 1, 0], ["dos", 0, component], ["tres", 1, 1]])
+        with pytest.raises(EmbeddingFormatError, match="line 3: non-finite component"):
+            load_embeddings(path)
 
-class TestCosine:
-    def test_identical_vectors(self):
-        assert cosine(np.array([1.0, 2, 3]), np.array([1.0, 2, 3])) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0]), np.array([0.0, 1])) == 0.0
-
-    def test_analytic_45_degrees(self):
-        assert cosine(np.array([1.0, 0]), np.array([1.0, 1])) == pytest.approx(
-            1 / math.sqrt(2), abs=1e-9
-        )
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            cosine(np.zeros(3), np.ones(3))
-
-    def test_symmetry_and_bound(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            u = rng.normal(size=10)
-            v = rng.normal(size=10)
-            assert abs(cosine(u, v) - cosine(v, u)) < 1e-12
-            assert abs(cosine(u, v)) <= 1 + 1e-12
+    def test_components_parse_as_python_floats(self, tmp_path):
+        texts = ["1_0", "4.9e-324", "1e-320", "-0.0", "1e-400", "٣.٥", "１２",
+                 "0.1000000000000000055511151231257827"]
+        path = _write_table(tmp_path, [["uno", *texts]])
+        got = load_embeddings(path)._matrix[0].tolist()
+        assert [repr(x) for x in got] == [repr(float(t)) for t in texts]
 
 
 class TestKnn:
@@ -119,6 +106,38 @@ class TestKnn:
         )
         got = knn(table, "query", 3)
         assert [t for t, _ in got] == ["alfa", "zeta", "beta"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+    def test_exact_ties_at_the_kth_place_match_brute_force(self, k):
+        # Duplicate vectors tie exactly; shuffled names make the token order
+        # differ from the row order, so only a band holding the whole tie at
+        # the k-th place sorts as the brute-force scan does.
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(4, 6))
+        rows = [0, 1, 1, 1, 2, 2, 1, 3, 2, 0, 1]
+        tokens = [f"t{i:02d}" for i in rng.permutation(len(rows))]
+        matrix = base[rows]
+        table = EmbeddingTable(tokens, matrix)
+        for qi in range(len(tokens)):
+            got = knn(table, tokens[qi], k)
+            expect = brute_knn(tokens, matrix, qi, k)
+            assert [t for t, _ in got] == [t for t, _ in expect]
+
+    def test_nan_similarity_at_the_kth_place_keeps_the_k_neighbours(self):
+        # An inf component makes the row's unit vector, and so every
+        # similarity involving it, NaN; NaN sorts after every number and
+        # NaN ties break by token.
+        with np.errstate(invalid="ignore"):
+            table = EmbeddingTable(
+                ["a", "b", "c", "d", "e"],
+                np.array([[1.0, 0], [0.9, 0.1], [0, 1], [-1, 0], [np.inf, 0]]),
+            )
+            all_nan = knn(table, "e", 2)
+            last_nan = knn(table, "a", 4)
+        assert [t for t, _ in all_nan] == ["a", "b"]
+        assert all(np.isnan(s) for _, s in all_nan)
+        assert [t for t, _ in last_nan] == ["b", "c", "d", "e"]
+        assert np.isnan(last_nan[-1][1])
 
     def test_random_tables_match_brute_force_all_k(self):
         rng = np.random.default_rng(17)

@@ -87,16 +87,17 @@ class TestAggregateDaily:
             _doc(3, 0, ["otra"]),
         ]
         agg = aggregate_daily(docs, m, START, START)
-        (row,) = list(agg.prevalence["C"].rows())
-        assert row == (START, 1, 4, 25.0)
+        p = agg.prevalence["C"]
+        assert (p.start, p.matched.tolist(), p.total.tolist()) == (START, [1], [4])
+        assert p.percent().tolist() == [25.0]
 
     def test_day_without_docs_is_missing(self):
         m = build_matcher(_cats(C=["hit"]))
         docs = [_doc(0, 0, ["hit"]), _doc(1, 2, ["hit"])]
         agg = aggregate_daily(docs, m, START, START + timedelta(days=2))
-        rows = list(agg.prevalence["C"].rows())
-        assert rows[1] == (START + timedelta(days=1), 0, 0, None)
-        assert np.isnan(agg.prevalence["C"].percent()[1])
+        p = agg.prevalence["C"]
+        assert (p.matched[1], p.total[1]) == (0, 0)
+        assert np.isnan(p.percent()[1])
 
     def test_reversed_range_is_an_error(self):
         m = build_matcher(_cats(C=["x"]))
@@ -149,7 +150,9 @@ class TestAggregateDaily:
         )
         assert dropped == agg.dropped == 0
         for name, prev in agg.prevalence.items():
-            for day, m_count, t_count, pct in prev.rows():
+            cols = zip(prev.matched.tolist(), prev.total.tolist(), prev.percent().tolist())
+            for i, (m_count, t_count, pct) in enumerate(cols):
+                day = START + timedelta(days=i)
                 assert m_count == matched[name][day]
                 assert t_count == totals[day]
                 assert 0 <= m_count <= t_count
@@ -157,7 +160,7 @@ class TestAggregateDaily:
                     assert pct == pytest.approx(100.0 * m_count / t_count)
                     assert 0.0 <= pct <= 100.0
                 else:
-                    assert pct is None
+                    assert np.isnan(pct)
 
     def test_invariant_under_doc_permutation(self):
         raw, docs, n_days = self._random_corpus(41)

@@ -1,5 +1,6 @@
 """Property-based checks of smoothing and peak finding against the oracles."""
 
+import importlib.util
 from datetime import date
 
 import numpy as np
@@ -54,3 +55,24 @@ def test_smooth_equals_reference_mean(values, window):
 def test_find_peaks_equals_brute_force(values):
     got = [(p.index, p.prominence) for p in find_peaks(Series(start=D0, values=values))]
     assert got == brute_peaks(values)
+
+
+# NaN-free series: few levels give plateaus and equal-height neighbours,
+# arbitrary floats give ordinary terrain.
+finite_values = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="needs scipy")
+@settings(max_examples=300, deadline=None)
+@given(_runs(finite_values) | st.lists(finite_values, max_size=60))
+def test_prominences_equal_scipy(values):
+    from scipy.signal import peak_prominences
+
+    peaks = find_peaks(Series(start=D0, values=values))
+    if not peaks:
+        return
+    expect, _, _ = peak_prominences(np.array(values), [p.index for p in peaks])
+    assert [p.prominence for p in peaks] == expect.tolist()
