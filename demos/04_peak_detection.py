@@ -13,12 +13,11 @@ from datetime import date
 
 import numpy as np
 
-from crisismon import (AnalysisConfig, Series, filter_peaks, find_peaks,
-                       joint_peaks, marker_peaks, smooth, smoothed_gradient)
+from crisismon import (Series, filter_peaks, find_peaks, joint_peaks,
+                       marker_peaks, smooth, smoothed_gradient)
 
 rng = np.random.default_rng(11)
 start = date(2020, 3, 1)
-cfg = AnalysisConfig()  # window=7, sigma_mult=1.0
 
 
 def sparkline(values, width=72):
@@ -45,10 +44,10 @@ sg = smoothed_gradient(smoothed, 7)
 print("smoothed gradient:", sparkline(sg.values))
 
 candidates = find_peaks(sg)
-kept = filter_peaks(candidates, cfg.sigma_mult)
+kept = filter_peaks(candidates, sigma_mult=1.0)
 print(f"\n{len(candidates)} rise candidates, {len(kept)} above mean+sigma")
 
-for p in marker_peaks(sg, cfg):
+for p in marker_peaks(sg, sigma_mult=1.0):
     print(f"  {p.date}  {p.direction:4}  height={p.height:+.4f}  "
           f"prominence={p.prominence:.4f}")
 # The rise lands within a window of the onset (trailing smoothing delays the
@@ -56,14 +55,16 @@ for p in marker_peaks(sg, cfg):
 
 # --- several markers varying together --------------------------------------------
 # Joint peaks average the absolute z-scored smoothed gradients across markers:
-# shared variation reinforces, independent noise averages out.
-markers = []
+# shared variation reinforces, independent noise averages out. The markers are
+# the rows of one array, so each derivation is one call for all of them.
+rows = []
 for _ in range(4):
     v = rng.normal(5.0, 0.4, 120)
     v[60:63] += 6.0
-    markers.append(smoothed_gradient(smooth(Series(start=start, values=v), 7), 7))
+    rows.append(v)
+markers = smoothed_gradient(smooth(Series(start=start, values=rows), 7), 7)
 
 print("\njoint peaks over 4 markers with a common burst at day 60:")
-for p in joint_peaks(markers, cfg):
+for p in joint_peaks(markers, sigma_mult=1.0):
     day = (p.date - start).days
     print(f"  day {day:3} ({p.date})  {p.direction:4}  prominence={p.prominence:.3f}")

@@ -8,24 +8,26 @@ detect joint peaks, annotate them with the bundled March-2020 event
 timeline, render the prevalence heatmap, and compute the stage prevalence
 table against illustrative crisis-stage windows.
 
-Outputs land in demos/out/.
+Outputs land in demos/out/, or in the directory given as the one argument:
+
+    python demos/05_full_report.py [OUT_DIR]
 """
 
 import json
 import random
+import sys
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
-from crisismon import (AnalysisConfig, aggregate_daily, annotate_peaks,
-                       build_matcher, filter_analyzable, joint_peaks,
-                       load_category_set, load_events_csv, load_stages_csv,
-                       parse_corpus, render_heatmap, Series, smooth,
-                       smoothed_gradient, stage_prevalence_table, tokenize_tweet)
-from crisismon.reporting import HeatmapSpec
+from crisismon import (aggregate_daily, annotate_peaks, build_matcher,
+                       filter_analyzable, joint_peaks, load_category_set,
+                       load_events_csv, load_stages_csv, parse_corpus,
+                       render_heatmap, Series, smooth, smoothed_gradient,
+                       stage_prevalence_table, tokenize_tweet)
 
 HERE = Path(__file__).resolve().parent
 DATA = HERE.parent / "data"
-OUT = HERE / "out"
+OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else HERE / "out"
 OUT.mkdir(exist_ok=True)
 
 START, END = date(2020, 3, 1), date(2020, 5, 31)
@@ -68,12 +70,10 @@ print(f"{len(docs)} analyzable docs across {n_days} days, "
       f"{len(agg.prevalence)} categories")
 
 # --- joint peaks over the surged markers, annotated with real events --------------
-cfg = AnalysisConfig()
+# One row per marker, one column per day; every derived series keeps that shape.
 markers = ["fear", "health", "nervousness", "sadness"]
-smoothed = {
-    m: smooth(Series(START, agg.prevalence[m].percent()), cfg.window) for m in markers
-}
-peaks = joint_peaks([smoothed_gradient(smoothed[m], cfg.window) for m in markers], cfg)
+smoothed = smooth(Series(START, [agg.prevalence[m].percent() for m in markers]), 7)
+peaks = joint_peaks(smoothed_gradient(smoothed, 7))
 
 events = load_events_csv(DATA / "events" / "mental_health.csv")
 print("\njoint peaks and the events of the preceding week:")
@@ -83,8 +83,7 @@ for peak, matched in annotate_peaks(peaks, events, lead=6):
         print(f"      {e.date}  {e.description[:70]}")
 
 # --- heatmap of the smoothed prevalence --------------------------------------------
-spec = HeatmapSpec(markers=markers, start=START, end=END)
-svg = render_heatmap(smoothed, spec)
+svg = render_heatmap(smoothed, markers, START, END)
 (OUT / "heatmap.svg").write_bytes(svg)
 print(f"\nwrote {OUT / 'heatmap.svg'} ({len(svg)} bytes; darker = more prevalent)")
 
@@ -93,10 +92,10 @@ stages = load_stages_csv(DATA / "stages" / "argentina_2020.csv")
 print("\nmax % difference vs the marker's median, per stage window:")
 header = "".join(f"{w.stage:>14}" for w in stages)
 print(f"{'marker':12}{header}")
+table = stage_prevalence_table(smoothed, markers, stages)
 for marker in markers:
-    cells = stage_prevalence_table({marker: smoothed[marker]}, stages)
     row = "".join(
         f"{(f'{cell:+.1f}' if cell is not None else 'n/a'):>14}"
-        for _, _, cell in cells
+        for m, _, cell in table if m == marker
     )
     print(f"{marker:12}{row}")

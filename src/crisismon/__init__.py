@@ -16,17 +16,15 @@ from .lexicon import (CategorySet, Lexicon, MarkerMapping, load_category_set,
                       load_lexicon, load_manifest, make_lexicon, save_lexicon)
 from .matching import (DailyAggregate, DailyPrevalence, Matcher,
                        aggregate_daily, build_matcher, write_prevalence_csv)
-from .reporting import (EventRecord, HeatmapSpec, StageWindow, annotate_peaks,
+from .reporting import (EventRecord, StageWindow, annotate_peaks,
                         load_events_csv, load_stages_csv, render_heatmap,
                         stage_prevalence_table)
-from .series import (AnalysisConfig, Peak, Series, filter_peaks, find_peaks,
-                     gradient, joint_peaks, marker_peaks, smooth,
-                     smoothed_gradient)
+from .series import (Peak, Series, filter_peaks, find_peaks, gradient,
+                     joint_peaks, marker_peaks, smooth, smoothed_gradient)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig",
     "CategorySet",
     "CorpusStats",
     "DailyAggregate",
@@ -34,7 +32,6 @@ __all__ = [
     "EmbeddingTable",
     "EventRecord",
     "ExpansionConfig",
-    "HeatmapSpec",
     "Lexicon",
     "MarkerMapping",
     "Matcher",

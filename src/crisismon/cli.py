@@ -124,11 +124,21 @@ def _tweets(
     )
 
 
-def _raw_series(prevalence: dict[str, matching.DailyPrevalence]) -> dict[str, series.Series]:
-    return {
-        name: series.Series(start=p.start, values=p.percent(), kind="raw")
-        for name, p in prevalence.items()
-    }
+def _raw_series(prevalence: dict[str, matching.DailyPrevalence]) -> series.Series:
+    """Every category's daily percentages, one row each in sorted name order."""
+    names = sorted(prevalence)
+    return series.Series(start=prevalence[names[0]].start,
+                         values=[prevalence[name].percent() for name in names])
+
+
+def _marker_rows(markers: list[str] | None, names: list[str]) -> list[int]:
+    """Row indices in sorted ``names`` of the configured markers (default: all)."""
+    if not markers:
+        return list(range(len(names)))
+    unknown = [m for m in markers if m not in names]
+    if unknown:
+        raise ValueError(f"unknown markers in config: {', '.join(unknown)}")
+    return [names.index(m) for m in markers]
 
 
 def _report_skips(report: corpus_mod.ParseReport) -> None:
@@ -191,11 +201,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
         raise ValueError("config needs a category-set path")
     start, end = cfg.date_range()
     cats = load_category_set(cfg.categories)
-    marker_order = cfg.markers if cfg.markers else sorted(cats.categories)
-    unknown = [m for m in marker_order if m not in cats.categories]
-    if unknown:
-        raise ValueError(f"unknown markers in config: {', '.join(unknown)}")
-    acfg = series.AnalysisConfig(window=cfg.window, sigma_mult=cfg.sigma_mult)
+    if not cats.categories:
+        raise ValueError(f"{cfg.categories}: no categories")
+    names = sorted(cats.categories)
+    rows = _marker_rows(cfg.markers, names)
+    markers = [names[i] for i in rows]
+    if cfg.window < 1:
+        raise ValueError("window must be >= 1")
     events = reporting.load_events_csv(cfg.events) if cfg.events else None
     stages = reporting.load_stages_csv(cfg.stages) if cfg.stages else None
     matcher = matching.build_matcher(cats)
@@ -213,32 +225,27 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     # Everything is computed before the first file is written, so a run that
     # fails validation (a negative lead, say) leaves no output behind.
-    smoothed = {
-        name: series.smooth(raw, acfg.window)
-        for name, raw in _raw_series(agg.prevalence).items()
+    smoothed = series.smooth(_raw_series(agg.prevalence), cfg.window)
+    sg = series.smoothed_gradient(smoothed, cfg.window)
+    peaks_by_marker = {
+        name: series.marker_peaks(sg[i], cfg.sigma_mult) for i, name in enumerate(names)
     }
-    sg = {name: series.smoothed_gradient(s, acfg.window) for name, s in smoothed.items()}
-    derived = {
-        name: {"smoothed": smoothed[name], "smoothed_gradient": sg[name]}
-        for name in smoothed
-    }
-    peaks_by_marker = {name: series.marker_peaks(s, acfg) for name, s in sg.items()}
-    joint = series.joint_peaks([sg[m] for m in marker_order], acfg)
+    joint = series.joint_peaks(sg[rows], cfg.sigma_mult)
     peaks_by_marker["JOINT"] = joint
-    spec = reporting.HeatmapSpec(markers=marker_order, start=start, end=end)
-    svg = reporting.render_heatmap(smoothed, spec)
+    svg = reporting.render_heatmap(smoothed[rows], markers, start, end)
     annotated = (
         reporting.annotate_peaks(joint, events, lead=cfg.lead)
         if events is not None else None
     )
     table = (
-        reporting.stage_prevalence_table({m: smoothed[m] for m in marker_order}, stages)
+        reporting.stage_prevalence_table(smoothed[rows], markers, stages)
         if stages is not None else None
     )
 
     out = _out_dir(cfg)
     matching.write_prevalence_csv(out / "prevalence.csv", agg)
-    series.write_series_csv(out / "series.csv", derived)
+    series.write_series_csv(out / "series.csv", names,
+                            {"smoothed": smoothed, "smoothed_gradient": sg})
     series.write_peaks_csv(out / "peaks.csv", peaks_by_marker)
     (out / "heatmap.svg").write_bytes(svg)
     if annotated is not None:
@@ -251,24 +258,19 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int:
     """Re-render a heatmap from a previously written prevalence CSV."""
-    raw = _raw_series(matching.read_prevalence_csv(input_csv))
-    if not raw:
+    prevalence = matching.read_prevalence_csv(input_csv)
+    if not prevalence:
         raise ValueError(f"{input_csv}: no prevalence rows")
+    names = sorted(prevalence)
+    rows = _marker_rows(cfg.markers, names)
+    shown = _raw_series(prevalence)[rows]
     if window and window > 1:
-        shown = {name: series.smooth(s, window) for name, s in raw.items()}
-    else:
-        shown = raw
-    marker_order = cfg.markers if cfg.markers else sorted(shown)
-    any_series = next(iter(shown.values()))
-    start = date.fromisoformat(cfg.date_from) if cfg.date_from else any_series.start
-    end = (
-        date.fromisoformat(cfg.date_to)
-        if cfg.date_to
-        else any_series.date_of(len(any_series) - 1)
-    )
-    spec = reporting.HeatmapSpec(markers=marker_order, start=start, end=end)
+        shown = series.smooth(shown, window)
+    start = date.fromisoformat(cfg.date_from) if cfg.date_from else shown.start
+    end = date.fromisoformat(cfg.date_to) if cfg.date_to else shown.date_of(len(shown) - 1)
+    svg = reporting.render_heatmap(shown, [names[i] for i in rows], start, end)
     out = _out_dir(cfg) / "heatmap.svg"
-    out.write_bytes(reporting.render_heatmap(shown, spec))
+    out.write_bytes(svg)
     print(out)
     return 0
 

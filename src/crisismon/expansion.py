@@ -51,7 +51,14 @@ class EmbeddingTable:
         self._tokens = list(tokens)
         self._matrix = np.asarray(matrix, dtype=np.float64)
         self._index = {t: i for i, t in enumerate(tokens)}
-        self._norms = np.linalg.norm(self._matrix, axis=1)
+        # A finite row's plain norm overflows to inf past about 1e154 and
+        # underflows to 0 below about 1e-154; such a row is scaled first.
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self._matrix, axis=1)
+        scale = np.abs(self._matrix).max(axis=1)
+        off = np.isfinite(scale) & (scale > 0.0) & (np.isinf(norms) | (norms == 0.0))
+        norms[off] = scale[off] * np.linalg.norm(self._matrix[off] / scale[off, None], axis=1)
+        self._norms = norms
         # Rows shadowed by a later duplicate token are not legal candidates.
         live = np.zeros(len(tokens), dtype=bool)
         live[list(self._index.values())] = True

@@ -201,8 +201,8 @@ def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
 def read_prevalence_csv(path: str | Path) -> dict[str, DailyPrevalence]:
     """Rebuild each category's daily counts from a long-format CSV.
 
-    A category spans its first to its last listed day; a day with no row has
-    total 0, which reads as missing.
+    Every category spans the first to the last day listed for any category;
+    a day with no row for a category has total 0, which reads as missing.
     """
     by_cat: dict[str, dict[date, tuple[int, int]]] = {}
     with open_text(path, newline="") as fh:
@@ -217,10 +217,13 @@ def read_prevalence_csv(path: str | Path) -> dict[str, DailyPrevalence]:
             except (ValueError, TypeError) as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc
             by_cat.setdefault(row["category"], {})[day] = counts
+    days = {d for cells in by_cat.values() for d in cells}
+    if not days:
+        return {}
+    start = min(days)
+    n = (max(days) - start).days + 1
     out: dict[str, DailyPrevalence] = {}
     for cat, cells in by_cat.items():
-        start = min(cells)
-        n = (max(cells) - start).days + 1
         matched = np.zeros(n, dtype=np.int64)
         total = np.zeros(n, dtype=np.int64)
         for d, (m, t) in cells.items():

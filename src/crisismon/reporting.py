@@ -54,44 +54,42 @@ class EventRecord:
             raise ValueError("event description must be non-empty")
 
 
-@dataclass
-class HeatmapSpec:
-    """Row order and date range of a heatmap."""
-
-    markers: Sequence[str]
-    start: date
-    end: date
-
-
 def _fill(norm: float) -> str:
     lum = LIGHT - norm * (LIGHT - DARK)
     return f"rgb({lum:.6f}%,{lum:.6f}%,{lum:.6f}%)"
 
 
-def render_heatmap(series_by_marker: dict[str, Series], spec: HeatmapSpec) -> bytes:
-    """Render marker-by-day series as a deterministic SVG heatmap."""
-    if not spec.markers:
-        raise ValueError("heatmap needs at least one marker row")
-    if spec.start > spec.end:
-        raise ValueError(f"start {spec.start} after end {spec.end}")
-    unknown = [m for m in spec.markers if m not in series_by_marker]
-    if unknown:
-        raise ValueError(f"unknown markers: {', '.join(unknown)}")
+def _check_rows(rows: Series, markers: Sequence[str]) -> None:
+    if rows.values.ndim != 2 or len(rows.values) != len(markers):
+        raise ValueError(f"need one markers x days row per marker ({len(markers)})")
 
-    cropped = {m: series_by_marker[m].crop(spec.start, spec.end) for m in spec.markers}
-    stacked = np.vstack([cropped[m].values for m in spec.markers])
-    present = stacked[~np.isnan(stacked)]
+
+def render_heatmap(
+    rows: Series, markers: Sequence[str], start: date, end: date
+) -> bytes:
+    """Render the days [start, end] of ``rows`` as a deterministic SVG heatmap.
+
+    ``rows`` is markers × days; row ``i`` is drawn as ``markers[i]``, top down.
+    """
+    if not markers:
+        raise ValueError("heatmap needs at least one marker row")
+    if start > end:
+        raise ValueError(f"start {start} after end {end}")
+    _check_rows(rows, markers)
+
+    cropped = rows.crop(start, end).values
+    present = cropped[~np.isnan(cropped)]
     if present.size:
         vmin, vmax = float(present.min()), float(present.max())
     else:
         vmin = vmax = 0.0
     flat = vmax == vmin  # degenerate normalization: everything mid-ramp
 
-    n_days = (spec.end - spec.start).days + 1
-    left = 10.0 + 7.2 * max(len(m) for m in spec.markers)
+    n_days = (end - start).days + 1
+    left = 10.0 + 7.2 * max(len(m) for m in markers)
     top = 30.0
     width = left + n_days * CELL_W + 10.0
-    height = top + len(spec.markers) * CELL_H + 10.0
+    height = top + len(markers) * CELL_H + 10.0
 
     parts: list[str] = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -111,7 +109,7 @@ def render_heatmap(series_by_marker: dict[str, Series], spec: HeatmapSpec) -> by
 
     # Month labels along the top edge.
     for di in range(n_days):
-        d = spec.start + timedelta(days=di)
+        d = start + timedelta(days=di)
         if d.day == 1 or di == 0:
             x = left + di * CELL_W
             parts.append(
@@ -123,14 +121,13 @@ def render_heatmap(series_by_marker: dict[str, Series], spec: HeatmapSpec) -> by
                 f'font-size="11" fill="#222222">{d.strftime("%Y-%m")}</text>'
             )
 
-    for ri, marker in enumerate(spec.markers):
+    for ri, (marker, values) in enumerate(zip(markers, cropped)):
         y = top + ri * CELL_H
         parts.append(
             f'<text x="{left - 6:.2f}" y="{y + CELL_H * 0.72:.2f}" '
             f'font-family="monospace" font-size="12" text-anchor="end" '
             f'fill="#111111">{_xml_escape(marker)}</text>'
         )
-        values = cropped[marker].values
         for di in range(n_days):
             x = left + di * CELL_W
             v = values[di]
@@ -171,37 +168,31 @@ def annotate_peaks(
 
 
 def stage_prevalence_table(
-    series_by_marker: dict[str, Series], stages: Sequence[StageWindow]
+    rows: Series, markers: Sequence[str], stages: Sequence[StageWindow]
 ) -> list[tuple[str, str, float | None]]:
     """Maximum percentage difference from each marker's overall median, per stage.
 
-    The median is taken over the marker's present values across its full
-    span; each stage cell is the maximum of 100*(v - median)/median over the
-    present days inside the stage window. A zero median, or a stage window
-    with no present days in range, yields an undefined (None) cell.
+    ``rows`` is markers × days, row ``i`` being ``markers[i]``; the table
+    lists the markers in that order, each with every stage. The median is
+    taken over the marker's present values across its full span; each stage
+    cell is the maximum of 100*(v - median)/median over the present days
+    inside the stage window. A zero median, or a stage window with no
+    present days in range, yields an undefined (None) cell.
     """
-    rows: list[tuple[str, str, float | None]] = []
-    for marker, s in series_by_marker.items():
-        present = s.values[~np.isnan(s.values)]
+    _check_rows(rows, markers)
+    table: list[tuple[str, str, float | None]] = []
+    for marker, v in zip(markers, rows.values):
+        present = v[~np.isnan(v)]
         median = float(np.median(present)) if present.size else None
         for w in stages:
-            rows.append((marker, w.stage, _stage_cell(s, w, median)))
-    return rows
-
-
-def _stage_cell(s: Series, w: StageWindow, median: float | None) -> float | None:
-    if median is None or median == 0.0:
-        return None
-    last = s.date_of(len(s) - 1)
-    lo = max(w.start, s.start)
-    hi = min(w.end, last)
-    if lo > hi:
-        return None
-    seg = s.values[s.index_of(lo) : s.index_of(hi) + 1]
-    seg = seg[~np.isnan(seg)]
-    if not seg.size:
-        return None
-    return float(np.max(100.0 * (seg - median) / median))
+            lo = max((w.start - rows.start).days, 0)
+            hi = min((w.end - rows.start).days, len(rows) - 1)
+            # An undefined or zero median, or a window off the span, leaves no days.
+            seg = v[lo : hi + 1] if median and lo <= hi else v[:0]
+            seg = seg[~np.isnan(seg)]
+            cell = float(np.max(100.0 * (seg - median) / median)) if seg.size else None
+            table.append((marker, w.stage, cell))
+    return table
 
 
 def load_events_csv(path: str | Path) -> list[EventRecord]:

@@ -1,12 +1,17 @@
 """Time-series smoothing, gradients, and prominence-based peak detection.
 
+A ``Series`` holds days, or markers × days: rows are markers and the last
+axis is days from ``start``. ``len`` counts days, indexing selects rows, and
+``smooth``, ``gradient`` and ``smoothed_gradient`` work along the last axis,
+each row exactly as it would alone.
+
 A day with no signal is NaN, never 0: missing propagates through gradients,
 excludes itself from window means, and never hosts a peak.
 
 Peaks are detected on the *smoothed gradient* of a prevalence series
 (trailing moving average, then central-difference gradient, then the same
-moving average again). A caller derives it once per marker,
-``smoothed_gradient(smooth(raw, w), w)``, and hands that one series to both
+moving average again). A caller derives it once for all markers,
+``smoothed_gradient(smooth(raw, w), w)``, and hands its rows to
 ``marker_peaks`` and ``joint_peaks``; neither derives it again. The trailing
 window makes the series respond slowly to recent changes, so a detected
 change lags its cause by up to a window.
@@ -36,51 +41,46 @@ RISE = "rise"
 FALL = "fall"
 
 
-@dataclass
-class AnalysisConfig:
-    window: int = 7  # one week of trailing smoothing
-    sigma_mult: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-
-
 @dataclass(frozen=True)
 class Series:
-    """Contiguous daily values; NaN marks a missing day."""
+    """Contiguous daily values, days or markers × days; NaN marks a missing day."""
 
     start: date
     values: np.ndarray  # float64
     kind: str = "raw"  # raw | smoothed | gradient
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.float64)
-        )
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim not in (1, 2):
+            raise ValueError("series values must be days or markers x days")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
+
+    def __getitem__(self, rows) -> "Series":
+        """Row ``rows`` (an index) or the rows listed in ``rows``, same days."""
+        return replace(self, values=self.values[rows])
 
     def dates(self) -> list[date]:
-        return [self.start + timedelta(days=i) for i in range(len(self.values))]
+        return [self.start + timedelta(days=i) for i in range(len(self))]
 
     def date_of(self, index: int) -> date:
         return self.start + timedelta(days=int(index))
 
     def index_of(self, d: date) -> int:
         i = (d - self.start).days
-        if i < 0 or i >= len(self.values):
+        if i < 0 or i >= len(self):
             raise ValueError(f"{d} outside series range")
         return i
 
     def crop(self, start: date, end: date) -> "Series":
-        """The sub-series covering [start, end]; both must lie inside."""
+        """The days [start, end] of every row; both must lie inside."""
         i0 = self.index_of(start)
         i1 = self.index_of(end)
         if i1 < i0:
             raise ValueError(f"start {start} after end {end}")
-        return replace(self, start=start, values=self.values[i0 : i1 + 1])
+        return replace(self, start=start, values=self.values[..., i0 : i1 + 1])
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,17 @@ def smooth(s: Series, window: int) -> Series:
     if window < 1:
         raise ValueError("window must be >= 1")
     v = s.values
-    # Row i holds days i-window+1..i; NaN padding stands in for days before
+    # Window i holds days i-window+1..i; NaN padding stands in for days before
     # the start (``window`` of them, so an empty series still has one view).
-    padded = np.concatenate([np.full(window, np.nan), v])
-    wins = np.lib.stride_tricks.sliding_window_view(padded, window)[1:]
+    pad = np.full(v.shape[:-1] + (window,), np.nan)
+    padded = np.concatenate([pad, v], axis=-1)
+    wins = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1)[..., 1:, :]
     present = ~np.isnan(wins)
-    base = wins[np.arange(len(v)), present.argmax(axis=1)]  # NaN if none present
-    dev = np.where(present, wins - base[:, None], 0.0)
+    first = present.argmax(axis=-1)[..., None]
+    base = np.take_along_axis(wins, first, axis=-1)[..., 0]  # NaN if none present
+    dev = np.where(present, wins - base[..., None], 0.0)
     with np.errstate(invalid="ignore"):
-        out = base + dev.sum(axis=1) / present.sum(axis=1)
+        out = base + dev.sum(axis=-1) / present.sum(axis=-1)
     return Series(start=s.start, values=out, kind="smoothed")
 
 
@@ -124,12 +126,12 @@ def gradient(s: Series) -> Series:
     touches a missing value is itself missing.
     """
     v = s.values
-    if len(v) < 2:
+    if len(s) < 2:
         raise ValueError("gradient needs at least 2 points")
-    g = np.empty(len(v))
-    g[1:-1] = (v[2:] - v[:-2]) / 2.0
-    g[0] = v[1] - v[0]
-    g[-1] = v[-1] - v[-2]
+    g = np.empty_like(v)
+    g[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / 2.0
+    g[..., 0] = v[..., 1] - v[..., 0]
+    g[..., -1] = v[..., -1] - v[..., -2]
     return Series(start=s.start, values=g, kind="gradient")
 
 
@@ -212,18 +214,18 @@ def filter_peaks(peaks: Sequence[Peak], sigma_mult: float = 1.0) -> list[Peak]:
     return [p for p in peaks if p.prominence > threshold]
 
 
-def marker_peaks(sg: Series, cfg: AnalysisConfig) -> list[Peak]:
+def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
     """Signed change peaks of one marker, given its smoothed gradient ``sg``.
 
     Rises and falls are detected separately: once on ``sg`` and once on its
     negation (fall peaks score the magnitude of decrease), each followed by
     its own prominence filter. Results are merged in date order.
     """
-    rises = filter_peaks(find_peaks(sg), cfg.sigma_mult)
+    rises = filter_peaks(find_peaks(sg), sigma_mult)
     neg = replace(sg, values=-sg.values)
     falls = [
         replace(p, direction=FALL)
-        for p in filter_peaks(find_peaks(neg), cfg.sigma_mult)
+        for p in filter_peaks(find_peaks(neg), sigma_mult)
     ]
     return sorted(rises + falls, key=lambda p: (p.index, p.direction))
 
@@ -237,25 +239,21 @@ def _zscore(v: np.ndarray) -> np.ndarray:
     return (v - mean) / std
 
 
-def joint_peaks(markers: Sequence[Series], cfg: AnalysisConfig) -> list[Peak]:
+def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
     """Moments when several markers vary together.
 
-    ``markers`` are the markers' smoothed gradients. Each is z-normalized
-    and folded to absolute magnitude; the pointwise mean across markers is
-    the joint variation signal, peak-detected and prominence-filtered like
-    any other. A joint peak's direction reports whether the markers' signed
-    changes were, on average, rising or falling at that moment.
+    ``sg`` holds the markers' smoothed gradients, one row each. Each row is
+    z-normalized and folded to absolute magnitude; the pointwise mean across
+    rows is the joint variation signal, peak-detected and prominence-filtered
+    like any other. A joint peak's direction reports whether the markers'
+    signed changes were, on average, rising or falling at that moment.
     """
-    if not markers:
-        raise ValueError("need at least one marker series")
-    first = markers[0]
-    for m in markers[1:]:
-        if m.start != first.start or len(m) != len(first):
-            raise ValueError("marker series must share one date axis")
-    zs = np.vstack([_zscore(m.values) for m in markers])
-    combined = Series(start=first.start, values=np.abs(zs).mean(axis=0), kind="gradient")
+    if sg.values.ndim != 2 or not len(sg.values):
+        raise ValueError("need markers x days with at least one marker row")
+    zs = np.vstack([_zscore(row) for row in sg.values])
+    combined = Series(start=sg.start, values=np.abs(zs).mean(axis=0), kind="gradient")
     signed_mean = zs.mean(axis=0)
-    peaks = filter_peaks(find_peaks(combined), cfg.sigma_mult)
+    peaks = filter_peaks(find_peaks(combined), sigma_mult)
     return [
         replace(p, direction=RISE if signed_mean[p.index] >= 0 else FALL)
         for p in peaks
@@ -275,23 +273,24 @@ def write_peaks_csv(path: str | Path, peaks_by_marker: dict[str, list[Peak]]) ->
                 )
 
 
-def write_series_csv(path: str | Path, series_by_name: dict[str, dict[str, Series]]) -> None:
+def write_series_csv(
+    path: str | Path, names: Sequence[str], series_by_kind: dict[str, Series]
+) -> None:
     """Long CSV of derived series: date, category, kind, percent (blank = missing).
 
-    ``series_by_name`` maps category -> kind -> Series, e.g. the smoothed and
-    gradient variants of each marker.
+    Each series of ``series_by_kind`` (e.g. ``"smoothed"``) holds one row per
+    category, row ``i`` being ``names[i]``; all share one date axis. Rows are
+    written in the order of ``names``, each row's kinds in sorted order.
     """
-    axes: dict[tuple[date, int], list[str]] = {}
+    kinds = sorted(series_by_kind)
+    days = [d.isoformat() for d in series_by_kind[kinds[0]].dates()]
+    values = {kind: series_by_kind[kind].values.tolist() for kind in kinds}
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "category", "kind", "percent"])
-        for name in sorted(series_by_name):
-            for kind in sorted(series_by_name[name]):
-                s = series_by_name[name][kind]
-                axis = (s.start, len(s))
-                if axis not in axes:
-                    axes[axis] = [d.isoformat() for d in s.dates()]
+        for i, name in enumerate(names):
+            for kind in kinds:
                 writer.writerows(
                     [d, name, kind, "" if x != x else repr(x)]
-                    for d, x in zip(axes[axis], s.values.tolist())
+                    for d, x in zip(days, values[kind][i])
                 )

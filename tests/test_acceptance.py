@@ -6,6 +6,7 @@ report lines.
 
 import contextlib
 import csv
+import inspect
 import itertools
 import json
 import random
@@ -15,13 +16,14 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from crisismon import (AnalysisConfig, CategorySet, Series, build_matcher,
+from crisismon import (CategorySet, Series, build_matcher,
                        compute_corpus_stats, filter_peaks, find_peaks,
-                       gradient, knn, make_lexicon, parse_corpus,
-                       render_heatmap, smooth, stage_prevalence_table)
+                       gradient, joint_peaks, knn, make_lexicon, marker_peaks,
+                       parse_corpus, render_heatmap, smooth,
+                       stage_prevalence_table)
 from crisismon.cli import RunConfig, main
 from crisismon.expansion import EmbeddingTable
-from crisismon.reporting import HeatmapSpec, StageWindow
+from crisismon.reporting import StageWindow
 
 from oracles import (brute_filter, brute_knn, brute_peaks, naive_match,
                      naive_stage_table, naive_stats)
@@ -188,9 +190,8 @@ def test_criterion_6_paper_constant_defaults():
         assert cfg.m == 10
         assert cfg.window == 7
         assert cfg.sigma_mult == 1.0
-        acfg = AnalysisConfig()
-        assert acfg.window == 7
-        assert acfg.sigma_mult == 1.0
+        for peaks in (marker_peaks, joint_peaks):
+            assert inspect.signature(peaks).parameters["sigma_mult"].default == 1.0
 
 
 def test_criterion_7_stage_table_mechanism():
@@ -211,11 +212,9 @@ def test_criterion_7_stage_table_mechanism():
         spike[55:60] += 6.0
         values_by_marker["stageB_marker"] = spike
 
-        series = {
-            k: Series(start=D0, values=v) for k, v in values_by_marker.items()
-        }
+        rows = Series(start=D0, values=list(values_by_marker.values()))
         got = stage_prevalence_table(
-            series, [StageWindow(n, s, e) for n, s, e in stages]
+            rows, list(values_by_marker), [StageWindow(n, s, e) for n, s, e in stages]
         )
         expect = naive_stage_table(
             {k: [None if np.isnan(x) else float(x) for x in v]
@@ -241,10 +240,10 @@ def test_criterion_8_heatmap_determinism_and_monotonicity():
         rng = np.random.default_rng(127)
         values = np.round(rng.uniform(0, 100, size=60), 4)
         values[10] = np.nan
-        series = {"m": Series(start=D0, values=values)}
-        spec = HeatmapSpec(markers=["m"], start=D0, end=D0 + timedelta(days=59))
-        svg1 = render_heatmap(series, spec)
-        svg2 = render_heatmap(series, spec)
+        rows = Series(start=D0, values=[values])
+        end = D0 + timedelta(days=59)
+        svg1 = render_heatmap(rows, ["m"], D0, end)
+        svg2 = render_heatmap(rows, ["m"], D0, end)
         assert svg1 == svg2
 
         fills = [

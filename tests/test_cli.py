@@ -314,6 +314,14 @@ class TestAnalyze:
                        "--window", "0", missing) == 1
         assert not ws["out"].exists()
 
+    def test_empty_category_set_fails_before_the_corpus_is_read(self, tmp_path, capsys):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        ws["categories"].write_text(json.dumps({"name": "none", "categories": {}}))
+        missing = str(tmp_path / "no_such_corpus.jsonl")
+        assert run_cli("analyze", "--config", str(ws["config"]), missing) == 1
+        assert f"error: {ws['categories']}: no categories" in capsys.readouterr().err
+        assert not ws["out"].exists()
+
     def test_missing_stages_file_fails_before_any_output(self, tmp_path):
         ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
         cfg = json.loads(ws["config"].read_text())
@@ -387,6 +395,36 @@ class TestRender:
         assert code == 0
         svg = (render_out / "heatmap.svg").read_text()
         assert svg.count("<rect") < (ws["out"] / "heatmap.svg").read_text().count("<rect")
+
+    def test_categories_over_different_days_render_the_union(self, tmp_path):
+        # "a" lacks 2020-03-04 and "b" lacks 2020-03-01: both show hatched.
+        path = tmp_path / "prevalence.csv"
+        path.write_text(
+            "date,category,matched,total,percent\n"
+            + "".join(f"2020-03-0{d},a,{d},10,{10 * d}.0\n" for d in (1, 2, 3))
+            + "".join(f"2020-03-0{d},b,{d},10,{10 * d}.0\n" for d in (2, 3, 4))
+        )
+        assert run_cli("render", "--out", str(tmp_path / "out"), str(path)) == 0
+        fills = re.findall(r'<rect x="[^"]*" [^>]*fill="([^"]+)"/>',
+                           (tmp_path / "out" / "heatmap.svg").read_text())
+        hatched = [i for i, f in enumerate(fills) if f == "url(#missing)"]
+        assert len(fills) == 8 and hatched == [3, 4]
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--from", "2020-03-10", "--to", "2020-03-05"], {}),
+        ([], {"markers": ["alfa", "desconocido"]}),
+    ], ids=["from-after-to", "unknown-marker"])
+    def test_validation_failure_leaves_no_output_directory(self, tmp_path, flags, config):
+        ws = write_burst_workspace(tmp_path, seed=26, n_days=20, per_day=30)
+        assert run_cli("analyze", "--config", str(ws["config"]),
+                       "--to", "2020-03-20") == 0
+        cfg = tmp_path / "render.json"
+        cfg.write_text(json.dumps(config))
+        render_out = tmp_path / "render_out"
+        code = run_cli("render", "--config", str(cfg), "--out", str(render_out),
+                       *flags, str(ws["out"] / "prevalence.csv"))
+        assert code == 1
+        assert not render_out.exists()
 
     def test_missing_input_exits_two(self, tmp_path):
         assert run_cli("render", "--out", str(tmp_path), str(tmp_path / "no.csv")) == 2

@@ -1,7 +1,7 @@
-"""Smoke test: the demos that write nothing run to completion.
+"""Smoke test: every demo runs to completion.
 
-Demo 05 writes ``demos/out/`` inside the repository, so it is left to be
-run by hand.
+Demo 05 writes its heatmap into the directory given as its argument, here a
+temporary one.
 """
 
 import os
@@ -24,9 +24,19 @@ SRC = Path(crisismon.__file__).resolve().parent.parent
     "04_peak_detection.py",
 ])
 def test_demo_runs(name):
+    proc = _run(name)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_full_report_demo_writes_into_the_given_directory(tmp_path):
+    proc = _run("05_full_report.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "heatmap.svg").read_bytes().startswith(b"<?xml")
+
+
+def _run(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / name)], capture_output=True, text=True, env=env
+    return subprocess.run(
+        [sys.executable, str(DEMOS / name), *args], capture_output=True, text=True, env=env
     )
-    assert proc.returncode == 0, proc.stderr

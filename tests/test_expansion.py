@@ -139,6 +139,19 @@ class TestKnn:
         assert [t for t, _ in last_nan] == ["b", "c", "d", "e"]
         assert np.isnan(last_nan[-1][1])
 
+    def test_huge_and_tiny_rows_keep_their_direction(self):
+        # Their plain norms overflow to inf and underflow to 0; scaled, both
+        # are usable and as similar to the row they multiply as it is to itself.
+        base = np.array([1.0, 0.1])
+        table = EmbeddingTable(["base", "huge", "other", "tiny"],
+                               np.array([base, 1e200 * base, [0.0, 1.0], 1e-170 * base]))
+        assert table.usable("huge") and table.usable("tiny")
+        got = dict(knn(table, "base", 3))
+        assert got["huge"] == pytest.approx(1.0, abs=1e-12)
+        assert got["tiny"] == pytest.approx(1.0, abs=1e-12)
+        got = dict(knn(table, "tiny", 2))
+        assert got["huge"] == pytest.approx(1.0, abs=1e-12)
+
     def test_random_tables_match_brute_force_all_k(self):
         rng = np.random.default_rng(17)
         tokens = [f"w{i:03d}" for i in range(60)]

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from crisismon import (EventRecord, HeatmapSpec, Series, StageWindow,
+from crisismon import (EventRecord, Series, StageWindow,
                        annotate_peaks, load_events_csv, load_stages_csv,
                        render_heatmap, stage_prevalence_table)
 from crisismon import reporting
@@ -20,10 +20,10 @@ def S(values):
     return Series(start=D0, values=np.asarray(values, dtype=np.float64))
 
 
-def spec_for(markers, n_days, **kw):
-    return HeatmapSpec(
-        markers=markers, start=D0, end=D0 + timedelta(days=n_days - 1), **kw
-    )
+def heatmap(rows, markers):
+    """The heatmap of every day of ``rows`` (markers × days)."""
+    s = S(rows)
+    return render_heatmap(s, markers, D0, s.date_of(len(s) - 1))
 
 
 def cell_fills(svg: bytes) -> list[str]:
@@ -37,41 +37,45 @@ def lum(fill: str) -> float:
 
 class TestRenderHeatmap:
     def test_three_cells_strictly_darker_with_value(self):
-        svg = render_heatmap({"m": S([0.0, 50.0, 100.0])}, spec_for(["m"], 3))
+        svg = heatmap([[0.0, 50.0, 100.0]], ["m"])
         fills = cell_fills(svg)
         assert len(fills) == 3
         lums = [lum(f) for f in fills]
         assert lums[0] > lums[1] > lums[2]
 
     def test_all_equal_values_render_midpoint(self):
-        svg = render_heatmap({"m": S([7.0, 7.0, 7.0])}, spec_for(["m"], 3))
+        svg = heatmap([[7.0, 7.0, 7.0]], ["m"])
         fills = cell_fills(svg)
         assert len(set(fills)) == 1
         assert lum(fills[0]) == pytest.approx((reporting.LIGHT + reporting.DARK) / 2)
 
     def test_byte_identical_across_runs(self):
-        series = {"a": S([1, 2, 3]), "b": S([3, 2, 1])}
-        spec = spec_for(["a", "b"], 3)
-        assert render_heatmap(series, spec) == render_heatmap(series, spec)
+        rows = [[1, 2, 3], [3, 2, 1]]
+        assert heatmap(rows, ["a", "b"]) == heatmap(rows, ["a", "b"])
 
     def test_empty_marker_list_errors(self):
         with pytest.raises(ValueError):
-            render_heatmap({"m": S([1])}, spec_for([], 1))
+            render_heatmap(S(np.empty((0, 1))), [], D0, D0)
 
     def test_unknown_marker_errors(self):
-        with pytest.raises(ValueError, match="unknown"):
-            render_heatmap({"m": S([1])}, spec_for(["nope"], 1))
+        # Row i is markers[i]: a label count other than the row count, or
+        # days without a marker axis, cannot be drawn.
+        with pytest.raises(ValueError, match="row per marker"):
+            heatmap([[1]], ["m", "nope"])
+        with pytest.raises(ValueError, match="row per marker"):
+            render_heatmap(S([1]), ["m"], D0, D0)
 
     def test_missing_cells_get_hatch_style(self):
-        svg = render_heatmap({"m": S([1.0, np.nan, 3.0])}, spec_for(["m"], 3))
+        svg = heatmap([[1.0, np.nan, 3.0]], ["m"])
         fills = cell_fills(svg)
         assert fills[1] == "url(#missing)"
         assert fills[0].startswith("rgb(")
 
     def test_row_permutation_keeps_cell_colors(self):
-        series = {"a": S([0.0, 5.0]), "b": S([10.0, 2.0])}
-        svg_ab = render_heatmap(series, spec_for(["a", "b"], 2))
-        svg_ba = render_heatmap(series, spec_for(["b", "a"], 2))
+        rows = S([[0.0, 5.0], [10.0, 2.0]])
+        end = D0 + timedelta(days=1)
+        svg_ab = render_heatmap(rows, ["a", "b"], D0, end)
+        svg_ba = render_heatmap(rows[[1, 0]], ["b", "a"], D0, end)
         ab = cell_fills(svg_ab)
         ba = cell_fills(svg_ba)
         assert ab[0:2] == ba[2:4]  # row "a"
@@ -79,15 +83,14 @@ class TestRenderHeatmap:
 
     def test_month_labels_present(self):
         n = 40  # spans March into April
-        svg = render_heatmap({"m": S(list(range(n)))}, spec_for(["m"], n))
+        svg = heatmap([list(range(n))], ["m"])
         text = svg.decode("utf-8")
         assert "2020-03" in text and "2020-04" in text
         assert ">m</text>" in text
 
     def test_normalization_shared_across_rows(self):
         # per-heatmap min-max: the single maximum is the only darkest cell
-        series = {"a": S([0.0, 1.0]), "b": S([2.0, 8.0])}
-        svg = render_heatmap(series, spec_for(["a", "b"], 2))
+        svg = heatmap([[0.0, 1.0], [2.0, 8.0]], ["a", "b"])
         fills = cell_fills(svg)
         lums = [lum(f) for f in fills]
         assert min(lums) == lums[3]  # the 8.0 cell
@@ -150,7 +153,7 @@ class TestStagePrevalenceTable:
         values = [4.0] * 9
         values[4] = 6.0
         stages = [StageWindow("s", D0 + timedelta(days=3), D0 + timedelta(days=5))]
-        ((_, _, cell),) = stage_prevalence_table({"m": S(values)}, stages)
+        ((_, _, cell),) = stage_prevalence_table(S([values]), ["m"], stages)
         assert cell == pytest.approx(50.0)
 
     def test_constant_series_gives_zero_everywhere(self):
@@ -158,17 +161,17 @@ class TestStagePrevalenceTable:
             StageWindow("a", D0, D0 + timedelta(days=4)),
             StageWindow("b", D0 + timedelta(days=5), D0 + timedelta(days=9)),
         ]
-        rows = stage_prevalence_table({"m": S([3.0] * 10)}, stages)
+        rows = stage_prevalence_table(S([[3.0] * 10]), ["m"], stages)
         assert [cell for _, _, cell in rows] == [0.0, 0.0]
 
     def test_zero_median_is_undefined(self):
         stages = [StageWindow("s", D0, D0 + timedelta(days=2))]
-        ((_, _, cell),) = stage_prevalence_table({"m": S([0.0, 0.0, 0.0])}, stages)
+        ((_, _, cell),) = stage_prevalence_table(S([[0.0, 0.0, 0.0]]), ["m"], stages)
         assert cell is None
 
     def test_stage_outside_series_is_undefined(self):
         stages = [StageWindow("s", D0 + timedelta(days=100), D0 + timedelta(days=120))]
-        ((_, _, cell),) = stage_prevalence_table({"m": S([1.0, 2.0])}, stages)
+        ((_, _, cell),) = stage_prevalence_table(S([[1.0, 2.0]]), ["m"], stages)
         assert cell is None
 
     def test_120_day_fixture_matches_naive_double_loop(self):
@@ -183,9 +186,9 @@ class TestStagePrevalenceTable:
             v = rng.normal(5, 1, 120)
             v[rng.integers(0, 120, size=6)] = np.nan
             values_by_marker[f"m{mi}"] = v
-        series = {k: S(v) for k, v in values_by_marker.items()}
         got = stage_prevalence_table(
-            series, [StageWindow(n, s, e) for n, s, e in stages]
+            S(list(values_by_marker.values())), list(values_by_marker),
+            [StageWindow(n, s, e) for n, s, e in stages],
         )
         expect = naive_stage_table(
             {k: [None if np.isnan(x) else float(x) for x in v]
@@ -204,8 +207,8 @@ class TestStagePrevalenceTable:
         rng = np.random.default_rng(59)
         v = rng.uniform(1, 9, 60)
         stages = [StageWindow("s", D0 + timedelta(days=10), D0 + timedelta(days=20))]
-        ((_, _, a),) = stage_prevalence_table({"m": S(v)}, stages)
-        ((_, _, b),) = stage_prevalence_table({"m": S(3.7 * v)}, stages)
+        ((_, _, a),) = stage_prevalence_table(S([v]), ["m"], stages)
+        ((_, _, b),) = stage_prevalence_table(S([3.7 * v]), ["m"], stages)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_csv_writer_blank_for_undefined(self, tmp_path):

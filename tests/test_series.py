@@ -5,9 +5,8 @@ from datetime import date
 import numpy as np
 import pytest
 
-from crisismon import (AnalysisConfig, Series, filter_peaks, find_peaks,
-                       gradient, joint_peaks, marker_peaks, smooth,
-                       smoothed_gradient)
+from crisismon import (Series, filter_peaks, find_peaks, gradient,
+                       joint_peaks, marker_peaks, smooth, smoothed_gradient)
 from crisismon.series import _zscore
 
 from oracles import brute_filter, brute_peaks, ref_gradient, ref_marker_peaks, ref_smooth
@@ -20,7 +19,7 @@ def S(values, kind="raw"):
 
 
 def SG(values, window=7):
-    """The smoothed gradient of a raw series, as analyze derives it."""
+    """The smoothed gradient of raw days (or markers × days), as analyze derives it."""
     return smoothed_gradient(smooth(S(values), window), window)
 
 
@@ -233,7 +232,7 @@ class TestAffineInvariance:
 
 class TestMarkerPeaks:
     def test_constant_series_has_no_peaks(self):
-        assert marker_peaks(SG([3.0] * 60), AnalysisConfig()) == []
+        assert marker_peaks(SG([3.0] * 60)) == []
 
     def test_step_series_candidates_and_filter(self):
         # A pure noiseless step yields exactly one rise candidate near the
@@ -246,12 +245,12 @@ class TestMarkerPeaks:
         assert 45 <= rises[0].index <= 45 + 7 - 1
         neg = S(-sg.values, kind="gradient")
         assert find_peaks(neg) == []  # no fall candidates at all
-        assert marker_peaks(sg, AnalysisConfig()) == []
+        assert marker_peaks(sg) == []
 
     def test_noisy_step_yields_rise_near_step(self):
         rng = np.random.default_rng(42)
         v = np.concatenate([np.zeros(45), np.full(45, 10.0)]) + rng.normal(0, 0.2, 90)
-        peaks = marker_peaks(SG(v), AnalysisConfig())
+        peaks = marker_peaks(SG(v))
         rises = [p for p in peaks if p.direction == "rise"]
         assert len(rises) == 1
         assert 45 <= rises[0].index <= 45 + 7 - 1
@@ -262,7 +261,7 @@ class TestMarkerPeaks:
             v = np.round(rng.normal(size=180).cumsum(), 6)
             got = [
                 (p.index, p.direction, p.height, p.prominence)
-                for p in marker_peaks(SG(v), AnalysisConfig())
+                for p in marker_peaks(SG(v))
             ]
             ref = ref_marker_peaks(list(v), 7, 1.0)
             assert [(g[0], g[1]) for g in got] == [(r[0], r[1]) for r in ref]
@@ -274,7 +273,7 @@ class TestMarkerPeaks:
         rng = np.random.default_rng(29)
         v = rng.normal(5, 0.1, 90)
         v[40:43] += 10  # sharp burst: rise into it, fall out of it
-        peaks = marker_peaks(SG(v), AnalysisConfig())
+        peaks = marker_peaks(SG(v))
         falls = [p for p in peaks if p.direction == "fall"]
         assert falls and all(p.height > 0 for p in falls)
 
@@ -284,10 +283,10 @@ class TestJointPeaks:
         rng = np.random.default_rng(31)
         v = rng.normal(5, 1, 120)
         v[50:53] += 6
-        sg = SG(v)
-        joint = joint_peaks([sg], AnalysisConfig())
+        sg = SG([v])
+        joint = joint_peaks(sg)
         alone = filter_peaks(
-            find_peaks(S(np.abs(_zscore(sg.values)), kind="gradient")), 1.0
+            find_peaks(S(np.abs(_zscore(sg.values[0])), kind="gradient")), 1.0
         )
         assert [(p.index, p.prominence) for p in joint] == [
             (p.index, p.prominence) for p in alone
@@ -297,8 +296,8 @@ class TestJointPeaks:
         rng = np.random.default_rng(37)
         v = rng.normal(5, 1, 120)
         v[50:53] += 6
-        one = joint_peaks([SG(v)], AnalysisConfig())
-        two = joint_peaks([SG(v), SG(v.copy())], AnalysisConfig())
+        one = joint_peaks(SG([v]))
+        two = joint_peaks(SG([v, v.copy()]))
         assert [(p.index, p.prominence) for p in one] == [
             (p.index, p.prominence) for p in two
         ]
@@ -309,32 +308,23 @@ class TestJointPeaks:
         for _ in range(5):
             v = rng.normal(5.0, 0.3, 90)
             v[40:43] += 10.0
-            markers.append(SG(v))
-        peaks = joint_peaks(markers, AnalysisConfig())
+            markers.append(v)
+        peaks = joint_peaks(SG(markers))
         in_window = [p for p in peaks if 40 <= p.index <= 40 + 7 - 1]
         assert len(in_window) == 1
         assert in_window[0].direction == "rise"
 
     def test_mismatched_axes_error(self):
+        # One array has one date axis; what lacks a marker axis, or has no
+        # marker row on it, is rejected.
         with pytest.raises(ValueError):
-            joint_peaks([S([1, 2, 3]), S([1, 2])], AnalysisConfig())
+            joint_peaks(SG([1, 2, 3]))
         with pytest.raises(ValueError):
-            joint_peaks([], AnalysisConfig())
+            joint_peaks(S(np.empty((0, 3)), kind="smoothed"))
 
     def test_flat_marker_contributes_zeros(self):
         # std = 0 -> z-scores all zero, not NaN
         assert (_zscore(np.full(10, 3.3)) == 0.0).all()
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = AnalysisConfig()
-        assert cfg.window == 7
-        assert cfg.sigma_mult == 1.0
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig(window=0)
 
 
 class TestSeriesBasics:
@@ -343,6 +333,21 @@ class TestSeriesBasics:
         c = s.crop(date(2020, 3, 3), date(2020, 3, 5))
         assert list(c.values) == [2.0, 3.0, 4.0]
         assert c.start == date(2020, 3, 3)
+
+    def test_rows_share_one_date_axis(self):
+        s = S([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
+        assert len(s) == 4
+        assert s[1].values.tolist() == [4.0, 5.0, 6.0, 7.0]
+        assert s[[2, 0]].values.tolist() == [[8, 9, 10, 11], [0, 1, 2, 3]]
+        c = s.crop(date(2020, 3, 2), date(2020, 3, 3))
+        assert c.values.tolist() == [[1, 2], [5, 6], [9, 10]]
+        assert c.start == date(2020, 3, 2)
+        assert gradient(s)[2].values.tolist() == gradient(S([8, 9, 10, 11])).values.tolist()
+
+    def test_values_are_days_or_markers_by_days(self):
+        for values in (5.0, np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                S(values)
 
     def test_crop_outside_errors(self):
         s = S([1, 2, 3])

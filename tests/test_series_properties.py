@@ -1,4 +1,5 @@
-"""Property-based checks of smoothing and peak finding against the oracles."""
+"""Property-based checks of smoothing and peak finding against the oracles,
+and of the markers × days path against the one-marker path."""
 
 import importlib.util
 from datetime import date
@@ -10,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crisismon import Series, find_peaks, smooth
+from crisismon import Series, find_peaks, smooth, smoothed_gradient
 
 from oracles import brute_peaks, ref_smooth
 
@@ -76,3 +77,34 @@ def test_prominences_equal_scipy(values):
         return
     expect, _, _ = peak_prominences(np.array(values), [p.index for p in peaks])
     assert [p.prominence for p in peaks] == expect.tolist()
+
+
+@st.composite
+def _markers_by_days(draw):
+    """1-5 rows of one length: arbitrary, constant (or all-missing), or runs with holes."""
+    n = draw(st.integers(0, 40))
+    row = st.one_of(
+        st.lists(smooth_values, min_size=n, max_size=n),
+        smooth_values.map(lambda x: [x] * n),
+        _runs(smooth_values).map(lambda v: (v + [NAN] * n)[:n]),
+    )
+    return draw(st.lists(row, min_size=1, max_size=5))
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, NaN for NaN; a NaN's sign and payload are not compared,
+    since NumPy's vector and scalar loops may differ there and nothing reads them."""
+    holes = np.isnan(a)
+    return (holes == np.isnan(b)).all() and a[~holes].tobytes() == b[~holes].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_markers_by_days(), st.integers(1, 30))
+def test_each_row_of_the_array_path_equals_the_one_marker_path(rows, window):
+    smoothed = smooth(Series(start=D0, values=rows), window)
+    sg = smoothed_gradient(smoothed, window) if len(smoothed) >= 2 else None
+    for i, values in enumerate(rows):
+        alone = smooth(Series(start=D0, values=values), window)
+        assert _same_bits(smoothed.values[i], alone.values)
+        if sg is not None:
+            assert _same_bits(sg.values[i], smoothed_gradient(alone, window).values)
