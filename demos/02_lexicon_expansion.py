@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crisismon import (EmbeddingTable, ExpansionConfig, associate_categories,
+from crisismon import (EmbeddingTable, associate_categories,
                        expand_lexicon, knn, load_lexicon, make_lexicon,
                        CategorySet)
 
@@ -52,8 +52,7 @@ for tok, sim in knn(table, "fear", 4):
     print(f"  {tok:10} {sim:.3f}")
 
 # --- expansion ----------------------------------------------------------------
-cfg = ExpansionConfig(k=3, m=5)
-expanded = expand_lexicon(seed, table, cfg)
+expanded = expand_lexicon(seed, table, k=3)
 added = sorted(" ".join(t) for t in expanded.terms - seed.terms)
 print(f"\nexpansion added {len(added)} terms: {added}")
 # Multiword seeds ("panic attack") pass through untouched, and seeds missing
@@ -69,7 +68,7 @@ cats = CategorySet(
         "cooking": make_lexicon("cooking", ["pan", "oven", "salt"]),
     },
 )
-mapping = associate_categories(expanded, cats, cfg)
+mapping = associate_categories(expanded, cats, m=5)
 print(f"\nmarkers for {mapping.construct!r} (category, shared words):")
 for cat, count in mapping.ranked:
     print(f"  {cat:12} {count}")

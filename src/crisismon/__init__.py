@@ -10,8 +10,8 @@ and report heatmaps, event annotations and crisis-stage prevalence tables.
 from .corpus import (CorpusStats, ParseReport, Tweet, TokenizedDoc,
                      compute_corpus_stats, filter_analyzable, parse_corpus,
                      preprocess, split_hashtag, tokenize_tweet)
-from .expansion import (EmbeddingTable, ExpansionConfig, associate_categories,
-                        expand_lexicon, knn, load_embeddings)
+from .expansion import (EmbeddingTable, associate_categories, expand_lexicon, knn,
+                        load_embeddings)
 from .lexicon import (CategorySet, Lexicon, MarkerMapping, load_category_set,
                       load_lexicon, load_manifest, make_lexicon, save_lexicon)
 from .matching import (DailyAggregate, DailyPrevalence, Matcher,
@@ -31,7 +31,6 @@ __all__ = [
     "DailyPrevalence",
     "EmbeddingTable",
     "EventRecord",
-    "ExpansionConfig",
     "Lexicon",
     "MarkerMapping",
     "Matcher",

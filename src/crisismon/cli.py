@@ -14,7 +14,6 @@ failures (missing file, malformed input, a wrongly typed config value).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import dataclass, field, replace
@@ -24,9 +23,8 @@ from typing import Iterator, get_args, get_origin, get_type_hints
 
 from . import corpus as corpus_mod
 from . import matching, reporting, series
-from .errors import FormatError, open_text
-from .expansion import (ExpansionConfig, associate_categories, expand_lexicon,
-                        load_embeddings)
+from .errors import FormatError, read_json, write_json
+from .expansion import associate_categories, expand_lexicon, load_embeddings
 from .lexicon import (load_category_set, load_manifest, save_lexicon,
                       save_marker_mapping)
 
@@ -58,11 +56,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        with open_text(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+        obj = read_json(path)
         if not isinstance(obj, dict):
             raise FormatError(f"{path}: config must be a JSON object")
         unknown = set(obj) - set(_FIELD_TYPES)
@@ -163,16 +157,15 @@ def cmd_stats(cfg: RunConfig) -> int:
     stats = corpus_mod.compute_corpus_stats(_tweets(cfg, report))
     _report_skips(report)
     out = _out_dir(cfg) / "stats.json"
-    out.write_text(
-        json.dumps(stats.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out, stats.to_json_dict())
     print(out)
     return 0
 
 
 def cmd_expand(cfg: RunConfig) -> int:
     """Expand every manifest lexicon and rank categories against it."""
+    if cfg.k < 1 or cfg.m < 1:
+        raise ValueError("k and m must be >= 1")
     if not cfg.manifest:
         raise ValueError("config needs a lexicon manifest path")
     if not cfg.embeddings:
@@ -182,13 +175,12 @@ def cmd_expand(cfg: RunConfig) -> int:
     seeds = load_manifest(cfg.manifest)
     table = load_embeddings(cfg.embeddings)
     cats = load_category_set(cfg.categories)
-    ecfg = ExpansionConfig(k=cfg.k, m=cfg.m)
     out = _out_dir(cfg)
     (out / "expanded").mkdir(exist_ok=True)
     (out / "mappings").mkdir(exist_ok=True)
     for construct in sorted(seeds):
-        expanded = expand_lexicon(seeds[construct], table, ecfg)
-        mapping = associate_categories(expanded, cats, ecfg)
+        expanded = expand_lexicon(seeds[construct], table, cfg.k)
+        mapping = associate_categories(expanded, cats, cfg.m)
         save_lexicon(expanded, out / "expanded" / f"{construct}.json")
         save_marker_mapping(mapping, out / "mappings" / f"{construct}.json")
         print(out / "mappings" / f"{construct}.json")
@@ -258,6 +250,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int:
     """Re-render a heatmap from a previously written prevalence CSV."""
+    if window is not None and window < 1:
+        raise ValueError("window must be >= 1")
     prevalence = matching.read_prevalence_csv(input_csv)
     if not prevalence:
         raise ValueError(f"{input_csv}: no prevalence rows")

@@ -5,7 +5,7 @@ Corpora arrive as UTF-8 line-delimited JSON, one tweet per line with keys
 ``reply`` | ``retweet``) and ``user_id``. Parsing is lenient by default:
 malformed lines are counted and skipped so that a single corrupt record does
 not abort a multi-gigabyte ingest. Strict mode turns any malformed line into
-a :class:`~crisismon.errors.CorpusFormatError`.
+a :class:`~crisismon.errors.FormatError`.
 
 Normalization keeps diacritics (the Spanish lexicons carry accents), removes
 URLs and @-mentions, splits hashtags into their constituent words, applies
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import CorpusFormatError
+from .errors import FormatError
 
 log = logging.getLogger(__name__)
 
@@ -200,7 +200,7 @@ def parse_corpus(
 
     Blank lines are ignored. In lenient mode (the default) malformed lines
     are skipped and recorded on ``report``; in strict mode the first
-    malformed line raises :class:`CorpusFormatError` with its line number.
+    malformed line raises :class:`FormatError` with its line number.
     Byte lines are decoded as UTF-8: invalid bytes are replaced with U+FFFD
     in lenient mode and make the line malformed in strict mode.
     An empty ``id`` is malformed; id uniqueness is trusted, not checked
@@ -223,7 +223,7 @@ def parse_corpus(
         except (ValueError, KeyError, TypeError) as exc:
             msg = f"line {lineno}: {exc}"
             if strict:
-                raise CorpusFormatError(msg) from exc
+                raise FormatError(msg) from exc
             log.debug("skipping malformed corpus line: %s", msg)
             if report is not None:
                 report.record_skip(lineno, str(exc))

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy and the on-disk formats shared across the package.
 
 Two broad failure families matter to callers (and to the CLI exit codes):
 
@@ -7,27 +7,21 @@ Two broad failure families matter to callers (and to the CLI exit codes):
 * ``ValueError`` (including the subclasses below) -- the inputs parsed fine
   but violate a contract, e.g. an empty lexicon or a reversed date range
   (CLI exit code 1).
+
+Every CSV and JSON file but the corpus is read and written here, so the
+header check, the line-numbered error, the float cell (its ``repr``, blank
+when missing) and the JSON encoding are each decided once.
 """
 
+import csv
+import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 
 class FormatError(Exception):
     """An input file violates its documented on-disk format."""
-
-
-class CorpusFormatError(FormatError):
-    """A corpus line is not a well-formed tweet record (strict mode only)."""
-
-
-class LexiconFormatError(FormatError):
-    """A lexicon or category-set file is not valid JSON of the expected shape."""
-
-
-class EmbeddingFormatError(FormatError):
-    """An embedding table file has a bad header or a malformed row."""
 
 
 class EmptyLexiconError(ValueError):
@@ -47,3 +41,50 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]
     except UnicodeDecodeError as exc:
         # The codec's position counts from a read buffer, not the file: left out.
         raise FormatError(f"{path}: not valid utf-8: {exc.reason}") from exc
+
+
+def read_csv(path: str | Path, columns: Sequence[str],
+             parse: Callable[[dict[str, str]], object]) -> list:
+    """``parse(row)`` for each row of a CSV whose header holds ``columns``.
+
+    A missing column, or a ``ValueError`` or ``TypeError`` from ``parse``, is a
+    :class:`FormatError` naming the file; a row's error also names its line.
+    """
+    out = []
+    with open_text(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise FormatError(f"{path}: expected columns {','.join(columns)}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                out.append(parse(row))
+            except (ValueError, TypeError) as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+    return out
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def cell(x: float | None) -> str:
+    """A float's CSV cell: its ``repr``, or blank for a missing (None or NaN) value."""
+    return "" if x is None or x != x else repr(x)
+
+
+def read_json(path: str | Path, object_pairs_hook=None) -> object:
+    with open_text(path) as fh:
+        try:
+            return json.load(fh, object_pairs_hook=object_pairs_hook)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    Path(path).write_text(
+        json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )

@@ -14,25 +14,14 @@ unexpanded; out-of-vocabulary seeds are kept but contribute no neighbors.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmbeddingFormatError, OutOfVocabularyError, open_text
+from .errors import FormatError, OutOfVocabularyError, open_text
 from .lexicon import CategorySet, Lexicon, MarkerMapping
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class ExpansionConfig:
-    k: int = 10  # nearest neighbors per seed word
-    m: int = 10  # categories kept per construct
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.m < 1:
-            raise ValueError("k and m must be >= 1")
 
 
 class EmbeddingTable:
@@ -102,13 +91,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:
-            raise EmbeddingFormatError(f"{path}: line 1: header must be 'V D'")
+            raise FormatError(f"{path}: line 1: header must be 'V D'")
         try:
             vocab, dim = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise EmbeddingFormatError(f"{path}: line 1: non-integer header") from exc
+            raise FormatError(f"{path}: line 1: non-integer header") from exc
         if vocab < 1 or dim < 1:
-            raise EmbeddingFormatError(f"{path}: line 1: header values must be >= 1")
+            raise FormatError(f"{path}: line 1: header values must be >= 1")
 
         tokens: list[str] = []
         matrix = np.empty((vocab, dim), dtype=np.float64)
@@ -119,19 +108,19 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             if not line.strip():
                 continue
             if row >= vocab:
-                raise EmbeddingFormatError(
+                raise FormatError(
                     f"{path}: line {lineno}: more rows than the header's {vocab}"
                 )
             fields = line.split()
             if len(fields) != dim + 1:
-                raise EmbeddingFormatError(
+                raise FormatError(
                     f"{path}: line {lineno}: expected {dim + 1} fields, got {len(fields)}"
                 )
             token = fields[0]
             try:
                 matrix[row] = np.array(fields[1:], dtype=np.float64)
             except ValueError as exc:
-                raise EmbeddingFormatError(
+                raise FormatError(
                     f"{path}: line {lineno}: non-numeric component"
                 ) from exc
             if token in seen:
@@ -142,13 +131,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             linenos.append(lineno)
             row += 1
         if row != vocab:
-            raise EmbeddingFormatError(
+            raise FormatError(
                 f"{path}: expected {vocab} rows, file has {row}"
             )
     # One check over the whole matrix costs less than one per row.
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
-        raise EmbeddingFormatError(f"{path}: line {linenos[bad[0]]}: non-finite component")
+        raise FormatError(f"{path}: line {linenos[bad[0]]}: non-finite component")
     return EmbeddingTable(tokens, matrix)
 
 
@@ -187,7 +176,7 @@ def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
     return [(table._tokens[i], float(sims[i])) for i in top]
 
 
-def expand_lexicon(seed: Lexicon, table: EmbeddingTable, cfg: ExpansionConfig) -> Lexicon:
+def expand_lexicon(seed: Lexicon, table: EmbeddingTable, k: int = 10) -> Lexicon:
     """Union the seed with the k nearest neighbors of each single-token seed.
 
     Multiword terms pass through untouched; seeds missing from the
@@ -199,7 +188,7 @@ def expand_lexicon(seed: Lexicon, table: EmbeddingTable, cfg: ExpansionConfig) -
             continue
         token = term[0]
         try:
-            neighbors = knn(table, token, cfg.k)
+            neighbors = knn(table, token, k)
         except (OutOfVocabularyError, ValueError):
             log.debug("seed %r not expandable, kept as-is", token)
             continue
@@ -208,7 +197,7 @@ def expand_lexicon(seed: Lexicon, table: EmbeddingTable, cfg: ExpansionConfig) -
 
 
 def associate_categories(
-    expanded: Lexicon, cats: CategorySet, cfg: ExpansionConfig
+    expanded: Lexicon, cats: CategorySet, m: int = 10
 ) -> MarkerMapping:
     """Rank categories by shared single-token count against a lexicon.
 
@@ -222,4 +211,4 @@ def associate_categories(
         if n > 0:
             counted.append((cat_name, n))
     counted.sort(key=lambda cn: (-cn[1], cn[0]))
-    return MarkerMapping(construct=expanded.name, ranked=tuple(counted[: cfg.m]))
+    return MarkerMapping(construct=expanded.name, ranked=tuple(counted[:m]))

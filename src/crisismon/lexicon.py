@@ -13,13 +13,12 @@ after load.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import preprocess
-from .errors import EmptyLexiconError, LexiconFormatError, open_text
+from .errors import EmptyLexiconError, FormatError, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -34,9 +33,6 @@ class Lexicon:
     def single_tokens(self) -> frozenset[str]:
         """The single-token terms, as bare tokens."""
         return frozenset(t[0] for t in self.terms if len(t) == 1)
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "terms": sorted(" ".join(t) for t in self.terms)}
 
 
 @dataclass(frozen=True)
@@ -60,12 +56,6 @@ class MarkerMapping:
     construct: str
     ranked: tuple[tuple[str, int], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "construct": self.construct,
-            "ranked": [{"category": c, "count": n} for c, n in self.ranked],
-        }
-
 
 def make_lexicon(name: str, term_strings) -> Lexicon:
     """Build a Lexicon from raw term strings through the shared normalizer.
@@ -77,7 +67,7 @@ def make_lexicon(name: str, term_strings) -> Lexicon:
     terms = set()
     for raw in term_strings:
         if not isinstance(raw, str):
-            raise LexiconFormatError(f"lexicon {name!r}: term {raw!r} is not a string")
+            raise FormatError(f"lexicon {name!r}: term {raw!r} is not a string")
         toks = tuple(preprocess(raw))
         if toks:
             terms.add(toks)
@@ -86,31 +76,18 @@ def make_lexicon(name: str, term_strings) -> Lexicon:
     return Lexicon(name=name, terms=frozenset(terms))
 
 
-def _load_json(path: str | Path, object_pairs_hook=None) -> object:
-    path = Path(path)
-    with open_text(path) as fh:
-        try:
-            return json.load(fh, object_pairs_hook=object_pairs_hook)
-        except json.JSONDecodeError as exc:
-            raise LexiconFormatError(f"{path}: invalid JSON: {exc}") from exc
-
-
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load ``{"name": ..., "terms": [...]}`` from a JSON file."""
-    obj = _load_json(path)
+    obj = read_json(path)
     if not isinstance(obj, dict) or "name" not in obj or "terms" not in obj:
-        raise LexiconFormatError(f"{path}: expected an object with 'name' and 'terms'")
+        raise FormatError(f"{path}: expected an object with 'name' and 'terms'")
     if not isinstance(obj["terms"], list):
-        raise LexiconFormatError(f"{path}: 'terms' must be a list")
+        raise FormatError(f"{path}: 'terms' must be a list")
     return make_lexicon(str(obj["name"]), obj["terms"])
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(lexicon.to_json_dict(), ensure_ascii=False, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, {"name": lexicon.name, "terms": sorted(" ".join(t) for t in lexicon.terms)})
 
 
 def load_category_set(path: str | Path) -> CategorySet:
@@ -125,17 +102,17 @@ def load_category_set(path: str | Path) -> CategorySet:
         keys = [k for k, _ in pairs]
         if len(keys) != len(set(keys)):
             dupe = next(k for k in keys if keys.count(k) > 1)
-            raise LexiconFormatError(f"{path}: duplicate key {dupe!r}")
+            raise FormatError(f"{path}: duplicate key {dupe!r}")
         return dict(pairs)
 
-    obj = _load_json(path, object_pairs_hook=no_dupes)
+    obj = read_json(path, object_pairs_hook=no_dupes)
     if not isinstance(obj, dict) or "name" not in obj or "categories" not in obj:
-        raise LexiconFormatError(
+        raise FormatError(
             f"{path}: expected an object with 'name' and 'categories'"
         )
     cats = obj["categories"]
     if not isinstance(cats, dict):
-        raise LexiconFormatError(f"{path}: 'categories' must be an object")
+        raise FormatError(f"{path}: 'categories' must be an object")
     categories = {
         cat: make_lexicon(cat, terms) for cat, terms in cats.items()
     }
@@ -148,13 +125,13 @@ def load_manifest(path: str | Path) -> dict[str, Lexicon]:
     Relative paths are resolved against the manifest's own directory.
     """
     path = Path(path)
-    obj = _load_json(path)
+    obj = read_json(path)
     if not isinstance(obj, dict):
-        raise LexiconFormatError(f"{path}: manifest must be an object")
+        raise FormatError(f"{path}: manifest must be an object")
     out: dict[str, Lexicon] = {}
     for construct, lex_path in obj.items():
         if not isinstance(lex_path, str):
-            raise LexiconFormatError(f"{path}: path for {construct!r} must be a string")
+            raise FormatError(f"{path}: path for {construct!r} must be a string")
         resolved = Path(lex_path)
         if not resolved.is_absolute():
             resolved = path.parent / resolved
@@ -163,7 +140,7 @@ def load_manifest(path: str | Path) -> dict[str, Lexicon]:
 
 
 def save_marker_mapping(mapping: MarkerMapping, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(mapping.to_json_dict(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, {
+        "construct": mapping.construct,
+        "ranked": [{"category": c, "count": n} for c, n in mapping.ranked],
+    })

@@ -23,7 +23,6 @@ from zero signal.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import TokenizedDoc
-from .errors import FormatError, open_text
+from .errors import FormatError, cell, read_csv, write_csv
 from .lexicon import CategorySet
 
 log = logging.getLogger(__name__)
@@ -189,13 +188,12 @@ def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
     """Long-format CSV: date, category, matched, total, percent (blank = missing)."""
     n_days = (aggregate.end - aggregate.start).days + 1
     days = [(aggregate.start + timedelta(days=i)).isoformat() for i in range(n_days)]
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "category", "matched", "total", "percent"])
-        for name in sorted(aggregate.prevalence):
-            prev = aggregate.prevalence[name]
-            cols = zip(days, prev.matched.tolist(), prev.total.tolist(), prev.percent().tolist())
-            writer.writerows([d, name, m, t, "" if p != p else repr(p)] for d, m, t, p in cols)
+    write_csv(path, ["date", "category", "matched", "total", "percent"], (
+        [d, name, m, t, cell(p)]
+        for name, prev in sorted(aggregate.prevalence.items())
+        for d, m, t, p in zip(days, prev.matched.tolist(), prev.total.tolist(),
+                              prev.percent().tolist())
+    ))
 
 
 def read_prevalence_csv(path: str | Path) -> dict[str, DailyPrevalence]:
@@ -204,19 +202,15 @@ def read_prevalence_csv(path: str | Path) -> dict[str, DailyPrevalence]:
     Every category spans the first to the last day listed for any category;
     a day with no row for a category has total 0, which reads as missing.
     """
+    rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
+        date.fromisoformat(row["date"]), row["category"], int(row["matched"]), int(row["total"])
+    ))
     by_cat: dict[str, dict[date, tuple[int, int]]] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        columns = {"date", "category", "matched", "total", "percent"}
-        if reader.fieldnames is None or not columns <= set(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns date,category,matched,total,percent")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                day = date.fromisoformat(row["date"])
-                counts = int(row["matched"]), int(row["total"])
-            except (ValueError, TypeError) as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-            by_cat.setdefault(row["category"], {})[day] = counts
+    for i, (day, cat, matched, total) in enumerate(rows):
+        cells = by_cat.setdefault(cat, {})
+        if day in cells:
+            raise FormatError(f"{path}: line {i + 2}: duplicate {day} {cat}")
+        cells[day] = matched, total
     days = {d for cells in by_cat.values() for d in cells}
     if not days:
         return {}

@@ -13,7 +13,6 @@ smoothing delays a series' response to its cause.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError, open_text
+from .errors import cell, read_csv, write_csv
 from .series import Peak, Series
 
 DEFAULT_EVENT_LEAD_DAYS = 6
@@ -197,52 +196,25 @@ def stage_prevalence_table(
 
 def load_events_csv(path: str | Path) -> list[EventRecord]:
     """Events CSV: header ``date,description``, ISO dates, UTF-8 text."""
-    out: list[EventRecord] = []
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"date", "description"} <= set(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns date,description")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                out.append(
-                    EventRecord(date=date.fromisoformat(row["date"]),
-                                description=(row["description"] or "").strip())
-                )
-            except (ValueError, TypeError) as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-    return out
+    return read_csv(path, ["date", "description"], lambda row: EventRecord(
+        date=date.fromisoformat(row["date"]), description=(row["description"] or "").strip()
+    ))
 
 
 def load_stages_csv(path: str | Path) -> list[StageWindow]:
     """Stage windows CSV: header ``stage,start,end``, ISO dates, windows may overlap."""
-    out: list[StageWindow] = []
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"stage", "start", "end"} <= set(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns stage,start,end")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                out.append(
-                    StageWindow(
-                        stage=row["stage"],
-                        start=date.fromisoformat(row["start"]),
-                        end=date.fromisoformat(row["end"]),
-                    )
-                )
-            except (ValueError, TypeError) as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-    return out
+    return read_csv(path, ["stage", "start", "end"], lambda row: StageWindow(
+        stage=row["stage"], start=date.fromisoformat(row["start"]),
+        end=date.fromisoformat(row["end"]),
+    ))
 
 
 def write_stage_table_csv(
     path: str | Path, rows: Sequence[tuple[str, str, float | None]]
 ) -> None:
     """Stage table CSV: marker,stage,max_pct_diff (blank = undefined)."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["marker", "stage", "max_pct_diff"])
-        for marker, stage, value in rows:
-            writer.writerow([marker, stage, "" if value is None else repr(value)])
+    write_csv(path, ["marker", "stage", "max_pct_diff"],
+              ([marker, stage, cell(value)] for marker, stage, value in rows))
 
 
 def write_annotations_csv(
@@ -250,17 +222,13 @@ def write_annotations_csv(
     annotated: Sequence[tuple[Peak, list[EventRecord]]],
 ) -> None:
     """One row per (joint peak, event); peaks without events keep one blank-event row."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["date", "marker", "direction", "height", "prominence",
-             "event_date", "event_description"]
-        )
-        for peak, events in annotated:
-            base = [peak.date.isoformat(), "JOINT", peak.direction,
-                    repr(peak.height), repr(peak.prominence)]
-            if events:
-                for e in events:
-                    writer.writerow(base + [e.date.isoformat(), e.description])
-            else:
-                writer.writerow(base + ["", ""])
+    rows = []
+    for peak, events in annotated:
+        base = [peak.date.isoformat(), "JOINT", peak.direction,
+                repr(peak.height), repr(peak.prominence)]
+        if events:
+            rows += [base + [e.date.isoformat(), e.description] for e in events]
+        else:
+            rows.append(base + ["", ""])
+    write_csv(path, ["date", "marker", "direction", "height", "prominence",
+                     "event_date", "event_description"], rows)

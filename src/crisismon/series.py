@@ -28,7 +28,6 @@ the same comparisons and subtraction give bit-identical results.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -36,6 +35,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .errors import cell, write_csv
 
 RISE = "rise"
 FALL = "fall"
@@ -262,15 +263,10 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
 
 def write_peaks_csv(path: str | Path, peaks_by_marker: dict[str, list[Peak]]) -> None:
     """CSV of peaks: date, marker (or JOINT), direction, height, prominence."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "marker", "direction", "height", "prominence"])
-        for marker in sorted(peaks_by_marker):
-            for p in peaks_by_marker[marker]:
-                writer.writerow(
-                    [p.date.isoformat(), marker, p.direction, repr(p.height),
-                     repr(p.prominence)]
-                )
+    write_csv(path, ["date", "marker", "direction", "height", "prominence"], (
+        [p.date.isoformat(), marker, p.direction, repr(p.height), repr(p.prominence)]
+        for marker in sorted(peaks_by_marker) for p in peaks_by_marker[marker]
+    ))
 
 
 def write_series_csv(
@@ -285,12 +281,8 @@ def write_series_csv(
     kinds = sorted(series_by_kind)
     days = [d.isoformat() for d in series_by_kind[kinds[0]].dates()]
     values = {kind: series_by_kind[kind].values.tolist() for kind in kinds}
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "category", "kind", "percent"])
-        for i, name in enumerate(names):
-            for kind in kinds:
-                writer.writerows(
-                    [d, name, kind, "" if x != x else repr(x)]
-                    for d, x in zip(days, values[kind][i])
-                )
+    write_csv(path, ["date", "category", "kind", "percent"], (
+        [d, name, kind, cell(x)]
+        for i, name in enumerate(names) for kind in kinds
+        for d, x in zip(days, values[kind][i])
+    ))

@@ -235,6 +235,18 @@ class TestExpand:
         expect = {"miedo"} | {t for t, _ in brute_knn(tokens, matrix, 0, 3)}
         assert set(expanded["terms"]) == expect
 
+    def test_k_below_one_fails_before_any_input_is_opened(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "manifest": str(tmp_path / "missing-manifest.json"),
+            "embeddings": str(tmp_path / "missing-emb.txt"),
+            "categories": str(tmp_path / "missing-cats.json"),
+            "out": str(tmp_path / "out"),
+        }))
+        assert run_cli("expand", "--config", str(config), "--k", "0") == 1
+        assert "k and m must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["seed.json", "manifest.json", "emb.txt", "cats.json",
                                       "config.json"])
     def test_invalid_utf8_exits_two_naming_the_file(self, tmp_path, capsys, name):
@@ -426,6 +438,15 @@ class TestRender:
         assert code == 1
         assert not render_out.exists()
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_window_below_one_fails_before_the_csv_is_read(self, tmp_path, capsys, window):
+        out = tmp_path / "out"
+        code = run_cli("render", "--out", str(out), "--window", window,
+                       str(tmp_path / "missing.csv"))
+        assert code == 1
+        assert "window must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_two(self, tmp_path):
         assert run_cli("render", "--out", str(tmp_path), str(tmp_path / "no.csv")) == 2
 
@@ -433,7 +454,9 @@ class TestRender:
         (b"date,category,matched,total\n2020-03-01,A,1,2\n", "expected columns"),
         (b"date,category,matched,total,percent\n2020-13-01,A,1,2,50.0\n", "line 2"),
         (b"date,category,matched,total,percent\n2020-03-01,\xff,1,2,50.0\n", "utf-8"),
-    ], ids=["missing-column", "bad-date", "invalid-utf8"])
+        (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
+         b"2020-03-01,a,5,10,50.0\n", "line 3: duplicate 2020-03-01 a"),
+    ], ids=["missing-column", "bad-date", "invalid-utf8", "duplicate-row"])
     def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
         path = tmp_path / "prevalence.csv"
         path.write_bytes(body)

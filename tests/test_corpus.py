@@ -6,7 +6,7 @@ import pytest
 
 from crisismon import (ParseReport, compute_corpus_stats, filter_analyzable,
                        parse_corpus, preprocess, split_hashtag, tokenize_tweet)
-from crisismon.errors import CorpusFormatError
+from crisismon.errors import FormatError
 
 from oracles import naive_stats
 
@@ -40,7 +40,7 @@ class TestParseCorpus:
 
     def test_strict_aborts_with_line_number(self):
         lines = [_line(0), "not json"]
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(FormatError, match="line 2"):
             list(parse_corpus(lines, strict=True))
 
     @pytest.mark.parametrize(

@@ -3,10 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from crisismon import (CategorySet, EmbeddingTable, ExpansionConfig,
-                       associate_categories, expand_lexicon, knn,
-                       load_embeddings, make_lexicon)
-from crisismon.errors import EmbeddingFormatError, OutOfVocabularyError
+from crisismon import (CategorySet, EmbeddingTable, associate_categories,
+                       expand_lexicon, knn, load_embeddings, make_lexicon)
+from crisismon.errors import FormatError, OutOfVocabularyError
 
 from oracles import brute_knn
 
@@ -30,7 +29,7 @@ class TestLoadEmbeddings:
 
     def test_arity_mismatch_reports_line(self, tmp_path):
         path = _write_table(tmp_path, [["uno", 1, 0, 0], ["dos", 0, 1]], header="2 3")
-        with pytest.raises(EmbeddingFormatError, match="line 3"):
+        with pytest.raises(FormatError, match="line 3"):
             load_embeddings(path)
 
     def test_zero_vector_loaded_but_unusable(self, tmp_path):
@@ -52,19 +51,19 @@ class TestLoadEmbeddings:
 
     def test_row_count_must_match_header(self, tmp_path):
         path = _write_table(tmp_path, [["uno", 1, 0]], header="2 2")
-        with pytest.raises(EmbeddingFormatError, match="expected 2 rows"):
+        with pytest.raises(FormatError, match="expected 2 rows"):
             load_embeddings(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("hello\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 1"):
+        with pytest.raises(FormatError, match="line 1"):
             load_embeddings(path)
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e309"])
     def test_non_finite_component_rejected(self, tmp_path, component):
         path = _write_table(tmp_path, [["uno", 1, 0], ["dos", 0, component], ["tres", 1, 1]])
-        with pytest.raises(EmbeddingFormatError, match="line 3: non-finite component"):
+        with pytest.raises(FormatError, match="line 3: non-finite component"):
             load_embeddings(path)
 
     def test_components_parse_as_python_floats(self, tmp_path):
@@ -171,19 +170,19 @@ class TestExpandLexicon:
             np.array([[1.0, 0], [0.99, 0.01], [0.98, 0.02], [-1, 0]]),
         )
         seed = make_lexicon("s", ["a"])
-        out = expand_lexicon(seed, table, ExpansionConfig(k=2, m=10))
+        out = expand_lexicon(seed, table, k=2)
         assert out.terms == frozenset({("a",), ("b",), ("c",)})
 
     def test_phrases_pass_through_unexpanded(self):
         table = EmbeddingTable(["panic", "attack"], np.eye(2))
         seed = make_lexicon("s", ["panic attack"])
-        out = expand_lexicon(seed, table, ExpansionConfig())
+        out = expand_lexicon(seed, table)
         assert out.terms == seed.terms
 
     def test_oov_seed_kept_but_not_expanded(self):
         table = EmbeddingTable(["x", "y"], np.array([[1.0, 0], [0, 1.0]]))
         seed = make_lexicon("s", ["fuera"])
-        out = expand_lexicon(seed, table, ExpansionConfig())
+        out = expand_lexicon(seed, table)
         assert out.terms == frozenset({("fuera",)})
 
     def test_matches_brute_force_expander(self):
@@ -197,8 +196,7 @@ class TestExpandLexicon:
         table = EmbeddingTable(tokens, matrix)
         seed_tokens = list(rng.choice(tokens, size=20, replace=False))
         seed = make_lexicon("s", seed_tokens + ["fuera del vocabulario"])
-        cfg = ExpansionConfig(k=10, m=10)
-        out = expand_lexicon(seed, table, cfg)
+        out = expand_lexicon(seed, table, k=10)
 
         expected = set(seed.terms)
         for tok in seed_tokens:
@@ -211,11 +209,11 @@ class TestExpandLexicon:
         tokens = ["".join(p) for p in __import__("itertools").product("pqrs", repeat=3)][:40]
         table = EmbeddingTable(tokens, rng.normal(size=(40, 8)))
         seed = make_lexicon("s", [tokens[1], tokens[2], "frase larga aqui", "oov"])
-        cfg = ExpansionConfig(k=5, m=10)
-        out = expand_lexicon(seed, table, cfg)
+        k = 5
+        out = expand_lexicon(seed, table, k)
         assert seed.terms <= out.terms
         in_vocab_singles = 2
-        assert len(out.terms) <= len(seed.terms) + cfg.k * in_vocab_singles
+        assert len(out.terms) <= len(seed.terms) + k * in_vocab_singles
 
 
 class TestAssociateCategories:
@@ -228,7 +226,7 @@ class TestAssociateCategories:
     def test_counts_and_ranking(self):
         expanded = make_lexicon("s", ["a", "b", "c"])
         cats = self._cats(C1=["a", "b"], C2=["b"], C3=["x"])
-        mapping = associate_categories(expanded, cats, ExpansionConfig(k=10, m=2))
+        mapping = associate_categories(expanded, cats, m=2)
         assert mapping.ranked == (("C1", 2), ("C2", 1))
 
     def test_empty_expanded_lexicon(self):
@@ -237,19 +235,19 @@ class TestAssociateCategories:
 
         empty = Lexicon(name="s", terms=frozenset())
         cats = self._cats(C1=["a"])
-        mapping = associate_categories(empty, cats, ExpansionConfig())
+        mapping = associate_categories(empty, cats)
         assert mapping.ranked == ()
 
     def test_ties_lexicographic(self):
         expanded = make_lexicon("s", ["a", "b"])
         cats = self._cats(C2=["b"], C1=["a"])
-        mapping = associate_categories(expanded, cats, ExpansionConfig())
+        mapping = associate_categories(expanded, cats)
         assert mapping.ranked == (("C1", 1), ("C2", 1))
 
     def test_zero_count_categories_dropped(self):
         expanded = make_lexicon("s", ["a"])
         cats = self._cats(C1=["a"], C2=["zzz"])
-        mapping = associate_categories(expanded, cats, ExpansionConfig())
+        mapping = associate_categories(expanded, cats)
         assert mapping.ranked == (("C1", 1),)
 
     def test_invariant_under_term_order(self):
@@ -263,12 +261,12 @@ class TestAssociateCategories:
             cats_b = self._cats(C1=list(reversed(sample[:8])), C2=list(reversed(sample[4:])))
             lex_a = make_lexicon("s", sample)
             lex_b = make_lexicon("s", shuffled)
-            m1 = associate_categories(lex_a, cats_a, ExpansionConfig())
-            m2 = associate_categories(lex_b, cats_b, ExpansionConfig())
+            m1 = associate_categories(lex_a, cats_a)
+            m2 = associate_categories(lex_b, cats_b)
             assert m1.ranked == m2.ranked
 
     def test_multiword_terms_do_not_count(self):
         expanded = make_lexicon("s", ["a", "panic attack"])
         cats = self._cats(C1=["a", "panic attack"])
-        mapping = associate_categories(expanded, cats, ExpansionConfig())
+        mapping = associate_categories(expanded, cats)
         assert mapping.ranked == (("C1", 1),)

@@ -5,7 +5,7 @@ import pytest
 
 from crisismon import (load_category_set, load_lexicon, load_manifest,
                        make_lexicon, save_lexicon)
-from crisismon.errors import EmptyLexiconError, LexiconFormatError
+from crisismon.errors import EmptyLexiconError, FormatError
 
 
 def _write(tmp_path, name, obj):
@@ -37,12 +37,12 @@ class TestLoadLexicon:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(LexiconFormatError):
+        with pytest.raises(FormatError, match="invalid JSON"):
             load_lexicon(path)
 
     def test_wrong_shape(self, tmp_path):
         path = _write(tmp_path, "x.json", {"nombre": "x"})
-        with pytest.raises(LexiconFormatError):
+        with pytest.raises(FormatError, match="expected an object with 'name' and 'terms'"):
             load_lexicon(path)
 
     def test_terms_share_the_tweet_normalizer(self, tmp_path):
@@ -91,7 +91,7 @@ class TestLoadCategorySet:
             '{"name": "c", "categories": {"a": ["uno"], "a": ["dos"]}}',
             encoding="utf-8",
         )
-        with pytest.raises(LexiconFormatError, match="duplicate"):
+        with pytest.raises(FormatError, match="duplicate"):
             load_category_set(path)
 
     def test_loads_a_two_hundred_category_set(self, tmp_path):
@@ -111,5 +111,5 @@ class TestManifest:
 
     def test_bad_value_type(self, tmp_path):
         manifest = _write(tmp_path, "manifest.json", {"anxiety": 3})
-        with pytest.raises(LexiconFormatError):
+        with pytest.raises(FormatError, match="path for 'anxiety' must be a string"):
             load_manifest(manifest)

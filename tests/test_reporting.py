@@ -8,6 +8,8 @@ from crisismon import (EventRecord, Series, StageWindow,
                        annotate_peaks, load_events_csv, load_stages_csv,
                        render_heatmap, stage_prevalence_table)
 from crisismon import reporting
+from crisismon.errors import FormatError
+from crisismon.matching import read_prevalence_csv
 from crisismon.series import Peak
 from crisismon.reporting import write_stage_table_csv
 
@@ -233,18 +235,27 @@ class TestCsvLoaders:
         # response and recovery overlap by design
         assert stages[2].start < stages[1].end
 
-    def test_bad_events_header(self, tmp_path):
+    # Each reader, its header, and a row that breaks it on line 2.
+    READERS = {
+        "events": (load_events_csv, "date,description", "2020-01-01,"),
+        "stages": (load_stages_csv, "stage,start,end", "s,2020-01-05,2020-01-01"),
+        "prevalence": (read_prevalence_csv, "date,category,matched,total,percent",
+                       "2020-01-01,a,1,x,"),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_missing_column_is_a_format_error(self, tmp_path, reader):
+        load, header, _ = self.READERS[reader]
         path = tmp_path / "bad.csv"
         path.write_text("when,what\n2020-01-01,x\n")
-        from crisismon.errors import FormatError
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "
+                                              f"expected columns {header}$"):
+            load(path)
 
-        with pytest.raises(FormatError):
-            load_events_csv(path)
-
-    def test_bad_stage_dates(self, tmp_path):
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_bad_row_is_a_format_error_naming_its_line(self, tmp_path, reader):
+        load, header, row = self.READERS[reader]
         path = tmp_path / "bad.csv"
-        path.write_text("stage,start,end\ns,2020-01-05,2020-01-01\n")
-        from crisismon.errors import FormatError
-
-        with pytest.raises(FormatError):
-            load_stages_csv(path)
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 2: "):
+            load(path)
