@@ -7,9 +7,9 @@ prevalence percentages, detect prominent change peaks on smoothed gradients,
 and report heatmaps, event annotations and crisis-stage prevalence tables.
 """
 
-from .corpus import (CorpusStats, ParseReport, Tweet, TokenizedDoc,
-                     compute_corpus_stats, filter_analyzable, parse_corpus,
-                     preprocess, split_hashtag, tokenize_tweet)
+from .corpus import (Corpus, CorpusStats, ParseReport, Tweet, TokenizedDoc,
+                     compute_corpus_stats, corpus_stats, filter_analyzable,
+                     parse_corpus, preprocess, split_hashtag, tokenize_tweet)
 from .expansion import (EmbeddingTable, associate_categories, expand_lexicon, knn,
                         load_embeddings)
 from .lexicon import (CategorySet, Lexicon, MarkerMapping, load_category_set,
@@ -26,6 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CategorySet",
+    "Corpus",
     "CorpusStats",
     "DailyAggregate",
     "DailyPrevalence",
@@ -45,6 +46,7 @@ __all__ = [
     "associate_categories",
     "build_matcher",
     "compute_corpus_stats",
+    "corpus_stats",
     "expand_lexicon",
     "filter_analyzable",
     "filter_peaks",

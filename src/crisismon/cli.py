@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
-from typing import Iterator, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from . import corpus as corpus_mod
 from . import matching, reporting, series
@@ -51,7 +51,7 @@ class RunConfig:
     date_to: str | None = None
     tz_offset_hours: int = corpus_mod.DEFAULT_TZ_OFFSET_HOURS
     out: str = "out"
-    workers: int = 1  # accepted for recorded configs; has no effect
+    workers: int | None = None  # most processes reading the corpus; None: usable CPUs
     strict: bool = False
 
     @classmethod
@@ -99,23 +99,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **{k: v for k, v in given.items() if k in _FIELD_TYPES})
 
 
-def _tweets(
-    cfg: RunConfig, report: corpus_mod.ParseReport
-) -> Iterator[corpus_mod.Tweet]:
-    """Lazy stream of every parsed tweet; parse outcomes land on ``report``."""
+def _workers(cfg: RunConfig) -> int:
+    """The cap on corpus-reading processes: ``workers``, else every usable CPU."""
+    if cfg.workers is None:
+        return corpus_mod.usable_cpus()
+    if cfg.workers < 1:
+        raise ValueError("workers must be >= 1")
+    return cfg.workers
+
+
+def _corpus(cfg: RunConfig) -> corpus_mod.Corpus:
     if not cfg.corpus:
         raise ValueError("config needs at least one corpus path")
-
-    def lines() -> Iterator[bytes]:
-        # Binary mode: parse_corpus decodes each line, so a bad byte is one
-        # malformed line rather than an error that ends the whole read.
-        for path in cfg.corpus:
-            with open(path, "rb") as fh:
-                yield from fh
-
-    return corpus_mod.parse_corpus(
-        lines(), tz_offset_hours=cfg.tz_offset_hours, strict=cfg.strict, report=report
-    )
+    return corpus_mod.Corpus(tuple(cfg.corpus), cfg.tz_offset_hours, cfg.strict)
 
 
 def _raw_series(prevalence: dict[str, matching.DailyPrevalence]) -> series.Series:
@@ -141,8 +137,8 @@ def _report_skips(report: corpus_mod.ParseReport) -> None:
             f"skipped {report.skipped} malformed line(s) of {report.lines}",
             file=sys.stderr,
         )
-        for lineno, reason in report.examples:
-            print(f"  line {lineno}: {reason}", file=sys.stderr)
+        for lineno, reason, source in report.examples:
+            print(f"  {corpus_mod.where(source, lineno)}: {reason}", file=sys.stderr)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -153,8 +149,9 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_stats(cfg: RunConfig) -> int:
     """Corpus statistics over all tweets (retweets included) as JSON."""
+    workers = _workers(cfg)
     report = corpus_mod.ParseReport()
-    stats = corpus_mod.compute_corpus_stats(_tweets(cfg, report))
+    stats = corpus_mod.corpus_stats(_corpus(cfg), workers, report)
     _report_skips(report)
     out = _out_dir(cfg) / "stats.json"
     write_json(out, stats.to_json_dict())
@@ -189,6 +186,7 @@ def cmd_expand(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     """Match, aggregate, detect peaks, render the heatmap, report stages."""
+    workers = _workers(cfg)
     if not cfg.categories:
         raise ValueError("config needs a category-set path")
     start, end = cfg.date_range()
@@ -204,12 +202,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     stages = reporting.load_stages_csv(cfg.stages) if cfg.stages else None
     matcher = matching.build_matcher(cats)
     report = corpus_mod.ParseReport()
-    docs = (
-        corpus_mod.tokenize_tweet(t)
-        for t in _tweets(cfg, report)
-        if corpus_mod.filter_analyzable(t)
-    )
-    agg = matching.aggregate_daily(docs, matcher, start, end)
+    agg = matching.aggregate_daily(_corpus(cfg), matcher, start, end, workers, report=report)
     _report_skips(report)
     if agg.dropped:
         print(f"dropped {agg.dropped} document(s) outside {start}..{end}",
@@ -277,14 +270,14 @@ _FLAGS = {
     "--k": dict(type=int),
     "--m": dict(type=int),
     "--sigma-mult": dict(dest="sigma_mult", type=float),
-    "--workers": dict(type=int, help="accepted for compatibility; has no effect "
-                                     "(the corpus is read in one process)"),
+    "--workers": dict(type=int, help="most processes that read the corpus (default: "
+                                     "every usable CPU); 1 reads it in this process"),
     "--out": dict(),
     "--strict": dict(action="store_true", help="abort on the first malformed corpus line"),
 }
 
 _SUBCOMMANDS = {
-    "stats": ("corpus statistics JSON", ["--out", "--strict"]),
+    "stats": ("corpus statistics JSON", ["--workers", "--out", "--strict"]),
     "expand": ("expand lexicons, rank categories", ["--k", "--m", "--out"]),
     "analyze": ("prevalence, peaks, heatmap, stage table",
                 ["--from", "--to", "--window", "--sigma-mult", "--workers", "--out",

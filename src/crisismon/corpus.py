@@ -20,18 +20,26 @@ uses an ASCII token pattern: NFKC leaves ASCII unchanged, ``lower()`` keeps
 it ASCII, and on ASCII the letter class ``[^\W\d_]`` is ``[A-Za-z]`` and
 ``\d`` is ``[0-9]``. ``Tweet`` and ``TokenizedDoc`` are named tuples, cheaper
 to build than dataclasses and just as immutable.
+
+A :class:`Corpus` is folded range by range: :func:`fold_corpus` cuts its
+files into byte ranges that start at line starts, folds each range into a
+partial result and yields the partials in file order, so the caller's sum is
+the same whether the ranges ran in this process or in forked workers. Each
+range knows its file and the number of its first line, so every parse error
+and skip names the file and the line within it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import FormatError
 
@@ -80,21 +88,37 @@ class TokenizedDoc(NamedTuple):
     tokens: tuple[str, ...]
 
 
+def where(source: str, lineno: int) -> str:
+    """``"path: line N"``, or ``"line N"`` for a stream with no file name."""
+    return f"{source}: line {lineno}" if source else f"line {lineno}"
+
+
 @dataclass
 class ParseReport:
-    """Mutable sink for lenient-mode parse outcomes."""
+    """Mutable sink for lenient-mode parse outcomes.
+
+    ``examples`` holds the first skips in line order as ``(line number,
+    reason, file)`` triples; the file is ``""`` for an unnamed stream.
+    """
 
     lines: int = 0
     parsed: int = 0
     skipped: int = 0
-    examples: list[tuple[int, str]] = field(default_factory=list)
+    examples: list[tuple[int, str, str]] = field(default_factory=list)
 
     MAX_EXAMPLES = 10
 
-    def record_skip(self, lineno: int, reason: str) -> None:
+    def record_skip(self, lineno: int, reason: str, source: str = "") -> None:
         self.skipped += 1
         if len(self.examples) < self.MAX_EXAMPLES:
-            self.examples.append((lineno, reason))
+            self.examples.append((lineno, reason, source))
+
+    def merge(self, later: ParseReport) -> None:
+        """Add the outcomes of the lines that follow this report's."""
+        self.lines += later.lines
+        self.parsed += later.parsed
+        self.skipped += later.skipped
+        self.examples += later.examples[: self.MAX_EXAMPLES - len(self.examples)]
 
 
 def split_hashtag(tag: str) -> list[str]:
@@ -195,12 +219,16 @@ def parse_corpus(
     tz_offset_hours: int = DEFAULT_TZ_OFFSET_HOURS,
     strict: bool = False,
     report: ParseReport | None = None,
+    source: str = "",
+    first_line: int = 1,
 ) -> Iterator[Tweet]:
     """Yield Tweets from a line-delimited JSON stream, in file order.
 
     Blank lines are ignored. In lenient mode (the default) malformed lines
     are skipped and recorded on ``report``; in strict mode the first
-    malformed line raises :class:`FormatError` with its line number.
+    malformed line raises :class:`FormatError` with its line number. Lines
+    are numbered from ``first_line``, and a ``source`` file name prefixes
+    each error and skip.
     Byte lines are decoded as UTF-8: invalid bytes are replaced with U+FFFD
     in lenient mode and make the line malformed in strict mode.
     An empty ``id`` is malformed; id uniqueness is trusted, not checked
@@ -208,7 +236,7 @@ def parse_corpus(
     """
     tz = timezone(timedelta(hours=tz_offset_hours))
     errors = "strict" if strict else "replace"
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=first_line):
         if report is not None:
             report.lines += 1
         try:
@@ -221,12 +249,12 @@ def parse_corpus(
                 raise ValueError("line is not a JSON object")
             tweet = _tweet_from_obj(obj, tz)
         except (ValueError, KeyError, TypeError) as exc:
-            msg = f"line {lineno}: {exc}"
+            msg = f"{where(source, lineno)}: {exc}"
             if strict:
                 raise FormatError(msg) from exc
             log.debug("skipping malformed corpus line: %s", msg)
             if report is not None:
-                report.record_skip(lineno, str(exc))
+                report.record_skip(lineno, str(exc), source)
             continue
         if report is not None:
             report.parsed += 1
@@ -267,6 +295,16 @@ class CorpusStats:
         self.per_user[tweet.user_id] += 1
         self.per_day[tweet.date] += 1
 
+    def merge(self, other: CorpusStats) -> None:
+        """Add the counts of another part of the corpus."""
+        self.total += other.total
+        self.n_original += other.n_original
+        self.n_retweet += other.n_retweet
+        self.n_reply += other.n_reply
+        self.n_with_hashtag += other.n_with_hashtag
+        self.per_user.update(other.per_user)
+        self.per_day.update(other.per_day)
+
     def user_summary(self) -> dict | None:
         """min/avg/max/median tweets per user; None for an empty corpus.
 
@@ -302,4 +340,166 @@ def compute_corpus_stats(tweets: Iterable[Tweet]) -> CorpusStats:
     stats = CorpusStats()
     for tweet in tweets:
         stats.add(tweet)
+    return stats
+
+
+#: A corpus smaller than this is folded in this process: below about this
+#: size, starting a worker costs more than it saves.
+MIN_POOL_BYTES = 64 * 1024
+#: Ranges cut per worker. Workers take ranges in file order as they free
+#: up, so a slow range holds back at most one of several.
+RANGES_PER_WORKER = 4
+
+
+@dataclass(frozen=True)
+class Corpus:
+    """Corpus files, in reading order, and how their lines are parsed."""
+
+    paths: tuple[str, ...]
+    tz_offset_hours: int = DEFAULT_TZ_OFFSET_HOURS
+    strict: bool = False
+
+
+class ByteRange(NamedTuple):
+    """Bytes ``[start, end)`` of one file; ``start`` is the start of line
+    number ``first_line``."""
+
+    path: str
+    start: int
+    end: int
+    first_line: int
+
+
+def split_ranges(path: str, size: int) -> list[ByteRange]:
+    """Cut a file into ranges that tile it, each starting at a line start.
+
+    The file is cut into the fewest equal pieces of at most ``size`` bytes;
+    each piece runs on to the next line start, or to the end of the file.
+    Lines end at ``\\n`` alone, as in a binary read, so a ``\\r\\n`` is
+    never cut. An empty file has no ranges. The file is read once, in
+    blocks, to number the lines.
+    """
+    ranges: list[ByteRange] = []
+    with open(path, "rb") as fh:
+        eof = fh.seek(0, os.SEEK_END)
+        size = -(-eof // -(-eof // size)) if eof else size
+        start, first_line = 0, 1
+        while start < eof:
+            end = eof
+            if start + size < eof:
+                fh.seek(start + size - 1)
+                end = start + size - 1 + len(fh.readline())
+            ranges.append(ByteRange(path, start, end, first_line))
+            if end < eof:
+                fh.seek(start)
+                for left in range(end - start, 0, -(1 << 20)):
+                    first_line += fh.read(min(left, 1 << 20)).count(b"\n")
+            start = end
+    return ranges
+
+
+def read_range(r: ByteRange) -> Iterator[bytes]:
+    """The lines of a range, read one at a time."""
+    left = r.end - r.start
+    if left <= 0:
+        return
+    with open(r.path, "rb") as fh:
+        fh.seek(r.start)
+        for line in fh:
+            yield line
+            left -= len(line)
+            if left <= 0:
+                return
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def pool_size(workers: int, n_ranges: int) -> int:
+    """Processes for ``n_ranges`` ranges under a cap of ``workers``."""
+    return min(workers, usable_cpus(), n_ranges)
+
+
+T = TypeVar("T")
+
+
+def _fold_range(fold: Callable[[Iterator[Tweet]], T], corpus: Corpus,
+                r: ByteRange) -> tuple[T, ParseReport]:
+    report = ParseReport()
+    tweets = parse_corpus(read_range(r), corpus.tz_offset_hours, corpus.strict, report,
+                          r.path, r.first_line)
+    return fold(tweets), report
+
+
+# What a forked worker folds, set once in each worker by ``_start_worker``
+# and never in the parent: the fold is often a closure, which cannot be
+# pickled into a task.
+_worker_job: tuple[Callable, Corpus] | None = None
+
+
+def _start_worker(fold: Callable, corpus: Corpus) -> None:
+    global _worker_job
+    _worker_job = fold, corpus
+
+
+def _fold_in_worker(r: ByteRange) -> tuple[object, ParseReport]:
+    return _fold_range(*_worker_job, r)
+
+
+def fold_corpus(corpus: Corpus, fold: Callable[[Iterator[Tweet]], T], workers: int,
+                report: ParseReport) -> Iterator[T]:
+    """Yield ``fold(tweets)`` for each byte range of the corpus, in file order.
+
+    Each range's parse outcomes are merged into ``report`` before its
+    result is yielded, so a sum of the results in yield order, and
+    ``report``, are those of one pass over the files. Every file is opened
+    before the first line is parsed, so a missing file fails first.
+
+    The ranges go to a pool of up to ``workers`` forked processes when the
+    corpus is at least ``MIN_POOL_BYTES`` and the platform can fork;
+    otherwise each file is one range, folded in this process. ``fork``, not
+    ``spawn``: a spawned worker starts a fresh interpreter and imports NumPy
+    again, which cost more than the parallel fold saved. Under ``strict``
+    the first malformed line in file order raises, as in one pass.
+    """
+    sizes = []
+    for path in corpus.paths:
+        with open(path, "rb") as fh:
+            sizes.append(fh.seek(0, os.SEEK_END))
+    cap = min(workers, usable_cpus())
+    total = sum(sizes)
+    if cap > 1 and total >= MIN_POOL_BYTES and hasattr(os, "fork"):
+        size = -(-total // (cap * RANGES_PER_WORKER))
+        ranges = [r for p in corpus.paths for r in split_ranges(p, size)]
+        n = pool_size(workers, len(ranges))
+    else:
+        ranges = [ByteRange(p, 0, n_bytes, 1) for p, n_bytes in zip(corpus.paths, sizes)]
+        n = 1
+    if n < 2:
+        for r in ranges:
+            part, part_report = _fold_range(fold, corpus, r)
+            report.merge(part_report)
+            yield part
+        return
+    # Imported here: a serial run pays nothing for the pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(fold, corpus)) as pool:
+        for part, part_report in pool.map(_fold_in_worker, ranges):
+            report.merge(part_report)
+            yield part
+
+
+def corpus_stats(corpus: Corpus, workers: int, report: ParseReport) -> CorpusStats:
+    """Exact counts over every tweet of the corpus, read as :func:`fold_corpus` reads it."""
+    stats = CorpusStats()
+    for part in fold_corpus(corpus, compute_corpus_stats, workers, report):
+        stats.merge(part)
     return stats

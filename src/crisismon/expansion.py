@@ -187,12 +187,10 @@ def expand_lexicon(seed: Lexicon, table: EmbeddingTable, k: int = 10) -> Lexicon
         if len(term) != 1:
             continue
         token = term[0]
-        try:
-            neighbors = knn(table, token, k)
-        except (OutOfVocabularyError, ValueError):
+        if not table.usable(token):
             log.debug("seed %r not expandable, kept as-is", token)
             continue
-        terms.update((t,) for t, _ in neighbors)
+        terms.update((t,) for t, _ in knn(table, token, k))
     return Lexicon(name=seed.name, terms=frozenset(terms))
 
 

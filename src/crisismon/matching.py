@@ -14,7 +14,9 @@ automaton, which is exact because every term consists of those tokens.
 
 Daily aggregation is a single fold over a document stream into a
 categories × days count matrix; it never holds the documents, so memory
-grows with days × categories, not with the corpus. Each category's counts are
+grows with days × categories, not with the corpus. A corpus is folded in
+byte ranges, in forked workers when more than one is allowed; the ranges'
+count matrices add up to the matrix of one pass. Each category's counts are
 a read-only row of that matrix, and all categories share one denominator:
 the number of documents seen that day. Days with no documents yield a
 missing percentage rather than 0, so downstream smoothing can tell absence
@@ -27,12 +29,14 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import TokenizedDoc
+from .corpus import (Corpus, ParseReport, TokenizedDoc, Tweet, filter_analyzable,
+                     fold_corpus, tokenize_tweet)
 from .errors import FormatError, cell, read_csv, write_csv
 from .lexicon import CategorySet
 
@@ -143,21 +147,9 @@ class DailyAggregate:
     dropped: int  # documents outside the configured date range
 
 
-def aggregate_daily(
-    docs: Iterable[TokenizedDoc],
-    matcher: Matcher,
-    start: date,
-    end: date,
-) -> DailyAggregate:
-    """Count matches per category per day over [start, end] inclusive.
-
-    ``docs`` is iterated once and each document is released before the next
-    is drawn, so a generator over a corpus of any size runs in memory
-    proportional to days × categories.
-    """
-    if start > end:
-        raise ValueError(f"start {start} after end {end}")
-    n_days = (end - start).days + 1
+def _count(docs: Iterable[TokenizedDoc], matcher: Matcher, start: date,
+           n_days: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Matches per category per day, documents per day, and documents dropped."""
     matched = np.zeros((len(matcher), n_days), dtype=np.int64)
     totals = np.zeros(n_days, dtype=np.int64)
     dropped = 0
@@ -169,6 +161,47 @@ def aggregate_daily(
         totals[di] += 1
         for ci in matcher.match_indices(doc.tokens):
             matched[ci, di] += 1
+    return matched, totals, dropped
+
+
+def _count_tweets(matcher: Matcher, start: date, n_days: int,
+                  tweets: Iterator[Tweet]) -> tuple[np.ndarray, np.ndarray, int]:
+    docs = (tokenize_tweet(t) for t in tweets if filter_analyzable(t))
+    return _count(docs, matcher, start, n_days)
+
+
+def aggregate_daily(
+    docs: Iterable[TokenizedDoc] | Corpus,
+    matcher: Matcher,
+    start: date,
+    end: date,
+    workers: int = 1,
+    report: ParseReport | None = None,
+) -> DailyAggregate:
+    """Count matches per category per day over [start, end] inclusive.
+
+    ``docs`` is iterated once and each document is released before the next
+    is drawn, so a generator over a corpus of any size runs in memory
+    proportional to days × categories. A :class:`Corpus` is parsed, its
+    retweets dropped and the rest tokenized and counted range by range, in
+    up to ``workers`` processes (see :func:`~crisismon.corpus.fold_corpus`);
+    its parse outcomes land on ``report``.
+    """
+    if start > end:
+        raise ValueError(f"start {start} after end {end}")
+    n_days = (end - start).days + 1
+    if isinstance(docs, Corpus):
+        fold = partial(_count_tweets, matcher, start, n_days)
+        parts = fold_corpus(docs, fold, workers, ParseReport() if report is None else report)
+    else:
+        parts = [_count(docs, matcher, start, n_days)]
+    matched = np.zeros((len(matcher), n_days), dtype=np.int64)
+    totals = np.zeros(n_days, dtype=np.int64)
+    dropped = 0
+    for part_matched, part_totals, part_dropped in parts:
+        matched += part_matched
+        totals += part_totals
+        dropped += part_dropped
 
     if dropped:
         log.info("aggregate_daily: dropped %d documents outside %s..%s",

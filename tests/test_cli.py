@@ -53,7 +53,8 @@ class TestRunConfig:
         assert repr(key) in capsys.readouterr().err
         assert not ws["out"].exists()
 
-    @pytest.mark.parametrize("key, value", [("sigma_mult", 2), ("markers", None)])
+    @pytest.mark.parametrize("key, value", [("sigma_mult", 2), ("markers", None),
+                                            ("workers", None)])
     def test_int_for_a_float_and_null_where_allowed(self, tmp_path, key, value):
         ws = write_burst_workspace(tmp_path, seed=29, n_days=10, per_day=10)
         cfg = json.loads(ws["config"].read_text())
@@ -76,13 +77,27 @@ class TestFlags:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stats", "analyze"])
+    def test_workers_below_one_fails_before_any_input_is_opened(self, tmp_path, capsys,
+                                                                command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus": [str(tmp_path / "missing.jsonl")],
+            "categories": str(tmp_path / "missing-cats.json"),
+            "date_from": "2020-03-01", "date_to": "2020-03-10",
+            "out": str(tmp_path / "out"),
+        }))
+        assert run_cli(command, "--config", str(config), "--workers", "0") == 1
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_workers_is_accepted_by_analyze(self, tmp_path):
         ws = write_burst_workspace(tmp_path, seed=30, n_days=10, per_day=10)
         assert run_cli("analyze", "--config", str(ws["config"]), "--workers", "1",
                        "--to", "2020-03-10") == 0
 
     @pytest.mark.parametrize("command, flags", [
-        ("stats", {"--out", "--strict"}),
+        ("stats", {"--workers", "--out", "--strict"}),
         ("expand", {"--k", "--m", "--out"}),
         ("analyze", {"--from", "--to", "--window", "--sigma-mult", "--workers",
                      "--out", "--strict"}),
@@ -161,6 +176,48 @@ class TestStats:
         code = run_cli("stats", "--strict", "--out", str(tmp_path / "o2"), str(corpus))
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+
+    def test_corpus_errors_name_the_file_and_its_line(self, tmp_path, capsys):
+        good = json.dumps({"id": "a", "created_at": "2020-03-01T10:00:00Z", "text": "x",
+                           "kind": "original", "user_id": "u"})
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text(good + "\n")
+        b.write_text(good + "\n{broken\n")
+        assert run_cli("stats", "--out", str(tmp_path / "o1"), str(a), str(b)) == 0
+        err = capsys.readouterr().err
+        assert "skipped 1 malformed line(s) of 3\n" in err
+        assert f"  {b}: line 2: Expecting property name" in err
+        assert run_cli("stats", "--strict", "--out", str(tmp_path / "o2"), str(a), str(b)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {b}: line 2: Expecting property")
+
+
+@pytest.mark.parametrize("command", ["stats", "analyze"])
+def test_workers_one_and_two_write_the_same_bytes(tmp_path, capsys, monkeypatch, command):
+    """The pool runs even on a one-CPU host: two CPUs and tiny ranges are forced."""
+    from crisismon import corpus as corpus_mod
+
+    monkeypatch.setattr(corpus_mod, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(corpus_mod, "MIN_POOL_BYTES", 1)
+    ws = write_burst_workspace(tmp_path, seed=31, n_days=20, per_day=30)
+    lines = ws["corpus"].read_bytes().splitlines(keepends=True)
+    paths = []
+    for i in range(3):
+        part = lines[i * 200:(i + 1) * 200]
+        part[7 + i] = b'{"id": \xff}\n'
+        part[50] = b"{broken\n"
+        paths.append(tmp_path / f"part{i}.jsonl")
+        paths[-1].write_bytes(b"".join(part) + b"\n")
+    cfg = json.loads(ws["config"].read_text())
+    cfg.update(corpus=[str(p) for p in paths], date_to="2020-03-15")
+    ws["config"].write_text(json.dumps(cfg))
+    runs = []
+    for workers in ("1", "2"):
+        assert run_cli(command, "--config", str(ws["config"]), "--workers", workers) == 0
+        files = {p.name: p.read_bytes() for p in sorted(ws["out"].iterdir())}
+        runs.append((files, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert "skipped 6 malformed line(s) of 603" in runs[0][1].err
 
 
 class TestExpand:

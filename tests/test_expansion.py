@@ -185,6 +185,16 @@ class TestExpandLexicon:
         out = expand_lexicon(seed, table)
         assert out.terms == frozenset({("fuera",)})
 
+    def test_zero_norm_seed_kept_but_not_expanded(self):
+        table = EmbeddingTable(["a", "b"], np.array([[0.0, 0.0], [1.0, 0.0]]))
+        out = expand_lexicon(make_lexicon("s", ["a"]), table, k=1)
+        assert out.terms == frozenset({("a",)})
+
+    def test_k_below_one_raises(self):
+        table = EmbeddingTable(["a", "b"], np.array([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            expand_lexicon(make_lexicon("s", ["a"]), table, k=0)
+
     def test_matches_brute_force_expander(self):
         rng = np.random.default_rng(23)
         # Letter-only names: the normalizer would split digit-bearing seeds
