@@ -35,6 +35,7 @@ import json
 import logging
 import os
 import re
+import stat
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -361,12 +362,12 @@ class Corpus:
 
 
 class ByteRange(NamedTuple):
-    """Bytes ``[start, end)`` of one file; ``start`` is the start of line
-    number ``first_line``."""
+    """Bytes ``[start, end)`` of one file, or the whole file when ``end`` is
+    None; ``start`` is the start of line number ``first_line``."""
 
     path: str
     start: int
-    end: int
+    end: int | None
     first_line: int
 
 
@@ -400,6 +401,10 @@ def split_ranges(path: str, size: int) -> list[ByteRange]:
 
 def read_range(r: ByteRange) -> Iterator[bytes]:
     """The lines of a range, read one at a time."""
+    if r.end is None:
+        with open(r.path, "rb") as fh:
+            yield from fh
+        return
     left = r.end - r.start
     if left <= 0:
         return
@@ -451,6 +456,15 @@ def _fold_in_worker(r: ByteRange) -> tuple[object, ParseReport]:
     return _fold_range(*_worker_job, r)
 
 
+def _file_size(path: str) -> int | None:
+    """Bytes in a regular file, opened here so that an unreadable one fails
+    first; None for a pipe or another stream, which can be read only once."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    with open(path, "rb") as fh:
+        return fh.seek(0, os.SEEK_END)
+
+
 def fold_corpus(corpus: Corpus, fold: Callable[[Iterator[Tweet]], T], workers: int,
                 report: ParseReport) -> Iterator[T]:
     """Yield ``fold(tweets)`` for each byte range of the corpus, in file order.
@@ -461,24 +475,22 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator[Tweet]], T], workers: i
     before the first line is parsed, so a missing file fails first.
 
     The ranges go to a pool of up to ``workers`` forked processes when the
-    corpus is at least ``MIN_POOL_BYTES`` and the platform can fork;
-    otherwise each file is one range, folded in this process. ``fork``, not
+    corpus is at least ``MIN_POOL_BYTES`` of regular files and the platform
+    can fork; otherwise each file is one range, read to its end in this
+    process, so a pipe such as ``<(zcat corpus.jsonl.gz)`` works. ``fork``, not
     ``spawn``: a spawned worker starts a fresh interpreter and imports NumPy
     again, which cost more than the parallel fold saved. Under ``strict``
     the first malformed line in file order raises, as in one pass.
     """
-    sizes = []
-    for path in corpus.paths:
-        with open(path, "rb") as fh:
-            sizes.append(fh.seek(0, os.SEEK_END))
+    sizes = [_file_size(path) for path in corpus.paths]
     cap = min(workers, usable_cpus())
-    total = sum(sizes)
-    if cap > 1 and total >= MIN_POOL_BYTES and hasattr(os, "fork"):
+    total = None if None in sizes else sum(sizes)
+    if cap > 1 and total is not None and total >= MIN_POOL_BYTES and hasattr(os, "fork"):
         size = -(-total // (cap * RANGES_PER_WORKER))
         ranges = [r for p in corpus.paths for r in split_ranges(p, size)]
         n = pool_size(workers, len(ranges))
     else:
-        ranges = [ByteRange(p, 0, n_bytes, 1) for p, n_bytes in zip(corpus.paths, sizes)]
+        ranges = [ByteRange(p, 0, None, 1) for p in corpus.paths]
         n = 1
     if n < 2:
         for r in ranges:

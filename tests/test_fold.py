@@ -107,6 +107,19 @@ def test_tiny_ranges_go_to_forked_workers(tmp_path, tiny_ranges):
     assert n == _fold_pids(Corpus(tuple(paths)), workers=1)[1]
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_once_to_its_end(cpus):
+    r, w = os.pipe()
+    os.write(w, ("\n".join(_record(i, i) for i in range(3)) + "\n{broken\n").encode())
+    os.close(w)
+    report = ParseReport()
+    try:
+        stats = corpus_stats(Corpus((f"/dev/fd/{r}",)), 2, report)
+    finally:
+        os.close(r)
+    assert (stats.total, report.lines, report.skipped) == (3, 4, 1)
+
+
 def _record(i, day, kind="original", text="hola mundo"):
     created = datetime(2020, 3, 1, 15, tzinfo=timezone.utc) + timedelta(days=day)
     return json.dumps({"id": f"t{i}", "created_at": created.isoformat(), "text": text,
