@@ -352,8 +352,7 @@ MIN_POOL_BYTES = 64 * 1024
 RANGES_PER_WORKER = 4
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """Corpus files, in reading order, and how their lines are parsed."""
 
     paths: tuple[str, ...]
@@ -471,22 +470,22 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator[Tweet]], T], workers: i
 
     Each range's parse outcomes are merged into ``report`` before its
     result is yielded, so a sum of the results in yield order, and
-    ``report``, are those of one pass over the files. Every file is opened
-    before the first line is parsed, so a missing file fails first.
+    ``report``, are those of one pass over the files. Every path is looked
+    up, and every regular file opened, before the first line is parsed, so a
+    missing file fails first.
 
     The ranges go to a pool of up to ``workers`` forked processes when the
     corpus is at least ``MIN_POOL_BYTES`` of regular files and the platform
     can fork; otherwise each file is one range, read to its end in this
-    process, so a pipe such as ``<(zcat corpus.jsonl.gz)`` works. ``fork``, not
-    ``spawn``: a spawned worker starts a fresh interpreter and imports NumPy
-    again, which cost more than the parallel fold saved. Under ``strict``
-    the first malformed line in file order raises, as in one pass.
+    process, so a pipe such as ``<(zcat corpus.jsonl.gz)`` works. ``fork``,
+    not ``spawn``: a spawned worker starts a fresh interpreter and imports
+    NumPy again, which cost more than the parallel fold saved. Under
+    ``strict`` the first malformed line in file order raises, as in one pass.
     """
     sizes = [_file_size(path) for path in corpus.paths]
     cap = min(workers, usable_cpus())
-    total = None if None in sizes else sum(sizes)
-    if cap > 1 and total is not None and total >= MIN_POOL_BYTES and hasattr(os, "fork"):
-        size = -(-total // (cap * RANGES_PER_WORKER))
+    if cap > 1 and None not in sizes and sum(sizes) >= MIN_POOL_BYTES and hasattr(os, "fork"):
+        size = -(-sum(sizes) // (cap * RANGES_PER_WORKER))
         ranges = [r for p in corpus.paths for r in split_ranges(p, size)]
         n = pool_size(workers, len(ranges))
     else:
