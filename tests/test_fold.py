@@ -107,6 +107,18 @@ def test_tiny_ranges_go_to_forked_workers(tmp_path, tiny_ranges):
     assert n == _fold_pids(Corpus(tuple(paths)), workers=1)[1]
 
 
+def _die(tweets):
+    os._exit(3)
+
+
+def test_a_worker_that_dies_fails_the_fold_instead_of_hanging(tmp_path, tiny_ranges):
+    from concurrent.futures.process import BrokenProcessPool
+
+    paths = _write_corpus(tmp_path)
+    with pytest.raises(BrokenProcessPool):
+        list(fold_corpus(Corpus(tuple(paths)), _die, 2, ParseReport()))
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_pipe_is_read_once_to_its_end(cpus):
     r, w = os.pipe()
