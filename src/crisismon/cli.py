@@ -8,7 +8,8 @@ where the field allows it, an integer (not ``true``/``false``) for an int,
 an integer or float for a float, a boolean for a bool; anything else is a
 format error naming the key. Exit codes: 0 on success, 1 for validation or
 contract failures (bad date range, empty lexicon), 2 for I/O and format
-failures (missing file, malformed input, a wrongly typed config value).
+failures (missing file, malformed input, a wrongly typed config value, a
+corpus worker that died).
 """
 
 from __future__ import annotations

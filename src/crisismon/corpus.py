@@ -24,27 +24,24 @@ to build than dataclasses and just as immutable.
 A :class:`Corpus` is folded range by range: :func:`fold_corpus` cuts its
 files into byte ranges that start at line starts, folds each range into a
 partial result and yields the partials in file order, so the caller's sum is
-the same whether the ranges ran in this process or in forked workers. Each
-range knows its file and the number of its first line, so every parse error
-and skip names the file and the line within it.
+the same whether the ranges ran in this process or in forked workers. Every
+parse error and skip names its file and the line within it.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
+import pickle
 import re
 import stat
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import FormatError
-
-log = logging.getLogger(__name__)
 
 KIND_ORIGINAL = "original"
 KIND_REPLY = "reply"
@@ -114,12 +111,25 @@ class ParseReport:
         if len(self.examples) < self.MAX_EXAMPLES:
             self.examples.append((lineno, reason, source))
 
-    def merge(self, later: ParseReport) -> None:
-        """Add the outcomes of the lines that follow this report's."""
+    def merge(self, later: ParseReport, line_offset: int = 0) -> None:
+        """Add the outcomes of the lines that follow this report's;
+        ``line_offset`` is added to the line numbers of ``later``."""
         self.lines += later.lines
         self.parsed += later.parsed
         self.skipped += later.skipped
-        self.examples += later.examples[: self.MAX_EXAMPLES - len(self.examples)]
+        self.examples += [(lineno + line_offset, reason, source) for lineno, reason, source
+                          in later.examples[: self.MAX_EXAMPLES - len(self.examples)]]
+
+
+class MalformedLine(FormatError):
+    """The first malformed line of a strict corpus parse."""
+
+    def __init__(self, source: str, lineno: int, reason: str):
+        super().__init__(source, lineno, reason)
+        self.source, self.lineno, self.reason = source, lineno, reason
+
+    def __str__(self) -> str:
+        return f"{where(self.source, self.lineno)}: {self.reason}"
 
 
 def split_hashtag(tag: str) -> list[str]:
@@ -221,15 +231,14 @@ def parse_corpus(
     strict: bool = False,
     report: ParseReport | None = None,
     source: str = "",
-    first_line: int = 1,
 ) -> Iterator[Tweet]:
     """Yield Tweets from a line-delimited JSON stream, in file order.
 
     Blank lines are ignored. In lenient mode (the default) malformed lines
     are skipped and recorded on ``report``; in strict mode the first
-    malformed line raises :class:`FormatError` with its line number. Lines
-    are numbered from ``first_line``, and a ``source`` file name prefixes
-    each error and skip.
+    malformed line raises :class:`MalformedLine`, a :class:`FormatError`,
+    with its line number. A ``source`` file name prefixes each error and
+    skip.
     Byte lines are decoded as UTF-8: invalid bytes are replaced with U+FFFD
     in lenient mode and make the line malformed in strict mode.
     An empty ``id`` is malformed; id uniqueness is trusted, not checked
@@ -237,7 +246,7 @@ def parse_corpus(
     """
     tz = timezone(timedelta(hours=tz_offset_hours))
     errors = "strict" if strict else "replace"
-    for lineno, line in enumerate(lines, start=first_line):
+    for lineno, line in enumerate(lines, start=1):
         if report is not None:
             report.lines += 1
         try:
@@ -250,10 +259,8 @@ def parse_corpus(
                 raise ValueError("line is not a JSON object")
             tweet = _tweet_from_obj(obj, tz)
         except (ValueError, KeyError, TypeError) as exc:
-            msg = f"{where(source, lineno)}: {exc}"
             if strict:
-                raise FormatError(msg) from exc
-            log.debug("skipping malformed corpus line: %s", msg)
+                raise MalformedLine(source, lineno, str(exc)) from exc
             if report is not None:
                 report.record_skip(lineno, str(exc), source)
             continue
@@ -344,12 +351,11 @@ def compute_corpus_stats(tweets: Iterable[Tweet]) -> CorpusStats:
     return stats
 
 
+
+
 #: A corpus smaller than this is folded in this process: below about this
-#: size, starting a worker costs more than it saves.
-MIN_POOL_BYTES = 64 * 1024
-#: Ranges cut per worker. Workers take ranges in file order as they free
-#: up, so a slow range holds back at most one of several.
-RANGES_PER_WORKER = 4
+#: size, forking a worker costs more than it saves (ROADMAP, "Measured").
+MIN_POOL_BYTES = 1 << 20
 
 
 class Corpus(NamedTuple):
@@ -362,40 +368,39 @@ class Corpus(NamedTuple):
 
 class ByteRange(NamedTuple):
     """Bytes ``[start, end)`` of one file, or the whole file when ``end`` is
-    None; ``start`` is the start of line number ``first_line``."""
+    None; ``start`` is a line start."""
 
     path: str
     start: int
     end: int | None
-    first_line: int
 
 
-def split_ranges(path: str, size: int) -> list[ByteRange]:
-    """Cut a file into ranges that tile it, each starting at a line start.
+def split_shares(paths: Sequence[str], sizes: Sequence[int], n: int) -> list[list[ByteRange]]:
+    """Cut the files, taken end to end, into at most ``n`` shares of about
+    equal size, each a list of ranges in file order.
 
-    The file is cut into the fewest equal pieces of at most ``size`` bytes;
-    each piece runs on to the next line start, or to the end of the file.
-    Lines end at ``\\n`` alone, as in a binary read, so a ``\\r\\n`` is
-    never cut. An empty file has no ranges. The file is read once, in
-    blocks, to number the lines.
+    The files are cut every ``total / n`` bytes, each cut moved on to the
+    next line start, so the shares tile the files and every range starts at
+    a line start. Lines end at ``\\n`` alone, as in a binary read, so a
+    ``\\r\\n`` is never cut. A cut moved past the next one leaves a share
+    empty; empty shares, and empty files, are left out.
     """
-    ranges: list[ByteRange] = []
-    with open(path, "rb") as fh:
-        eof = fh.seek(0, os.SEEK_END)
-        size = -(-eof // -(-eof // size)) if eof else size
-        start, first_line = 0, 1
-        while start < eof:
-            end = eof
-            if start + size < eof:
-                fh.seek(start + size - 1)
-                end = start + size - 1 + len(fh.readline())
-            ranges.append(ByteRange(path, start, end, first_line))
-            if end < eof:
-                fh.seek(start)
-                for left in range(end - start, 0, -(1 << 20)):
-                    first_line += fh.read(min(left, 1 << 20)).count(b"\n")
-            start = end
-    return ranges
+    total = sum(sizes)
+    shares: list[list[ByteRange]] = [[] for _ in range(n)]
+    base = 0  # bytes in the files before this one
+    for path, size in zip(paths, sizes):
+        with open(path, "rb") as fh:
+            start = 0
+            while start < size:
+                k = (base + start) * n // total  # the share this range belongs to
+                end = min(size, -(-(k + 1) * total // n) - base)
+                if end < size:
+                    fh.seek(end - 1)
+                    end += len(fh.readline()) - 1
+                shares[k].append(ByteRange(path, start, end))
+                start = end
+        base += size
+    return [share for share in shares if share]
 
 
 def read_range(r: ByteRange) -> Iterator[bytes]:
@@ -424,9 +429,13 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def pool_size(workers: int, n_ranges: int) -> int:
-    """Processes for ``n_ranges`` ranges under a cap of ``workers``."""
-    return min(workers, usable_cpus(), n_ranges)
+def pool_size(workers: int, corpus_bytes: int | None) -> int:
+    """Processes that fold a corpus of ``corpus_bytes`` under a cap of
+    ``workers``: 1 below ``MIN_POOL_BYTES``, for a corpus that is not all
+    regular files (None) and on a platform without ``fork``."""
+    if corpus_bytes is None or corpus_bytes < MIN_POOL_BYTES or not hasattr(os, "fork"):
+        return 1
+    return min(workers, usable_cpus())
 
 
 T = TypeVar("T")
@@ -434,25 +443,79 @@ T = TypeVar("T")
 
 def _fold_range(fold: Callable[[Iterator[Tweet]], T], corpus: Corpus,
                 r: ByteRange) -> tuple[T, ParseReport]:
+    """``fold`` over the tweets of a range, and the range's parse outcomes,
+    its lines numbered from 1."""
     report = ParseReport()
     tweets = parse_corpus(read_range(r), corpus.tz_offset_hours, corpus.strict, report,
-                          r.path, r.first_line)
+                          r.path)
     return fold(tweets), report
 
 
-# What a forked worker folds, set once in each worker by ``_start_worker``
-# and never in the parent: the fold is often a closure, which cannot be
-# pickled into a task.
-_worker_job: tuple[Callable, Corpus] | None = None
+def _fold_share(fold: Callable, corpus: Corpus,
+                share: list[ByteRange]) -> Iterator[tuple[object, ParseReport] | Exception]:
+    """Each range's :func:`_fold_range`, in order; an exception ends the share."""
+    for r in share:
+        try:
+            outcome = _fold_range(fold, corpus, r)
+        except Exception as exc:
+            yield exc
+            return
+        yield outcome
 
 
-def _start_worker(fold: Callable, corpus: Corpus) -> None:
-    global _worker_job
-    _worker_job = fold, corpus
+def _fork(fold: Callable, corpus: Corpus, share: list[ByteRange]) -> tuple[int, int]:
+    """Fork a worker that folds ``share`` and writes the outcomes, pickled,
+    to a pipe; return the worker's pid and the pipe's read end."""
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker, which never returns from here
+        code = 1
+        try:
+            os.close(rfd)
+            data = pickle.dumps(list(_fold_share(fold, corpus, share)), pickle.HIGHEST_PROTOCOL)
+            with open(wfd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        except Exception:  # an outcome that cannot be pickled, say
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    return pid, rfd
 
 
-def _fold_in_worker(r: ByteRange) -> tuple[object, ParseReport]:
-    return _fold_range(*_worker_job, r)
+def _fold_shares(fold: Callable, corpus: Corpus, shares: list[list[ByteRange]]
+                 ) -> Iterator[tuple[ByteRange, tuple[object, ParseReport] | Exception]]:
+    """Each range with its outcome, in file order. The first share is
+    folded in this process and every other one in a forked worker, all at
+    once; a worker's outcomes are read when the shares before it are done.
+    A worker that dies raises :class:`ChildProcessError`, and workers still
+    running when the fold stops are killed."""
+    workers: list[tuple[int, int]] = []  # (pid, read end) of each worker not yet reaped
+    try:
+        for share in shares[1:]:
+            workers.append(_fork(fold, corpus, share))
+        yield from zip(shares[0], _fold_share(fold, corpus, shares[0]))
+        for share in shares[1:]:
+            pid, fd = workers[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(workers.pop(0)[1])
+            if code:
+                raise ChildProcessError(f"a corpus worker was killed by signal {-code}"
+                                        if code < 0 else
+                                        f"a corpus worker exited with status {code}")
+            yield from zip(share, pickle.loads(data))
+    finally:
+        if workers:
+            import signal  # here: a fold that runs to its end never needs it
+        for pid, fd in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
 
 
 def _file_size(path: str) -> int | None:
@@ -468,44 +531,42 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator[Tweet]], T], workers: i
                 report: ParseReport) -> Iterator[T]:
     """Yield ``fold(tweets)`` for each byte range of the corpus, in file order.
 
-    Each range's parse outcomes are merged into ``report`` before its
-    result is yielded, so a sum of the results in yield order, and
-    ``report``, are those of one pass over the files. Every path is looked
-    up, and every regular file opened, before the first line is parsed, so a
+    Each range's parse outcomes are merged into ``report``, its lines
+    numbered within their file, before its result is yielded, so a sum of
+    the results in yield order, and ``report``, are those of one pass over
+    the files. Under ``strict`` the first malformed line in file order
+    raises :class:`MalformedLine`, as in one pass. Every path is looked up,
+    and every regular file opened, before the first line is parsed, so a
     missing file fails first.
 
-    The ranges go to a pool of up to ``workers`` forked processes when the
-    corpus is at least ``MIN_POOL_BYTES`` of regular files and the platform
-    can fork; otherwise each file is one range, read to its end in this
-    process, so a pipe such as ``<(zcat corpus.jsonl.gz)`` works. ``fork``,
-    not ``spawn``: a spawned worker starts a fresh interpreter and imports
-    NumPy again, which cost more than the parallel fold saved. Under
-    ``strict`` the first malformed line in file order raises, as in one pass.
+    With :func:`pool_size` above 1, the corpus is cut into that many shares
+    (:func:`split_shares`): this process folds the first and a forked worker
+    each other one. ``fork``, not ``spawn``: a spawned worker starts a fresh
+    interpreter and imports NumPy again, which cost more than the parallel
+    fold saved. Otherwise each file is one range, read to its end in this
+    process, so a pipe such as ``<(zcat corpus.jsonl.gz)`` works. A forked
+    worker runs only this module's parsing and the fold, never NumPy's
+    threaded linear algebra, so a lock held by a thread at the fork (NumPy's
+    BLAS may start threads) is never waited on.
     """
     sizes = [_file_size(path) for path in corpus.paths]
-    cap = min(workers, usable_cpus())
-    if cap > 1 and None not in sizes and sum(sizes) >= MIN_POOL_BYTES and hasattr(os, "fork"):
-        size = -(-sum(sizes) // (cap * RANGES_PER_WORKER))
-        ranges = [r for p in corpus.paths for r in split_ranges(p, size)]
-        n = pool_size(workers, len(ranges))
+    n = pool_size(workers, None if None in sizes else sum(sizes))
+    if n > 1:
+        shares = split_shares(corpus.paths, sizes, n)
     else:
-        ranges = [ByteRange(p, 0, None, 1) for p in corpus.paths]
-        n = 1
-    if n < 2:
-        for r in ranges:
-            part, part_report = _fold_range(fold, corpus, r)
-            report.merge(part_report)
-            yield part
-        return
-    # Imported here: a serial run pays nothing for the pool.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(fold, corpus)) as pool:
-        for part, part_report in pool.map(_fold_in_worker, ranges):
-            report.merge(part_report)
-            yield part
+        shares = [[ByteRange(path, 0, None) for path in corpus.paths]]
+    lines_before = 0  # lines of the range's file in the ranges before it
+    for r, outcome in _fold_shares(fold, corpus, shares):
+        if r.start == 0:
+            lines_before = 0
+        if isinstance(outcome, Exception):
+            if isinstance(outcome, MalformedLine):
+                outcome.lineno += lines_before
+            raise outcome
+        part, part_report = outcome
+        report.merge(part_report, lines_before)
+        lines_before += part_report.lines
+        yield part
 
 
 def corpus_stats(corpus: Corpus, workers: int, report: ParseReport) -> CorpusStats:

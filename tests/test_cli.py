@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 from datetime import date
@@ -191,13 +193,8 @@ class TestStats:
         assert capsys.readouterr().err.startswith(f"error: {b}: line 2: Expecting property")
 
 
-@pytest.mark.parametrize("command", ["stats", "analyze"])
-def test_workers_one_and_two_write_the_same_bytes(tmp_path, capsys, monkeypatch, command):
-    """Two CPUs are forced and the size floor lifted, so the pool runs on any host."""
-    from crisismon import corpus as corpus_mod
-
-    monkeypatch.setattr(corpus_mod, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(corpus_mod, "MIN_POOL_BYTES", 1)
+def _split_workspace(tmp_path):
+    """A burst workspace whose corpus is three files with malformed lines."""
     ws = write_burst_workspace(tmp_path, seed=31, n_days=20, per_day=30)
     lines = ws["corpus"].read_bytes().splitlines(keepends=True)
     paths = []
@@ -210,6 +207,21 @@ def test_workers_one_and_two_write_the_same_bytes(tmp_path, capsys, monkeypatch,
     cfg = json.loads(ws["config"].read_text())
     cfg.update(corpus=[str(p) for p in paths], date_to="2020-03-15")
     ws["config"].write_text(json.dumps(cfg))
+    return ws
+
+
+@pytest.fixture()
+def pool_on(monkeypatch):
+    """Two CPUs forced and the size floor lifted, so the pool runs on any host."""
+    from crisismon import corpus as corpus_mod
+
+    monkeypatch.setattr(corpus_mod, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(corpus_mod, "MIN_POOL_BYTES", 1)
+
+
+@pytest.mark.parametrize("command", ["stats", "analyze"])
+def test_workers_one_and_two_write_the_same_bytes(tmp_path, capsys, pool_on, command):
+    ws = _split_workspace(tmp_path)
     runs = []
     for workers in ("1", "2"):
         assert run_cli(command, "--config", str(ws["config"]), "--workers", workers) == 0
@@ -217,6 +229,42 @@ def test_workers_one_and_two_write_the_same_bytes(tmp_path, capsys, monkeypatch,
         runs.append((files, capsys.readouterr()))
     assert runs[0] == runs[1]
     assert "skipped 6 malformed line(s) of 603" in runs[0][1].err
+
+
+def test_verbose_stderr_is_the_same_for_any_workers(tmp_path):
+    """Real processes, so that whatever a worker logs reaches stderr."""
+    import crisismon
+
+    ws = _split_workspace(tmp_path)
+    script = ("import sys; from crisismon import cli, corpus; "
+              "corpus.usable_cpus = lambda: 2; corpus.MIN_POOL_BYTES = 1; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crisismon.__file__))}
+    errs = []
+    for workers in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", script, "--verbose", "analyze", "--config",
+                               str(ws["config"]), "--workers", workers],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert b"INFO crisismon" in errs[0] and b"skipped 6 malformed line(s) of 603" in errs[0]
+
+
+def test_a_dead_corpus_worker_is_an_error_line(tmp_path, capsys, monkeypatch, pool_on):
+    from crisismon import corpus as corpus_mod
+
+    parent, count = os.getpid(), corpus_mod.compute_corpus_stats
+
+    def killed_in_worker(tweets):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return count(tweets)
+
+    monkeypatch.setattr(corpus_mod, "compute_corpus_stats", killed_in_worker)
+    ws = _split_workspace(tmp_path)
+    assert run_cli("stats", "--config", str(ws["config"]), "--workers", "2") == 2
+    assert capsys.readouterr().err == "error: a corpus worker was killed by signal 9\n"
 
 
 class TestExpand:

@@ -1,10 +1,11 @@
-"""The corpus fold: byte ranges tile each file, and a fold in forked workers
-equals the fold of one pass in this process."""
+"""The corpus fold: shares of byte ranges tile the files, and a fold in
+forked workers equals the fold of one pass in this process."""
 
 import json
 import os
 import random
 import re
+import signal
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -14,24 +15,34 @@ from hypothesis import strategies as st
 from crisismon import CategorySet, aggregate_daily, build_matcher, make_lexicon
 from crisismon import corpus as corpus_mod
 from crisismon.corpus import (ByteRange, Corpus, ParseReport, corpus_stats, fold_corpus,
-                              pool_size, read_range, split_ranges)
+                              pool_size, read_range, split_shares)
 from crisismon.errors import FormatError
 
 START = date(2020, 3, 1)
 END = date(2020, 3, 20)
 
 
-def _check_tiling(path, ranges):
-    data = path.read_bytes()
-    assert b"".join(data[r.start:r.end] for r in ranges) == data
-    for r in ranges:
-        assert r.path == str(path) and r.start < r.end
-        assert r.start == 0 or data[r.start - 1:r.start] == b"\n"
-        assert r.first_line == data[:r.start].count(b"\n") + 1
-        assert b"".join(read_range(r)) == data[r.start:r.end]
+def _split(paths, n):
+    return split_shares([str(p) for p in paths], [p.stat().st_size for p in paths], n)
 
 
-class TestSplitRanges:
+def _check_tiling(paths, shares, n):
+    assert len(shares) <= n and all(shares)
+    ranges = [r for share in shares for r in share]
+    order = [([str(p) for p in paths].index(r.path), r.start) for r in ranges]
+    assert order == sorted(order)
+    for path in paths:
+        data = path.read_bytes()
+        mine = [r for r in ranges if r.path == str(path)]
+        assert b"".join(data[r.start:r.end] for r in mine) == data
+        assert [r.start for r in mine] == sorted(r.start for r in mine)
+        for r in mine:
+            assert r.start < r.end
+            assert r.start == 0 or data[r.start - 1:r.start] == b"\n"
+            assert b"".join(read_range(r)) == data[r.start:r.end]
+
+
+class TestSplitShares:
     @pytest.mark.parametrize("body", [
         b"",
         b'{"a": 1}',
@@ -41,48 +52,63 @@ class TestSplitRanges:
         b"\n\n\n",
         b"x" * 300 + b"\ny\n" + b"z" * 50,
     ])
-    @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 10_000])
-    def test_ranges_tile_the_file_from_line_starts(self, tmp_path, body, size):
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 10_000])
+    def test_shares_tile_the_file_from_line_starts(self, tmp_path, body, n):
         path = tmp_path / "c.jsonl"
         path.write_bytes(body)
-        ranges = split_ranges(str(path), size)
-        _check_tiling(path, ranges)
-        assert (ranges == []) == (body == b"")
+        shares = _split([path], n)
+        _check_tiling([path], shares, n)
+        assert (shares == []) == (body == b"")
+
+    def test_cuts_are_even_across_files_and_move_to_line_starts(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_bytes(b"aaaa\n" * 2)  # bytes 0..9
+        b.write_bytes(b"bbbbbbb\n" * 4)  # bytes 10..41; cuts at 14 and 28
+        assert _split([a, b], 3) == [
+            [ByteRange(str(a), 0, 10), ByteRange(str(b), 0, 8)],
+            [ByteRange(str(b), 8, 24)],
+            [ByteRange(str(b), 24, 32)],
+        ]
 
     @settings(max_examples=200, deadline=None)
-    @given(lines=st.lists(st.sampled_from([b"", b"a", b"bb", b"\xff\xfe", b"ccc\r"]),
-                          max_size=12),
-           trailing=st.booleans(), size=st.integers(1, 40))
-    def test_any_file_is_tiled(self, tmp_path_factory, lines, trailing, size):
-        path = tmp_path_factory.mktemp("split") / "c.jsonl"
-        path.write_bytes(b"\n".join(lines) + (b"\n" if trailing and lines else b""))
-        _check_tiling(path, split_ranges(str(path), size))
+    @given(files=st.lists(
+        st.tuples(st.lists(st.sampled_from([b"", b"a", b"bb", b"\xff\xfe", b"ccc\r"]),
+                           max_size=12), st.booleans()),
+        min_size=1, max_size=4), n=st.integers(1, 40))
+    def test_any_files_are_tiled(self, tmp_path_factory, files, n):
+        root = tmp_path_factory.mktemp("split")
+        paths = []
+        for i, (lines, trailing) in enumerate(files):
+            paths.append(root / f"c{i}.jsonl")
+            paths[-1].write_bytes(b"\n".join(lines) + (b"\n" if trailing and lines else b""))
+        _check_tiling(paths, _split(paths, n), n)
 
     def test_an_empty_range_reads_nothing(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b"a\nb\n")
-        assert list(read_range(ByteRange(str(path), 2, 2, 2))) == []
+        assert list(read_range(ByteRange(str(path), 2, 2))) == []
 
 
 @pytest.fixture()
 def cpus(monkeypatch):
-    """Two usable CPUs, whatever the host has, so the pool runs everywhere."""
-    monkeypatch.setattr(corpus_mod, "usable_cpus", lambda: 2)
+    """Three usable CPUs, whatever the host has, so the pool runs everywhere."""
+    monkeypatch.setattr(corpus_mod, "usable_cpus", lambda: 3)
 
 
 @pytest.fixture()
-def tiny_ranges(monkeypatch, cpus):
-    """Ranges of about a kilobyte, so lines straddle the even cuts."""
+def pool_on(monkeypatch, cpus):
+    """No size floor, so a corpus of a few kilobytes goes to the pool."""
     monkeypatch.setattr(corpus_mod, "MIN_POOL_BYTES", 1)
-    monkeypatch.setattr(corpus_mod, "RANGES_PER_WORKER", 16)
 
 
-def test_pool_size_is_capped_by_workers_cpus_and_ranges(monkeypatch):
+def test_pool_size_is_capped_by_workers_cpus_and_corpus(monkeypatch):
     monkeypatch.setattr(corpus_mod, "usable_cpus", lambda: 4)
-    assert pool_size(8, 100) == 4
-    assert pool_size(3, 100) == 3
-    assert pool_size(8, 2) == 2
-    assert pool_size(1, 100) == 1
+    big = corpus_mod.MIN_POOL_BYTES
+    assert pool_size(8, big) == 4
+    assert pool_size(3, big) == 3
+    assert pool_size(1, big) == 1
+    assert pool_size(8, big - 1) == 1
+    assert pool_size(8, None) == 1
 
 
 def _pids(tweets):
@@ -94,29 +120,40 @@ def _fold_pids(corpus, workers):
     return set().union(*(p for p, _ in results)), sum(n for _, n in results)
 
 
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
 def test_small_corpus_stays_in_process(tmp_path, cpus):
     path = tmp_path / "c.jsonl"
     path.write_text(_record(0, 0) + "\n", encoding="utf-8")
     assert _fold_pids(Corpus((str(path),)), workers=2) == ({os.getpid()}, 1)
 
 
-def test_tiny_ranges_go_to_forked_workers(tmp_path, tiny_ranges):
+def test_a_pool_folds_here_and_in_forked_workers(tmp_path, pool_on):
     paths = _write_corpus(tmp_path)
-    pids, n = _fold_pids(Corpus(tuple(paths)), workers=2)
-    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    pids, n = _fold_pids(Corpus(tuple(paths)), workers=3)
+    assert os.getpid() in pids and len(pids) == 3
     assert n == _fold_pids(Corpus(tuple(paths)), workers=1)[1]
+    assert _no_children_left()
 
 
-def _die(tweets):
-    os._exit(3)
+def _killed_in_worker(parent):
+    def fold(tweets):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 0
+    return fold
 
 
-def test_a_worker_that_dies_fails_the_fold_instead_of_hanging(tmp_path, tiny_ranges):
-    from concurrent.futures.process import BrokenProcessPool
-
+def test_a_worker_that_dies_fails_the_fold_instead_of_hanging(tmp_path, pool_on):
     paths = _write_corpus(tmp_path)
-    with pytest.raises(BrokenProcessPool):
-        list(fold_corpus(Corpus(tuple(paths)), _die, 2, ParseReport()))
+    with pytest.raises(ChildProcessError, match="killed by signal 9"):
+        list(fold_corpus(Corpus(tuple(paths)), _killed_in_worker(os.getpid()), 2,
+                         ParseReport()))
+    assert _no_children_left()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -192,10 +229,21 @@ def _analyze(paths, workers, strict=False):
     return matrix, agg.dropped, report
 
 
-def test_workers_one_and_three_fold_the_same(tmp_path, tiny_ranges):
+def _moved_cuts(paths, n):
+    """How far each cut between shares moved on to reach a line start."""
+    sizes = [os.path.getsize(p) for p in paths]
+    shares = split_shares(paths, sizes, n)
+    assert len(shares) == n
+    return [sum(sizes[:paths.index(share[0].path)]) + share[0].start - -(-k * sum(sizes) // n)
+            for k, share in enumerate(shares) if k]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_one_and_more_fold_the_same(tmp_path, pool_on, workers):
     paths = _write_corpus(tmp_path)
+    assert all(moved > 0 for moved in _moved_cuts(paths, workers))  # lines straddle the cuts
     serial = _analyze(paths, 1)
-    parallel = _analyze(paths, 3)
+    parallel = _analyze(paths, workers)
     assert serial == parallel
     matrix, dropped, report = serial
     assert dropped > 0 and report.skipped > 10 and len(report.examples) == 10
@@ -203,12 +251,12 @@ def test_workers_one_and_three_fold_the_same(tmp_path, tiny_ranges):
     assert {source for _, _, source in report.examples} == {paths[0], paths[2]}
 
     stats = [(corpus_stats(Corpus(tuple(paths)), w, r).to_json_dict(), r)
-             for w, r in ((1, ParseReport()), (3, ParseReport()))]
+             for w, r in ((1, ParseReport()), (workers, ParseReport()))]
     assert stats[0] == stats[1]
     assert stats[0][1] == report
 
 
-def test_strict_reports_the_first_malformed_line_in_file_order(tmp_path, tiny_ranges):
+def test_strict_reports_the_first_malformed_line_in_file_order(tmp_path, pool_on):
     paths = _write_corpus(tmp_path)
     messages = []
     for workers in (1, 3):
@@ -217,9 +265,10 @@ def test_strict_reports_the_first_malformed_line_in_file_order(tmp_path, tiny_ra
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"{paths[0]}: line ")
+    assert _no_children_left()
 
 
-def test_a_later_malformed_line_names_its_file_and_line(tmp_path, tiny_ranges):
+def test_a_later_malformed_line_names_its_file_and_line(tmp_path, pool_on):
     good = _record(0, 1)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     a.write_text("\n".join([good] * 40) + "\n", encoding="utf-8")
