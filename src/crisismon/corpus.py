@@ -351,10 +351,9 @@ def compute_corpus_stats(tweets: Iterable[Tweet]) -> CorpusStats:
     return stats
 
 
-
-
 #: A corpus smaller than this is folded in this process: below about this
-#: size, forking a worker costs more than it saves (ROADMAP, "Measured").
+#: size, forking a worker costs more than it saves (measured in ROADMAP,
+#: "Measured and parked").
 MIN_POOL_BYTES = 1 << 20
 
 
