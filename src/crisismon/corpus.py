@@ -21,6 +21,18 @@ it ASCII, and on ASCII the letter class ``[^\W\d_]`` is ``[A-Za-z]`` and
 ``\d`` is ``[0-9]``. ``Tweet`` and ``TokenizedDoc`` are named tuples, cheaper
 to build than dataclasses and just as immutable.
 
+One loop, :func:`records`, takes every line from bytes to a checked record:
+decoding, JSON, the field checks, the day and the skip bookkeeping.
+:func:`parse_corpus` makes Tweets of its records; the analyze fold in
+``matching`` counts them as they are. JSON goes first to the C scanner that
+``json.loads`` itself calls, at the line's first character: when the value
+it returns ends the line, or is followed by a single ``\n``, ``json.loads``
+would return that same value, since all it does beyond the scan is skip
+whitespace before and after the value and reject anything else that
+follows. Every other line (blank, leading whitespace, a BOM, a ``\r\n``
+ending, trailing data, a scanner error) goes to ``json.loads``, so its value
+or error is ``json.loads``' own.
+
 A :class:`Corpus` is folded range by range: :func:`fold_corpus` cuts its
 files into byte ranges that start at line starts, folds each range into a
 partial result and yields the partials in file order, so the caller's sum is
@@ -39,6 +51,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import FormatError
@@ -62,7 +75,19 @@ _TOKEN_RE = re.compile(r"[^\W\d_]+|\d+")
 _ASCII_TOKEN_RE = re.compile(r"[a-z]+|[0-9]+")
 _HAS_HASHTAG_RE = re.compile(r"#\w")
 
-_REQUIRED_KEYS = ("id", "created_at", "text", "kind", "user_id")
+# The required keys, in the order they are checked, and the JSON types each
+# may hold; ``kind`` may hold any, but must be one of KINDS.
+_FIELDS = (("id", (str, int)), ("created_at", (str,)), ("text", (str,)), ("kind", ()),
+           ("user_id", (str, int)))
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a float",
+               str: "a string", list: "an array", dict: "an object"}
+
+#: JSON nested deeper than this is malformed. Python's json parser recurses
+#: once per level and fails at a depth that depends on how deep the caller's
+#: stack is, which differs between call paths and processes; a fixed cap
+#: well below that depth makes the outcome a function of the line alone.
+MAX_DEPTH = 500
+_JSON_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
 class Tweet(NamedTuple):
@@ -201,28 +226,83 @@ def _parse_created_at(raw: str) -> datetime:
     return dt
 
 
-def _tweet_from_obj(obj: dict, tz: timezone) -> Tweet:
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            raise KeyError(f"missing key {key!r}")
-    tid = str(obj["id"])
-    if not tid:
-        raise ValueError("empty id")
-    kind = obj["kind"]
-    if kind not in KINDS:
-        raise ValueError(f"bad kind {kind!r}")
-    created = _parse_created_at(str(obj["created_at"]))
-    text = str(obj["text"])
-    return Tweet(
-        id=tid,
-        created_at=created,
-        date=created.astimezone(tz).date(),
-        text=text,
-        kind=kind,
-        user_id=str(obj["user_id"]),
-        has_hashtag="#" in text and _HAS_HASHTAG_RE.search(text) is not None,
-        lang=str(obj.get("lang", "")),
-    )
+def _too_deep(text: str) -> bool:
+    """True when the arrays and objects of a JSON text nest more than
+    :data:`MAX_DEPTH` deep, brackets in strings left out."""
+    if text.count("[") + text.count("{") <= MAX_DEPTH:
+        return False
+    depth = 0
+    for ch in _JSON_STRING_RE.sub("", text):
+        if ch in "[{":
+            depth += 1
+            if depth > MAX_DEPTH:
+                return True
+        elif ch in "]}":
+            depth -= 1
+    return False
+
+
+def records(
+    lines: Iterable[str | bytes],
+    tz_offset_hours: int = DEFAULT_TZ_OFFSET_HOURS,
+    strict: bool = False,
+    report: ParseReport | None = None,
+    source: str = "",
+) -> Iterator[tuple[dict, str, datetime, date]]:
+    """Yield ``(obj, kind, created, day)`` for each valid line, in file order:
+    the line's JSON object, every required field of its JSON type, its kind,
+    its timestamp and that timestamp's day at ``tz_offset_hours``. Lines are
+    counted, skipped and reported as :func:`parse_corpus` says."""
+    tz = timezone(timedelta(hours=tz_offset_hours))
+    errors = "strict" if strict else "replace"
+    scan = json.JSONDecoder().scan_once
+    if report is None:
+        report = ParseReport()
+    for lineno, line in enumerate(lines, start=1):
+        report.lines += 1
+        try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8", errors=errors)
+            if len(line) > MAX_DEPTH and _too_deep(line):
+                raise ValueError(f"nested more than {MAX_DEPTH} deep")
+            try:
+                # json.loads' own value when it ends the line (module docstring).
+                try:
+                    obj, end = scan(line, 0)
+                    whole = line[end:] in ("", "\n")
+                except (StopIteration, ValueError):
+                    whole = False
+                if not whole:
+                    if not line.strip():
+                        continue
+                    obj = json.loads(line)
+            except RecursionError as exc:  # a deep stack and deep nesting
+                raise ValueError(str(exc)) from exc
+            if not isinstance(obj, dict):
+                raise ValueError("line is not a JSON object")
+            for key, types in _FIELDS:
+                if key not in obj:
+                    raise KeyError(f"missing key {key!r}")
+                if types and type(obj[key]) not in types:
+                    raise ValueError(f"{key!r} must be {' or '.join(map(_JSON_TYPES.get, types))}"
+                                     f", not {_JSON_TYPES[type(obj[key])]}")
+            if obj["id"] == "":
+                raise ValueError("empty id")
+            kind = obj["kind"]
+            if kind not in KINDS:
+                raise ValueError(f"bad kind {kind!r}")
+            created = _parse_created_at(obj["created_at"])
+            try:
+                day = created.astimezone(tz).date()
+            except OverflowError as exc:  # the day falls outside years 1..9999
+                raise ValueError(str(exc)) from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            if strict:
+                raise MalformedLine(source, lineno, str(exc)) from exc
+            report.record_skip(lineno, str(exc), source)
+            continue
+        report.parsed += 1
+        yield obj, kind, created, day
 
 
 def parse_corpus(
@@ -241,32 +321,19 @@ def parse_corpus(
     skip.
     Byte lines are decoded as UTF-8: invalid bytes are replaced with U+FFFD
     in lenient mode and make the line malformed in strict mode.
-    An empty ``id`` is malformed; id uniqueness is trusted, not checked
-    (verifying it would require holding every id of a corpus in memory).
+    A line is malformed when it nests more than :data:`MAX_DEPTH` deep, is
+    not a JSON object, lacks a required key, has a field of another JSON type
+    (``id`` and ``user_id`` hold a string or an integer, ``created_at`` and
+    ``text`` a string), an empty ``id``, an unknown ``kind``, or a
+    ``created_at`` that is not ISO-8601 or whose day falls outside years 1 to
+    9999. Id uniqueness is trusted, not checked (verifying it would require
+    holding every id of a corpus in memory).
     """
-    tz = timezone(timedelta(hours=tz_offset_hours))
-    errors = "strict" if strict else "replace"
-    for lineno, line in enumerate(lines, start=1):
-        if report is not None:
-            report.lines += 1
-        try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8", errors=errors)
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
-            tweet = _tweet_from_obj(obj, tz)
-        except (ValueError, KeyError, TypeError) as exc:
-            if strict:
-                raise MalformedLine(source, lineno, str(exc)) from exc
-            if report is not None:
-                report.record_skip(lineno, str(exc), source)
-            continue
-        if report is not None:
-            report.parsed += 1
-        yield tweet
+    for obj, kind, created, day in records(lines, tz_offset_hours, strict, report, source):
+        text = obj["text"]
+        yield Tweet(str(obj["id"]), created, day, text, kind, str(obj["user_id"]),
+                    "#" in text and _HAS_HASHTAG_RE.search(text) is not None,
+                    str(obj.get("lang", "")))
 
 
 def filter_analyzable(tweet: Tweet) -> bool:
@@ -440,29 +507,31 @@ def pool_size(workers: int, corpus_bytes: int | None) -> int:
 T = TypeVar("T")
 
 
-def _fold_range(fold: Callable[[Iterator[Tweet]], T], corpus: Corpus,
+def _fold_range(fold: Callable[[Iterator], T], parse: Callable, corpus: Corpus,
                 r: ByteRange) -> tuple[T, ParseReport]:
-    """``fold`` over the tweets of a range, and the range's parse outcomes,
-    its lines numbered from 1."""
+    """``fold`` over what ``parse`` makes of a range's lines, and the range's
+    parse outcomes, its lines numbered from 1."""
     report = ParseReport()
-    tweets = parse_corpus(read_range(r), corpus.tz_offset_hours, corpus.strict, report,
-                          r.path)
-    return fold(tweets), report
+    items = parse(read_range(r), corpus.tz_offset_hours, corpus.strict, report, r.path)
+    return fold(items), report
 
 
-def _fold_share(fold: Callable, corpus: Corpus,
+RangeFold = Callable[[ByteRange], tuple[object, ParseReport]]
+
+
+def _fold_share(fold_range: RangeFold,
                 share: list[ByteRange]) -> Iterator[tuple[object, ParseReport] | Exception]:
-    """Each range's :func:`_fold_range`, in order; an exception ends the share."""
+    """Each range's ``fold_range``, in order; an exception ends the share."""
     for r in share:
         try:
-            outcome = _fold_range(fold, corpus, r)
+            outcome = fold_range(r)
         except Exception as exc:
             yield exc
             return
         yield outcome
 
 
-def _fork(fold: Callable, corpus: Corpus, share: list[ByteRange]) -> tuple[int, int]:
+def _fork(fold_range: RangeFold, share: list[ByteRange]) -> tuple[int, int]:
     """Fork a worker that folds ``share`` and writes the outcomes, pickled,
     to a pipe; return the worker's pid and the pipe's read end."""
     rfd, wfd = os.pipe()
@@ -471,7 +540,7 @@ def _fork(fold: Callable, corpus: Corpus, share: list[ByteRange]) -> tuple[int, 
         code = 1
         try:
             os.close(rfd)
-            data = pickle.dumps(list(_fold_share(fold, corpus, share)), pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(list(_fold_share(fold_range, share)), pickle.HIGHEST_PROTOCOL)
             with open(wfd, "wb") as pipe:
                 pipe.write(data)
             code = 0
@@ -485,7 +554,7 @@ def _fork(fold: Callable, corpus: Corpus, share: list[ByteRange]) -> tuple[int, 
     return pid, rfd
 
 
-def _fold_shares(fold: Callable, corpus: Corpus, shares: list[list[ByteRange]]
+def _fold_shares(fold_range: RangeFold, shares: list[list[ByteRange]]
                  ) -> Iterator[tuple[ByteRange, tuple[object, ParseReport] | Exception]]:
     """Each range with its outcome, in file order. The first share is
     folded in this process and every other one in a forked worker, all at
@@ -495,8 +564,8 @@ def _fold_shares(fold: Callable, corpus: Corpus, shares: list[list[ByteRange]]
     workers: list[tuple[int, int]] = []  # (pid, read end) of each worker not yet reaped
     try:
         for share in shares[1:]:
-            workers.append(_fork(fold, corpus, share))
-        yield from zip(shares[0], _fold_share(fold, corpus, shares[0]))
+            workers.append(_fork(fold_range, share))
+        yield from zip(shares[0], _fold_share(fold_range, shares[0]))
         for share in shares[1:]:
             pid, fd = workers[0]
             with open(fd, "rb", closefd=False) as pipe:
@@ -526,9 +595,14 @@ def _file_size(path: str) -> int | None:
         return fh.seek(0, os.SEEK_END)
 
 
-def fold_corpus(corpus: Corpus, fold: Callable[[Iterator[Tweet]], T], workers: int,
-                report: ParseReport) -> Iterator[T]:
-    """Yield ``fold(tweets)`` for each byte range of the corpus, in file order.
+def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
+                report: ParseReport, parse: Callable | None = None) -> Iterator[T]:
+    """Yield ``fold(items)`` for each byte range of the corpus, in file order.
+
+    ``parse(lines, tz_offset_hours, strict, report, source)`` makes the items
+    of a range's lines: :func:`records`, say, or by default
+    :func:`parse_corpus`'s Tweets, that name looked up when the fold starts
+    so that a wrapper put in its place is the one called.
 
     Each range's parse outcomes are merged into ``report``, its lines
     numbered within their file, before its result is yielded, so a sum of
@@ -555,7 +629,8 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator[Tweet]], T], workers: i
     else:
         shares = [[ByteRange(path, 0, None) for path in corpus.paths]]
     lines_before = 0  # lines of the range's file in the ranges before it
-    for r, outcome in _fold_shares(fold, corpus, shares):
+    fold_range = partial(_fold_range, fold, parse or parse_corpus, corpus)
+    for r, outcome in _fold_shares(fold_range, shares):
         if r.start == 0:
             lines_before = 0
         if isinstance(outcome, Exception):

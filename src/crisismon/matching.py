@@ -16,7 +16,12 @@ Daily aggregation is a single fold over a document stream into a
 categories × days count matrix; it never holds the documents, so memory
 grows with days × categories, not with the corpus. A corpus is folded in
 byte ranges, in forked workers when more than one is allowed; the ranges'
-count matrices add up to the matrix of one pass. Each category's counts are
+count matrices add up to the matrix of one pass. A range goes from its raw
+lines to counts in one loop: of each checked record
+(:func:`~crisismon.corpus.records`) it reads the kind, the day and the text,
+so the fold builds no ``Tweet`` or ``TokenizedDoc``. A document stream and
+a corpus range share the one counting loop, which counts in Python ints and
+makes one array of each range's counts. Each category's counts are
 a read-only row of that matrix, and all categories share one denominator:
 the number of documents seen that day. Days with no documents yield a
 missing percentage rather than 0, so downstream smoothing can tell absence
@@ -35,8 +40,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, ParseReport, TokenizedDoc, Tweet, filter_analyzable,
-                     fold_corpus, tokenize_tweet)
+from .corpus import (KIND_RETWEET, Corpus, ParseReport, TokenizedDoc, fold_corpus, preprocess,
+                     records)
 from .errors import FormatError, cell, read_csv, write_csv
 from .lexicon import CategorySet
 
@@ -147,27 +152,32 @@ class DailyAggregate:
     dropped: int  # documents outside the configured date range
 
 
-def _count(docs: Iterable[TokenizedDoc], matcher: Matcher, start: date,
+def _count(docs: Iterable[tuple[int, Sequence[str]]], matcher: Matcher,
            n_days: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Matches per category per day, documents per day, and documents dropped."""
-    matched = np.zeros((len(matcher), n_days), dtype=np.int64)
-    totals = np.zeros(n_days, dtype=np.int64)
+    """Matches per category per day, documents per day, and documents dropped,
+    over ``(day index, tokens)`` pairs; counted in Python ints, then one array
+    each."""
+    matched = [[0] * n_days for _ in range(len(matcher))]
+    totals = [0] * n_days
     dropped = 0
-    for doc in docs:
-        di = (doc.date - start).days
+    match_indices = matcher.match_indices
+    for di, tokens in docs:
         if di < 0 or di >= n_days:
             dropped += 1
             continue
         totals[di] += 1
-        for ci in matcher.match_indices(doc.tokens):
-            matched[ci, di] += 1
-    return matched, totals, dropped
+        for ci in match_indices(tokens):
+            matched[ci][di] += 1
+    return (np.array(matched, dtype=np.int64).reshape(len(matcher), n_days),
+            np.array(totals, dtype=np.int64), dropped)
 
 
-def _count_tweets(matcher: Matcher, start: date, n_days: int,
-                  tweets: Iterator[Tweet]) -> tuple[np.ndarray, np.ndarray, int]:
-    docs = (tokenize_tweet(t) for t in tweets if filter_analyzable(t))
-    return _count(docs, matcher, start, n_days)
+def _count_records(matcher: Matcher, start: date, n_days: int,
+                   recs: Iterator[tuple]) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`_count` over the records of a corpus range, retweets left out."""
+    first = start.toordinal()
+    return _count(((day.toordinal() - first, preprocess(obj["text"]))
+                   for obj, kind, _, day in recs if kind != KIND_RETWEET), matcher, n_days)
 
 
 def aggregate_daily(
@@ -191,10 +201,13 @@ def aggregate_daily(
         raise ValueError(f"start {start} after end {end}")
     n_days = (end - start).days + 1
     if isinstance(docs, Corpus):
-        fold = partial(_count_tweets, matcher, start, n_days)
-        parts = fold_corpus(docs, fold, workers, ParseReport() if report is None else report)
+        fold = partial(_count_records, matcher, start, n_days)
+        parts = fold_corpus(docs, fold, workers, ParseReport() if report is None else report,
+                            records)
     else:
-        parts = [_count(docs, matcher, start, n_days)]
+        first = start.toordinal()
+        parts = [_count(((doc.date.toordinal() - first, doc.tokens) for doc in docs),
+                        matcher, n_days)]
     matched = np.zeros((len(matcher), n_days), dtype=np.int64)
     totals = np.zeros(n_days, dtype=np.int64)
     dropped = 0

@@ -251,6 +251,40 @@ def test_verbose_stderr_is_the_same_for_any_workers(tmp_path):
     assert b"INFO crisismon" in errs[0] and b"skipped 6 malformed line(s) of 603" in errs[0]
 
 
+@pytest.mark.parametrize("hostile, reason", [
+    ("day", "date value out of range"),
+    ("deep", "nested more than 500 deep"),
+])
+@pytest.mark.parametrize("command", ["stats", "analyze"])
+def test_hostile_lines_are_malformed_for_any_workers(tmp_path, capsys, pool_on, command,
+                                                     hostile, reason):
+    """A day before year 1 at UTC-3, and nesting too deep for json, in the
+    share that the forked worker folds when there are two processes."""
+    ws = write_burst_workspace(tmp_path, seed=31, n_days=20, per_day=30)
+    corpus = ws["corpus"]
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    if hostile == "day":
+        obj = json.loads(lines[449])
+        obj["created_at"] = "0001-01-01T01:00:00Z"
+        lines[449] = json.dumps(obj).encode() + b"\n"
+    else:
+        lines[449] = b"[" * 100_000 + b"\n"
+    corpus.write_bytes(b"".join(lines))
+    runs = []
+    for workers in ("1", "2"):
+        assert run_cli(command, "--config", str(ws["config"]), "--workers", workers) == 0
+        files = {p.name: p.read_bytes() for p in sorted(ws["out"].iterdir())}
+        runs.append((files, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    err = runs[0][1].err
+    assert "skipped 1 malformed line(s) of 600\n" in err
+    assert f"  {corpus}: line 450: {reason}" in err
+    for workers in ("1", "2"):
+        assert run_cli(command, "--config", str(ws["config"]), "--workers", workers,
+                       "--strict") == 2
+        assert capsys.readouterr().err.startswith(f"error: {corpus}: line 450: {reason}")
+
+
 def test_a_dead_corpus_worker_is_an_error_line(tmp_path, capsys, monkeypatch, pool_on):
     from crisismon import corpus as corpus_mod
 

@@ -6,6 +6,8 @@ import pytest
 
 from crisismon import (ParseReport, compute_corpus_stats, filter_analyzable,
                        parse_corpus, preprocess, split_hashtag, tokenize_tweet)
+from crisismon import corpus
+from crisismon.corpus import MalformedLine
 from crisismon.errors import FormatError
 
 from oracles import naive_stats
@@ -57,6 +59,68 @@ class TestParseCorpus:
         report = ParseReport()
         assert list(parse_corpus([bad], report=report)) == []
         assert report.skipped == 1
+
+    @pytest.mark.parametrize("line, reason, max_depth", [
+        (_line(0, created="0001-01-01T01:00:00Z"), "date value out of range", None),
+        ("[" * 100_000, "nested more than 500 deep", None),
+        # Past the cap, json's own recursion limit makes the line malformed.
+        ("[" * 100_000, "maximum recursion depth exceeded", 10**9),
+    ])
+    def test_hostile_lines_are_malformed_not_crashes(self, monkeypatch, line, reason,
+                                                     max_depth):
+        if max_depth:
+            monkeypatch.setattr(corpus, "MAX_DEPTH", max_depth)
+        report = ParseReport()
+        assert [t.id for t in parse_corpus([_line(1), line, _line(2)], report=report)] == [
+            "t1", "t2"]
+        ((lineno, got, _),) = report.examples
+        assert lineno == 2 and got.startswith(reason)
+        with pytest.raises(MalformedLine, match=f"^line 2: {reason}") as exc:
+            list(parse_corpus([_line(1), line], strict=True))
+        assert (exc.value.lineno, exc.value.source) == (2, "")
+
+    def test_nesting_is_capped_whatever_the_stack(self):
+        def nested(depth):
+            obj = json.loads(_line(0))
+            obj["lang"] = "[" * depth + "]" * depth
+            return json.dumps(obj).replace('"[', "[").replace(']"', "]")
+
+        def parse_at(stack, line):
+            if stack:
+                return parse_at(stack - 1, line)
+            report = ParseReport()
+            list(parse_corpus([line], report=report))
+            return report.parsed, [reason for _, reason, _ in report.examples]
+
+        for stack in (0, 300):
+            assert parse_at(stack, nested(499)) == (1, [])  # with the object, 500
+            assert parse_at(stack, nested(500)) == (0, ["nested more than 500 deep"])
+        # Brackets in strings do not nest.
+        assert parse_at(0, _line(0, text="[{" * 1000)) == (1, [])
+
+    @pytest.mark.parametrize("key, value, wanted", [
+        ("text", ["miedo"], "'text' must be a string, not an array"),
+        ("text", None, "'text' must be a string, not null"),
+        ("text", 5, "'text' must be a string, not an integer"),
+        ("created_at", 1583409600, "'created_at' must be a string, not an integer"),
+        ("id", None, "'id' must be a string or an integer, not null"),
+        ("id", 1.5, "'id' must be a string or an integer, not a float"),
+        ("id", True, "'id' must be a string or an integer, not a boolean"),
+        ("user_id", None, "'user_id' must be a string or an integer, not null"),
+        ("user_id", {"id": 1}, "'user_id' must be a string or an integer, not an object"),
+    ])
+    def test_a_field_of_the_wrong_json_type_is_malformed(self, key, value, wanted):
+        obj = json.loads(_line(0, text="miedo"))
+        obj[key] = value
+        report = ParseReport()
+        assert list(parse_corpus([json.dumps(obj)], report=report)) == []
+        assert report.examples == [(1, wanted, "")]
+
+    def test_integer_ids_are_kept_as_their_decimal_string(self):
+        obj = json.loads(_line(0))
+        obj.update(id=0, user_id=12)
+        (tweet,) = parse_corpus([json.dumps(obj)])
+        assert (tweet.id, tweet.user_id) == ("0", "12")
 
     def test_date_bucketing_uses_utc_minus_3_by_default(self):
         # 01:30 UTC is still the previous day in Argentina.

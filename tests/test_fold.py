@@ -7,6 +7,7 @@ import random
 import re
 import signal
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from crisismon import CategorySet, aggregate_daily, build_matcher, make_lexicon
 from crisismon import corpus as corpus_mod
-from crisismon.corpus import (ByteRange, Corpus, ParseReport, corpus_stats, fold_corpus,
-                              pool_size, read_range, split_shares)
+from crisismon.corpus import (ByteRange, Corpus, MalformedLine, ParseReport, corpus_stats,
+                              filter_analyzable, fold_corpus, parse_corpus, pool_size,
+                              read_range, split_shares, tokenize_tweet)
 from crisismon.errors import FormatError
 
 START = date(2020, 3, 1)
@@ -215,18 +217,25 @@ def _write_corpus(tmp_path):
     return [files[0], str(empty), files[1], files[2], str(one), files[3]]
 
 
-def _analyze(paths, workers, strict=False):
-    cats = CategorySet(name="t", categories={
+def _matcher():
+    return build_matcher(CategorySet(name="t", categories={
         "sad": make_lexicon("sad", ["triste", "miedo"]),
         "panic": make_lexicon("panic", ["ataque de pánico", "ansiedad"]),
         "tag": make_lexicon("tag", ["cuarentena"]),
-    })
-    report = ParseReport()
-    agg = aggregate_daily(Corpus(tuple(paths), strict=strict), build_matcher(cats),
-                          START, END, workers, report=report)
+    }))
+
+
+def _outcome(agg, report):
     matrix = {name: (p.matched.tolist(), p.total.tolist())
               for name, p in agg.prevalence.items()}
     return matrix, agg.dropped, report
+
+
+def _analyze(paths, workers, strict=False):
+    report = ParseReport()
+    agg = aggregate_daily(Corpus(tuple(paths), strict=strict), _matcher(),
+                          START, END, workers, report=report)
+    return _outcome(agg, report)
 
 
 def _moved_cuts(paths, n):
@@ -277,3 +286,67 @@ def test_a_later_malformed_line_names_its_file_and_line(tmp_path, pool_on):
     for workers in (1, 3):
         with pytest.raises(FormatError, match=f"^{re.escape(str(b))}: line 31: "):
             _analyze([str(a), str(b)], workers, strict=True)
+
+
+# One line for each way out of the JSON scanner's fast path in corpus.records.
+_FALLBACKS = [
+    "   " + _record(1, 2, text="miedo"),  # leading spaces
+    "\ufeff" + _record(2, 2, text="miedo"),  # a BOM
+    _record(3, 3, text="triste") + "\r",  # a \r\n ending
+    _record(4, 3, kind="reply", text="ansiedad") + " \t",  # trailing whitespace
+    "{} x",
+    _record(5, 4, text="miedo") + _record(6, 4, text="miedo"),  # two objects
+    "\u00a0",  # blank to str.strip
+    _record(7, 4, text="miedo") + "\x0b",  # not JSON whitespace: "Extra data"
+]
+
+
+def _write_fallbacks(tmp_path):
+    path = tmp_path / "fallbacks.jsonl"
+    # The last line has no newline.
+    path.write_text("\n".join(_FALLBACKS + [_record(8, 5, text="cuarentena")]),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _public_chain(paths, strict=False):
+    """The counts of parse_corpus, filter_analyzable, tokenize_tweet and
+    aggregate_daily over the documents, file after file."""
+    report = ParseReport()
+
+    def docs():
+        for path in paths:
+            with open(path, "rb") as fh:
+                for tweet in parse_corpus(fh, strict=strict, report=report, source=path):
+                    if filter_analyzable(tweet):
+                        yield tokenize_tweet(tweet)
+
+    return _outcome(aggregate_daily(docs(), _matcher(), START, END), report)
+
+
+def _strict(run):
+    """What a run returns, or the source, line number and reason of its
+    :class:`MalformedLine`."""
+    try:
+        return run()
+    except MalformedLine as exc:
+        return exc.source, exc.lineno, exc.reason
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_corpus_fold_counts_as_the_public_chain(tmp_path, pool_on, workers):
+    fallbacks = _write_fallbacks(tmp_path)
+    paths = _write_corpus(tmp_path) + [fallbacks]
+    for some in (paths, [fallbacks]):
+        assert _analyze(some, workers) == _public_chain(some)
+        error = _strict(lambda: _analyze(some, workers, strict=True))
+        assert error[0] == some[0]
+        assert error == _strict(lambda: _public_chain(some, strict=True))
+    _, _, report = _analyze([fallbacks], workers)
+    assert (report.lines, report.parsed, report.skipped) == (9, 4, 4)
+    assert [line for line, _, _ in report.examples] == [2, 5, 6, 8]
+    for i, line in enumerate(_FALLBACKS):
+        one = str(tmp_path / f"fallback{i}.jsonl")
+        Path(one).write_text(line + "\n", encoding="utf-8")
+        assert (_strict(lambda: _analyze([one], workers, strict=True))
+                == _strict(lambda: _public_chain([one], strict=True)))
