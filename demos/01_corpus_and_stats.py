@@ -2,14 +2,17 @@
 Corpus ingestion and statistics
 ===============================
 
-Parse a line-delimited tweet export, look at how the text normalizer
-treats URLs, mentions and hashtags, and compute exact corpus statistics.
+Look at how the text normalizer treats URLs, mentions and hashtags, write
+a small line-delimited tweet export, see the record each line becomes, and
+compute exact corpus statistics.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
-from crisismon import (ParseReport, compute_corpus_stats, filter_analyzable,
-                       parse_corpus, preprocess, split_hashtag)
+from crisismon import Corpus, ParseReport, corpus_stats, preprocess, split_hashtag
+from crisismon.corpus import records
 
 # --- the normalizer ---------------------------------------------------------
 # URLs and @mentions disappear; hashtags are split into their words;
@@ -43,17 +46,24 @@ lines = [
                 "user_id": "ana"}),
 ]
 
+# records() is the one loop from a line to a checked (object, kind, day).
+# Day bucketing uses a fixed offset, UTC-3 by default: 23:30 UTC on March 5
+# is still March 5 in Buenos Aires. Retweets are counted in the statistics
+# but carry no new text, so analyze leaves them out.
 report = ParseReport()
-tweets = list(parse_corpus(lines, report=report))
+for obj, kind, day in records(lines, report=report):
+    print(f"  {obj['id']}: kind={kind:8} created={obj['created_at']:25} -> day {day}"
+          f"  analyzable={kind != 'retweet'}")
 print(f"parsed {report.parsed} tweets, skipped {report.skipped} malformed line(s)")
 
-# Day bucketing uses a fixed offset, UTC-3 by default: 23:30 UTC on March 5
-# is still March 5 in Buenos Aires only until 02:59 UTC.
-for t in tweets:
-    print(f"  {t.id}: kind={t.kind:8} created={t.created_at:%Y-%m-%d %H:%M%z} "
-          f"-> day {t.date}  analyzable={filter_analyzable(t)}")
-
 # --- statistics -------------------------------------------------------------
-stats = compute_corpus_stats(tweets)
+# The command line's `stats` reads the same lines from a file.
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    report = ParseReport()
+    stats = corpus_stats(Corpus((str(path),)), workers=1, report=report)
 print()
+for lineno, reason, source in report.examples:
+    print(f"skipped line {lineno} of {Path(source).name}: {reason}")
 print(json.dumps(stats.to_json_dict(), indent=2, sort_keys=True))

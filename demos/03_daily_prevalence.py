@@ -2,18 +2,20 @@
 Matching tweets against category sets
 =====================================
 
-Compile a category set into a single multi-pattern matcher, run a stream
-of documents through it, and aggregate daily prevalence percentages: for
-each category, the share of that day's tweets containing at least one of
-its terms.
+Compile a category set into a single multi-pattern matcher, run a corpus
+file through it, and aggregate daily prevalence percentages: for each
+category, the share of that day's tweets containing at least one of its
+terms.
 """
 
+import json
 import random
+import tempfile
 from datetime import date, timedelta
 from pathlib import Path
 
-from crisismon import (TokenizedDoc, aggregate_daily, build_matcher,
-                       load_category_set, preprocess)
+from crisismon import (Corpus, aggregate_daily, build_matcher, load_category_set,
+                       preprocess)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -32,15 +34,15 @@ for text in [
     "cadena de emisión nacional",
     "triste triste triste",
 ]:
-    doc = TokenizedDoc("x", date(2020, 3, 1), tuple(preprocess(text)))
-    print(f"  {text!r:40} -> {sorted(matcher.match(doc.tokens))}")
+    print(f"  {text!r:40} -> {sorted(matcher.match(preprocess(text)))}")
 
 # --- a month of synthetic traffic ----------------------------------------------
-# Fear-related chatter ramps up in the second half of the month.
+# Fear-related chatter ramps up in the second half of the month. Each tweet is
+# one JSON line, posted at noon UTC (9:00 in Buenos Aires, the same day).
 rng = random.Random(99)
 start = date(2020, 3, 1)
 filler = "hoy vimos algo en la ciudad y después volvimos a casa".split()
-docs = []
+lines = []
 for d in range(31):
     p_fear = 0.05 if d < 15 else 0.25
     for i in range(120):
@@ -49,9 +51,15 @@ for d in range(31):
             words.append(rng.choice(["miedo", "pánico", "temor"]))
         if rng.random() < 0.10:
             words.append("salud")
-        docs.append(TokenizedDoc(f"{d}-{i}", start + timedelta(days=d), tuple(words)))
+        lines.append(json.dumps({"id": f"{d}-{i}",
+                                 "created_at": f"{start + timedelta(days=d)}T12:00:00Z",
+                                 "text": " ".join(words), "kind": "original",
+                                 "user_id": f"u{i}"}, ensure_ascii=False))
 
-agg = aggregate_daily(docs, matcher, start, date(2020, 3, 31))
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    agg = aggregate_daily(Corpus((str(path),)), matcher, start, date(2020, 3, 31))
 
 print("\nday        total   fear%   health%")
 fear, health = agg.prevalence["fear"].percent(), agg.prevalence["health"].percent()

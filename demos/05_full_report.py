@@ -2,11 +2,11 @@
 Full pipeline: corpus to heatmap, annotated peaks and stage table
 =================================================================
 
-A 92-day synthetic Spanish corpus goes through the whole chain: parse,
-filter, tokenize, match against the bundled demo categories, aggregate,
-detect joint peaks, annotate them with the bundled March-2020 event
-timeline, render the prevalence heatmap, and compute the stage prevalence
-table against illustrative crisis-stage windows.
+A 92-day synthetic Spanish corpus goes through the whole chain: write it as
+JSONL, parse, filter, tokenize, match against the bundled demo categories,
+aggregate, detect joint peaks, annotate them with the bundled March-2020
+event timeline, render the prevalence heatmap, and compute the stage
+prevalence table against illustrative crisis-stage windows.
 
 Outputs land in demos/out/, or in the directory given as the one argument:
 
@@ -19,11 +19,10 @@ import sys
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
-from crisismon import (aggregate_daily, annotate_peaks, build_matcher,
-                       filter_analyzable, joint_peaks, load_category_set,
-                       load_events_csv, load_stages_csv, parse_corpus,
-                       render_heatmap, Series, smooth, smoothed_gradient,
-                       stage_prevalence_table, tokenize_tweet)
+from crisismon import (Corpus, ParseReport, aggregate_daily, annotate_peaks,
+                       build_matcher, joint_peaks, load_category_set,
+                       load_events_csv, load_stages_csv, render_heatmap, Series,
+                       smooth, smoothed_gradient, stage_prevalence_table)
 
 HERE = Path(__file__).resolve().parent
 DATA = HERE.parent / "data"
@@ -62,12 +61,16 @@ for d in range(n_days):
             "user_id": f"u{rng.randrange(800)}",
         }))
 
-# --- parse, filter, tokenize, match ----------------------------------------------
-docs = [tokenize_tweet(t) for t in parse_corpus(lines) if filter_analyzable(t)]
+corpus = OUT / "corpus.jsonl"
+corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+# --- parse, filter, tokenize, match: one pass over the file -----------------------
 cats = load_category_set(DATA / "categories" / "demo_categories_es.json")
-agg = aggregate_daily(docs, build_matcher(cats), START, END)
-print(f"{len(docs)} analyzable docs across {n_days} days, "
-      f"{len(agg.prevalence)} categories")
+report = ParseReport()
+agg = aggregate_daily(Corpus((str(corpus),)), build_matcher(cats), START, END, report=report)
+analyzable = int(next(iter(agg.prevalence.values())).total.sum())
+print(f"{report.parsed} tweets, {analyzable} analyzable (retweets left out), across "
+      f"{n_days} days, {len(agg.prevalence)} categories")
 
 # --- joint peaks over the surged markers, annotated with real events --------------
 # One row per marker, one column per day; every derived series keeps that shape.

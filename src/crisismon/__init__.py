@@ -7,9 +7,7 @@ prevalence percentages, detect prominent change peaks on smoothed gradients,
 and report heatmaps, event annotations and crisis-stage prevalence tables.
 """
 
-from .corpus import (Corpus, CorpusStats, ParseReport, Tweet, TokenizedDoc,
-                     compute_corpus_stats, corpus_stats, filter_analyzable,
-                     parse_corpus, preprocess, split_hashtag, tokenize_tweet)
+from .corpus import Corpus, CorpusStats, ParseReport, corpus_stats, preprocess, split_hashtag
 from .expansion import (EmbeddingTable, associate_categories, expand_lexicon, knn,
                         load_embeddings)
 from .lexicon import (CategorySet, Lexicon, MarkerMapping, load_category_set,
@@ -39,16 +37,12 @@ __all__ = [
     "Peak",
     "Series",
     "StageWindow",
-    "Tweet",
-    "TokenizedDoc",
     "aggregate_daily",
     "annotate_peaks",
     "associate_categories",
     "build_matcher",
-    "compute_corpus_stats",
     "corpus_stats",
     "expand_lexicon",
-    "filter_analyzable",
     "filter_peaks",
     "find_peaks",
     "gradient",
@@ -62,7 +56,6 @@ __all__ = [
     "load_stages_csv",
     "make_lexicon",
     "marker_peaks",
-    "parse_corpus",
     "preprocess",
     "render_heatmap",
     "save_lexicon",
@@ -70,6 +63,5 @@ __all__ = [
     "smoothed_gradient",
     "split_hashtag",
     "stage_prevalence_table",
-    "tokenize_tweet",
     "write_prevalence_csv",
 ]

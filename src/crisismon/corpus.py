@@ -1,4 +1,4 @@
-r"""Tweet corpus ingestion: JSONL parsing, text normalization, corpus statistics.
+r"""Corpus ingestion: JSONL parsing, text normalization, corpus statistics.
 
 Corpora arrive as UTF-8 line-delimited JSON, one tweet per line with keys
 ``id``, ``created_at`` (ISO-8601), ``text``, ``kind`` (``original`` |
@@ -18,13 +18,13 @@ or ``www.`` for URLs, ``@`` for mentions, ``#`` for hashtags): no pattern can
 match without it. Text that is ASCII after the substitutions skips NFKC and
 uses an ASCII token pattern: NFKC leaves ASCII unchanged, ``lower()`` keeps
 it ASCII, and on ASCII the letter class ``[^\W\d_]`` is ``[A-Za-z]`` and
-``\d`` is ``[0-9]``. ``Tweet`` and ``TokenizedDoc`` are named tuples, cheaper
-to build than dataclasses and just as immutable.
+``\d`` is ``[0-9]``.
 
-One loop, :func:`records`, takes every line from bytes to a checked record:
-decoding, JSON, the field checks, the day and the skip bookkeeping.
-:func:`parse_corpus` makes Tweets of its records; the analyze fold in
-``matching`` counts them as they are. JSON goes first to the C scanner that
+One loop, :func:`records`, takes every line from bytes to a checked record
+``(obj, kind, day)``: decoding, JSON, the field checks, the day and the skip
+bookkeeping. It is the only way a corpus line becomes data:
+:func:`corpus_stats` counts the records of each range, and the analyze fold
+in ``matching`` tokenizes and matches their texts. JSON goes first to the C scanner that
 ``json.loads`` itself calls, at the line's first character: when the value
 it returns ends the line, or is followed by a single ``\n``, ``json.loads``
 would return that same value, since all it does beyond the scan is skip
@@ -88,27 +88,6 @@ _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "an integer", float: 
 #: well below that depth makes the outcome a function of the line alone.
 MAX_DEPTH = 500
 _JSON_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
-
-
-class Tweet(NamedTuple):
-    """One raw post with its day bucket already resolved."""
-
-    id: str
-    created_at: datetime
-    date: date
-    text: str
-    kind: str
-    user_id: str
-    has_hashtag: bool
-    lang: str = ""
-
-
-class TokenizedDoc(NamedTuple):
-    """Normalized token sequence of a tweet, keyed by its calendar day."""
-
-    tweet_id: str
-    date: date
-    tokens: tuple[str, ...]
 
 
 def where(source: str, lineno: int) -> str:
@@ -248,11 +227,26 @@ def records(
     strict: bool = False,
     report: ParseReport | None = None,
     source: str = "",
-) -> Iterator[tuple[dict, str, datetime, date]]:
-    """Yield ``(obj, kind, created, day)`` for each valid line, in file order:
-    the line's JSON object, every required field of its JSON type, its kind,
-    its timestamp and that timestamp's day at ``tz_offset_hours``. Lines are
-    counted, skipped and reported as :func:`parse_corpus` says."""
+) -> Iterator[tuple[dict, str, date]]:
+    """Yield ``(obj, kind, day)`` for each valid line, in file order: the
+    line's JSON object, every required field of its JSON type, its kind and
+    the day of its timestamp at ``tz_offset_hours``.
+
+    Blank lines are ignored. In lenient mode (the default) malformed lines
+    are skipped and recorded on ``report``; in strict mode the first
+    malformed line raises :class:`MalformedLine`, a :class:`FormatError`,
+    with its line number. A ``source`` file name prefixes each error and
+    skip.
+    Byte lines are decoded as UTF-8: invalid bytes are replaced with U+FFFD
+    in lenient mode and make the line malformed in strict mode.
+    A line is malformed when it nests more than :data:`MAX_DEPTH` deep, is
+    not a JSON object, lacks a required key, has a field of another JSON type
+    (``id`` and ``user_id`` hold a string or an integer, ``created_at`` and
+    ``text`` a string), an empty ``id``, an unknown ``kind``, or a
+    ``created_at`` that is not ISO-8601 or whose day falls outside years 1 to
+    9999. Id uniqueness is trusted, not checked (verifying it would require
+    holding every id of a corpus in memory).
+    """
     tz = timezone(timedelta(hours=tz_offset_hours))
     errors = "strict" if strict else "replace"
     scan = json.JSONDecoder().scan_once
@@ -302,52 +296,12 @@ def records(
             report.record_skip(lineno, str(exc), source)
             continue
         report.parsed += 1
-        yield obj, kind, created, day
-
-
-def parse_corpus(
-    lines: Iterable[str | bytes],
-    tz_offset_hours: int = DEFAULT_TZ_OFFSET_HOURS,
-    strict: bool = False,
-    report: ParseReport | None = None,
-    source: str = "",
-) -> Iterator[Tweet]:
-    """Yield Tweets from a line-delimited JSON stream, in file order.
-
-    Blank lines are ignored. In lenient mode (the default) malformed lines
-    are skipped and recorded on ``report``; in strict mode the first
-    malformed line raises :class:`MalformedLine`, a :class:`FormatError`,
-    with its line number. A ``source`` file name prefixes each error and
-    skip.
-    Byte lines are decoded as UTF-8: invalid bytes are replaced with U+FFFD
-    in lenient mode and make the line malformed in strict mode.
-    A line is malformed when it nests more than :data:`MAX_DEPTH` deep, is
-    not a JSON object, lacks a required key, has a field of another JSON type
-    (``id`` and ``user_id`` hold a string or an integer, ``created_at`` and
-    ``text`` a string), an empty ``id``, an unknown ``kind``, or a
-    ``created_at`` that is not ISO-8601 or whose day falls outside years 1 to
-    9999. Id uniqueness is trusted, not checked (verifying it would require
-    holding every id of a corpus in memory).
-    """
-    for obj, kind, created, day in records(lines, tz_offset_hours, strict, report, source):
-        text = obj["text"]
-        yield Tweet(str(obj["id"]), created, day, text, kind, str(obj["user_id"]),
-                    "#" in text and _HAS_HASHTAG_RE.search(text) is not None,
-                    str(obj.get("lang", "")))
-
-
-def filter_analyzable(tweet: Tweet) -> bool:
-    """True for original tweets and replies; retweets carry no new text."""
-    return tweet.kind in (KIND_ORIGINAL, KIND_REPLY)
-
-
-def tokenize_tweet(tweet: Tweet) -> TokenizedDoc:
-    return TokenizedDoc(tweet.id, tweet.date, tuple(preprocess(tweet.text)))
+        yield obj, kind, day
 
 
 @dataclass
 class CorpusStats:
-    """Exact corpus counts, folded one tweet at a time."""
+    """Exact corpus counts, merged range by range."""
 
     total: int = 0
     n_original: int = 0
@@ -356,19 +310,6 @@ class CorpusStats:
     n_with_hashtag: int = 0
     per_user: Counter = field(default_factory=Counter)
     per_day: Counter = field(default_factory=Counter)
-
-    def add(self, tweet: Tweet) -> None:
-        self.total += 1
-        if tweet.kind == KIND_ORIGINAL:
-            self.n_original += 1
-        elif tweet.kind == KIND_RETWEET:
-            self.n_retweet += 1
-        else:
-            self.n_reply += 1
-        if tweet.has_hashtag:
-            self.n_with_hashtag += 1
-        self.per_user[tweet.user_id] += 1
-        self.per_day[tweet.date] += 1
 
     def merge(self, other: CorpusStats) -> None:
         """Add the counts of another part of the corpus."""
@@ -410,12 +351,22 @@ class CorpusStats:
         }
 
 
-def compute_corpus_stats(tweets: Iterable[Tweet]) -> CorpusStats:
-    """One-pass exact counting over a finite tweet stream."""
-    stats = CorpusStats()
-    for tweet in tweets:
-        stats.add(tweet)
-    return stats
+def _count_stats(recs: Iterator[tuple[dict, str, date]]) -> CorpusStats:
+    """The counts of a range's records, retweets included. A user is keyed
+    by the string of its id, so ``5`` and ``"5"`` are one user."""
+    kinds: Counter = Counter()
+    per_user: Counter = Counter()
+    per_day: Counter = Counter()
+    with_hashtag = 0
+    for obj, kind, day in recs:
+        kinds[kind] += 1
+        per_user[str(obj["user_id"])] += 1
+        per_day[day] += 1
+        text = obj["text"]
+        if "#" in text and _HAS_HASHTAG_RE.search(text):
+            with_hashtag += 1
+    return CorpusStats(sum(kinds.values()), kinds[KIND_ORIGINAL], kinds[KIND_RETWEET],
+                       kinds[KIND_REPLY], with_hashtag, per_user, per_day)
 
 
 #: A corpus smaller than this is folded in this process: below about this
@@ -507,13 +458,13 @@ def pool_size(workers: int, corpus_bytes: int | None) -> int:
 T = TypeVar("T")
 
 
-def _fold_range(fold: Callable[[Iterator], T], parse: Callable, corpus: Corpus,
+def _fold_range(fold: Callable[[Iterator], T], corpus: Corpus,
                 r: ByteRange) -> tuple[T, ParseReport]:
-    """``fold`` over what ``parse`` makes of a range's lines, and the range's
+    """``fold`` over the :func:`records` of a range's lines, and the range's
     parse outcomes, its lines numbered from 1."""
     report = ParseReport()
-    items = parse(read_range(r), corpus.tz_offset_hours, corpus.strict, report, r.path)
-    return fold(items), report
+    recs = records(read_range(r), corpus.tz_offset_hours, corpus.strict, report, r.path)
+    return fold(recs), report
 
 
 RangeFold = Callable[[ByteRange], tuple[object, ParseReport]]
@@ -596,13 +547,9 @@ def _file_size(path: str) -> int | None:
 
 
 def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
-                report: ParseReport, parse: Callable | None = None) -> Iterator[T]:
-    """Yield ``fold(items)`` for each byte range of the corpus, in file order.
-
-    ``parse(lines, tz_offset_hours, strict, report, source)`` makes the items
-    of a range's lines: :func:`records`, say, or by default
-    :func:`parse_corpus`'s Tweets, that name looked up when the fold starts
-    so that a wrapper put in its place is the one called.
+                report: ParseReport) -> Iterator[T]:
+    """Yield ``fold(recs)`` for each byte range of the corpus, in file order,
+    where ``recs`` iterates over the :func:`records` of the range's lines.
 
     Each range's parse outcomes are merged into ``report``, its lines
     numbered within their file, before its result is yielded, so a sum of
@@ -629,7 +576,7 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
     else:
         shares = [[ByteRange(path, 0, None) for path in corpus.paths]]
     lines_before = 0  # lines of the range's file in the ranges before it
-    fold_range = partial(_fold_range, fold, parse or parse_corpus, corpus)
+    fold_range = partial(_fold_range, fold, corpus)
     for r, outcome in _fold_shares(fold_range, shares):
         if r.start == 0:
             lines_before = 0
@@ -646,6 +593,6 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
 def corpus_stats(corpus: Corpus, workers: int, report: ParseReport) -> CorpusStats:
     """Exact counts over every tweet of the corpus, read as :func:`fold_corpus` reads it."""
     stats = CorpusStats()
-    for part in fold_corpus(corpus, compute_corpus_stats, workers, report):
+    for part in fold_corpus(corpus, _count_stats, workers, report):
         stats.merge(part)
     return stats

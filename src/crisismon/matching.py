@@ -6,22 +6,20 @@ document is matched against tens of thousands of terms in a single pass over
 its tokens. A document matches a category when at least one of its terms
 occurs; multiword terms require consecutive tokens; multiplicity is ignored
 (three occurrences count the same as one, since tweet length makes repeat
-counts a poor intensity signal). ``Matcher.match(doc.tokens)`` gives a
+counts a poor intensity signal). ``Matcher.match(tokens)`` gives a
 document's category names, ``Matcher.match_indices`` their indices. Most
 documents share no token with any term; the matcher keeps the set of term
 tokens and returns no match for such a document without walking the
 automaton, which is exact because every term consists of those tokens.
 
-Daily aggregation is a single fold over a document stream into a
-categories × days count matrix; it never holds the documents, so memory
-grows with days × categories, not with the corpus. A corpus is folded in
-byte ranges, in forked workers when more than one is allowed; the ranges'
-count matrices add up to the matrix of one pass. A range goes from its raw
-lines to counts in one loop: of each checked record
-(:func:`~crisismon.corpus.records`) it reads the kind, the day and the text,
-so the fold builds no ``Tweet`` or ``TokenizedDoc``. A document stream and
-a corpus range share the one counting loop, which counts in Python ints and
-makes one array of each range's counts. Each category's counts are
+Daily aggregation is a single fold over a corpus into a categories × days
+count matrix; it never holds the documents, so memory grows with days ×
+categories, not with the corpus. A corpus is folded in byte ranges, in
+forked workers when more than one is allowed; the ranges' count matrices add
+up to the matrix of one pass. A range goes from its raw lines to counts in
+one loop: of each checked record (:func:`~crisismon.corpus.records`) it
+reads the kind, the day and the text, counts in Python ints and makes one
+array of the range's counts. Each category's counts are
 a read-only row of that matrix, and all categories share one denominator:
 the number of documents seen that day. Days with no documents yield a
 missing percentage rather than 0, so downstream smoothing can tell absence
@@ -36,12 +34,11 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import (KIND_RETWEET, Corpus, ParseReport, TokenizedDoc, fold_corpus, preprocess,
-                     records)
+from .corpus import KIND_RETWEET, Corpus, ParseReport, fold_corpus, preprocess
 from .errors import FormatError, cell, read_csv, write_csv
 from .lexicon import CategorySet
 
@@ -152,36 +149,32 @@ class DailyAggregate:
     dropped: int  # documents outside the configured date range
 
 
-def _count(docs: Iterable[tuple[int, Sequence[str]]], matcher: Matcher,
-           n_days: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _count(matcher: Matcher, start: date, n_days: int,
+           recs: Iterator[tuple]) -> tuple[np.ndarray, np.ndarray, int]:
     """Matches per category per day, documents per day, and documents dropped,
-    over ``(day index, tokens)`` pairs; counted in Python ints, then one array
-    each."""
+    over the records of a corpus range, retweets left out; counted in Python
+    ints, then one array each."""
+    first = start.toordinal()
     matched = [[0] * n_days for _ in range(len(matcher))]
     totals = [0] * n_days
     dropped = 0
     match_indices = matcher.match_indices
-    for di, tokens in docs:
+    for obj, kind, day in recs:
+        if kind == KIND_RETWEET:
+            continue
+        di = day.toordinal() - first
         if di < 0 or di >= n_days:
             dropped += 1
             continue
         totals[di] += 1
-        for ci in match_indices(tokens):
+        for ci in match_indices(preprocess(obj["text"])):
             matched[ci][di] += 1
     return (np.array(matched, dtype=np.int64).reshape(len(matcher), n_days),
             np.array(totals, dtype=np.int64), dropped)
 
 
-def _count_records(matcher: Matcher, start: date, n_days: int,
-                   recs: Iterator[tuple]) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`_count` over the records of a corpus range, retweets left out."""
-    first = start.toordinal()
-    return _count(((day.toordinal() - first, preprocess(obj["text"]))
-                   for obj, kind, _, day in recs if kind != KIND_RETWEET), matcher, n_days)
-
-
 def aggregate_daily(
-    docs: Iterable[TokenizedDoc] | Corpus,
+    corpus: Corpus,
     matcher: Matcher,
     start: date,
     end: date,
@@ -190,28 +183,20 @@ def aggregate_daily(
 ) -> DailyAggregate:
     """Count matches per category per day over [start, end] inclusive.
 
-    ``docs`` is iterated once and each document is released before the next
-    is drawn, so a generator over a corpus of any size runs in memory
-    proportional to days × categories. A :class:`Corpus` is parsed, its
-    retweets dropped and the rest tokenized and counted range by range, in
-    up to ``workers`` processes (see :func:`~crisismon.corpus.fold_corpus`);
-    its parse outcomes land on ``report``.
+    The corpus is parsed, its retweets dropped and the rest tokenized and
+    counted range by range, in up to ``workers`` processes (see
+    :func:`~crisismon.corpus.fold_corpus`); its parse outcomes land on
+    ``report``.
     """
     if start > end:
         raise ValueError(f"start {start} after end {end}")
     n_days = (end - start).days + 1
-    if isinstance(docs, Corpus):
-        fold = partial(_count_records, matcher, start, n_days)
-        parts = fold_corpus(docs, fold, workers, ParseReport() if report is None else report,
-                            records)
-    else:
-        first = start.toordinal()
-        parts = [_count(((doc.date.toordinal() - first, doc.tokens) for doc in docs),
-                        matcher, n_days)]
+    fold = partial(_count, matcher, start, n_days)
     matched = np.zeros((len(matcher), n_days), dtype=np.int64)
     totals = np.zeros(n_days, dtype=np.int64)
     dropped = 0
-    for part_matched, part_totals, part_dropped in parts:
+    for part_matched, part_totals, part_dropped in fold_corpus(
+            corpus, fold, workers, ParseReport() if report is None else report):
         matched += part_matched
         totals += part_totals
         dropped += part_dropped

@@ -7,6 +7,7 @@ evidence rather than tautology.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import statistics
@@ -181,6 +182,87 @@ def naive_aggregate(docs, categories, start: date, end: date):
     return matched, totals, dropped
 
 
+def _nests_deeper(text: str, cap: int) -> bool:
+    """True when the arrays and objects of a JSON text nest deeper than
+    ``cap``; a bracket inside a string does not count."""
+    depth = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            if depth > cap:
+                return True
+        elif ch in "]}":
+            depth -= 1
+    return False
+
+
+def _is_id(value) -> bool:
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def _naive_record(line, tz_hours: int, strict: bool):
+    """``(tweet dict, kind, local day)`` of a corpus line, None for a blank
+    line; a malformed line raises ValueError or OverflowError."""
+    if isinstance(line, bytes):
+        line = line.decode("utf-8", "strict" if strict else "replace")
+    if line.strip() == "":
+        return None
+    if _nests_deeper(line, 500):
+        raise ValueError("nested too deep")
+    try:
+        obj = json.loads(line)
+    except RecursionError as exc:
+        raise ValueError("nested too deep") from exc
+    if not isinstance(obj, dict):
+        raise ValueError("not an object")
+    if not (_is_id(obj.get("id")) and obj["id"] != "" and _is_id(obj.get("user_id"))
+            and isinstance(obj.get("created_at"), str) and isinstance(obj.get("text"), str)
+            and "kind" in obj and obj["kind"] in ("original", "reply", "retweet")):
+        raise ValueError("a missing or wrong field")
+    raw = obj["created_at"]
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    dt = datetime.fromisoformat(raw)
+    offset = dt.utcoffset() or timedelta(0)  # no offset: UTC
+    local = dt.replace(tzinfo=None) + (timedelta(hours=tz_hours) - offset)
+    return obj, obj["kind"], local.date()
+
+
+def naive_records(lines, tz_hours=-3, strict=False):
+    """The README's corpus rules over the lines of one file, with
+    ``json.loads`` and ``datetime.fromisoformat``; no library code reused.
+
+    ``lines`` are byte or text lines without their ``\\n``. Returns
+    ``(records, skipped)``: ``(tweet dict, kind, local day)`` of each valid
+    line, and the 1-based numbers of the malformed lines. Under ``strict``
+    the scan stops at the first malformed line, the one number in
+    ``skipped``, and invalid UTF-8 makes a line malformed instead of being
+    replaced.
+    """
+    recs, skipped = [], []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            rec = _naive_record(line, tz_hours, strict)
+        except (ValueError, OverflowError):
+            skipped.append(lineno)
+            if strict:
+                break
+            continue
+        if rec is not None:
+            recs.append(rec)
+    return recs, skipped
+
+
 def naive_stats(records, tz_hours=-3):
     """Counting script over well-formed tweet dicts; no library code reused."""
     total = orig = rt = rep = with_hash = 0
@@ -201,7 +283,8 @@ def naive_stats(records, tz_hours=-3):
             for i in range(len(text) - 1)
         ):
             with_hash += 1
-        per_user[r["user_id"]] = per_user.get(r["user_id"], 0) + 1
+        user = str(r["user_id"])  # ids are compared as strings: 5 and "5" are one user
+        per_user[user] = per_user.get(user, 0) + 1
         raw = r["created_at"]
         if raw.endswith("Z"):
             raw = raw[:-1] + "+00:00"

@@ -60,6 +60,16 @@ def planted_burst_lines(
     return lines
 
 
+def write_docs(path: Path, docs) -> str:
+    """Write ``(day, text)`` pairs as a corpus file, one original tweet per
+    pair at noon UTC, which is the same day at UTC-3; return the path."""
+    path.write_text("".join(
+        json.dumps({"id": f"d{i}", "created_at": f"{day.isoformat()}T12:00:00Z", "text": text,
+                    "kind": "original", "user_id": "u1"}, ensure_ascii=False) + "\n"
+        for i, (day, text) in enumerate(docs)), encoding="utf-8")
+    return str(path)
+
+
 def write_burst_workspace(tmp_path: Path, **kwargs) -> dict:
     """Materialize corpus + categories + config files; returns the paths."""
     corpus = tmp_path / "corpus.jsonl"

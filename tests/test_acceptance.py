@@ -16,11 +16,10 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from crisismon import (CategorySet, Series, build_matcher,
-                       compute_corpus_stats, filter_peaks, find_peaks,
-                       gradient, joint_peaks, knn, make_lexicon, marker_peaks,
-                       parse_corpus, render_heatmap, smooth,
-                       stage_prevalence_table)
+from crisismon import (CategorySet, Corpus, ParseReport, Series, build_matcher,
+                       corpus_stats, filter_peaks, find_peaks, gradient,
+                       joint_peaks, knn, make_lexicon, marker_peaks,
+                       render_heatmap, smooth, stage_prevalence_table)
 from crisismon.cli import RunConfig, main
 from crisismon.expansion import EmbeddingTable
 from crisismon.reporting import StageWindow
@@ -265,7 +264,7 @@ def test_criterion_8_heatmap_determinism_and_monotonicity():
                 assert lums[i] > lums[j], (i, j)
 
 
-def test_criterion_9_corpus_stats_oracle():
+def test_criterion_9_corpus_stats_oracle(tmp_path):
     with criterion(9, "corpus stats equal the naive counting script on 10k tweets"):
         from datetime import datetime, timezone
 
@@ -291,6 +290,7 @@ def test_criterion_9_corpus_stats_oracle():
                     "user_id": f"u{min(int(rng.expovariate(0.002)), 4999)}",
                 }
             )
-        lines = [json.dumps(r) for r in records]
-        stats = compute_corpus_stats(parse_corpus(lines))
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        stats = corpus_stats(Corpus((str(path),)), 1, ParseReport())
         assert stats.to_json_dict() == naive_stats(records)

@@ -288,14 +288,14 @@ def test_hostile_lines_are_malformed_for_any_workers(tmp_path, capsys, pool_on, 
 def test_a_dead_corpus_worker_is_an_error_line(tmp_path, capsys, monkeypatch, pool_on):
     from crisismon import corpus as corpus_mod
 
-    parent, count = os.getpid(), corpus_mod.compute_corpus_stats
+    parent, count = os.getpid(), corpus_mod._count_stats
 
-    def killed_in_worker(tweets):
+    def killed_in_worker(recs):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return count(tweets)
+        return count(recs)
 
-    monkeypatch.setattr(corpus_mod, "compute_corpus_stats", killed_in_worker)
+    monkeypatch.setattr(corpus_mod, "_count_stats", killed_in_worker)
     ws = _split_workspace(tmp_path)
     assert run_cli("stats", "--config", str(ws["config"]), "--workers", "2") == 2
     assert capsys.readouterr().err == "error: a corpus worker was killed by signal 9\n"

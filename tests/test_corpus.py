@@ -4,10 +4,10 @@ from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
-from crisismon import (ParseReport, compute_corpus_stats, filter_analyzable,
-                       parse_corpus, preprocess, split_hashtag, tokenize_tweet)
+from crisismon import (CategorySet, Corpus, ParseReport, aggregate_daily, build_matcher,
+                       corpus_stats, make_lexicon, preprocess, split_hashtag)
 from crisismon import corpus
-from crisismon.corpus import MalformedLine
+from crisismon.corpus import MalformedLine, records
 from crisismon.errors import FormatError
 
 from oracles import naive_stats
@@ -21,29 +21,43 @@ def _line(i, kind="original", text="hola mundo", user="u1",
     )
 
 
+def _ids(lines, **kwargs):
+    return [obj["id"] for obj, _, _ in records(lines, **kwargs)]
+
+
+def _write(tmp_path, lines) -> Corpus:
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return Corpus((str(path),))
+
+
+def _stats(tmp_path, lines):
+    return corpus_stats(_write(tmp_path, lines), 1, ParseReport())
+
+
 class TestParseCorpus:
+    """Corpus lines through :func:`records`, the one loop that parses them."""
+
     def test_empty_stream(self):
         report = ParseReport()
-        assert list(parse_corpus([], report=report)) == []
+        assert list(records([], report=report)) == []
         assert report.skipped == 0
 
     def test_three_lines_in_order(self):
         lines = [_line(i) for i in range(3)]
-        tweets = list(parse_corpus(lines))
-        assert [t.id for t in tweets] == ["t0", "t1", "t2"]
+        assert _ids(lines) == ["t0", "t1", "t2"]
 
     def test_lenient_skips_truncated_line(self):
         lines = [_line(0), '{"id": "t1", "created_at"', _line(2)]
         report = ParseReport()
-        tweets = list(parse_corpus(lines, report=report))
-        assert [t.id for t in tweets] == ["t0", "t2"]
+        assert _ids(lines, report=report) == ["t0", "t2"]
         assert report.skipped == 1
         assert report.examples[0][0] == 2
 
     def test_strict_aborts_with_line_number(self):
         lines = [_line(0), "not json"]
         with pytest.raises(FormatError, match="line 2"):
-            list(parse_corpus(lines, strict=True))
+            list(records(lines, strict=True))
 
     @pytest.mark.parametrize(
         "bad",
@@ -57,7 +71,7 @@ class TestParseCorpus:
     )
     def test_malformed_variants_are_skipped(self, bad):
         report = ParseReport()
-        assert list(parse_corpus([bad], report=report)) == []
+        assert list(records([bad], report=report)) == []
         assert report.skipped == 1
 
     @pytest.mark.parametrize("line, reason, max_depth", [
@@ -71,12 +85,11 @@ class TestParseCorpus:
         if max_depth:
             monkeypatch.setattr(corpus, "MAX_DEPTH", max_depth)
         report = ParseReport()
-        assert [t.id for t in parse_corpus([_line(1), line, _line(2)], report=report)] == [
-            "t1", "t2"]
+        assert _ids([_line(1), line, _line(2)], report=report) == ["t1", "t2"]
         ((lineno, got, _),) = report.examples
         assert lineno == 2 and got.startswith(reason)
         with pytest.raises(MalformedLine, match=f"^line 2: {reason}") as exc:
-            list(parse_corpus([_line(1), line], strict=True))
+            list(records([_line(1), line], strict=True))
         assert (exc.value.lineno, exc.value.source) == (2, "")
 
     def test_nesting_is_capped_whatever_the_stack(self):
@@ -89,7 +102,7 @@ class TestParseCorpus:
             if stack:
                 return parse_at(stack - 1, line)
             report = ParseReport()
-            list(parse_corpus([line], report=report))
+            list(records([line], report=report))
             return report.parsed, [reason for _, reason, _ in report.examples]
 
         for stack in (0, 300):
@@ -113,57 +126,62 @@ class TestParseCorpus:
         obj = json.loads(_line(0, text="miedo"))
         obj[key] = value
         report = ParseReport()
-        assert list(parse_corpus([json.dumps(obj)], report=report)) == []
+        assert list(records([json.dumps(obj)], report=report)) == []
         assert report.examples == [(1, wanted, "")]
 
-    def test_integer_ids_are_kept_as_their_decimal_string(self):
+    def test_integer_ids_are_kept_as_their_decimal_string(self, tmp_path):
         obj = json.loads(_line(0))
         obj.update(id=0, user_id=12)
-        (tweet,) = parse_corpus([json.dumps(obj)])
-        assert (tweet.id, tweet.user_id) == ("0", "12")
+        ((got, _, _),) = records([json.dumps(obj)])
+        assert (got["id"], got["user_id"]) == (0, 12)
+        assert list(_stats(tmp_path, [json.dumps(obj)]).per_user) == ["12"]
 
     def test_date_bucketing_uses_utc_minus_3_by_default(self):
         # 01:30 UTC is still the previous day in Argentina.
         line = _line(0, created="2020-03-05T01:30:00Z")
-        (tweet,) = parse_corpus([line])
-        assert tweet.date == date(2020, 3, 4)
-        (tweet,) = parse_corpus([line], tz_offset_hours=0)
-        assert tweet.date == date(2020, 3, 5)
+        ((_, _, day),) = records([line])
+        assert day == date(2020, 3, 4)
+        ((_, _, day),) = records([line], tz_offset_hours=0)
+        assert day == date(2020, 3, 5)
 
     def test_accepts_bytes_lines(self):
-        (tweet,) = parse_corpus([_line(0).encode("utf-8")])
-        assert tweet.id == "t0"
+        assert _ids([_line(0).encode("utf-8")]) == ["t0"]
 
-    def test_has_hashtag_derived_from_text(self):
-        (a,) = parse_corpus([_line(0, text="sin etiqueta")])
-        (b,) = parse_corpus([_line(1, text="con #CuarentenaTotal")])
-        assert not a.has_hashtag
-        assert b.has_hashtag
+    def test_has_hashtag_derived_from_text(self, tmp_path):
+        for text, tagged in (("sin etiqueta", 0), ("con #CuarentenaTotal", 1), ("## no", 0)):
+            assert _stats(tmp_path, [_line(0, text=text)]).n_with_hashtag == tagged
 
 
 class TestFilterAnalyzable:
-    def test_original_is_analyzable(self):
-        (t,) = parse_corpus([_line(0, kind="original")])
-        assert filter_analyzable(t) is True
+    """Originals and replies are analyzed; retweets carry no new text."""
 
-    def test_retweet_is_not(self):
-        (t,) = parse_corpus([_line(0, kind="retweet")])
-        assert filter_analyzable(t) is False
+    def _counted(self, tmp_path, lines):
+        cats = CategorySet(name="t", categories={"hola": make_lexicon("hola", ["hola"])})
+        report = ParseReport()
+        agg = aggregate_daily(_write(tmp_path, lines), build_matcher(cats), date(2020, 3, 1),
+                              date(2020, 3, 31), report=report)
+        assert int(agg.prevalence["hola"].matched.sum()) == int(agg.prevalence["hola"].total.sum())
+        return int(agg.prevalence["hola"].total.sum()), report.parsed
 
-    def test_reply_is_analyzable(self):
-        (t,) = parse_corpus([_line(0, kind="reply")])
-        assert filter_analyzable(t) is True
+    def test_original_is_analyzable(self, tmp_path):
+        assert self._counted(tmp_path, [_line(0, kind="original")]) == (1, 1)
 
-    def test_partitions_a_corpus(self):
+    def test_retweet_is_not(self, tmp_path):
+        assert self._counted(tmp_path, [_line(0, kind="retweet")]) == (0, 1)
+
+    def test_reply_is_analyzable(self, tmp_path):
+        assert self._counted(tmp_path, [_line(0, kind="reply")]) == (1, 1)
+
+    def test_partitions_a_corpus(self, tmp_path):
         rng = random.Random(5)
         lines = [
             _line(i, kind=rng.choice(["original", "reply", "retweet"]))
             for i in range(500)
         ]
-        tweets = list(parse_corpus(lines))
-        kept = sum(1 for t in tweets if filter_analyzable(t))
-        retweets = sum(1 for t in tweets if t.kind == "retweet")
-        assert kept + retweets == len(tweets)
+        kept, parsed = self._counted(tmp_path, lines)
+        retweets = sum(1 for _, kind, _ in records(lines) if kind == "retweet")
+        assert 0 < retweets < parsed == 500
+        assert kept + retweets == parsed
 
 
 class TestPreprocess:
@@ -233,32 +251,43 @@ class TestSplitHashtag:
 
 
 class TestCorpusStats:
-    def test_empty_stream(self):
-        stats = compute_corpus_stats([])
+    def test_empty_stream(self, tmp_path):
+        stats = _stats(tmp_path, [])
         assert stats.total == 0
         assert stats.user_summary() is None
         assert stats.to_json_dict()["per_user"] is None
 
-    def test_small_arithmetic(self):
+    def test_small_arithmetic(self, tmp_path):
         lines = [_line(0, user="u1"), _line(1, user="u1"), _line(2, user="u2")]
-        stats = compute_corpus_stats(parse_corpus(lines))
+        stats = _stats(tmp_path, lines)
         summary = stats.user_summary()
         assert summary == {"min": 1, "avg": 1.5, "max": 2, "median": 1}
 
-    def test_invariant_total_is_kind_sum(self):
+    def test_invariant_total_is_kind_sum(self, tmp_path):
         rng = random.Random(3)
         lines = [
             _line(i, kind=rng.choice(["original", "reply", "retweet"]))
             for i in range(300)
         ]
-        stats = compute_corpus_stats(parse_corpus(lines))
+        stats = _stats(tmp_path, lines)
         assert stats.total == stats.n_original + stats.n_retweet + stats.n_reply
 
-    def test_matches_naive_counting_script(self):
-        records = _synthetic_records(10_000, seed=20)
-        lines = [json.dumps(r) for r in records]
-        stats = compute_corpus_stats(parse_corpus(lines))
-        assert stats.to_json_dict() == naive_stats(records)
+    def test_matches_naive_counting_script(self, tmp_path):
+        tweets = _synthetic_records(10_000, seed=20)
+        stats = _stats(tmp_path, [json.dumps(r) for r in tweets])
+        assert stats.to_json_dict() == naive_stats(tweets)
+
+    @pytest.mark.parametrize("ids, users", [
+        ((5, "5"), 1),
+        (("5", 5, 5), 1),
+        ((5, "05"), 2),
+        ((0, "0", "u0"), 2),
+    ])
+    def test_user_ids_are_compared_as_strings(self, tmp_path, ids, users):
+        tweets = [json.loads(_line(i, user=user)) for i, user in enumerate(ids)]
+        stats = _stats(tmp_path, [json.dumps(r) for r in tweets]).to_json_dict()
+        assert stats["users"] == users
+        assert stats == naive_stats(tweets)
 
 
 def _synthetic_records(n, seed):
@@ -280,18 +309,7 @@ def _synthetic_records(n, seed):
     return records
 
 
-def test_tokenize_tweet_keeps_date_and_id():
-    (t,) = parse_corpus([_line(7, text="Hola #Mundo2020")])
-    doc = tokenize_tweet(t)
-    assert doc.tweet_id == "t7"
-    assert doc.date == t.date
-    assert doc.tokens == ("hola", "mundo", "2020")
-
-
-def test_records_are_immutable():
-    (t,) = parse_corpus([_line(7)])
-    doc = tokenize_tweet(t)
-    with pytest.raises(AttributeError):
-        t.text = "otro texto"
-    with pytest.raises(AttributeError):
-        doc.tokens = ()
+def test_a_record_keeps_its_day_and_text():
+    ((obj, kind, day),) = records([_line(7, text="Hola #Mundo2020")])
+    assert (obj["id"], kind, day) == ("t7", "original", date(2020, 3, 5))
+    assert preprocess(obj["text"]) == ["hola", "mundo", "2020"]

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from crisismon import CategorySet, aggregate_daily, build_matcher, make_lexicon
 from crisismon import corpus as corpus_mod
 from crisismon.corpus import (ByteRange, Corpus, MalformedLine, ParseReport, corpus_stats,
-                              filter_analyzable, fold_corpus, parse_corpus, pool_size,
-                              read_range, split_shares, tokenize_tweet)
+                              fold_corpus, pool_size, read_range, split_shares)
 from crisismon.errors import FormatError
+
+from oracles import naive_aggregate, naive_records, naive_stats, ref_preprocess
 
 START = date(2020, 3, 1)
 END = date(2020, 3, 20)
@@ -217,12 +218,16 @@ def _write_corpus(tmp_path):
     return [files[0], str(empty), files[1], files[2], str(one), files[3]]
 
 
-def _matcher():
-    return build_matcher(CategorySet(name="t", categories={
+def _cats():
+    return CategorySet(name="t", categories={
         "sad": make_lexicon("sad", ["triste", "miedo"]),
         "panic": make_lexicon("panic", ["ataque de pánico", "ansiedad"]),
         "tag": make_lexicon("tag", ["cuarentena"]),
-    }))
+    })
+
+
+def _matcher():
+    return build_matcher(_cats())
 
 
 def _outcome(agg, report):
@@ -298,6 +303,7 @@ _FALLBACKS = [
     _record(5, 4, text="miedo") + _record(6, 4, text="miedo"),  # two objects
     "\u00a0",  # blank to str.strip
     _record(7, 4, text="miedo") + "\x0b",  # not JSON whitespace: "Extra data"
+    _record(9, 4, text="miedo") + " x",  # data after whitespace
 ]
 
 
@@ -309,44 +315,63 @@ def _write_fallbacks(tmp_path):
     return str(path)
 
 
-def _public_chain(paths, strict=False):
-    """The counts of parse_corpus, filter_analyzable, tokenize_tweet and
-    aggregate_daily over the documents, file after file."""
-    report = ParseReport()
-
-    def docs():
-        for path in paths:
-            with open(path, "rb") as fh:
-                for tweet in parse_corpus(fh, strict=strict, report=report, source=path):
-                    if filter_analyzable(tweet):
-                        yield tokenize_tweet(tweet)
-
-    return _outcome(aggregate_daily(docs(), _matcher(), START, END), report)
+def _file_lines(path):
+    """A file's lines as a binary read splits them, without their ``\\n``."""
+    lines = Path(path).read_bytes().split(b"\n")
+    return lines[:-1] if lines[-1] == b"" else lines
 
 
-def _strict(run):
-    """What a run returns, or the source, line number and reason of its
-    :class:`MalformedLine`."""
+def _naive(paths, strict=False):
+    """What the README's corpus rules and the naive counters make of the
+    files: the count matrix, ``dropped``, the lines, parsed and skipped
+    counts, the first skipped lines with their files, and the corpus
+    statistics; under ``strict``, the first malformed line's file and number."""
+    docs, tweets, skipped, lines = [], [], [], 0
+    for path in paths:
+        file_lines = _file_lines(path)
+        recs, bad = naive_records(file_lines, strict=strict)
+        if strict and bad:
+            return path, bad[0]
+        lines += len(file_lines)
+        skipped += [(lineno, path) for lineno in bad]
+        tweets += [obj for obj, _, _ in recs]
+        docs += [(day, ref_preprocess(obj["text"])) for obj, kind, day in recs
+                 if kind != "retweet"]
+    terms = {name: sorted(lex.terms) for name, lex in _cats().categories.items()}
+    matched, totals, dropped = naive_aggregate(docs, terms, START, END)
+    days = sorted(totals)
+    matrix = {name: ([matched[name][d] for d in days], [totals[d] for d in days])
+              for name in terms}
+    return (matrix, dropped, (lines, len(tweets), len(skipped)),
+            skipped[:ParseReport.MAX_EXAMPLES], naive_stats(tweets))
+
+
+def _fold(paths, workers, strict=False):
+    """:func:`_analyze` and :func:`corpus_stats` in :func:`_naive`'s shape."""
     try:
-        return run()
+        matrix, dropped, report = _analyze(paths, workers, strict)
+        stats = corpus_stats(Corpus(tuple(paths), strict=strict), workers, ParseReport())
     except MalformedLine as exc:
-        return exc.source, exc.lineno, exc.reason
+        return exc.source, exc.lineno
+    return (matrix, dropped, (report.lines, report.parsed, report.skipped),
+            [(lineno, source) for lineno, _, source in report.examples], stats.to_json_dict())
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_the_corpus_fold_counts_as_the_public_chain(tmp_path, pool_on, workers):
+    """The fold counts what the README's corpus rules, read by an oracle that
+    shares no code with ``corpus.records``, say the files hold: the whole
+    corpus, each file alone (so a later range of a file must number its
+    lines within the file) and each fallback line alone, lenient and strict."""
     fallbacks = _write_fallbacks(tmp_path)
     paths = _write_corpus(tmp_path) + [fallbacks]
-    for some in (paths, [fallbacks]):
-        assert _analyze(some, workers) == _public_chain(some)
-        error = _strict(lambda: _analyze(some, workers, strict=True))
-        assert error[0] == some[0]
-        assert error == _strict(lambda: _public_chain(some, strict=True))
-    _, _, report = _analyze([fallbacks], workers)
-    assert (report.lines, report.parsed, report.skipped) == (9, 4, 4)
-    assert [line for line, _, _ in report.examples] == [2, 5, 6, 8]
     for i, line in enumerate(_FALLBACKS):
-        one = str(tmp_path / f"fallback{i}.jsonl")
-        Path(one).write_text(line + "\n", encoding="utf-8")
-        assert (_strict(lambda: _analyze([one], workers, strict=True))
-                == _strict(lambda: _public_chain([one], strict=True)))
+        paths.append(str(tmp_path / f"fallback{i}.jsonl"))
+        Path(paths[-1]).write_text(line + "\n", encoding="utf-8")
+    for some in [paths, *([path] for path in paths)]:
+        for strict in (False, True):
+            assert _fold(some, workers, strict) == _naive(some, strict)
+    assert _fold([paths[0]], workers, strict=True)[0] == paths[0]
+    _, _, counts, skipped, _ = _fold([fallbacks], workers)
+    assert counts == (10, 4, 5)
+    assert [line for line, _ in skipped] == [2, 5, 6, 8, 9]

@@ -8,31 +8,34 @@ fails here.
 
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 
-from crisismon import (CategorySet, DailyAggregate, EventRecord, Lexicon,
-                       MarkerMapping, Peak, Series, TokenizedDoc, aggregate_daily,
-                       build_matcher, save_lexicon)
+from crisismon import (CategorySet, Corpus, DailyAggregate, EventRecord, Lexicon,
+                       MarkerMapping, Peak, Series, aggregate_daily, build_matcher,
+                       save_lexicon)
 from crisismon.cli import main
 from crisismon.lexicon import save_marker_mapping
 from crisismon.matching import write_prevalence_csv
 from crisismon.reporting import write_annotations_csv, write_stage_table_csv
 from crisismon.series import write_peaks_csv, write_series_csv
 
+from synth import write_docs
+
 D1, D2, D3 = date(2020, 3, 1), date(2020, 3, 2), date(2020, 3, 3)
 THIRD = 0.1 + 0.2  # repr: 0.30000000000000004
 
 
-def _aggregate() -> DailyAggregate:
+def _aggregate(tmp: Path) -> DailyAggregate:
     cats = CategorySet(name="c", categories={
         "pánico": Lexicon("pánico", frozenset({("pánico",)})),
         "calma": Lexicon("calma", frozenset({("calma",)})),
     })
-    docs = [TokenizedDoc("1", D1, ("pánico",)), TokenizedDoc("2", D1, ("calma",)),
-            TokenizedDoc("3", D1, ("otro",)), TokenizedDoc("4", D3, ("pánico", "calma"))]
+    corpus = write_docs(tmp / "corpus.jsonl", [(D1, "pánico"), (D1, "calma"), (D1, "otro"),
+                                                (D3, "pánico calma")])
     # 1 of 3 documents is 33.333333333333336%; D2 has none, so it is missing.
-    return aggregate_daily(docs, build_matcher(cats), D1, D3)
+    return aggregate_daily(Corpus((corpus,)), build_matcher(cats), D1, D3)
 
 
 def _peak(day: date, height: float, prominence: float, direction: str = "rise") -> Peak:
@@ -41,7 +44,7 @@ def _peak(day: date, height: float, prominence: float, direction: str = "rise") 
 
 
 def _write_prevalence(path):
-    write_prevalence_csv(path, _aggregate())
+    write_prevalence_csv(path, _aggregate(path.parent))
 
 
 def _write_series(path):

@@ -1,14 +1,16 @@
 import random
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from crisismon import (CategorySet, TokenizedDoc, aggregate_daily,
-                       build_matcher, make_lexicon)
+from crisismon import (CategorySet, Corpus, aggregate_daily, build_matcher,
+                       make_lexicon)
 from crisismon.matching import read_prevalence_csv, write_prevalence_csv
 
 from oracles import naive_aggregate, naive_match
+from synth import write_docs
 
 START = date(2020, 3, 1)
 
@@ -19,10 +21,13 @@ def _cats(**kwargs) -> CategorySet:
     )
 
 
-def _doc(i, day_offset, tokens) -> TokenizedDoc:
-    return TokenizedDoc(
-        tweet_id=f"d{i}", date=START + timedelta(days=day_offset), tokens=tuple(tokens)
-    )
+def _doc(day_offset, tokens) -> tuple[date, str]:
+    return START + timedelta(days=day_offset), " ".join(tokens)
+
+
+def _aggregate(tmp_path, docs, matcher, start, end, name="c.jsonl"):
+    """aggregate_daily over ``(day, text)`` documents written as a corpus file."""
+    return aggregate_daily(Corpus((write_docs(tmp_path / name, docs),)), matcher, start, end)
 
 
 class TestMatcher:
@@ -78,23 +83,23 @@ class TestMatcher:
 
 
 class TestAggregateDaily:
-    def test_one_day_arithmetic(self):
+    def test_one_day_arithmetic(self, tmp_path):
         m = build_matcher(_cats(C=["hit"]))
         docs = [
-            _doc(0, 0, ["hit"]),
-            _doc(1, 0, ["miss"]),
-            _doc(2, 0, ["nada"]),
-            _doc(3, 0, ["otra"]),
+            _doc(0, ["hit"]),
+            _doc(0, ["miss"]),
+            _doc(0, ["nada"]),
+            _doc(0, ["otra"]),
         ]
-        agg = aggregate_daily(docs, m, START, START)
+        agg = _aggregate(tmp_path, docs, m, START, START)
         p = agg.prevalence["C"]
         assert (p.start, p.matched.tolist(), p.total.tolist()) == (START, [1], [4])
         assert p.percent().tolist() == [25.0]
 
-    def test_day_without_docs_is_missing(self):
+    def test_day_without_docs_is_missing(self, tmp_path):
         m = build_matcher(_cats(C=["hit"]))
-        docs = [_doc(0, 0, ["hit"]), _doc(1, 2, ["hit"])]
-        agg = aggregate_daily(docs, m, START, START + timedelta(days=2))
+        docs = [_doc(0, ["hit"]), _doc(2, ["hit"])]
+        agg = _aggregate(tmp_path, docs, m, START, START + timedelta(days=2))
         p = agg.prevalence["C"]
         assert (p.matched[1], p.total[1]) == (0, 0)
         assert np.isnan(p.percent()[1])
@@ -102,19 +107,19 @@ class TestAggregateDaily:
     def test_reversed_range_is_an_error(self):
         m = build_matcher(_cats(C=["x"]))
         with pytest.raises(ValueError):
-            aggregate_daily([], m, START, START - timedelta(days=1))
+            aggregate_daily(Corpus(()), m, START, START - timedelta(days=1))
 
-    def test_out_of_range_docs_dropped_with_count(self):
+    def test_out_of_range_docs_dropped_with_count(self, tmp_path):
         m = build_matcher(_cats(C=["x"]))
-        docs = [_doc(0, -1, ["x"]), _doc(1, 0, ["x"]), _doc(2, 99, ["x"])]
-        agg = aggregate_daily(docs, m, START, START + timedelta(days=1))
+        docs = [_doc(-1, ["x"]), _doc(0, ["x"]), _doc(99, ["x"])]
+        agg = _aggregate(tmp_path, docs, m, START, START + timedelta(days=1))
         assert agg.dropped == 2
         assert agg.prevalence["C"].matched.sum() == 1
 
-    def test_same_denominator_for_all_categories(self):
+    def test_same_denominator_for_all_categories(self, tmp_path):
         m = build_matcher(_cats(A=["a"], B=["b"]))
-        docs = [_doc(0, 0, ["a"]), _doc(1, 0, ["b"]), _doc(2, 0, ["c"])]
-        agg = aggregate_daily(docs, m, START, START)
+        docs = [_doc(0, ["a"]), _doc(0, ["b"]), _doc(0, ["c"])]
+        agg = _aggregate(tmp_path, docs, m, START, START)
         a, b = agg.prevalence["A"], agg.prevalence["B"]
         assert a.total[0] == b.total[0] == 3
         # one read-only totals array, and rows that are read-only views of one matrix
@@ -131,22 +136,20 @@ class TestAggregateDaily:
             "gamma": ["ve", "vf", "vg vh vi"],
         }
         docs = []
-        i = 0
         for d in range(n_days):
             for _ in range(rng.randint(0, docs_per_day)):
-                docs.append(_doc(i, d, [rng.choice(vocab) for _ in range(rng.randint(1, 12))]))
-                i += 1
+                docs.append(_doc(d, [rng.choice(vocab) for _ in range(rng.randint(1, 12))]))
         return raw, docs, n_days
 
-    def test_thirty_day_corpus_equals_naive_two_pass(self):
+    def test_thirty_day_corpus_equals_naive_two_pass(self, tmp_path):
         raw, docs, n_days = self._random_corpus(37)
         cats = _cats(**raw)
         m = build_matcher(cats)
         end = START + timedelta(days=n_days - 1)
-        agg = aggregate_daily(docs, m, START, end)
+        agg = _aggregate(tmp_path, docs, m, START, end)
         plain = {k: sorted(lex.terms) for k, lex in cats.categories.items()}
         matched, totals, dropped = naive_aggregate(
-            [(doc.date, list(doc.tokens)) for doc in docs], plain, START, end
+            [(day, text.split()) for day, text in docs], plain, START, end
         )
         assert dropped == agg.dropped == 0
         for name, prev in agg.prevalence.items():
@@ -162,46 +165,41 @@ class TestAggregateDaily:
                 else:
                     assert np.isnan(pct)
 
-    def test_invariant_under_doc_permutation(self):
+    def test_invariant_under_doc_permutation(self, tmp_path):
         raw, docs, n_days = self._random_corpus(41)
         m = build_matcher(_cats(**raw))
         end = START + timedelta(days=n_days - 1)
-        a = aggregate_daily(docs, m, START, end)
+        a = _aggregate(tmp_path, docs, m, START, end)
         shuffled = docs[:]
         random.Random(1).shuffle(shuffled)
-        b = aggregate_daily(shuffled, m, START, end)
+        b = _aggregate(tmp_path, shuffled, m, START, end, name="shuffled.jsonl")
         for name in a.prevalence:
             assert np.array_equal(a.prevalence[name].matched, b.prevalence[name].matched)
             assert np.array_equal(a.prevalence[name].total, b.prevalence[name].total)
 
-    def test_fold_releases_each_doc_before_drawing_the_next(self):
-        # A tuple subclass takes no weak reference, so each doc records its
-        # own release; the fold treats it like any other doc.
-        freed = set()
-
-        class _Doc(TokenizedDoc):
-            def __del__(self):
-                freed.add(self.tweet_id)
-
+    def test_fold_releases_each_doc_before_drawing_the_next(self, tmp_path):
+        # 3 MB of corpus, mostly blanks that cost the tokenizer little: a fold
+        # that held its records would hold all of it.
         m = build_matcher(_cats(C=["hit"]))
-
-        def stream():
-            for i in range(50):
-                if i >= 2:
-                    assert f"d{i - 2}" in freed, f"doc {i - 2} still alive"
-                yield _Doc(f"d{i}", START + timedelta(days=i % 3),
-                           ("hit",) if i % 2 else ("miss",))
-
-        agg = aggregate_daily(stream(), m, START, START + timedelta(days=2))
-        assert agg.prevalence["C"].total.sum() == 50
-        assert agg.prevalence["C"].matched.sum() == 25
+        docs = [_doc(i % 3, ["hit" if i % 2 else "miss", " " * 2000]) for i in range(1500)]
+        corpus = Corpus((write_docs(tmp_path / "c.jsonl", docs),))
+        assert (tmp_path / "c.jsonl").stat().st_size > 3_000_000
+        tracemalloc.start()
+        try:
+            agg = aggregate_daily(corpus, m, START, START + timedelta(days=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        assert agg.prevalence["C"].total.sum() == 1500
+        assert agg.prevalence["C"].matched.sum() == 750
 
 
 class TestPrevalenceCsv:
     def test_round_trip_preserves_percentages(self, tmp_path):
         m = build_matcher(_cats(A=["a"], B=["b"]))
-        docs = [_doc(0, 0, ["a"]), _doc(1, 0, ["x"]), _doc(2, 2, ["b"])]
-        agg = aggregate_daily(docs, m, START, START + timedelta(days=2))
+        docs = [_doc(0, ["a"]), _doc(0, ["x"]), _doc(2, ["b"])]
+        agg = _aggregate(tmp_path, docs, m, START, START + timedelta(days=2))
         path = tmp_path / "prev.csv"
         write_prevalence_csv(path, agg)
         back = read_prevalence_csv(path)
