@@ -29,8 +29,6 @@ from .expansion import associate_categories, expand_lexicon, load_embeddings
 from .lexicon import (load_category_set, load_manifest, save_lexicon,
                       save_marker_mapping)
 
-log = logging.getLogger(__name__)
-
 
 @dataclass
 class RunConfig:

@@ -247,7 +247,7 @@ def records(
     9999. Id uniqueness is trusted, not checked (verifying it would require
     holding every id of a corpus in memory).
     """
-    tz = timezone(timedelta(hours=tz_offset_hours))
+    tz_delta = timedelta(hours=tz_offset_hours)
     errors = "strict" if strict else "replace"
     scan = json.JSONDecoder().scan_once
     if report is None:
@@ -287,7 +287,8 @@ def records(
                 raise ValueError(f"bad kind {kind!r}")
             created = _parse_created_at(obj["created_at"])
             try:
-                day = created.astimezone(tz).date()
+                # Not through UTC, which may lie past a year end the day does not.
+                day = (created + (tz_delta - created.utcoffset())).date()
             except OverflowError as exc:  # the day falls outside years 1..9999
                 raise ValueError(str(exc)) from exc
         except (ValueError, KeyError, TypeError) as exc:

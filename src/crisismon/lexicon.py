@@ -13,14 +13,11 @@ after load.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import preprocess
 from .errors import EmptyLexiconError, FormatError, read_json, write_json
-
-log = logging.getLogger(__name__)
 
 Term = tuple[str, ...]
 

@@ -1,16 +1,18 @@
-"""Multi-pattern marker matching and daily prevalence aggregation.
+"""Category term matching and daily prevalence aggregation.
 
-The matcher is a token-level Aho-Corasick automaton compiled from a category
-set: every term of every category is a pattern over normalized tokens, so a
-document is matched against tens of thousands of terms in a single pass over
-its tokens. A document matches a category when at least one of its terms
-occurs; multiword terms require consecutive tokens; multiplicity is ignored
-(three occurrences count the same as one, since tweet length makes repeat
-counts a poor intensity signal). ``Matcher.match(tokens)`` gives a
-document's category names, ``Matcher.match_indices`` their indices. Most
-documents share no token with any term; the matcher keeps the set of term
-tokens and returns no match for such a document without walking the
-automaton, which is exact because every term consists of those tokens.
+The matcher is a table compiled from a category set: every term of every
+category is a key, a single token or a tuple of normalized tokens, mapped to
+the categories holding it. A document matches a category when at least one
+of its terms occurs; multiword terms require consecutive tokens; overlapping
+and nested terms all count; multiplicity is ignored (three occurrences count
+the same as one, since tweet length makes repeat counts a poor intensity
+signal). Every token is looked up alone; only at a token that starts a
+multiword term are the longer spans, up to that token's longest term, looked
+up too. ``Matcher.match(tokens)`` gives a document's category names,
+``Matcher.match_indices`` their indices. Most documents share no token with
+any term; the matcher keeps the set of tokens that start a term and returns
+no match for such a document without a lookup, which is exact because every
+match starts with one of them.
 
 Daily aggregation is a single fold over a corpus into a categories × days
 count matrix; it never holds the documents, so memory grows with days ×
@@ -29,7 +31,6 @@ from zero signal.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import partial
@@ -46,73 +47,52 @@ log = logging.getLogger(__name__)
 
 
 class Matcher:
-    """Aho-Corasick automaton over token sequences.
+    """Term table over token sequences.
 
-    States are integers; ``children[s]`` maps a token to the next state,
-    ``fail[s]`` is the longest-proper-suffix fallback, and ``out[s]`` is the
-    set of category indices whose term ends at (or suffix-ends at) ``s``.
-    ``_vocab`` is every token of every term. Built deterministically:
-    identical category sets compile to identical automata.
+    ``_table`` keys each single-token term by its token and each longer term
+    by its token tuple; a key maps to the indices of the categories holding
+    that term. ``_longest`` maps each token that starts a longer term to the
+    length of the longest such term, and ``_vocab`` is every token that
+    starts a term. Built deterministically: identical category sets compile
+    to identical tables.
     """
 
     def __init__(self, cats: CategorySet):
         self.category_names: tuple[str, ...] = tuple(sorted(cats.categories))
-        self._build(cats)
-
-    def _build(self, cats: CategorySet) -> None:
-        children: list[dict[str, int]] = [{}]
-        out: list[set[int]] = [set()]
+        table: dict[str | tuple[str, ...], set[int]] = {}
+        longest: dict[str, int] = {}
         for ci, name in enumerate(self.category_names):
-            for term in sorted(cats.categories[name].terms):
-                node = 0
-                for tok in term:
-                    nxt = children[node].get(tok)
-                    if nxt is None:
-                        children.append({})
-                        out.append(set())
-                        nxt = len(children) - 1
-                        children[node][tok] = nxt
-                    node = nxt
-                out[node].add(ci)
-
-        fail = [0] * len(children)
-        queue: deque[int] = deque(children[0].values())
-        while queue:
-            u = queue.popleft()
-            for tok, v in children[u].items():
-                f = fail[u]
-                while f and tok not in children[f]:
-                    f = fail[f]
-                fail[v] = children[f].get(tok, 0)
-                out[v] |= out[fail[v]]
-                queue.append(v)
-
-        self._children = children
-        self._fail = fail
-        self._out: list[frozenset[int]] = [frozenset(s) for s in out]
-        self._vocab = frozenset(tok for node in children for tok in node)
+            for term in cats.categories[name].terms:
+                first = term[0]
+                if len(term) == 1:
+                    table.setdefault(first, set()).add(ci)
+                else:
+                    table.setdefault(term, set()).add(ci)
+                    longest[first] = max(longest.get(first, 0), len(term))
+        self._table = {key: frozenset(cis) for key, cis in table.items()}
+        self._longest = longest
+        self._vocab = frozenset(term[0] for lex in cats.categories.values() for term in lex.terms)
 
     def __len__(self) -> int:
         return len(self.category_names)
 
     def match_indices(self, tokens: Sequence[str]) -> set[int]:
-        if self._vocab.isdisjoint(tokens):
-            return set()
-        children = self._children
-        fail = self._fail
-        out = self._out
-        n_cats = len(self.category_names)
-        state = 0
         found: set[int] = set()
-        for tok in tokens:
-            while state and tok not in children[state]:
-                state = fail[state]
-            state = children[state].get(tok, 0)
-            hits = out[state]
+        if self._vocab.isdisjoint(tokens):
+            return found
+        table = self._table
+        longest = self._longest
+        n = len(tokens)
+        for i, tok in enumerate(tokens):
+            hits = table.get(tok)
             if hits:
                 found |= hits
-                if len(found) == n_cats:
-                    break
+            span = longest.get(tok)
+            if span:
+                for j in range(i + 2, min(i + span, n) + 1):
+                    hits = table.get(tuple(tokens[i:j]))
+                    if hits:
+                        found |= hits
         return found
 
     def match(self, tokens: Sequence[str]) -> set[str]:

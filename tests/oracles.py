@@ -12,7 +12,7 @@ import math
 import re
 import statistics
 import unicodedata
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 
 import numpy as np
 
@@ -289,10 +289,8 @@ def naive_stats(records, tz_hours=-3):
         if raw.endswith("Z"):
             raw = raw[:-1] + "+00:00"
         dt = datetime.fromisoformat(raw)
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        local = dt.astimezone(timezone.utc) + timedelta(hours=tz_hours)
-        day = local.date()
+        offset = dt.utcoffset() or timedelta(0)  # no offset: UTC
+        day = (dt.replace(tzinfo=None) + (timedelta(hours=tz_hours) - offset)).date()
         per_day[day] = per_day.get(day, 0) + 1
     counts = sorted(per_user.values())
     if counts:

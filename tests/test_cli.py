@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from datetime import date
 import pytest
 
 from crisismon.cli import RunConfig, main
+from crisismon.reporting import annotate_peaks
 
 from oracles import brute_knn, naive_stats
 from synth import write_burst_workspace
@@ -26,6 +28,10 @@ class TestRunConfig:
         assert cfg.m == 10
         assert cfg.window == 7
         assert cfg.sigma_mult == 1.0
+
+    def test_default_lead_is_the_look_back_of_annotate_peaks(self):
+        lead = inspect.signature(annotate_peaks).parameters["lead"].default
+        assert RunConfig().lead == lead == 6
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "c.json"

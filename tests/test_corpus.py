@@ -10,7 +10,7 @@ from crisismon import corpus
 from crisismon.corpus import MalformedLine, records
 from crisismon.errors import FormatError
 
-from oracles import naive_stats
+from oracles import naive_records, naive_stats
 
 
 def _line(i, kind="original", text="hola mundo", user="u1",
@@ -143,6 +143,19 @@ class TestParseCorpus:
         assert day == date(2020, 3, 4)
         ((_, _, day),) = records([line], tz_offset_hours=0)
         assert day == date(2020, 3, 5)
+
+    @pytest.mark.parametrize("created, tz, day", [
+        ("9999-12-31T23:00:00-03:00", -3, date(9999, 12, 31)),  # past 9999 in UTC
+        ("0001-01-01T01:00:00+03:00", 3, date(1, 1, 1)),  # before year 1 in UTC
+    ])
+    def test_a_day_at_the_year_ends_is_its_day_at_the_offset(self, tmp_path, created, tz, day):
+        line = _line(0, created=created)
+        ((_, _, got),) = records([line], tz_offset_hours=tz)
+        ((_, _, naive),), _ = naive_records([line], tz_hours=tz)
+        assert got == naive == day
+        folded = corpus_stats(_write(tmp_path, [line])._replace(tz_offset_hours=tz), 1,
+                              ParseReport())
+        assert folded.per_day == {day: 1}
 
     def test_accepts_bytes_lines(self):
         assert _ids([_line(0).encode("utf-8")]) == ["t0"]

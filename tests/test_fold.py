@@ -172,9 +172,10 @@ def test_a_pipe_is_read_once_to_its_end(cpus):
     assert (stats.total, report.lines, report.skipped) == (3, 4, 1)
 
 
-def _record(i, day, kind="original", text="hola mundo"):
-    created = datetime(2020, 3, 1, 15, tzinfo=timezone.utc) + timedelta(days=day)
-    return json.dumps({"id": f"t{i}", "created_at": created.isoformat(), "text": text,
+def _record(i, day, kind="original", text="hola mundo", created=None):
+    if created is None:
+        created = (datetime(2020, 3, 1, 15, tzinfo=timezone.utc) + timedelta(days=day)).isoformat()
+    return json.dumps({"id": f"t{i}", "created_at": created, "text": text,
                        "kind": kind, "user_id": f"u{i % 7}"}, ensure_ascii=False)
 
 
@@ -293,7 +294,8 @@ def test_a_later_malformed_line_names_its_file_and_line(tmp_path, pool_on):
             _analyze([str(a), str(b)], workers, strict=True)
 
 
-# One line for each way out of the JSON scanner's fast path in corpus.records.
+# One line for each way out of the JSON scanner's fast path in corpus.records,
+# then two timestamps at the year ends.
 _FALLBACKS = [
     "   " + _record(1, 2, text="miedo"),  # leading spaces
     "\ufeff" + _record(2, 2, text="miedo"),  # a BOM
@@ -304,6 +306,8 @@ _FALLBACKS = [
     "\u00a0",  # blank to str.strip
     _record(7, 4, text="miedo") + "\x0b",  # not JSON whitespace: "Extra data"
     _record(9, 4, text="miedo") + " x",  # data after whitespace
+    _record(10, 0, created="9999-12-31T23:00:00-03:00"),  # day 9999-12-31 at UTC-3
+    _record(11, 0, created="0001-01-01T01:00:00+03:00"),  # before year 1 at UTC-3
 ]
 
 
@@ -373,5 +377,5 @@ def test_the_corpus_fold_counts_as_the_public_chain(tmp_path, pool_on, workers):
             assert _fold(some, workers, strict) == _naive(some, strict)
     assert _fold([paths[0]], workers, strict=True)[0] == paths[0]
     _, _, counts, skipped, _ = _fold([fallbacks], workers)
-    assert counts == (10, 4, 5)
-    assert [line for line, _ in skipped] == [2, 5, 6, 8, 9]
+    assert counts == (12, 5, 6)
+    assert [line for line, _ in skipped] == [2, 5, 6, 8, 9, 11]

@@ -59,9 +59,10 @@ class TestMatcher:
         cats = _cats(a=["uno", "dos tres"], b=["tres", "cuatro cinco seis"])
         m1, m2 = build_matcher(cats), build_matcher(cats)
         assert m1.category_names == m2.category_names
-        assert m1._children == m2._children
-        assert m1._fail == m2._fail
-        assert m1._out == m2._out
+        assert m1._table == m2._table == {
+            "uno": {0}, ("dos", "tres"): {0}, "tres": {1}, ("cuatro", "cinco", "seis"): {1},
+        }
+        assert m1._longest == m2._longest == {"dos": 2, "cuatro": 3}
 
     def test_random_categories_equal_naive_scan(self):
         rng = random.Random(31)
