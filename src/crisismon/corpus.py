@@ -15,10 +15,13 @@ of letters or digits. No stemming or lemmatization is applied.
 Every tweet takes this path, so it skips work that cannot change the result.
 Each substitution runs only when its literal trigger is in the text (``://``
 or ``www.`` for URLs, ``@`` for mentions, ``#`` for hashtags): no pattern can
-match without it. Text that is ASCII after the substitutions skips NFKC and
-uses an ASCII token pattern: NFKC leaves ASCII unchanged, ``lower()`` keeps
-it ASCII, and on ASCII the letter class ``[^\W\d_]`` is ``[A-Za-z]`` and
-``\d`` is ``[0-9]``.
+match without it. A hashtag body's replacement is memoized, as a pure
+function of the body. Text that is ASCII after the substitutions skips NFKC
+and uses an ASCII token pattern: NFKC leaves ASCII unchanged, ``lower()``
+keeps it ASCII, and on ASCII the letter class ``[^\W\d_]`` is ``[A-Za-z]``
+and ``\d`` is ``[0-9]``. Lowered ASCII with no digit has no token but its
+runs of ``[a-z]``, so a byte table that turns every other byte into a space,
+then ``split()``, gives the same tokens as the pattern.
 
 One loop, :func:`records`, takes every line from bytes to a checked record
 ``(obj, kind, day)``: decoding, JSON, the field checks, the day and the skip
@@ -31,7 +34,12 @@ would return that same value, since all it does beyond the scan is skip
 whitespace before and after the value and reject anything else that
 follows. Every other line (blank, leading whitespace, a BOM, a ``\r\n``
 ending, trailing data, a scanner error) goes to ``json.loads``, so its value
-or error is ``json.loads``' own.
+or error is ``json.loads``' own. One expression tests that every field is
+present with its type; only a line that fails it runs the field-by-field
+checks, which find the fault to report, so a good line skips them and a bad
+one is reported as before. The day is the timestamp plus a shift that
+depends only on its UTC offset, so each offset's shift is worked out once
+per call.
 
 A :class:`Corpus` is folded range by range: :func:`fold_corpus` cuts its
 files into byte ranges that start at line starts, folds each range into a
@@ -51,7 +59,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import FormatError
@@ -73,12 +81,16 @@ _HASHTAG_RE = re.compile(r"#(\w+)")
 _TOKEN_RE = re.compile(r"[^\W\d_]+|\d+")
 # The same tokens on ASCII text, where [^\W\d_] is [A-Za-z] and \d is [0-9].
 _ASCII_TOKEN_RE = re.compile(r"[a-z]+|[0-9]+")
+_DIGIT_RE = re.compile(r"[0-9]")
+# Every byte that is not an ASCII letter or digit becomes a space.
+_SPACES = bytes(b if chr(b).isascii() and chr(b).isalnum() else 32 for b in range(256))
 _HAS_HASHTAG_RE = re.compile(r"#\w")
 
 # The required keys, in the order they are checked, and the JSON types each
 # may hold; ``kind`` may hold any, but must be one of KINDS.
 _FIELDS = (("id", (str, int)), ("created_at", (str,)), ("text", (str,)), ("kind", ()),
            ("user_id", (str, int)))
+_ID_TYPES = frozenset((str, int))
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "an integer", float: "a float",
                str: "a string", list: "an array", dict: "an object"}
 
@@ -168,6 +180,12 @@ def split_hashtag(tag: str) -> list[str]:
     return [p.lower() for p in pieces]
 
 
+@lru_cache(maxsize=4096)
+def _hashtag_words(body: str) -> str:
+    """What a hashtag with this body is replaced by: its split words."""
+    return " " + " ".join(split_hashtag(body)) + " "
+
+
 def preprocess(text: str) -> list[str]:
     """Normalize raw tweet text into a token list.
 
@@ -184,25 +202,15 @@ def preprocess(text: str) -> list[str]:
     if "@" in text:
         text = _MENTION_RE.sub(" ", text)
     if "#" in text:
-        text = _HASHTAG_RE.sub(
-            lambda m: " " + " ".join(split_hashtag(m.group(1))) + " ", text
-        )
+        text = _HASHTAG_RE.sub(lambda m: _hashtag_words(m[1]), text)
     # NFKC leaves ASCII unchanged and lower() keeps it ASCII.
     if text.isascii():
-        return _ASCII_TOKEN_RE.findall(text.lower())
+        text = text.lower()
+        if _DIGIT_RE.search(text):
+            return _ASCII_TOKEN_RE.findall(text)
+        return text.encode().translate(_SPACES).decode().split()
     text = unicodedata.normalize("NFKC", text)
     return _TOKEN_RE.findall(text.lower())
-
-
-def _parse_created_at(raw: str) -> datetime:
-    # ISO-8601; a trailing 'Z' is accepted on Python 3.10 too. Naive
-    # timestamps are taken as UTC.
-    if raw.endswith("Z") or raw.endswith("z"):
-        raw = raw[:-1] + "+00:00"
-    dt = datetime.fromisoformat(raw)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt
 
 
 def _too_deep(text: str) -> bool:
@@ -248,6 +256,9 @@ def records(
     holding every id of a corpus in memory).
     """
     tz_delta = timedelta(hours=tz_offset_hours)
+    # The shift to the local day, by the fixed-offset tzinfo (None when naive);
+    # timezones are equal when their offsets are.
+    shifts: dict[timezone | None, timedelta] = {}
     errors = "strict" if strict else "replace"
     scan = json.JSONDecoder().scan_once
     if report is None:
@@ -274,21 +285,32 @@ def records(
                 raise ValueError(str(exc)) from exc
             if not isinstance(obj, dict):
                 raise ValueError("line is not a JSON object")
-            for key, types in _FIELDS:
-                if key not in obj:
-                    raise KeyError(f"missing key {key!r}")
-                if types and type(obj[key]) not in types:
-                    raise ValueError(f"{key!r} must be {' or '.join(map(_JSON_TYPES.get, types))}"
-                                     f", not {_JSON_TYPES[type(obj[key])]}")
+            if not ("kind" in obj and type(obj.get("id")) in _ID_TYPES
+                    and type(obj.get("created_at")) is str and type(obj.get("text")) is str
+                    and type(obj.get("user_id")) in _ID_TYPES):
+                for key, types in _FIELDS:  # the first fault, in this order
+                    if key not in obj:
+                        raise KeyError(f"missing key {key!r}")
+                    if types and type(obj[key]) not in types:
+                        raise ValueError(f"{key!r} must be "
+                                         f"{' or '.join(map(_JSON_TYPES.get, types))}"
+                                         f", not {_JSON_TYPES[type(obj[key])]}")
             if obj["id"] == "":
                 raise ValueError("empty id")
             kind = obj["kind"]
             if kind not in KINDS:
                 raise ValueError(f"bad kind {kind!r}")
-            created = _parse_created_at(obj["created_at"])
+            # ISO-8601, a trailing 'Z' accepted on Python 3.10 too; naive is UTC.
+            raw = obj["created_at"]
+            if raw.endswith(("Z", "z")):
+                raw = raw[:-1] + "+00:00"
+            created = datetime.fromisoformat(raw)
+            shift = shifts.get(created.tzinfo)
+            if shift is None:
+                shift = shifts[created.tzinfo] = tz_delta - (created.utcoffset() or timedelta(0))
             try:
                 # Not through UTC, which may lie past a year end the day does not.
-                day = (created + (tz_delta - created.utcoffset())).date()
+                day = (created + shift).date()
             except OverflowError as exc:  # the day falls outside years 1..9999
                 raise ValueError(str(exc)) from exc
         except (ValueError, KeyError, TypeError) as exc:

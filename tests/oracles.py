@@ -229,13 +229,17 @@ def _naive_record(line, tz_hours: int, strict: bool):
             and isinstance(obj.get("created_at"), str) and isinstance(obj.get("text"), str)
             and "kind" in obj and obj["kind"] in ("original", "reply", "retweet")):
         raise ValueError("a missing or wrong field")
-    raw = obj["created_at"]
+    return obj, obj["kind"], _naive_day(obj["created_at"], tz_hours)
+
+
+def _naive_day(raw: str, tz_hours: int) -> date:
+    """The day of an ISO-8601 timestamp at a UTC offset of ``tz_hours``; a
+    trailing ``Z`` or ``z``, and no offset, both mean UTC."""
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)
     offset = dt.utcoffset() or timedelta(0)  # no offset: UTC
-    local = dt.replace(tzinfo=None) + (timedelta(hours=tz_hours) - offset)
-    return obj, obj["kind"], local.date()
+    return (dt.replace(tzinfo=None) + (timedelta(hours=tz_hours) - offset)).date()
 
 
 def naive_records(lines, tz_hours=-3, strict=False):
@@ -285,12 +289,7 @@ def naive_stats(records, tz_hours=-3):
             with_hash += 1
         user = str(r["user_id"])  # ids are compared as strings: 5 and "5" are one user
         per_user[user] = per_user.get(user, 0) + 1
-        raw = r["created_at"]
-        if raw.endswith("Z"):
-            raw = raw[:-1] + "+00:00"
-        dt = datetime.fromisoformat(raw)
-        offset = dt.utcoffset() or timedelta(0)  # no offset: UTC
-        day = (dt.replace(tzinfo=None) + (timedelta(hours=tz_hours) - offset)).date()
+        day = _naive_day(r["created_at"], tz_hours)
         per_day[day] = per_day.get(day, 0) + 1
     counts = sorted(per_user.values())
     if counts:

@@ -129,6 +129,27 @@ class TestParseCorpus:
         assert list(records([json.dumps(obj)], report=report)) == []
         assert report.examples == [(1, wanted, "")]
 
+    @pytest.mark.parametrize("changes, dropped, wanted", [
+        ({"id": 1.5}, "user_id", "'id' must be a string or an integer, not a float"),
+        ({"id": None, "text": 5}, None, "'id' must be a string or an integer, not null"),
+        ({"created_at": 5}, "kind", "'created_at' must be a string, not an integer"),
+        ({"text": []}, "id", repr("missing key 'id'")),  # as str(KeyError) quotes it
+        ({"kind": [], "user_id": True}, None,
+         "'user_id' must be a string or an integer, not a boolean"),
+        ({"kind": []}, None, "bad kind []"),
+        ({"kind": {}}, None, "bad kind {}"),
+        ({"id": "", "kind": "quote"}, None, "empty id"),
+    ])
+    def test_a_line_with_several_faults_reports_the_first(self, changes, dropped, wanted):
+        """Fields in the order id, created_at, text, kind, user_id; then the
+        empty id; then the kind."""
+        obj = json.loads(_line(0))
+        obj.update(changes)
+        obj.pop(dropped, None)
+        report = ParseReport()
+        assert list(records([json.dumps(obj)], report=report)) == []
+        assert report.examples == [(1, wanted, "")]
+
     def test_integer_ids_are_kept_as_their_decimal_string(self, tmp_path):
         obj = json.loads(_line(0))
         obj.update(id=0, user_id=12)
@@ -156,6 +177,30 @@ class TestParseCorpus:
         folded = corpus_stats(_write(tmp_path, [line])._replace(tz_offset_hours=tz), 1,
                               ParseReport())
         assert folded.per_day == {day: 1}
+
+    @pytest.mark.parametrize("created", [
+        "2020-03-05T03:00:00z",  # lowercase z: UTC
+        "2020-03-05T02:59:59",  # no offset: UTC
+        "2020-03-05T02:45:00+05:30",
+        "2020-03-05T02:45:00-00:30",
+        "2020-03-05T02:59:45+00:00:30",
+    ])
+    def test_a_day_is_the_oracles_at_any_offset(self, tmp_path, created):
+        line = _line(0, created=created)
+        ((_, _, day),) = records([line])
+        ((_, _, naive),), _ = naive_records([line])
+        assert day == naive
+        assert _stats(tmp_path, [line]).per_day == {day: 1}
+
+    def test_one_pass_over_many_offsets_gives_each_line_its_day(self, tmp_path):
+        stamps = ["2020-03-05T02:45:00+05:30", "2020-03-05T02:45:00-00:30", "2020-03-05T01:00:00",
+                  "2020-03-05T02:45:00+05:30", "2020-03-05T03:00:00z", "2020-03-05T02:45:00-00:30"]
+        lines = [_line(i, created=created) for i, created in enumerate(stamps)]
+        days = [day for _, _, day in records(lines)]
+        naive, _ = naive_records(lines)
+        assert days == [day for _, _, day in naive]
+        assert len(set(days)) == 2
+        assert _stats(tmp_path, lines).to_json_dict() == naive_stats([obj for obj, _, _ in naive])
 
     def test_accepts_bytes_lines(self):
         assert _ids([_line(0).encode("utf-8")]) == ["t0"]

@@ -295,7 +295,7 @@ def test_a_later_malformed_line_names_its_file_and_line(tmp_path, pool_on):
 
 
 # One line for each way out of the JSON scanner's fast path in corpus.records,
-# then two timestamps at the year ends.
+# then two timestamps at the year ends and one in lowercase-z UTC.
 _FALLBACKS = [
     "   " + _record(1, 2, text="miedo"),  # leading spaces
     "\ufeff" + _record(2, 2, text="miedo"),  # a BOM
@@ -308,6 +308,7 @@ _FALLBACKS = [
     _record(9, 4, text="miedo") + " x",  # data after whitespace
     _record(10, 0, created="9999-12-31T23:00:00-03:00"),  # day 9999-12-31 at UTC-3
     _record(11, 0, created="0001-01-01T01:00:00+03:00"),  # before year 1 at UTC-3
+    _record(12, 0, created="2020-03-02T01:00:00z"),  # day 2020-03-01 at UTC-3
 ]
 
 
@@ -377,5 +378,5 @@ def test_the_corpus_fold_counts_as_the_public_chain(tmp_path, pool_on, workers):
             assert _fold(some, workers, strict) == _naive(some, strict)
     assert _fold([paths[0]], workers, strict=True)[0] == paths[0]
     _, _, counts, skipped, _ = _fold([fallbacks], workers)
-    assert counts == (12, 5, 6)
+    assert counts == (13, 6, 6)
     assert [line for line, _ in skipped] == [2, 5, 6, 8, 9, 11]

@@ -3,6 +3,9 @@
 ``__init__`` and ``__main__`` are exempt."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,22 @@ def test_imports_only_earlier_layers(module):
     imported = relative_imports(PACKAGE / f"{module}.py") - {"errors"}
     later = {m for m in imported if LAYER[m] >= LAYER[module]}
     assert not later, f"{module} imports {sorted(later)} from its own or a later layer"
+
+
+def test_importing_the_package_loads_no_layer_and_no_numpy():
+    """A fresh interpreter: the public names are imported on first use."""
+    script = ("import sys, crisismon; print(sorted(m for m in sys.modules "
+              "if m.startswith('crisismon.') or m.split('.')[0] == 'numpy'))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_every_public_name_resolves_to_its_module():
+    for name in crisismon.__all__:
+        value = getattr(crisismon, name)
+        assert value.__module__.startswith("crisismon."), name
+    assert set(crisismon.__all__) <= set(dir(crisismon))
+    with pytest.raises(AttributeError):
+        crisismon.no_such_name
