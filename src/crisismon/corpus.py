@@ -290,7 +290,7 @@ def records(
                     and type(obj.get("user_id")) in _ID_TYPES):
                 for key, types in _FIELDS:  # the first fault, in this order
                     if key not in obj:
-                        raise KeyError(f"missing key {key!r}")
+                        raise ValueError(f"missing key {key!r}")
                     if types and type(obj[key]) not in types:
                         raise ValueError(f"{key!r} must be "
                                          f"{' or '.join(map(_JSON_TYPES.get, types))}"
@@ -313,7 +313,7 @@ def records(
                 day = (created + shift).date()
             except OverflowError as exc:  # the day falls outside years 1..9999
                 raise ValueError(str(exc)) from exc
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             if strict:
                 raise MalformedLine(source, lineno, str(exc)) from exc
             report.record_skip(lineno, str(exc), source)

@@ -4,9 +4,8 @@ Two broad failure families matter to callers (and to the CLI exit codes):
 
 * ``FormatError`` and ``OSError`` -- an input file could not be read or does
   not follow its documented format (CLI exit code 2).
-* ``ValueError`` (including the subclasses below) -- the inputs parsed fine
-  but violate a contract, e.g. an empty lexicon or a reversed date range
-  (CLI exit code 1).
+* ``ValueError`` -- the inputs parsed fine but violate a contract, e.g. an
+  empty lexicon or a reversed date range (CLI exit code 1).
 
 Every CSV and JSON file but the corpus is read and written here, so the
 header check, the line-numbered error, the float cell (its ``repr``, blank
@@ -22,14 +21,6 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 class FormatError(Exception):
     """An input file violates its documented on-disk format."""
-
-
-class EmptyLexiconError(ValueError):
-    """A lexicon contains no usable terms after normalization."""
-
-
-class OutOfVocabularyError(KeyError):
-    """A similarity query token is not in the embedding vocabulary."""
 
 
 @contextmanager

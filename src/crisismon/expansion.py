@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, OutOfVocabularyError, open_text
+from .errors import FormatError, open_text
 from .lexicon import CategorySet, Lexicon, MarkerMapping
 
 log = logging.getLogger(__name__)
@@ -47,13 +47,17 @@ class EmbeddingTable:
         scale = np.abs(self._matrix).max(axis=1)
         off = np.isfinite(scale) & (scale > 0.0) & (np.isinf(norms) | (norms == 0.0))
         norms[off] = scale[off] * np.linalg.norm(self._matrix[off] / scale[off, None], axis=1)
-        self._norms = norms
+        ok = norms > 0.0
+        self._units = np.zeros_like(self._matrix)
+        self._units[ok] = self._matrix[ok] / norms[ok, None]
         # Rows shadowed by a later duplicate token are not legal candidates.
         live = np.zeros(len(tokens), dtype=bool)
         live[list(self._index.values())] = True
-        self._candidate = live & (self._norms > 0.0)
-        self._units: np.ndarray | None = None
-        self._token_rank: np.ndarray | None = None
+        self._candidate = live & ok
+        # Lexicographic rank per row, for deterministic tie-breaking.
+        order = sorted(range(len(self._tokens)), key=lambda i: self._tokens[i])
+        self._token_rank = np.empty(len(order), dtype=np.int64)
+        self._token_rank[order] = np.arange(len(order))
 
     def __len__(self) -> int:
         return len(self._index)
@@ -64,20 +68,7 @@ class EmbeddingTable:
     def usable(self, token: str) -> bool:
         """Whether the token can participate in similarity queries."""
         i = self._index.get(token)
-        return i is not None and self._norms[i] > 0.0
-
-    def _query_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._units is None:
-            units = np.zeros_like(self._matrix)
-            ok = self._norms > 0.0
-            units[ok] = self._matrix[ok] / self._norms[ok, None]
-            self._units = units
-            # Lexicographic rank per row, for deterministic tie-breaking.
-            order = sorted(range(len(self._tokens)), key=lambda i: self._tokens[i])
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order))
-            self._token_rank = rank
-        return self._units, self._token_rank
+        return i is not None and bool(self._candidate[i])
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
@@ -146,7 +137,7 @@ def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
 
     The query itself is excluded; ties are broken by token lexicographic
     order; fewer than k candidates returns them all. An out-of-vocabulary
-    query raises :class:`OutOfVocabularyError`.
+    query raises ``ValueError``.
 
     Only a band is sorted, in the order of a full sort: the band is every
     candidate not worse than the k-th best (``np.partition``), so it holds
@@ -154,14 +145,13 @@ def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
     ``~(neg > kth)``: a NaN k-th value makes it every candidate.
     """
     if query not in table:
-        raise OutOfVocabularyError(query)
+        raise ValueError(f"query {query!r} is not in the vocabulary")
     if not table.usable(query):
         raise ValueError(f"query {query!r} has a zero-norm vector")
     if k < 1:
         raise ValueError("k must be >= 1")
-    units, token_rank = table._query_arrays()
     qi = table._index[query]
-    sims = units @ units[qi]
+    sims = table._units @ table._units[qi]
     mask = table._candidate.copy()
     mask[qi] = False
     idx = np.nonzero(mask)[0]
@@ -171,7 +161,7 @@ def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
         band = ~(neg > kth)
         idx, neg = idx[band], neg[band]
     # Primary key: similarity descending. Secondary: token lexicographic.
-    order = np.lexsort((token_rank[idx], neg))
+    order = np.lexsort((table._token_rank[idx], neg))
     top = idx[order[:k]]
     return [(table._tokens[i], float(sims[i])) for i in top]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import preprocess
-from .errors import EmptyLexiconError, FormatError, read_json, write_json
+from .errors import FormatError, read_json, write_json
 
 Term = tuple[str, ...]
 
@@ -59,7 +59,7 @@ def make_lexicon(name: str, term_strings) -> Lexicon:
 
     Strings that normalize to nothing (pure punctuation) are dropped;
     duplicates after normalization collapse. An empty result raises
-    :class:`EmptyLexiconError`.
+    ``ValueError``.
     """
     terms = set()
     for raw in term_strings:
@@ -69,7 +69,7 @@ def make_lexicon(name: str, term_strings) -> Lexicon:
         if toks:
             terms.add(toks)
     if not terms:
-        raise EmptyLexiconError(f"lexicon {name!r} has no usable terms")
+        raise ValueError(f"lexicon {name!r} has no usable terms")
     return Lexicon(name=name, terms=frozenset(terms))
 
 

@@ -7,9 +7,11 @@ import signal
 import subprocess
 import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+from crisismon import cli
 from crisismon.cli import RunConfig, main
 from crisismon.reporting import annotate_peaks
 
@@ -197,6 +199,24 @@ class TestStats:
         assert f"  {b}: line 2: Expecting property name" in err
         assert run_cli("stats", "--strict", "--out", str(tmp_path / "o2"), str(a), str(b)) == 2
         assert capsys.readouterr().err.startswith(f"error: {b}: line 2: Expecting property")
+
+    def test_a_missing_key_is_reported_bare(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("mk.jsonl").write_text(json.dumps(
+            {"id": "a", "created_at": "2020-03-01T10:00:00Z", "text": "x", "kind": "original"}
+        ) + "\n")
+        assert run_cli("stats", "--out", "o1", "mk.jsonl") == 0
+        assert "  mk.jsonl: line 1: missing key 'user_id'\n" in capsys.readouterr().err
+        assert run_cli("stats", "--strict", "--out", "o2", "mk.jsonl") == 2
+        assert capsys.readouterr().err == "error: mk.jsonl: line 1: missing key 'user_id'\n"
+
+    def test_a_stray_key_error_is_a_crash_not_exit_one(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "cmd_stats", broken)
+        with pytest.raises(KeyError):
+            run_cli("stats", "--out", str(tmp_path / "o"), str(tmp_path / "c.jsonl"))
 
 
 def _split_workspace(tmp_path):

@@ -133,7 +133,7 @@ class TestParseCorpus:
         ({"id": 1.5}, "user_id", "'id' must be a string or an integer, not a float"),
         ({"id": None, "text": 5}, None, "'id' must be a string or an integer, not null"),
         ({"created_at": 5}, "kind", "'created_at' must be a string, not an integer"),
-        ({"text": []}, "id", repr("missing key 'id'")),  # as str(KeyError) quotes it
+        ({"text": []}, "id", "missing key 'id'"),
         ({"kind": [], "user_id": True}, None,
          "'user_id' must be a string or an integer, not a boolean"),
         ({"kind": []}, None, "bad kind []"),

@@ -5,7 +5,7 @@ import pytest
 
 from crisismon import (CategorySet, EmbeddingTable, associate_categories,
                        expand_lexicon, knn, load_embeddings, make_lexicon)
-from crisismon.errors import FormatError, OutOfVocabularyError
+from crisismon.errors import FormatError
 
 from oracles import brute_knn
 
@@ -95,7 +95,7 @@ class TestKnn:
     def test_oov_query(self, tmp_path):
         path = _write_table(tmp_path, [["a", 1, 0], ["b", 0, 1]])
         table = load_embeddings(path)
-        with pytest.raises(OutOfVocabularyError):
+        with pytest.raises(ValueError, match="'zzz' is not in the vocabulary"):
             knn(table, "zzz", 1)
 
     def test_tie_break_is_lexicographic(self):

@@ -363,7 +363,7 @@ def _fold(paths, workers, strict=False):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_the_corpus_fold_counts_as_the_public_chain(tmp_path, pool_on, workers):
+def test_the_corpus_fold_counts_as_the_naive_oracle(tmp_path, pool_on, workers):
     """The fold counts what the README's corpus rules, read by an oracle that
     shares no code with ``corpus.records``, say the files hold: the whole
     corpus, each file alone (so a later range of a file must number its

@@ -5,7 +5,7 @@ import pytest
 
 from crisismon import (load_category_set, load_lexicon, load_manifest,
                        make_lexicon, save_lexicon)
-from crisismon.errors import EmptyLexiconError, FormatError
+from crisismon.errors import FormatError
 
 
 def _write(tmp_path, name, obj):
@@ -27,7 +27,7 @@ class TestLoadLexicon:
 
     def test_empty_terms_is_an_error(self, tmp_path):
         path = _write(tmp_path, "x.json", {"name": "x", "terms": []})
-        with pytest.raises(EmptyLexiconError):
+        with pytest.raises(ValueError, match="'x' has no usable terms"):
             load_lexicon(path)
 
     def test_missing_file(self, tmp_path):
