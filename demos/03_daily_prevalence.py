@@ -62,7 +62,9 @@ with tempfile.TemporaryDirectory() as tmp:
     agg = aggregate_daily(Corpus((str(path),)), matcher, start, date(2020, 3, 31))
 
 print("\nday        total   fear%   health%")
-fear, health = agg.prevalence["fear"].percent(), agg.prevalence["health"].percent()
+# One row per category, in the matcher's order; one column per day.
+pct = dict(zip(agg.prevalence, agg.percent()))
+fear, health = pct["fear"], pct["health"]
 for i, total in enumerate(agg.prevalence["fear"].total.tolist()):
     day = start + timedelta(days=i)
     bar = "#" * int(fear[i] / 2)

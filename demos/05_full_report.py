@@ -75,7 +75,8 @@ print(f"{report.parsed} tweets, {analyzable} analyzable (retweets left out), acr
 # --- joint peaks over the surged markers, annotated with real events --------------
 # One row per marker, one column per day; every derived series keeps that shape.
 markers = ["fear", "health", "nervousness", "sadness"]
-smoothed = smooth(Series(START, [agg.prevalence[m].percent() for m in markers]), 7)
+pct = dict(zip(agg.prevalence, agg.percent()))
+smoothed = smooth(Series(START, [pct[m] for m in markers]), 7)
 peaks = joint_peaks(smoothed_gradient(smoothed, 7))
 
 events = load_events_csv(DATA / "events" / "mental_health.csv")

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 from . import corpus as corpus_mod
 from . import matching, reporting, series
@@ -113,15 +113,8 @@ def _corpus(cfg: RunConfig) -> corpus_mod.Corpus:
     return corpus_mod.Corpus(tuple(cfg.corpus), cfg.tz_offset_hours, cfg.strict)
 
 
-def _raw_series(prevalence: dict[str, matching.DailyPrevalence]) -> series.Series:
-    """Every category's daily percentages, one row each in sorted name order."""
-    names = sorted(prevalence)
-    return series.Series(start=prevalence[names[0]].start,
-                         values=[prevalence[name].percent() for name in names])
-
-
-def _marker_rows(markers: list[str] | None, names: list[str]) -> list[int]:
-    """Row indices in sorted ``names`` of the configured markers (default: all)."""
+def _marker_rows(markers: list[str] | None, names: Sequence[str]) -> list[int]:
+    """Row indices in ``names`` of the configured markers (default: all)."""
     if not markers:
         return list(range(len(names)))
     unknown = [m for m in markers if m not in names]
@@ -189,17 +182,19 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if not cfg.categories:
         raise ValueError("config needs a category-set path")
     start, end = cfg.date_range()
+    if start == end:
+        raise ValueError(f"date range {start}..{end} needs at least 2 days")
+    if cfg.window < 1:
+        raise ValueError("window must be >= 1")
     cats = load_category_set(cfg.categories)
     if not cats.categories:
         raise ValueError(f"{cfg.categories}: no categories")
-    names = sorted(cats.categories)
+    matcher = matching.build_matcher(cats)
+    names = matcher.category_names
     rows = _marker_rows(cfg.markers, names)
     markers = [names[i] for i in rows]
-    if cfg.window < 1:
-        raise ValueError("window must be >= 1")
     events = reporting.load_events_csv(cfg.events) if cfg.events else None
     stages = reporting.load_stages_csv(cfg.stages) if cfg.stages else None
-    matcher = matching.build_matcher(cats)
     report = corpus_mod.ParseReport()
     agg = matching.aggregate_daily(_corpus(cfg), matcher, start, end, workers, report=report)
     _report_skips(report)
@@ -209,7 +204,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     # Everything is computed before the first file is written, so a run that
     # fails validation (a negative lead, say) leaves no output behind.
-    smoothed = series.smooth(_raw_series(agg.prevalence), cfg.window)
+    smoothed = series.smooth(series.Series(agg.start, agg.percent()), cfg.window)
     sg = series.smoothed_gradient(smoothed, cfg.window)
     peaks_by_marker = {
         name: series.marker_peaks(sg[i], cfg.sigma_mult) for i, name in enumerate(names)
@@ -244,16 +239,14 @@ def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int
     """Re-render a heatmap from a previously written prevalence CSV."""
     if window is not None and window < 1:
         raise ValueError("window must be >= 1")
-    prevalence = matching.read_prevalence_csv(input_csv)
-    if not prevalence:
-        raise ValueError(f"{input_csv}: no prevalence rows")
-    names = sorted(prevalence)
+    agg = matching.read_prevalence_csv(input_csv)
+    names = list(agg.prevalence)
     rows = _marker_rows(cfg.markers, names)
-    shown = _raw_series(prevalence)[rows]
+    shown = series.Series(agg.start, agg.percent())[rows]
     if window and window > 1:
         shown = series.smooth(shown, window)
-    start = date.fromisoformat(cfg.date_from) if cfg.date_from else shown.start
-    end = date.fromisoformat(cfg.date_to) if cfg.date_to else shown.date_of(len(shown) - 1)
+    start = date.fromisoformat(cfg.date_from) if cfg.date_from else agg.start
+    end = date.fromisoformat(cfg.date_to) if cfg.date_to else agg.end
     svg = reporting.render_heatmap(shown, [names[i] for i in rows], start, end)
     out = _out_dir(cfg) / "heatmap.svg"
     out.write_bytes(svg)

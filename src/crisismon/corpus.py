@@ -59,7 +59,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import FormatError
@@ -79,12 +79,9 @@ _HASHTAG_RE = re.compile(r"#(\w+)")
 # A token is a maximal run of letters (any script, accents included) or a
 # maximal run of digits; everything else separates.
 _TOKEN_RE = re.compile(r"[^\W\d_]+|\d+")
-# The same tokens on ASCII text, where [^\W\d_] is [A-Za-z] and \d is [0-9].
-_ASCII_TOKEN_RE = re.compile(r"[a-z]+|[0-9]+")
 _DIGIT_RE = re.compile(r"[0-9]")
 # Every byte that is not an ASCII letter or digit becomes a space.
 _SPACES = bytes(b if chr(b).isascii() and chr(b).isalnum() else 32 for b in range(256))
-_HAS_HASHTAG_RE = re.compile(r"#\w")
 
 # The required keys, in the order they are checked, and the JSON types each
 # may hold; ``kind`` may hold any, but must be one of KINDS.
@@ -206,11 +203,11 @@ def preprocess(text: str) -> list[str]:
     # NFKC leaves ASCII unchanged and lower() keeps it ASCII.
     if text.isascii():
         text = text.lower()
-        if _DIGIT_RE.search(text):
-            return _ASCII_TOKEN_RE.findall(text)
-        return text.encode().translate(_SPACES).decode().split()
-    text = unicodedata.normalize("NFKC", text)
-    return _TOKEN_RE.findall(text.lower())
+        if not _DIGIT_RE.search(text):
+            return text.encode().translate(_SPACES).decode().split()
+    else:
+        text = unicodedata.normalize("NFKC", text).lower()
+    return _TOKEN_RE.findall(text)
 
 
 def _too_deep(text: str) -> bool:
@@ -386,7 +383,7 @@ def _count_stats(recs: Iterator[tuple[dict, str, date]]) -> CorpusStats:
         per_user[str(obj["user_id"])] += 1
         per_day[day] += 1
         text = obj["text"]
-        if "#" in text and _HAS_HASHTAG_RE.search(text):
+        if "#" in text and _HASHTAG_RE.search(text):
             with_hashtag += 1
     return CorpusStats(sum(kinds.values()), kinds[KIND_ORIGINAL], kinds[KIND_RETWEET],
                        kinds[KIND_REPLY], with_hashtag, per_user, per_day)
@@ -481,31 +478,24 @@ def pool_size(workers: int, corpus_bytes: int | None) -> int:
 T = TypeVar("T")
 
 
-def _fold_range(fold: Callable[[Iterator], T], corpus: Corpus,
-                r: ByteRange) -> tuple[T, ParseReport]:
-    """``fold`` over the :func:`records` of a range's lines, and the range's
-    parse outcomes, its lines numbered from 1."""
-    report = ParseReport()
-    recs = records(read_range(r), corpus.tz_offset_hours, corpus.strict, report, r.path)
-    return fold(recs), report
-
-
-RangeFold = Callable[[ByteRange], tuple[object, ParseReport]]
-
-
-def _fold_share(fold_range: RangeFold,
-                share: list[ByteRange]) -> Iterator[tuple[object, ParseReport] | Exception]:
-    """Each range's ``fold_range``, in order; an exception ends the share."""
+def _fold_share(fold: Callable[[Iterator], T], corpus: Corpus, share: list[ByteRange]
+                ) -> Iterator[tuple[T, ParseReport] | Exception]:
+    """For each range in order, ``fold`` over the :func:`records` of its
+    lines, and its parse outcomes, its lines numbered from 1; an exception
+    ends the share."""
     for r in share:
+        report = ParseReport()
         try:
-            outcome = fold_range(r)
+            recs = records(read_range(r), corpus.tz_offset_hours, corpus.strict, report, r.path)
+            outcome = fold(recs), report
         except Exception as exc:
             yield exc
             return
         yield outcome
 
 
-def _fork(fold_range: RangeFold, share: list[ByteRange]) -> tuple[int, int]:
+def _fork(fold: Callable[[Iterator], T], corpus: Corpus,
+          share: list[ByteRange]) -> tuple[int, int]:
     """Fork a worker that folds ``share`` and writes the outcomes, pickled,
     to a pipe; return the worker's pid and the pipe's read end."""
     rfd, wfd = os.pipe()
@@ -514,7 +504,7 @@ def _fork(fold_range: RangeFold, share: list[ByteRange]) -> tuple[int, int]:
         code = 1
         try:
             os.close(rfd)
-            data = pickle.dumps(list(_fold_share(fold_range, share)), pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(list(_fold_share(fold, corpus, share)), pickle.HIGHEST_PROTOCOL)
             with open(wfd, "wb") as pipe:
                 pipe.write(data)
             code = 0
@@ -528,8 +518,8 @@ def _fork(fold_range: RangeFold, share: list[ByteRange]) -> tuple[int, int]:
     return pid, rfd
 
 
-def _fold_shares(fold_range: RangeFold, shares: list[list[ByteRange]]
-                 ) -> Iterator[tuple[ByteRange, tuple[object, ParseReport] | Exception]]:
+def _fold_shares(fold: Callable[[Iterator], T], corpus: Corpus, shares: list[list[ByteRange]]
+                 ) -> Iterator[tuple[ByteRange, tuple[T, ParseReport] | Exception]]:
     """Each range with its outcome, in file order. The first share is
     folded in this process and every other one in a forked worker, all at
     once; a worker's outcomes are read when the shares before it are done.
@@ -538,8 +528,8 @@ def _fold_shares(fold_range: RangeFold, shares: list[list[ByteRange]]
     workers: list[tuple[int, int]] = []  # (pid, read end) of each worker not yet reaped
     try:
         for share in shares[1:]:
-            workers.append(_fork(fold_range, share))
-        yield from zip(shares[0], _fold_share(fold_range, shares[0]))
+            workers.append(_fork(fold, corpus, share))
+        yield from zip(shares[0], _fold_share(fold, corpus, shares[0]))
         for share in shares[1:]:
             pid, fd = workers[0]
             with open(fd, "rb", closefd=False) as pipe:
@@ -599,8 +589,7 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
     else:
         shares = [[ByteRange(path, 0, None) for path in corpus.paths]]
     lines_before = 0  # lines of the range's file in the ranges before it
-    fold_range = partial(_fold_range, fold, corpus)
-    for r, outcome in _fold_shares(fold_range, shares):
+    for r, outcome in _fold_shares(fold, corpus, shares):
         if r.start == 0:
             lines_before = 0
         if isinstance(outcome, Exception):

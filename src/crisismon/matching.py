@@ -105,28 +105,29 @@ def build_matcher(cats: CategorySet) -> Matcher:
 
 @dataclass(frozen=True)
 class DailyPrevalence:
-    """Per-day matched/total counts for one category over a date range."""
+    """One category's matched counts per day and the documents per day."""
 
-    category: str
-    start: date
     matched: np.ndarray  # int64, one cell per day; a row of the count matrix
-    total: np.ndarray  # int64, the one array shared across categories
-
-    def percent(self) -> np.ndarray:
-        """100*matched/total per day; NaN where the day had no documents."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pct = np.where(self.total > 0, 100.0 * self.matched / self.total, np.nan)
-        return pct
+    total: np.ndarray  # int64; aggregate_daily shares one array across categories
 
 
 @dataclass
 class DailyAggregate:
-    """Result of one aggregation run: per-category prevalence plus bookkeeping."""
+    """The daily prevalence table over [start, end]: per-category counts, in
+    row order, plus bookkeeping."""
 
     start: date
     end: date
     prevalence: dict[str, DailyPrevalence]
     dropped: int  # documents outside the configured date range
+
+    def percent(self) -> np.ndarray:
+        """Categories × days of 100*matched/total, rows in ``prevalence``
+        order; NaN on a day with no documents."""
+        matched = np.array([p.matched for p in self.prevalence.values()])
+        total = np.array([p.total for p in self.prevalence.values()])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(total > 0, 100.0 * matched / total, np.nan)
 
 
 def _count(matcher: Matcher, start: date, n_days: int,
@@ -189,7 +190,7 @@ def aggregate_daily(
     matched.flags.writeable = False
     totals.flags.writeable = False
     prevalence = {
-        name: DailyPrevalence(category=name, start=start, matched=matched[ci], total=totals)
+        name: DailyPrevalence(matched=matched[ci], total=totals)
         for ci, name in enumerate(matcher.category_names)
     }
     return DailyAggregate(start=start, end=end, prevalence=prevalence, dropped=dropped)
@@ -201,17 +202,17 @@ def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
     days = [(aggregate.start + timedelta(days=i)).isoformat() for i in range(n_days)]
     write_csv(path, ["date", "category", "matched", "total", "percent"], (
         [d, name, m, t, cell(p)]
-        for name, prev in sorted(aggregate.prevalence.items())
-        for d, m, t, p in zip(days, prev.matched.tolist(), prev.total.tolist(),
-                              prev.percent().tolist())
+        for (name, prev), pct in zip(aggregate.prevalence.items(), aggregate.percent().tolist())
+        for d, m, t, p in zip(days, prev.matched.tolist(), prev.total.tolist(), pct)
     ))
 
 
-def read_prevalence_csv(path: str | Path) -> dict[str, DailyPrevalence]:
-    """Rebuild each category's daily counts from a long-format CSV.
+def read_prevalence_csv(path: str | Path) -> DailyAggregate:
+    """Rebuild the daily counts of a long-format CSV, categories in sorted order.
 
     Every category spans the first to the last day listed for any category;
-    a day with no row for a category has total 0, which reads as missing.
+    a day with no row for a category has total 0, which reads as missing. A
+    file with no rows is a ``ValueError``.
     """
     rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
         date.fromisoformat(row["date"]), row["category"], int(row["matched"]), int(row["total"])
@@ -224,15 +225,15 @@ def read_prevalence_csv(path: str | Path) -> dict[str, DailyPrevalence]:
         cells[day] = matched, total
     days = {d for cells in by_cat.values() for d in cells}
     if not days:
-        return {}
-    start = min(days)
-    n = (max(days) - start).days + 1
-    out: dict[str, DailyPrevalence] = {}
-    for cat, cells in by_cat.items():
+        raise ValueError(f"{path}: no prevalence rows")
+    start, end = min(days), max(days)
+    n = (end - start).days + 1
+    prevalence: dict[str, DailyPrevalence] = {}
+    for cat in sorted(by_cat):
         matched = np.zeros(n, dtype=np.int64)
         total = np.zeros(n, dtype=np.int64)
-        for d, (m, t) in cells.items():
+        for d, (m, t) in by_cat[cat].items():
             i = (d - start).days
             matched[i], total[i] = m, t
-        out[cat] = DailyPrevalence(category=cat, start=start, matched=matched, total=total)
-    return out
+        prevalence[cat] = DailyPrevalence(matched=matched, total=total)
+    return DailyAggregate(start=start, end=end, prevalence=prevalence, dropped=0)

@@ -232,7 +232,10 @@ def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
 
 
 def _zscore(v: np.ndarray) -> np.ndarray:
-    """Center and scale by the population std of present values; flat -> zeros."""
+    """Center and scale by the population std of present values; flat -> zeros,
+    a row with no present value as it is."""
+    if np.isnan(v).all():
+        return v
     mean = np.nanmean(v)
     std = np.nanstd(v)
     if std == 0.0:

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -445,6 +446,31 @@ class TestAnalyze:
         )
         assert code == 1
 
+    def test_one_day_range_fails_before_any_input_is_opened(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"categories": str(tmp_path / "no_such_categories.json"),
+                                   "out": str(tmp_path / "out")}))
+        assert run_cli("analyze", "--config", str(cfg), "--from", "2020-03-05",
+                       "--to", "2020-03-05", str(tmp_path / "no_such_corpus.jsonl")) == 1
+        assert ("error: date range 2020-03-05..2020-03-05 needs at least 2 days"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_a_range_with_no_analyzable_tweet_runs_without_a_warning(self, tmp_path, capsys):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        objs = [json.loads(line) for line in ws["corpus"].read_text().splitlines()]
+        ws["corpus"].write_text("".join(json.dumps({**obj, "kind": "retweet"}) + "\n"
+                                        for obj in objs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("analyze", "--config", str(ws["config"]),
+                           "--to", "2020-03-10", "--workers", "1") == 0
+        assert sorted(p.name for p in ws["out"].iterdir()) == [
+            "heatmap.svg", "peaks.csv", "prevalence.csv", "series.csv"]
+        assert ((ws["out"] / "peaks.csv").read_text().splitlines()
+                == ["date,marker,direction,height,prominence"])
+        assert capsys.readouterr().err == ""
+
     def test_rerun_is_byte_identical(self, tmp_path):
         ws = write_burst_workspace(tmp_path, seed=22, n_days=40, per_day=40)
         outputs = ["prevalence.csv", "peaks.csv", "heatmap.svg", "series.csv"]
@@ -610,6 +636,13 @@ class TestRender:
         assert code == 1
         assert "window must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_csv_with_only_a_header_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "prevalence.csv"
+        path.write_text("date,category,matched,total,percent\n")
+        assert run_cli("render", "--out", str(tmp_path / "out"), str(path)) == 1
+        assert f"error: {path}: no prevalence rows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_exits_two(self, tmp_path):
         assert run_cli("render", "--out", str(tmp_path), str(tmp_path / "no.csv")) == 2

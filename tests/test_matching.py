@@ -7,7 +7,7 @@ import pytest
 
 from crisismon import (CategorySet, Corpus, aggregate_daily, build_matcher,
                        make_lexicon)
-from crisismon.matching import read_prevalence_csv, write_prevalence_csv
+from crisismon.matching import DailyAggregate, read_prevalence_csv, write_prevalence_csv
 
 from oracles import naive_aggregate, naive_match
 from synth import write_docs
@@ -94,8 +94,8 @@ class TestAggregateDaily:
         ]
         agg = _aggregate(tmp_path, docs, m, START, START)
         p = agg.prevalence["C"]
-        assert (p.start, p.matched.tolist(), p.total.tolist()) == (START, [1], [4])
-        assert p.percent().tolist() == [25.0]
+        assert (agg.start, p.matched.tolist(), p.total.tolist()) == (START, [1], [4])
+        assert agg.percent().tolist() == [[25.0]]
 
     def test_day_without_docs_is_missing(self, tmp_path):
         m = build_matcher(_cats(C=["hit"]))
@@ -103,7 +103,7 @@ class TestAggregateDaily:
         agg = _aggregate(tmp_path, docs, m, START, START + timedelta(days=2))
         p = agg.prevalence["C"]
         assert (p.matched[1], p.total[1]) == (0, 0)
-        assert np.isnan(p.percent()[1])
+        assert np.isnan(agg.percent()[0, 1])
 
     def test_reversed_range_is_an_error(self):
         m = build_matcher(_cats(C=["x"]))
@@ -153,8 +153,9 @@ class TestAggregateDaily:
             [(day, text.split()) for day, text in docs], plain, START, end
         )
         assert dropped == agg.dropped == 0
-        for name, prev in agg.prevalence.items():
-            cols = zip(prev.matched.tolist(), prev.total.tolist(), prev.percent().tolist())
+        assert list(agg.prevalence) == list(m.category_names)
+        for (name, prev), row in zip(agg.prevalence.items(), agg.percent().tolist()):
+            cols = zip(prev.matched.tolist(), prev.total.tolist(), row)
             for i, (m_count, t_count, pct) in enumerate(cols):
                 day = START + timedelta(days=i)
                 assert m_count == matched[name][day]
@@ -204,11 +205,14 @@ class TestPrevalenceCsv:
         path = tmp_path / "prev.csv"
         write_prevalence_csv(path, agg)
         back = read_prevalence_csv(path)
-        assert set(back) == {"A", "B"}
-        a = back["A"]
-        assert a.start == START
+        assert isinstance(back, DailyAggregate)
+        assert (back.start, back.end, back.dropped) == (agg.start, agg.end, 0)
+        assert list(back.prevalence) == ["A", "B"]
+        a = back.prevalence["A"]
         assert a.matched.tolist() == [1, 0, 0]
         assert a.total.tolist() == [2, 0, 1]
-        assert a.percent()[0] == 50.0
-        assert np.isnan(a.percent()[1])  # empty day round-trips as missing
-        assert a.percent()[2] == 0.0
+        pct = back.percent()
+        assert pct[0, 0] == 50.0
+        assert np.isnan(pct[0, 1])  # empty day round-trips as missing
+        assert pct[0, 2] == 0.0
+        assert np.array_equal(pct, agg.percent(), equal_nan=True)
