@@ -14,6 +14,8 @@ unexpanded; out-of-vocabulary seeds are kept but contribute no neighbors.
 from __future__ import annotations
 
 import logging
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -24,32 +26,40 @@ from .lexicon import CategorySet, Lexicon, MarkerMapping
 log = logging.getLogger(__name__)
 
 
-class EmbeddingTable:
-    """Token -> dense vector map with cached unit vectors for queries.
+# Components per chunk: what one ``np.array`` call parses and one
+# ``np.linalg.norm`` call squares, so the transient beside a table's one
+# V x D matrix stays small whatever D is.
+_CHUNK = 1 << 15
 
-    Zero-norm vectors are loaded (the token exists) but are unusable as
-    queries and never returned as neighbors.
+
+class EmbeddingTable:
+    """Token -> unit vector map for cosine queries.
+
+    Only the unit rows are kept, in one V x D float64 matrix (about V*D*8
+    bytes); the raw vectors are not. Zero-norm vectors are loaded (the token
+    exists) but are unusable as queries and never returned as neighbors.
     """
 
     def __init__(self, tokens: list[str], matrix: np.ndarray):
-        if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
+        self._build(tokens, np.array(matrix, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, tokens: list[str], matrix: np.ndarray) -> EmbeddingTable:
+        """A table over a float64 matrix no one else holds, normalized in place."""
+        table = cls.__new__(cls)
+        table._build(tokens, matrix)
+        return table
+
+    def _build(self, tokens: list[str], units: np.ndarray) -> None:
+        if units.ndim != 2 or units.shape[0] != len(tokens):
             raise ValueError("matrix shape does not match token list")
         if not tokens:
             raise ValueError("empty vocabulary")
-        self.dim = matrix.shape[1]
+        self.dim = units.shape[1]
         self._tokens = list(tokens)
-        self._matrix = np.asarray(matrix, dtype=np.float64)
         self._index = {t: i for i, t in enumerate(tokens)}
-        # A finite row's plain norm overflows to inf past about 1e154 and
-        # underflows to 0 below about 1e-154; such a row is scaled first.
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self._matrix, axis=1)
-        scale = np.abs(self._matrix).max(axis=1)
-        off = np.isfinite(scale) & (scale > 0.0) & (np.isinf(norms) | (norms == 0.0))
-        norms[off] = scale[off] * np.linalg.norm(self._matrix[off] / scale[off, None], axis=1)
-        ok = norms > 0.0
-        self._units = np.zeros_like(self._matrix)
-        self._units[ok] = self._matrix[ok] / norms[ok, None]
+        ok = _normalize(units)
+        self._units = units
         # Rows shadowed by a later duplicate token are not legal candidates.
         live = np.zeros(len(tokens), dtype=bool)
         live[list(self._index.values())] = True
@@ -71,13 +81,46 @@ class EmbeddingTable:
         return i is not None and bool(self._candidate[i])
 
 
+def _normalize(units: np.ndarray) -> np.ndarray:
+    """Scale the rows of ``units`` to unit length in place; which rows could be.
+
+    A row whose norm is not positive (all zeros, or NaN) becomes zeros. A
+    finite row's plain norm overflows to inf past about 1e154 and underflows
+    to 0 below about 1e-154; such a row is scaled by its largest magnitude first.
+    """
+    norms = np.empty(units.shape[0])
+    step = max(1, _CHUNK // max(1, units.shape[1]))
+    with np.errstate(over="ignore"):
+        for i in range(0, len(norms), step):
+            norms[i:i + step] = np.linalg.norm(units[i:i + step], axis=1)
+    odd = np.flatnonzero(np.isinf(norms) | (norms == 0.0))
+    rows = units[odd]
+    scale = np.abs(rows).max(axis=1)
+    off = np.isfinite(scale) & (scale > 0.0)
+    norms[odd[off]] = scale[off] * np.linalg.norm(rows[off] / scale[off, None], axis=1)
+    ok = norms > 0.0
+    np.divide(units, norms[:, None], out=units, where=ok[:, None])
+    units[~ok] = 0.0
+    return ok
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Parse the "V D" text format into an EmbeddingTable.
 
     The file must hold exactly V rows of D+1 fields, all components finite.
     A duplicate token keeps its last row (with a warning), like common tooling.
     """
-    path = Path(path)
+    return EmbeddingTable._adopt(*_parse(Path(path)))
+
+
+def _parse(path: Path) -> tuple[list[str], np.ndarray]:
+    """The tokens and raw rows of an embeddings file, checked line by line.
+
+    Rows are parsed a chunk of about ``_CHUNK`` components at a time, straight
+    into the one V x D matrix. The pending chunk is parsed before a structural
+    error is raised, so the first faulty line still wins; a non-finite
+    component is reported only once every line has passed the other checks.
+    """
     with open_text(path) as fh:
         header = fh.readline()
         parts = header.split()
@@ -90,46 +133,81 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         if vocab < 1 or dim < 1:
             raise FormatError(f"{path}: line 1: header values must be >= 1")
 
+        # A row takes at least 2*D+1 bytes, so a regular file's size bounds the
+        # rows worth allocating, whatever the header claims.
+        st = os.fstat(fh.fileno())
+        rows = min(vocab, st.st_size // (2 * dim + 1)) if stat.S_ISREG(st.st_mode) else 0
+        matrix = np.empty((rows, dim), dtype=np.float64)
         tokens: list[str] = []
-        matrix = np.empty((vocab, dim), dtype=np.float64)
-        seen: dict[str, int] = {}
-        linenos: list[int] = []
-        row = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            if row >= vocab:
-                raise FormatError(
-                    f"{path}: line {lineno}: more rows than the header's {vocab}"
-                )
-            fields = line.split()
-            if len(fields) != dim + 1:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {dim + 1} fields, got {len(fields)}"
-                )
-            token = fields[0]
+        seen: set[str] = set()
+        pending: list[tuple[int, str]] = []  # (line, token) of each unparsed row
+        flat: list[str] = []  # their components
+        nonfinite = 0  # the line of the first row with a non-finite component
+
+        def admit(parsed: list[tuple[int, str]]) -> None:
+            for lineno, token in parsed:
+                if token in seen:
+                    log.warning("%s: line %d: duplicate token %r, last row wins",
+                                path, lineno, token)
+                seen.add(token)
+                tokens.append(token)
+
+        def flush() -> None:
+            nonlocal nonfinite
             try:
-                matrix[row] = np.array(fields[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(
-                    f"{path}: line {lineno}: non-numeric component"
-                ) from exc
-            if token in seen:
-                log.warning("%s: line %d: duplicate token %r, last row wins",
-                            path, lineno, token)
-            seen[token] = row
-            tokens.append(token)
-            linenos.append(lineno)
-            row += 1
-        if row != vocab:
+                values = np.array(flat, dtype=np.float64).reshape(-1, dim)
+            except ValueError:
+                for j, (lineno, _) in enumerate(pending):
+                    try:
+                        np.array(flat[j * dim:(j + 1) * dim], dtype=np.float64)
+                    except ValueError as exc:
+                        admit(pending[:j])
+                        raise FormatError(
+                            f"{path}: line {lineno}: non-numeric component"
+                        ) from exc
+                raise
+            row, end = len(tokens), len(tokens) + len(pending)
+            if end > len(matrix):  # a pipe, say, or a file that grew since fstat
+                matrix.resize((min(vocab, max(2 * len(matrix), end)), dim), refcheck=False)
+            matrix[row:end] = values
+            if not nonfinite:
+                bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+                nonfinite = pending[bad[0]][0] if bad.size else 0
+            admit(pending)
+            pending.clear()
+            flat.clear()
+
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.split()
+                if not fields:
+                    continue
+                if len(tokens) + len(pending) >= vocab:
+                    flush()
+                    raise FormatError(
+                        f"{path}: line {lineno}: more rows than the header's {vocab}"
+                    )
+                if len(fields) != dim + 1:
+                    flush()
+                    raise FormatError(
+                        f"{path}: line {lineno}: expected {dim + 1} fields, got {len(fields)}"
+                    )
+                pending.append((lineno, fields[0]))
+                del fields[0]
+                flat += fields
+                if len(flat) >= _CHUNK:
+                    flush()
+        except UnicodeDecodeError:
+            flush()  # a fault on a line read before the bad block still wins
+            raise
+        flush()
+        if len(tokens) != vocab:
             raise FormatError(
-                f"{path}: expected {vocab} rows, file has {row}"
+                f"{path}: expected {vocab} rows, file has {len(tokens)}"
             )
-    # One check over the whole matrix costs less than one per row.
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: line {linenos[bad[0]]}: non-finite component")
-    return EmbeddingTable(tokens, matrix)
+    if nonfinite:
+        raise FormatError(f"{path}: line {nonfinite}: non-finite component")
+    return tokens, matrix
 
 
 def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:

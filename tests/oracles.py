@@ -339,3 +339,19 @@ def naive_stage_table(values_by_marker, start: date, stages):
                 d += timedelta(days=1)
             out[(marker, stage_name)] = best
     return out
+
+
+def naive_units(matrix):
+    """Unit rows and their usability, by the formula ``EmbeddingTable`` used
+    before it normalized in place: whole-matrix norms, then a scaled norm for
+    rows whose plain norm overflowed or underflowed, then one division."""
+    m = np.asarray(matrix, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(m, axis=1)
+    scale = np.abs(m).max(axis=1)
+    off = np.isfinite(scale) & (scale > 0.0) & (np.isinf(norms) | (norms == 0.0))
+    norms[off] = scale[off] * np.linalg.norm(m[off] / scale[off, None], axis=1)
+    ok = norms > 0.0
+    units = np.zeros_like(m)
+    units[ok] = m[ok] / norms[ok, None]
+    return units, ok

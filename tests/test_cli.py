@@ -412,6 +412,15 @@ class TestExpand:
         assert "k and m must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_a_header_claiming_a_huge_table_is_a_format_error(self, tmp_path, capsys):
+        # The file can hold no 300-wide row, so nothing that size is allocated.
+        config, out = self._workspace(tmp_path)
+        emb = tmp_path / "emb.txt"
+        emb.write_text("1000000000000 300\na 1 2\n", encoding="utf-8")
+        assert run_cli("expand", "--config", str(config)) == 2
+        assert capsys.readouterr().err == f"error: {emb}: line 2: expected 301 fields, got 3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["seed.json", "manifest.json", "emb.txt", "cats.json",
                                       "config.json"])
     def test_invalid_utf8_exits_two_naming_the_file(self, tmp_path, capsys, name):

@@ -1,11 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crisismon
 from crisismon import (CategorySet, EmbeddingTable, associate_categories,
                        expand_lexicon, knn, load_embeddings, make_lexicon)
 from crisismon.errors import FormatError
+from crisismon.expansion import _parse
 
 from oracles import brute_knn
 
@@ -25,7 +32,8 @@ class TestLoadEmbeddings:
         table = load_embeddings(path)
         assert len(table) == 2
         assert table.dim == 3
-        assert table._matrix[table._index["dos"]].tolist() == [0.0, 1.0, 0.0]
+        # A unit row: normalizing leaves it as parsed.
+        assert table._units[table._index["dos"]].tolist() == [0.0, 1.0, 0.0]
 
     def test_arity_mismatch_reports_line(self, tmp_path):
         path = _write_table(tmp_path, [["uno", 1, 0, 0], ["dos", 0, 1]], header="2 3")
@@ -47,7 +55,7 @@ class TestLoadEmbeddings:
             tmp_path, [["uno", 1, 0], ["uno", 0, 1], ["dos", 1, 1]], header="3 2"
         )
         table = load_embeddings(path)
-        assert table._matrix[table._index["uno"]].tolist() == [0.0, 1.0]
+        assert table._units[table._index["uno"]].tolist() == [0.0, 1.0]
 
     def test_row_count_must_match_header(self, tmp_path):
         path = _write_table(tmp_path, [["uno", 1, 0]], header="2 2")
@@ -70,8 +78,131 @@ class TestLoadEmbeddings:
         texts = ["1_0", "4.9e-324", "1e-320", "-0.0", "1e-400", "٣.٥", "１２",
                  "0.1000000000000000055511151231257827"]
         path = _write_table(tmp_path, [["uno", *texts]])
-        got = load_embeddings(path)._matrix[0].tolist()
+        got = _parse(path)[1][0].tolist()
         assert [repr(x) for x in got] == [repr(float(t)) for t in texts]
+
+    def test_a_pipe_grows_the_matrix_as_rows_come(self, tmp_path):
+        # A pipe has no size to bound the rows, so none are allocated up front;
+        # 20,000 rows of 3 span two parse chunks.
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes")
+        fifo = tmp_path / "emb.fifo"
+        os.mkfifo(fifo)
+        text = "20000 3\n" + "".join(f"w{i} {i} {i % 7} -1\n" for i in range(20_000))
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        tokens, matrix = _parse(fifo)
+        writer.join()
+        assert tokens == [f"w{i}" for i in range(20_000)]
+        assert matrix.shape == (20_000, 3)
+        assert matrix[:, 0].tolist() == list(range(20_000))
+        assert matrix[:, 1].tolist() == [i % 7 for i in range(20_000)]
+        assert (matrix[:, 2] == -1).all()
+
+
+def _rows(n, dim, faults=()):
+    """A "V D" table of n rows; ``faults`` maps a line number to its text."""
+    faults = dict(faults)
+    lines = [f"{n} {dim}"]
+    for lineno in range(2, n + 2):
+        lines.append(faults.get(lineno, f"w{lineno} " + " ".join(["0.25"] * dim)))
+    return "\n".join(lines) + "\n"
+
+
+# Tables with more than one fault, and the one each reports. The 100-wide
+# tables span several parse chunks; their faults lie beyond the first.
+WIDE_ROW = "x " + " ".join(["0.5"] * 100)
+ERROR_ORDER = {
+    "non-numeric beats a later arity error":
+        ("3 2\nuno 1 0\ndos 1 x\ntres 1\n", "line 3: non-numeric component"),
+    "row count beats a non-finite component":
+        ("3 2\nuno 1 0\ndos nan 0\n", "expected 3 rows, file has 2"),
+    "more rows beats an earlier non-finite component":
+        ("1 2\nuno inf 0\ndos 1 0\n", "line 3: more rows than the header's 1"),
+    "arity beats an earlier non-finite component":
+        ("2 2\nuno nan 0\ndos 1\n", "line 3: expected 3 fields, got 2"),
+    "non-numeric beats an earlier non-finite component":
+        ("2 2\nuno nan 0\ndos x 0\n", "line 3: non-numeric component"),
+    "the first of two non-numeric rows in one chunk":
+        ("3 2\nuno 1 0\ndos 1 y\ntres z 0\n", "line 3: non-numeric component"),
+    "non-numeric beyond the first chunk":
+        (_rows(600, 100, {450: WIDE_ROW.replace("0.5", "q", 1), 451: "x 1"}),
+         "line 450: non-numeric component"),
+    "non-numeric before an arity error in a later chunk":
+        (_rows(600, 100, {380: WIDE_ROW.replace("0.5", "q", 1), 390: "x 1"}),
+         "line 380: non-numeric component"),
+    "non-numeric before an extra row in a later chunk":
+        (_rows(500, 100, {480: WIDE_ROW.replace("0.5", "q", 1)}) + WIDE_ROW + "\n",
+         "line 480: non-numeric component"),
+    "an arity error beyond the first chunk":
+        (_rows(600, 100, {420: "x 1"}), "line 420: expected 101 fields, got 2"),
+    "the first non-finite row beyond the first chunk":
+        (_rows(600, 100, {400: WIDE_ROW.replace("0.5", "1e309"), 530: "y inf" + " 0" * 99}),
+         "line 400: non-finite component"),
+    "row count beats a non-finite row beyond the first chunk":
+        (_rows(600, 100, {400: WIDE_ROW.replace("0.5", "nan")}).replace("600 100", "601 100", 1),
+         "expected 601 rows, file has 600"),
+}
+
+
+class TestErrorOrder:
+    @pytest.mark.parametrize("text,message", ERROR_ORDER.values(), ids=ERROR_ORDER.keys())
+    def test_the_first_fault_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_non_numeric_beats_a_later_undecodable_byte(self, tmp_path):
+        # The bad byte lies well past the first block the text reader
+        # decodes, but within the first parse chunk.
+        path = tmp_path / "emb.txt"
+        path.write_bytes(_rows(300, 20, {3: "dos x" + " 0" * 19}).encode() + b"\xff\n")
+        with pytest.raises(FormatError, match=r"line 3: non-numeric component$"):
+            load_embeddings(path)
+
+    def test_duplicates_are_reported_up_to_the_faulty_line(self, tmp_path, caplog):
+        path = tmp_path / "emb.txt"
+        path.write_text("5 2\nuno 1 0\nuno 0 1\ndos x 0\ndos 1 1\nuno 1 1\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match="line 4: non-numeric component"):
+            load_embeddings(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: line 3: duplicate token 'uno', last row wins"]
+
+
+class TestMemory:
+    def test_loading_holds_about_one_matrix(self, tmp_path):
+        pytest.importorskip("resource")
+        rows, dim = 10_000, 100
+        rng = np.random.default_rng(5)
+        path = tmp_path / "emb.txt"
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(f"{rows} {dim}\n")
+            for i, row in enumerate(rng.normal(size=(rows, dim)).round(4).tolist()):
+                fh.write(f"w{i} " + " ".join(map(str, row)) + "\n")
+        code = (
+            "import resource, sys\n"
+            "from crisismon.expansion import load_embeddings\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "load_embeddings(sys.argv[1])\n"
+            "print(peak() - before)\n"
+        )
+        src = str(Path(crisismon.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        # ru_maxrss is a high-water mark, and Linux carries a parent's peak into
+        # a child's across fork and exec. So the load runs in a fresh interpreter
+        # started by a small one, whose peak lies below NumPy's import.
+        launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+        out = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", code,
+                              str(path)], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        # Linux counts ru_maxrss in KiB, macOS in bytes.
+        grown = int(out) * (1 if sys.platform == "darwin" else 1024)
+        assert grown < 2 * rows * dim * 8
 
 
 class TestKnn:
@@ -82,7 +213,7 @@ class TestKnn:
         )
         table = load_embeddings(path)
         got = knn(table, "a", 2)
-        expect = brute_knn(["a", "b", "c", "d"], table._matrix, 0, 2)
+        expect = brute_knn(["a", "b", "c", "d"], _parse(path)[1], 0, 2)
         assert [t for t, _ in got] == [t for t, _ in expect]
 
     def test_k_at_least_vocab_returns_all_sorted(self, tmp_path):
