@@ -186,6 +186,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         raise ValueError(f"date range {start}..{end} needs at least 2 days")
     if cfg.window < 1:
         raise ValueError("window must be >= 1")
+    if cfg.lead < 0:
+        raise ValueError("lead must be >= 0")
     cats = load_category_set(cfg.categories)
     if not cats.categories:
         raise ValueError(f"{cfg.categories}: no categories")
@@ -203,7 +205,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
               file=sys.stderr)
 
     # Everything is computed before the first file is written, so a run that
-    # fails validation (a negative lead, say) leaves no output behind.
+    # fails on the way leaves no output behind.
     smoothed = series.smooth(series.Series(agg.start, agg.percent()), cfg.window)
     sg = series.smoothed_gradient(smoothed, cfg.window)
     peaks_by_marker = {

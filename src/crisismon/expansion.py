@@ -26,8 +26,8 @@ from .lexicon import CategorySet, Lexicon, MarkerMapping
 log = logging.getLogger(__name__)
 
 
-# Components per chunk: what one ``np.array`` call parses and one
-# ``np.linalg.norm`` call squares, so the transient beside a table's one
+# Components per block of rows that one ``np.linalg.norm`` call squares, or
+# one ``np.isfinite`` call checks, so the transient beside a table's one
 # V x D matrix stays small whatever D is.
 _CHUNK = 1 << 15
 
@@ -116,14 +116,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 def _parse(path: Path) -> tuple[list[str], np.ndarray]:
     """The tokens and raw rows of an embeddings file, checked line by line.
 
-    Rows are parsed a chunk of about ``_CHUNK`` components at a time, straight
-    into the one V x D matrix. The pending chunk is parsed before a structural
-    error is raised, so the first faulty line still wins; a non-finite
-    component is reported only once every line has passed the other checks.
+    Each row is converted straight into the one V x D matrix, and in full
+    before the next line is read, so the first faulty line wins. The matrix
+    is allocated at the first row, sized by what a regular file can hold, so
+    the header alone allocates nothing. A non-finite component is reported
+    only once every line has passed the other checks.
     """
     with open_text(path) as fh:
-        header = fh.readline()
-        parts = header.split()
+        parts = fh.readline().split()
         if len(parts) != 2:
             raise FormatError(f"{path}: line 1: header must be 'V D'")
         try:
@@ -133,80 +133,47 @@ def _parse(path: Path) -> tuple[list[str], np.ndarray]:
         if vocab < 1 or dim < 1:
             raise FormatError(f"{path}: line 1: header values must be >= 1")
 
-        # A row takes at least 2*D+1 bytes, so a regular file's size bounds the
-        # rows worth allocating, whatever the header claims.
         st = os.fstat(fh.fileno())
-        rows = min(vocab, st.st_size // (2 * dim + 1)) if stat.S_ISREG(st.st_mode) else 0
-        matrix = np.empty((rows, dim), dtype=np.float64)
+        matrix = None
         tokens: list[str] = []
+        lines: list[int] = []  # each row's line: a blank line shifts one from the other
         seen: set[str] = set()
-        pending: list[tuple[int, str]] = []  # (line, token) of each unparsed row
-        flat: list[str] = []  # their components
-        nonfinite = 0  # the line of the first row with a non-finite component
-
-        def admit(parsed: list[tuple[int, str]]) -> None:
-            for lineno, token in parsed:
-                if token in seen:
-                    log.warning("%s: line %d: duplicate token %r, last row wins",
-                                path, lineno, token)
-                seen.add(token)
-                tokens.append(token)
-
-        def flush() -> None:
-            nonlocal nonfinite
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            row = len(tokens)
+            if row >= vocab:
+                raise FormatError(f"{path}: line {lineno}: more rows than the header's {vocab}")
+            if len(fields) != dim + 1:
+                raise FormatError(
+                    f"{path}: line {lineno}: expected {dim + 1} fields, got {len(fields)}"
+                )
+            if matrix is None:
+                # A row takes at least 2*D+1 bytes, so a regular file's size
+                # bounds the rows worth allocating, whatever the header claims.
+                rows = st.st_size // (2 * dim + 1) if stat.S_ISREG(st.st_mode) else 1
+                matrix = np.empty((min(vocab, max(1, rows)), dim), dtype=np.float64)
+            elif row == len(matrix):  # a pipe, say, or a file that grew since fstat
+                matrix.resize((min(vocab, 2 * row), dim), refcheck=False)
             try:
-                values = np.array(flat, dtype=np.float64).reshape(-1, dim)
-            except ValueError:
-                for j, (lineno, _) in enumerate(pending):
-                    try:
-                        np.array(flat[j * dim:(j + 1) * dim], dtype=np.float64)
-                    except ValueError as exc:
-                        admit(pending[:j])
-                        raise FormatError(
-                            f"{path}: line {lineno}: non-numeric component"
-                        ) from exc
-                raise
-            row, end = len(tokens), len(tokens) + len(pending)
-            if end > len(matrix):  # a pipe, say, or a file that grew since fstat
-                matrix.resize((min(vocab, max(2 * len(matrix), end)), dim), refcheck=False)
-            matrix[row:end] = values
-            if not nonfinite:
-                bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-                nonfinite = pending[bad[0]][0] if bad.size else 0
-            admit(pending)
-            pending.clear()
-            flat.clear()
-
-        try:
-            for lineno, line in enumerate(fh, start=2):
-                fields = line.split()
-                if not fields:
-                    continue
-                if len(tokens) + len(pending) >= vocab:
-                    flush()
-                    raise FormatError(
-                        f"{path}: line {lineno}: more rows than the header's {vocab}"
-                    )
-                if len(fields) != dim + 1:
-                    flush()
-                    raise FormatError(
-                        f"{path}: line {lineno}: expected {dim + 1} fields, got {len(fields)}"
-                    )
-                pending.append((lineno, fields[0]))
-                del fields[0]
-                flat += fields
-                if len(flat) >= _CHUNK:
-                    flush()
-        except UnicodeDecodeError:
-            flush()  # a fault on a line read before the bad block still wins
-            raise
-        flush()
+                matrix[row] = np.array(fields[1:], dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: non-numeric component") from exc
+            token = fields[0]
+            if token in seen:
+                log.warning("%s: line %d: duplicate token %r, last row wins",
+                            path, lineno, token)
+            seen.add(token)
+            tokens.append(token)
+            lines.append(lineno)
         if len(tokens) != vocab:
-            raise FormatError(
-                f"{path}: expected {vocab} rows, file has {len(tokens)}"
-            )
-    if nonfinite:
-        raise FormatError(f"{path}: line {nonfinite}: non-finite component")
+            raise FormatError(f"{path}: expected {vocab} rows, file has {len(tokens)}")
+    step = max(1, _CHUNK // dim)
+    for i in range(0, vocab, step):
+        bad = np.flatnonzero(~np.isfinite(matrix[i:i + step]).all(axis=1))
+        if bad.size:
+            raise FormatError(f"{path}: line {lines[i + bad[0]]}: non-finite component")
     return tokens, matrix
 
 

@@ -13,6 +13,7 @@ after load.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,10 +117,15 @@ def load_category_set(path: str | Path) -> CategorySet:
     return CategorySet(name=str(obj["name"]), categories=categories)
 
 
+_NOT_IN_NAME = set("/\0" + os.sep + (os.altsep or ""))
+
+
 def load_manifest(path: str | Path) -> dict[str, Lexicon]:
     """Load a construct -> lexicon-path manifest and all lexicons it names.
 
-    Relative paths are resolved against the manifest's own directory.
+    Relative paths are resolved against the manifest's own directory. A
+    construct's name becomes its output files' name, so it must be a plain
+    one: not empty, ``.`` or ``..``, and holding no path separator or NUL.
     """
     path = Path(path)
     obj = read_json(path)
@@ -127,6 +133,8 @@ def load_manifest(path: str | Path) -> dict[str, Lexicon]:
         raise FormatError(f"{path}: manifest must be an object")
     out: dict[str, Lexicon] = {}
     for construct, lex_path in obj.items():
+        if construct in ("", ".", "..") or set(construct) & _NOT_IN_NAME:
+            raise FormatError(f"{path}: construct {construct!r} is not a plain file name")
         if not isinstance(lex_path, str):
             raise FormatError(f"{path}: path for {construct!r} must be a string")
         resolved = Path(lex_path)

@@ -421,6 +421,34 @@ class TestExpand:
         assert capsys.readouterr().err == f"error: {emb}: line 2: expected 301 fields, got 3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("header,says", [
+        ("1 100000000000000000000\na 1\n",
+         "line 2: expected 100000000000000000001 fields, got 2"),
+        ("1 4611686018427387904\n", "expected 1 rows, file has 0"),
+    ], ids=["past int64", "past the largest array"])
+    def test_a_dimension_past_numpy_limits_is_a_format_error(self, tmp_path, capsys,
+                                                             header, says):
+        # The matrix is allocated at the first row, so a header alone sizes nothing.
+        config, out = self._workspace(tmp_path)
+        emb = tmp_path / "emb.txt"
+        emb.write_text(header, encoding="utf-8")
+        assert run_cli("expand", "--config", str(config)) == 2
+        assert capsys.readouterr().err == f"error: {emb}: {says}\n"
+        assert not out.exists()
+
+    def test_a_construct_that_is_no_file_name_fails_before_the_embeddings(self, tmp_path,
+                                                                          capsys):
+        # Written as given, "../../x" would land beside the config, two levels
+        # above out/expanded.
+        config, out = self._workspace(tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"../../x": "seed.json"}))
+        (tmp_path / "emb.txt").unlink()
+        assert run_cli("expand", "--config", str(config)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: construct '../../x' is not a plain file name\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["seed.json", "manifest.json", "emb.txt", "cats.json",
                                       "config.json"])
     def test_invalid_utf8_exits_two_naming_the_file(self, tmp_path, capsys, name):
@@ -542,16 +570,18 @@ class TestAnalyze:
         assert run_cli("analyze", "--config", str(ws["config"])) == 2
         assert not ws["out"].exists()
 
-    def test_negative_lead_fails_before_any_output(self, tmp_path, data_dir):
+    def test_negative_lead_fails_before_any_output(self, tmp_path, capsys, data_dir):
+        # The corpus path does not exist: the lead is checked before it is read.
         ws = write_burst_workspace(tmp_path, seed=25, n_days=10, per_day=10)
         cfg = json.loads(ws["config"].read_text())
         cfg["date_to"] = "2020-03-10"
         cfg["events"] = str(data_dir / "events" / "mental_health.csv")
         cfg["lead"] = -1
         ws["config"].write_text(json.dumps(cfg))
-        assert run_cli("analyze", "--config", str(ws["config"])) == 1
-        for name in ["prevalence.csv", "series.csv", "peaks.csv", "heatmap.svg"]:
-            assert not (ws["out"] / name).exists()
+        missing = str(tmp_path / "no_such_corpus.jsonl")
+        assert run_cli("analyze", "--config", str(ws["config"]), missing) == 1
+        assert capsys.readouterr().err == "error: lead must be >= 0\n"
+        assert not ws["out"].exists()
 
     @pytest.mark.parametrize("key", ["categories", "events", "stages"])
     def test_invalid_utf8_exits_two_naming_the_file(self, tmp_path, capsys, data_dir, key):

@@ -82,8 +82,8 @@ class TestLoadEmbeddings:
         assert [repr(x) for x in got] == [repr(float(t)) for t in texts]
 
     def test_a_pipe_grows_the_matrix_as_rows_come(self, tmp_path):
-        # A pipe has no size to bound the rows, so none are allocated up front;
-        # 20,000 rows of 3 span two parse chunks.
+        # A pipe has no size to bound the rows, so the matrix starts at one row
+        # and doubles as the 20,000 rows of 3 come.
         if not hasattr(os, "mkfifo"):
             pytest.skip("no named pipes")
         fifo = tmp_path / "emb.fifo"
@@ -109,8 +109,10 @@ def _rows(n, dim, faults=()):
     return "\n".join(lines) + "\n"
 
 
-# Tables with more than one fault, and the one each reports. The 100-wide
-# tables span several parse chunks; their faults lie beyond the first.
+# Tables with more than one fault, and the one each reports. A "chunk" is a
+# block of ``_CHUNK`` components, the unit of the non-finite check that runs
+# after the last line: the 100-wide tables span several, and their faults lie
+# beyond the first. A blank line shifts the rows against the lines.
 WIDE_ROW = "x " + " ".join(["0.5"] * 100)
 ERROR_ORDER = {
     "non-numeric beats a later arity error":
@@ -142,6 +144,11 @@ ERROR_ORDER = {
     "row count beats a non-finite row beyond the first chunk":
         (_rows(600, 100, {400: WIDE_ROW.replace("0.5", "nan")}).replace("600 100", "601 100", 1),
          "expected 601 rows, file has 600"),
+    "a non-finite row after a blank line":
+        ("2 1\na 1\n\nb inf\n", "line 4: non-finite component"),
+    "a non-finite row beyond the first chunk after blank lines":
+        (_rows(602, 100, {5: "", 6: " ", 400: WIDE_ROW.replace("0.5", "-inf")})
+         .replace("602 100", "600 100", 1), "line 400: non-finite component"),
 }
 
 
@@ -156,7 +163,7 @@ class TestErrorOrder:
 
     def test_non_numeric_beats_a_later_undecodable_byte(self, tmp_path):
         # The bad byte lies well past the first block the text reader
-        # decodes, but within the first parse chunk.
+        # decodes, so line 3 fails its conversion before the byte is read.
         path = tmp_path / "emb.txt"
         path.write_bytes(_rows(300, 20, {3: "dos x" + " 0" * 19}).encode() + b"\xff\n")
         with pytest.raises(FormatError, match=r"line 3: non-numeric component$"):

@@ -113,3 +113,11 @@ class TestManifest:
         manifest = _write(tmp_path, "manifest.json", {"anxiety": 3})
         with pytest.raises(FormatError, match="path for 'anxiety' must be a string"):
             load_manifest(manifest)
+
+    @pytest.mark.parametrize("name", ["../../x", "a/b", "", ".", "..", "a\0b"])
+    def test_a_construct_name_must_be_a_plain_file_name(self, tmp_path, name):
+        _write(tmp_path, "anx.json", {"name": "anxiety", "terms": ["worry"]})
+        manifest = _write(tmp_path, "manifest.json", {name: "anx.json"})
+        with pytest.raises(FormatError) as info:
+            load_manifest(manifest)
+        assert str(info.value) == f"{manifest}: construct {name!r} is not a plain file name"
