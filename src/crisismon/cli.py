@@ -167,8 +167,9 @@ def cmd_expand(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     (out / "expanded").mkdir(exist_ok=True)
     (out / "mappings").mkdir(exist_ok=True)
+    neighbors: dict = {}  # a seed shared by several constructs is queried once
     for construct in sorted(seeds):
-        expanded = expand_lexicon(seeds[construct], table, cfg.k)
+        expanded = expand_lexicon(seeds[construct], table, cfg.k, neighbors)
         mapping = associate_categories(expanded, cats, cfg.m)
         save_lexicon(expanded, out / "expanded" / f"{construct}.json")
         save_marker_mapping(mapping, out / "mappings" / f"{construct}.json")

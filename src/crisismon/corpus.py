@@ -577,10 +577,10 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
     each other one. ``fork``, not ``spawn``: a spawned worker starts a fresh
     interpreter and imports NumPy again, which cost more than the parallel
     fold saved. Otherwise each file is one range, read to its end in this
-    process, so a pipe such as ``<(zcat corpus.jsonl.gz)`` works. A forked
-    worker runs only this module's parsing and the fold, never NumPy's
-    threaded linear algebra, so a lock held by a thread at the fork (NumPy's
-    BLAS may start threads) is never waited on.
+    process, so a pipe such as ``<(zcat corpus.jsonl.gz)`` works. The folds
+    of ``stats`` and ``analyze`` count in Python ints, and NumPy is imported
+    only after the fold (never for ``stats``), so the workers fork from a
+    process in which no BLAS thread exists to hold a lock at the fork.
     """
     sizes = [_file_size(path) for path in corpus.paths]
     n = pool_size(workers, None if None in sizes else sum(sizes))

@@ -17,11 +17,13 @@ import logging
 import os
 import stat
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import FormatError, open_text
-from .lexicon import CategorySet, Lexicon, MarkerMapping
+from .lexicon import CategorySet, Lexicon, MarkerMapping, Term
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +43,8 @@ class EmbeddingTable:
     """
 
     def __init__(self, tokens: list[str], matrix: np.ndarray):
+        import numpy as np
+
         self._build(tokens, np.array(matrix, dtype=np.float64))
 
     @classmethod
@@ -51,6 +55,8 @@ class EmbeddingTable:
         return table
 
     def _build(self, tokens: list[str], units: np.ndarray) -> None:
+        import numpy as np
+
         if units.ndim != 2 or units.shape[0] != len(tokens):
             raise ValueError("matrix shape does not match token list")
         if not tokens:
@@ -88,6 +94,8 @@ def _normalize(units: np.ndarray) -> np.ndarray:
     finite row's plain norm overflows to inf past about 1e154 and underflows
     to 0 below about 1e-154; such a row is scaled by its largest magnitude first.
     """
+    import numpy as np
+
     norms = np.empty(units.shape[0])
     step = max(1, _CHUNK // max(1, units.shape[1]))
     with np.errstate(over="ignore"):
@@ -122,6 +130,8 @@ def _parse(path: Path) -> tuple[list[str], np.ndarray]:
     the header alone allocates nothing. A non-finite component is reported
     only once every line has passed the other checks.
     """
+    import numpy as np
+
     with open_text(path) as fh:
         parts = fh.readline().split()
         if len(parts) != 2:
@@ -189,6 +199,8 @@ def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
     the whole tie at the k-th place. NumPy sorts NaN last, so the band is
     ``~(neg > kth)``: a NaN k-th value makes it every candidate.
     """
+    import numpy as np
+
     if query not in table:
         raise ValueError(f"query {query!r} is not in the vocabulary")
     if not table.usable(query):
@@ -211,12 +223,18 @@ def knn(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
     return [(table._tokens[i], float(sims[i])) for i in top]
 
 
-def expand_lexicon(seed: Lexicon, table: EmbeddingTable, k: int = 10) -> Lexicon:
+def expand_lexicon(seed: Lexicon, table: EmbeddingTable, k: int = 10,
+                   neighbors: dict[tuple[str, int], list[Term]] | None = None) -> Lexicon:
     """Union the seed with the k nearest neighbors of each single-token seed.
 
     Multiword terms pass through untouched; seeds missing from the
     vocabulary (or with zero-norm vectors) are kept but not expanded.
+    ``neighbors`` maps (seed, k) to the seed's neighbors as terms and takes
+    the ones queried here: a caller that expands several lexicons over one
+    table passes the same dict to every call, so a seed they share is
+    queried once.
     """
+    neighbors = {} if neighbors is None else neighbors
     terms = set(seed.terms)
     for term in sorted(seed.terms):
         if len(term) != 1:
@@ -225,7 +243,9 @@ def expand_lexicon(seed: Lexicon, table: EmbeddingTable, k: int = 10) -> Lexicon
         if not table.usable(token):
             log.debug("seed %r not expandable, kept as-is", token)
             continue
-        terms.update((t,) for t, _ in knn(table, token, k))
+        if (token, k) not in neighbors:
+            neighbors[token, k] = [(t,) for t, _ in knn(table, token, k)]
+        terms.update(neighbors[token, k])
     return Lexicon(name=seed.name, terms=frozenset(terms))
 
 

@@ -20,8 +20,9 @@ categories, not with the corpus. A corpus is folded in byte ranges, in
 forked workers when more than one is allowed; the ranges' count matrices add
 up to the matrix of one pass. A range goes from its raw lines to counts in
 one loop: of each checked record (:func:`~crisismon.corpus.records`) it
-reads the kind, the day and the text, counts in Python ints and makes one
-array of the range's counts. Each category's counts are
+reads the kind, the day and the text, and counts in Python ints. The ranges'
+counts are summed, and made into one array, only after the fold, so NumPy is
+first imported then. Each category's counts are
 a read-only row of that matrix, and all categories share one denominator:
 the number of documents seen that day. Days with no documents yield a
 missing percentage rather than 0, so downstream smoothing can tell absence
@@ -34,14 +35,16 @@ import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import partial
+from operator import add
 from pathlib import Path
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .corpus import KIND_RETWEET, Corpus, ParseReport, fold_corpus, preprocess
 from .errors import FormatError, cell, read_csv, write_csv
 from .lexicon import CategorySet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -124,6 +127,8 @@ class DailyAggregate:
     def percent(self) -> np.ndarray:
         """Categories × days of 100*matched/total, rows in ``prevalence``
         order; NaN on a day with no documents."""
+        import numpy as np
+
         matched = np.array([p.matched for p in self.prevalence.values()])
         total = np.array([p.total for p in self.prevalence.values()])
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -131,10 +136,10 @@ class DailyAggregate:
 
 
 def _count(matcher: Matcher, start: date, n_days: int,
-           recs: Iterator[tuple]) -> tuple[np.ndarray, np.ndarray, int]:
+           recs: Iterator[tuple]) -> tuple[list[list[int]], list[int], int]:
     """Matches per category per day, documents per day, and documents dropped,
-    over the records of a corpus range, retweets left out; counted in Python
-    ints, then one array each."""
+    over the records of a corpus range, retweets left out; Python ints, in
+    lists that a forked worker pickles as they are."""
     first = start.toordinal()
     matched = [[0] * n_days for _ in range(len(matcher))]
     totals = [0] * n_days
@@ -150,8 +155,7 @@ def _count(matcher: Matcher, start: date, n_days: int,
         totals[di] += 1
         for ci in match_indices(preprocess(obj["text"])):
             matched[ci][di] += 1
-    return (np.array(matched, dtype=np.int64).reshape(len(matcher), n_days),
-            np.array(totals, dtype=np.int64), dropped)
+    return matched, totals, dropped
 
 
 def aggregate_daily(
@@ -167,20 +171,27 @@ def aggregate_daily(
     The corpus is parsed, its retweets dropped and the rest tokenized and
     counted range by range, in up to ``workers`` processes (see
     :func:`~crisismon.corpus.fold_corpus`); its parse outcomes land on
-    ``report``.
+    ``report``. The ranges' counts are summed in Python ints; NumPy is
+    imported, and the arrays built, only after the last range.
     """
     if start > end:
         raise ValueError(f"start {start} after end {end}")
     n_days = (end - start).days + 1
     fold = partial(_count, matcher, start, n_days)
-    matched = np.zeros((len(matcher), n_days), dtype=np.int64)
-    totals = np.zeros(n_days, dtype=np.int64)
+    counts = [[0] * n_days for _ in range(len(matcher))]
+    day_totals = [0] * n_days
     dropped = 0
     for part_matched, part_totals, part_dropped in fold_corpus(
             corpus, fold, workers, ParseReport() if report is None else report):
-        matched += part_matched
-        totals += part_totals
+        for row, part in zip(counts, part_matched):
+            row[:] = map(add, row, part)
+        day_totals[:] = map(add, day_totals, part_totals)
         dropped += part_dropped
+
+    import numpy as np
+
+    matched = np.array(counts, dtype=np.int64).reshape(len(matcher), n_days)
+    totals = np.array(day_totals, dtype=np.int64)
 
     if dropped:
         log.info("aggregate_daily: dropped %d documents outside %s..%s",
@@ -214,6 +225,8 @@ def read_prevalence_csv(path: str | Path) -> DailyAggregate:
     a day with no row for a category has total 0, which reads as missing. A
     file with no rows is a ``ValueError``.
     """
+    import numpy as np
+
     rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
         date.fromisoformat(row["date"]), row["category"], int(row["matched"]), int(row["total"])
     ))

@@ -18,8 +18,6 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import cell, read_csv, write_csv
 from .series import Peak, Series
 
@@ -54,8 +52,8 @@ class EventRecord:
 
 
 def _fill(norm: float) -> str:
-    lum = LIGHT - norm * (LIGHT - DARK)
-    return f"rgb({lum:.6f}%,{lum:.6f}%,{lum:.6f}%)"
+    lum = f"{LIGHT - norm * (LIGHT - DARK):.6f}%"
+    return f"rgb({lum},{lum},{lum})"
 
 
 def _check_rows(rows: Series, markers: Sequence[str]) -> None:
@@ -76,12 +74,9 @@ def render_heatmap(
         raise ValueError(f"start {start} after end {end}")
     _check_rows(rows, markers)
 
-    cropped = rows.crop(start, end).values
-    present = cropped[~np.isnan(cropped)]
-    if present.size:
-        vmin, vmax = float(present.min()), float(present.max())
-    else:
-        vmin = vmax = 0.0
+    cells = rows.crop(start, end).values.tolist()
+    present = [v for row in cells for v in row if v == v]  # NaN equals nothing
+    vmin, vmax = (min(present), max(present)) if present else (0.0, 0.0)
     flat = vmax == vmin  # degenerate normalization: everything mid-ramp
 
     n_days = (end - start).days + 1
@@ -120,25 +115,23 @@ def render_heatmap(
                 f'font-size="11" fill="#222222">{d.strftime("%Y-%m")}</text>'
             )
 
-    for ri, (marker, values) in enumerate(zip(markers, cropped)):
+    # A cell's text up to its y, per day, and from its y to its fill, formatted once.
+    heads = [f'<rect x="{left + di * CELL_W:.2f}" y="' for di in range(n_days)]
+    size = f'" width="{CELL_W:.2f}" height="{CELL_H:.2f}" fill="'
+    for ri, (marker, values) in enumerate(zip(markers, cells)):
         y = top + ri * CELL_H
         parts.append(
             f'<text x="{left - 6:.2f}" y="{y + CELL_H * 0.72:.2f}" '
             f'font-family="monospace" font-size="12" text-anchor="end" '
             f'fill="#111111">{_xml_escape(marker)}</text>'
         )
-        for di in range(n_days):
-            x = left + di * CELL_W
-            v = values[di]
-            if np.isnan(v):
+        mid = f"{y:.2f}{size}"
+        for head, v in zip(heads, values):
+            if v != v:
                 fill = "url(#missing)"
             else:
-                norm = 0.5 if flat else (float(v) - vmin) / (vmax - vmin)
-                fill = _fill(norm)
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{CELL_W:.2f}" '
-                f'height="{CELL_H:.2f}" fill="{fill}"/>'
-            )
+                fill = _fill(0.5 if flat else (v - vmin) / (vmax - vmin))
+            parts.append(f'{head}{mid}{fill}"/>')
 
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
@@ -178,6 +171,8 @@ def stage_prevalence_table(
     inside the stage window. A zero median, or a stage window with no
     present days in range, yields an undefined (None) cell.
     """
+    import numpy as np
+
     _check_rows(rows, markers)
     table: list[tuple[str, str, float | None]] = []
     for marker, v in zip(markers, rows.values):

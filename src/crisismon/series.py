@@ -32,11 +32,12 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import cell, write_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RISE = "rise"
 FALL = "fall"
@@ -51,6 +52,8 @@ class Series:
     kind: str = "raw"  # raw | smoothed | gradient
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim not in (1, 2):
             raise ValueError("series values must be days or markers x days")
@@ -101,6 +104,8 @@ def smooth(s: Series, window: int) -> Series:
     present value in the window, so constant stretches come out exactly
     constant. All days are computed in one pass over a (days x window) view.
     """
+    import numpy as np
+
     if s.kind not in ("raw", "gradient"):
         raise ValueError(f"cannot smooth a series of kind {s.kind!r}")
     if window < 1:
@@ -126,6 +131,8 @@ def gradient(s: Series) -> Series:
     g[i] = (v[i+1] - v[i-1]) / 2 for interior days; any day whose stencil
     touches a missing value is itself missing.
     """
+    import numpy as np
+
     v = s.values
     if len(s) < 2:
         raise ValueError("gradient needs at least 2 points")
@@ -208,6 +215,8 @@ def filter_peaks(peaks: Sequence[Peak], sigma_mult: float = 1.0) -> list[Peak]:
     The statistics are computed over the candidate prominences themselves
     (population standard deviation). An empty candidate list stays empty.
     """
+    import numpy as np
+
     if not peaks:
         return []
     proms = np.array([p.prominence for p in peaks])
@@ -234,6 +243,8 @@ def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
 def _zscore(v: np.ndarray) -> np.ndarray:
     """Center and scale by the population std of present values; flat -> zeros,
     a row with no present value as it is."""
+    import numpy as np
+
     if np.isnan(v).all():
         return v
     mean = np.nanmean(v)
@@ -252,6 +263,8 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
     like any other. A joint peak's direction reports whether the markers'
     signed changes were, on average, rising or falling at that moment.
     """
+    import numpy as np
+
     if sg.values.ndim != 2 or not len(sg.values):
         raise ValueError("need markers x days with at least one marker row")
     zs = np.vstack([_zscore(row) for row in sg.values])

@@ -278,6 +278,41 @@ def test_verbose_stderr_is_the_same_for_any_workers(tmp_path):
     assert b"INFO crisismon" in errs[0] and b"skipped 6 malformed line(s) of 603" in errs[0]
 
 
+def _cli_in_fresh_process(script, *argv):
+    """The last stdout line of ``script`` run in a new interpreter with the
+    pool on (two CPUs, no size floor), ``cli`` and ``os`` imported."""
+    import crisismon
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crisismon.__file__))}
+    head = ("import os, sys; from crisismon import cli, corpus; "
+            "corpus.usable_cpus = lambda: 2; corpus.MIN_POOL_BYTES = 1; ")
+    proc = subprocess.run([sys.executable, "-c", head + script, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_stats_never_loads_numpy(tmp_path):
+    ws = _split_workspace(tmp_path)
+    script = "code = cli.main(sys.argv[1:]); print(code, 'numpy' in sys.modules)"
+    assert _cli_in_fresh_process(script, "stats", "--config", str(ws["config"])) == "0 False"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_stats_and_analyze_fork_from_a_single_threaded_process(tmp_path):
+    """NumPy, whose BLAS may start threads, is imported only after the fold."""
+    ws = _split_workspace(tmp_path)
+    script = ("threads, fork = [], os.fork\n"
+              "def counted():\n"
+              "    threads.append(len(os.listdir('/proc/self/task')))\n"
+              "    return fork()\n"
+              "os.fork = counted\n"
+              "codes = [cli.main([c, '--config', sys.argv[1], '--workers', '2'])\n"
+              "         for c in ('stats', 'analyze')]\n"
+              "print(codes, threads)")
+    assert _cli_in_fresh_process(script, str(ws["config"])) == "[0, 0] [1, 1]"
+
+
 @pytest.mark.parametrize("hostile, reason", [
     ("day", "date value out of range"),
     ("deep", "nested more than 500 deep"),

@@ -189,8 +189,11 @@ class TestMemory:
             fh.write(f"{rows} {dim}\n")
             for i, row in enumerate(rng.normal(size=(rows, dim)).round(4).tolist()):
                 fh.write(f"w{i} " + " ".join(map(str, row)) + "\n")
+        # NumPy is imported before the first reading: the loader imports it
+        # on its first call, and the import is not the loader's memory.
         code = (
             "import resource, sys\n"
+            "import numpy\n"
             "from crisismon.expansion import load_embeddings\n"
             "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "before = peak()\n"
@@ -362,6 +365,26 @@ class TestExpandLexicon:
         assert seed.terms <= out.terms
         in_vocab_singles = 2
         assert len(out.terms) <= len(seed.terms) + k * in_vocab_singles
+
+    def test_a_shared_neighbors_dict_queries_each_seed_and_k_once(self, monkeypatch):
+        import itertools
+
+        from crisismon import expansion
+
+        rng = np.random.default_rng(31)
+        tokens = ["".join(p) for p in itertools.product("fghij", repeat=2)]
+        table = EmbeddingTable(tokens, rng.normal(size=(25, 6)))
+        seeds = [make_lexicon("x", tokens[:4]), make_lexicon("y", tokens[2:6])]
+        alone = [expand_lexicon(seed, table, 3) for seed in seeds]
+        queries = []
+        real = expansion.knn
+        monkeypatch.setattr(expansion, "knn",
+                            lambda t, q, k: queries.append((q, k)) or real(t, q, k))
+        neighbors = {}
+        assert [expand_lexicon(seed, table, 3, neighbors) for seed in seeds] == alone
+        assert sorted(queries) == [(t, 3) for t in sorted(tokens[:6])]
+        assert expand_lexicon(seeds[0], table, 4, neighbors) == expand_lexicon(seeds[0], table, 4)
+        assert len(queries) == 6 + 4 + 4
 
 
 class TestAssociateCategories:

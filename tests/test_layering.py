@@ -42,13 +42,17 @@ def test_imports_only_earlier_layers(module):
 
 
 def test_importing_the_package_loads_no_layer_and_no_numpy():
-    """A fresh interpreter: the public names are imported on first use."""
-    script = ("import sys, crisismon; print(sorted(m for m in sys.modules "
-              "if m.startswith('crisismon.') or m.split('.')[0] == 'numpy'))")
+    """Fresh interpreters: the public names are imported on first use, and
+    no layer module imports NumPy until one of its functions builds an array."""
+    layers = [f"crisismon.{m}" for m in LAYER]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout == "[]\n"
+    for imported, loaded in ((["crisismon"], []),
+                             (layers, sorted(layers + ["crisismon.errors"]))):
+        script = (f"import sys, {', '.join(imported)}; print(sorted(m for m in sys.modules "
+                  "if m.startswith('crisismon.') or m.split('.')[0] == 'numpy'))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout == f"{loaded}\n"
 
 
 def test_every_public_name_resolves_to_its_module():
