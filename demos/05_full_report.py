@@ -68,14 +68,14 @@ corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
 cats = load_category_set(DATA / "categories" / "demo_categories_es.json")
 report = ParseReport()
 agg = aggregate_daily(Corpus((str(corpus),)), build_matcher(cats), START, END, report=report)
-analyzable = int(next(iter(agg.prevalence.values())).total.sum())
+analyzable = sum(agg.totals[0])  # every category has the same day totals
 print(f"{report.parsed} tweets, {analyzable} analyzable (retweets left out), across "
-      f"{n_days} days, {len(agg.prevalence)} categories")
+      f"{n_days} days, {len(agg.categories)} categories")
 
 # --- joint peaks over the surged markers, annotated with real events --------------
 # One row per marker, one column per day; every derived series keeps that shape.
 markers = ["fear", "health", "nervousness", "sadness"]
-pct = dict(zip(agg.prevalence, agg.percent()))
+pct = dict(zip(agg.categories, agg.percent()))
 smoothed = smooth(Series(START, [pct[m] for m in markers]), 7)
 peaks = joint_peaks(smoothed_gradient(smoothed, 7))
 

@@ -7,9 +7,11 @@ prevalence percentages, detect prominent change peaks on smoothed gradients,
 and report heatmaps, event annotations and crisis-stage prevalence tables.
 
 Each public name is imported from its module on first use, so ``import
-crisismon`` loads no layer module and no NumPy. No layer module imports NumPy
-at its top either: the functions that build or read arrays import it, so
-``stats`` never loads it and ``analyze`` loads it only after its corpus fold.
+crisismon`` loads no layer module and no NumPy. Only ``expansion`` works on
+NumPy arrays, and imports NumPy inside the functions that do; counts,
+prevalence, series, peaks and reports are Python ints and floats. So
+``stats``, ``analyze`` and ``render`` never load NumPy, and ``expand`` loads
+it when it reads the embeddings.
 """
 
 import importlib

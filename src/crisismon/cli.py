@@ -243,7 +243,7 @@ def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int
     if window is not None and window < 1:
         raise ValueError("window must be >= 1")
     agg = matching.read_prevalence_csv(input_csv)
-    names = list(agg.prevalence)
+    names = list(agg.categories)
     rows = _marker_rows(cfg.markers, names)
     shown = series.Series(agg.start, agg.percent())[rows]
     if window and window > 1:

@@ -575,12 +575,13 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
     With :func:`pool_size` above 1, the corpus is cut into that many shares
     (:func:`split_shares`): this process folds the first and a forked worker
     each other one. ``fork``, not ``spawn``: a spawned worker starts a fresh
-    interpreter and imports NumPy again, which cost more than the parallel
-    fold saved. Otherwise each file is one range, read to its end in this
-    process, so a pipe such as ``<(zcat corpus.jsonl.gz)`` works. The folds
-    of ``stats`` and ``analyze`` count in Python ints, and NumPy is imported
-    only after the fold (never for ``stats``), so the workers fork from a
-    process in which no BLAS thread exists to hold a lock at the fork.
+    interpreter and imports the package again, which, measured when that
+    import included NumPy, cost more than the parallel fold saved. Otherwise
+    each file is one range, read to its end in this process, so a pipe such
+    as ``<(zcat corpus.jsonl.gz)`` works. The folds of ``stats`` and
+    ``analyze`` count in Python ints, and neither command ever imports NumPy,
+    so the workers fork from a process in which no BLAS thread exists to hold
+    a lock at the fork.
     """
     sizes = [_file_size(path) for path in corpus.paths]
     n = pool_size(workers, None if None in sizes else sum(sizes))

@@ -20,31 +20,28 @@ categories, not with the corpus. A corpus is folded in byte ranges, in
 forked workers when more than one is allowed; the ranges' count matrices add
 up to the matrix of one pass. A range goes from its raw lines to counts in
 one loop: of each checked record (:func:`~crisismon.corpus.records`) it
-reads the kind, the day and the text, and counts in Python ints. The ranges'
-counts are summed, and made into one array, only after the fold, so NumPy is
-first imported then. Each category's counts are
-a read-only row of that matrix, and all categories share one denominator:
-the number of documents seen that day. Days with no documents yield a
-missing percentage rather than 0, so downstream smoothing can tell absence
-from zero signal.
+reads the kind, the day and the text, and counts in Python ints. The counts
+stay Python ints in lists, and the percentages are Python floats, so
+matching never loads NumPy. All categories share one denominator: the number
+of documents seen that day. Days with no documents yield a missing
+percentage rather than 0, so downstream smoothing can tell absence from zero
+signal.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from functools import partial
+from functools import cached_property, partial
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .corpus import KIND_RETWEET, Corpus, ParseReport, fold_corpus, preprocess
 from .errors import FormatError, cell, read_csv, write_csv
 from .lexicon import CategorySet
-
-if TYPE_CHECKING:
-    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -110,29 +107,48 @@ def build_matcher(cats: CategorySet) -> Matcher:
 class DailyPrevalence:
     """One category's matched counts per day and the documents per day."""
 
-    matched: np.ndarray  # int64, one cell per day; a row of the count matrix
-    total: np.ndarray  # int64; aggregate_daily shares one array across categories
+    matched: object  # a read-only int64 NumPy array, one cell per day
+    total: object  # the same, documents per day
 
 
 @dataclass
 class DailyAggregate:
-    """The daily prevalence table over [start, end]: per-category counts, in
-    row order, plus bookkeeping."""
+    """The daily counts over [start, end]: one row of days per category, in
+    the order of ``categories``, plus bookkeeping.
+
+    ``totals[i]`` is category ``i``'s documents per day. The fold gives every
+    category the same list; a prevalence CSV may list a category on fewer
+    days than another, so its rows may differ.
+    """
 
     start: date
     end: date
-    prevalence: dict[str, DailyPrevalence]
+    categories: tuple[str, ...]
+    matched: list[list[int]]  # categories × days
+    totals: list[list[int]]  # categories × days
     dropped: int  # documents outside the configured date range
 
-    def percent(self) -> np.ndarray:
-        """Categories × days of 100*matched/total, rows in ``prevalence``
-        order; NaN on a day with no documents."""
+    def percent(self) -> list[list[float]]:
+        """Categories × days of 100*matched/total; NaN on a day with no documents."""
+        return [[100.0 * m / t if t > 0 else math.nan for m, t in zip(row, total)]
+                for row, total in zip(self.matched, self.totals)]
+
+    @cached_property
+    def prevalence(self) -> dict[str, DailyPrevalence]:
+        """Each category's counts as read-only int64 arrays, built on first use.
+
+        For library callers that want arrays; it loads NumPy, which nothing
+        else in ``stats``, ``analyze`` or ``render`` does.
+        """
         import numpy as np
 
-        matched = np.array([p.matched for p in self.prevalence.values()])
-        total = np.array([p.total for p in self.prevalence.values()])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(total > 0, 100.0 * matched / total, np.nan)
+        out = {}
+        for name, matched, total in zip(self.categories, self.matched, self.totals):
+            rows = np.array(matched, dtype=np.int64), np.array(total, dtype=np.int64)
+            for row in rows:
+                row.flags.writeable = False
+            out[name] = DailyPrevalence(*rows)
+        return out
 
 
 def _count(matcher: Matcher, start: date, n_days: int,
@@ -171,8 +187,7 @@ def aggregate_daily(
     The corpus is parsed, its retweets dropped and the rest tokenized and
     counted range by range, in up to ``workers`` processes (see
     :func:`~crisismon.corpus.fold_corpus`); its parse outcomes land on
-    ``report``. The ranges' counts are summed in Python ints; NumPy is
-    imported, and the arrays built, only after the last range.
+    ``report``. The ranges' counts are summed in Python ints.
     """
     if start > end:
         raise ValueError(f"start {start} after end {end}")
@@ -187,24 +202,12 @@ def aggregate_daily(
             row[:] = map(add, row, part)
         day_totals[:] = map(add, day_totals, part_totals)
         dropped += part_dropped
-
-    import numpy as np
-
-    matched = np.array(counts, dtype=np.int64).reshape(len(matcher), n_days)
-    totals = np.array(day_totals, dtype=np.int64)
-
     if dropped:
         log.info("aggregate_daily: dropped %d documents outside %s..%s",
                  dropped, start, end)
-    # Each category's row is a read-only view of the one matrix, and all of
-    # them share the one read-only totals vector.
-    matched.flags.writeable = False
-    totals.flags.writeable = False
-    prevalence = {
-        name: DailyPrevalence(matched=matched[ci], total=totals)
-        for ci, name in enumerate(matcher.category_names)
-    }
-    return DailyAggregate(start=start, end=end, prevalence=prevalence, dropped=dropped)
+    return DailyAggregate(start=start, end=end, categories=matcher.category_names,
+                          matched=counts, totals=[day_totals] * len(counts),
+                          dropped=dropped)
 
 
 def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
@@ -213,8 +216,9 @@ def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
     days = [(aggregate.start + timedelta(days=i)).isoformat() for i in range(n_days)]
     write_csv(path, ["date", "category", "matched", "total", "percent"], (
         [d, name, m, t, cell(p)]
-        for (name, prev), pct in zip(aggregate.prevalence.items(), aggregate.percent().tolist())
-        for d, m, t, p in zip(days, prev.matched.tolist(), prev.total.tolist(), pct)
+        for name, matched, totals, pct in zip(aggregate.categories, aggregate.matched,
+                                              aggregate.totals, aggregate.percent())
+        for d, m, t, p in zip(days, matched, totals, pct)
     ))
 
 
@@ -223,30 +227,34 @@ def read_prevalence_csv(path: str | Path) -> DailyAggregate:
 
     Every category spans the first to the last day listed for any category;
     a day with no row for a category has total 0, which reads as missing. A
-    file with no rows is a ``ValueError``.
+    file with no rows is a ``ValueError``. Each distinct date is parsed once.
     """
-    import numpy as np
+    day_of: dict[str, date] = {}
 
-    rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
-        date.fromisoformat(row["date"]), row["category"], int(row["matched"]), int(row["total"])
-    ))
-    by_cat: dict[str, dict[date, tuple[int, int]]] = {}
-    for i, (day, cat, matched, total) in enumerate(rows):
-        cells = by_cat.setdefault(cat, {})
-        if day in cells:
-            raise FormatError(f"{path}: line {i + 2}: duplicate {day} {cat}")
-        cells[day] = matched, total
-    days = {d for cells in by_cat.values() for d in cells}
-    if not days:
+    def parse(row: dict[str, str]) -> tuple[date, str, int, int]:
+        text = row["date"]
+        day = day_of.get(text)
+        if day is None:
+            day = day_of[text] = date.fromisoformat(text)
+        return day, row["category"], int(row["matched"]), int(row["total"])
+
+    rows = read_csv(path, ["date", "category", "matched", "total", "percent"], parse)
+    if not rows:
         raise ValueError(f"{path}: no prevalence rows")
-    start, end = min(days), max(days)
+    start, end = min(day_of.values()), max(day_of.values())
     n = (end - start).days + 1
-    prevalence: dict[str, DailyPrevalence] = {}
-    for cat in sorted(by_cat):
-        matched = np.zeros(n, dtype=np.int64)
-        total = np.zeros(n, dtype=np.int64)
-        for d, (m, t) in by_cat[cat].items():
-            i = (d - start).days
-            matched[i], total[i] = m, t
-        prevalence[cat] = DailyPrevalence(matched=matched, total=total)
-    return DailyAggregate(start=start, end=end, prevalence=prevalence, dropped=0)
+    first = start.toordinal()
+    cells: dict[str, tuple[list[int], list[int], set[int]]] = {}
+    for line, (day, cat, matched, total) in enumerate(rows, start=2):
+        if cat not in cells:
+            cells[cat] = [0] * n, [0] * n, set()
+        m_row, t_row, seen = cells[cat]
+        i = day.toordinal() - first
+        if i in seen:
+            raise FormatError(f"{path}: line {line}: duplicate {day} {cat}")
+        seen.add(i)
+        m_row[i], t_row[i] = matched, total
+    names = tuple(sorted(cells))
+    return DailyAggregate(start=start, end=end, categories=names,
+                          matched=[cells[c][0] for c in names],
+                          totals=[cells[c][1] for c in names], dropped=0)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import cell, read_csv, write_csv
-from .series import Peak, Series
+from .series import Peak, Series, _sum
 
 DEFAULT_EVENT_LEAD_DAYS = 6
 CELL_W = 8.0  # heatmap cell geometry
@@ -57,7 +57,7 @@ def _fill(norm: float) -> str:
 
 
 def _check_rows(rows: Series, markers: Sequence[str]) -> None:
-    if rows.values.ndim != 2 or len(rows.values) != len(markers):
+    if rows.ndim != 2 or len(rows.values) != len(markers):
         raise ValueError(f"need one markers x days row per marker ({len(markers)})")
 
 
@@ -74,7 +74,7 @@ def render_heatmap(
         raise ValueError(f"start {start} after end {end}")
     _check_rows(rows, markers)
 
-    cells = rows.crop(start, end).values.tolist()
+    cells = rows.crop(start, end).values
     present = [v for row in cells for v in row if v == v]  # NaN equals nothing
     vmin, vmax = (min(present), max(present)) if present else (0.0, 0.0)
     flat = vmax == vmin  # degenerate normalization: everything mid-ramp
@@ -170,22 +170,24 @@ def stage_prevalence_table(
     cell is the maximum of 100*(v - median)/median over the present days
     inside the stage window. A zero median, or a stage window with no
     present days in range, yields an undefined (None) cell.
-    """
-    import numpy as np
 
+    The median is NumPy's: the mean of the one or two middle values.
+    """
     _check_rows(rows, markers)
     table: list[tuple[str, str, float | None]] = []
     for marker, v in zip(markers, rows.values):
-        present = v[~np.isnan(v)]
-        median = float(np.median(present)) if present.size else None
+        present = sorted(x for x in v if x == x)  # NaN equals nothing
+        middle = present[(len(present) - 1) // 2 : len(present) // 2 + 1]
+        median = _sum(middle) / len(middle) if middle else None
         for w in stages:
             lo = max((w.start - rows.start).days, 0)
             hi = min((w.end - rows.start).days, len(rows) - 1)
             # An undefined or zero median, or a window off the span, leaves no days.
-            seg = v[lo : hi + 1] if median and lo <= hi else v[:0]
-            seg = seg[~np.isnan(seg)]
-            cell = float(np.max(100.0 * (seg - median) / median)) if seg.size else None
-            table.append((marker, w.stage, cell))
+            seg = [x for x in v[lo : hi + 1] if x == x] if median and lo <= hi else []
+            # A finite median gives no NaN here, an infinite or NaN one only NaN,
+            # so ``max`` agrees with NumPy's NaN-propagating maximum.
+            diffs = [100.0 * (x - median) / median for x in seg]
+            table.append((marker, w.stage, max(diffs) if diffs else None))
     return table
 
 

@@ -1,9 +1,9 @@
 """Time-series smoothing, gradients, and prominence-based peak detection.
 
-A ``Series`` holds days, or markers × days: rows are markers and the last
-axis is days from ``start``. ``len`` counts days, indexing selects rows, and
-``smooth``, ``gradient`` and ``smoothed_gradient`` work along the last axis,
-each row exactly as it would alone.
+A ``Series`` holds days, or markers × days, as lists of Python floats: rows
+are markers and each row lists the days from ``start``. ``len`` counts days,
+indexing selects rows, and ``smooth``, ``gradient`` and ``smoothed_gradient``
+work on each row alone.
 
 A day with no signal is NaN, never 0: missing propagates through gradients,
 excludes itself from window means, and never hosts a peak.
@@ -22,8 +22,12 @@ Only candidates with prominence above the candidate mean plus ``sigma_mult``
 population standard deviations survive filtering; with a single candidate
 (or all-equal prominences) the strict inequality keeps nothing.
 
-The peak walks run over Python floats from ``tolist()``, not NumPy scalars;
-the same comparisons and subtraction give bit-identical results.
+The module does not use NumPy, yet gives the bits its NumPy version gave.
+Every sum of floats is ``_sum``, which adds in the order of NumPy's pairwise
+``np.add.reduce``; means and standard deviations divide such sums as NumPy's
+do. The one exception is the mean over markers in ``joint_peaks``: NumPy's
+reduction over the first axis adds the rows one after another, and so does
+the loop. Where NumPy divided by zero and warned, the division is guarded.
 """
 
 from __future__ import annotations
@@ -31,16 +35,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
+from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import cell, write_csv
 
-if TYPE_CHECKING:
-    import numpy as np
-
 RISE = "rise"
 FALL = "fall"
+
+
+def _floats(values) -> list:
+    """Days as a list of floats, or markers × days as a list of such rows;
+    an array is converted once, with ``tolist()``."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    try:
+        return [float(x) for x in values]
+    except TypeError:
+        pass
+    try:
+        rows = [[float(x) for x in row] for row in values]
+    except TypeError:
+        rows = None
+    if rows is None or len({len(row) for row in rows}) > 1:
+        raise ValueError("series values must be days or markers x days")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -48,23 +68,25 @@ class Series:
     """Contiguous daily values, days or markers × days; NaN marks a missing day."""
 
     start: date
-    values: np.ndarray  # float64
+    values: list  # floats, or one list of floats per marker
     kind: str = "raw"  # raw | smoothed | gradient
 
     def __post_init__(self) -> None:
-        import numpy as np
+        object.__setattr__(self, "values", _floats(self.values))
 
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim not in (1, 2):
-            raise ValueError("series values must be days or markers x days")
-        object.__setattr__(self, "values", values)
+    @property
+    def ndim(self) -> int:
+        """1 for days, 2 for markers × days (an empty list counts as days)."""
+        return 2 if self.values and isinstance(self.values[0], list) else 1
 
     def __len__(self) -> int:
-        return self.values.shape[-1]
+        return len(self.values[0]) if self.ndim == 2 else len(self.values)
 
     def __getitem__(self, rows) -> "Series":
         """Row ``rows`` (an index) or the rows listed in ``rows``, same days."""
-        return replace(self, values=self.values[rows])
+        if hasattr(rows, "__index__"):
+            return replace(self, values=self.values[rows])
+        return replace(self, values=[self.values[i] for i in rows])
 
     def dates(self) -> list[date]:
         return [self.start + timedelta(days=i) for i in range(len(self))]
@@ -84,7 +106,7 @@ class Series:
         i1 = self.index_of(end)
         if i1 < i0:
             raise ValueError(f"start {start} after end {end}")
-        return replace(self, start=start, values=self.values[..., i0 : i1 + 1])
+        return replace(self, start=start, values=_each_row(self, lambda v: v[i0 : i1 + 1]))
 
 
 @dataclass(frozen=True)
@@ -96,33 +118,68 @@ class Peak:
     direction: str = RISE
 
 
+def _each_row(s: Series, f: Callable[[list[float]], list[float]]) -> list:
+    return [f(row) for row in s.values] if s.ndim == 2 else f(s.values)
+
+
+def _sum(v: list[float]) -> float:
+    """The sum of ``v`` with the bits of NumPy's ``np.add.reduce``.
+
+    NumPy adds fewer than 8 values in order, from 0.0; up to 128 on eight
+    interleaved accumulators, combined pairwise, with the remainder added in
+    order; and splits a longer run in two at a multiple of 8 near its middle.
+    It adds the total to 0.0, which turns -0.0 into 0.0; doing so at every
+    split as well changes no result.
+    """
+    n = len(v)
+    if n < 8:
+        res = 0.0
+        for x in v:
+            res += x
+        return res
+    if n <= 128:
+        stop = n - n % 8
+        r = v[:8]
+        for i in range(8, stop, 8):
+            r = list(map(add, r, v[i : i + 8]))
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in v[stop:]:
+            res += x
+        return 0.0 + res
+    half = n // 2 - n // 2 % 8
+    return 0.0 + (_sum(v[:half]) + _sum(v[half:]))
+
+
+def _smooth_row(v: list[float], window: int) -> list[float]:
+    # Window i holds days i-window+1..i; NaN stands in for days before the start.
+    padded = [math.nan] * (window - 1) + v
+    out = []
+    for i in range(len(v)):
+        win = padded[i : i + window]
+        present = [x for x in win if x == x]  # NaN equals nothing
+        if present:
+            base = present[0]
+            out.append(base + _sum([x - base if x == x else 0.0 for x in win]) / len(present))
+        else:
+            out.append(math.nan)
+    return out
+
+
 def smooth(s: Series, window: int) -> Series:
     """Trailing moving average over the present values of the last ``window`` days.
 
     The leading edge averages the available prefix; a window with no present
     values yields a missing day. The mean is computed relative to the first
     present value in the window, so constant stretches come out exactly
-    constant. All days are computed in one pass over a (days x window) view.
+    constant: each window sums its deviations from that value, a missing day
+    or a day before the start counting 0.0, and divides by the present count.
     """
-    import numpy as np
-
     if s.kind not in ("raw", "gradient"):
         raise ValueError(f"cannot smooth a series of kind {s.kind!r}")
     if window < 1:
         raise ValueError("window must be >= 1")
-    v = s.values
-    # Window i holds days i-window+1..i; NaN padding stands in for days before
-    # the start (``window`` of them, so an empty series still has one view).
-    pad = np.full(v.shape[:-1] + (window,), np.nan)
-    padded = np.concatenate([pad, v], axis=-1)
-    wins = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1)[..., 1:, :]
-    present = ~np.isnan(wins)
-    first = present.argmax(axis=-1)[..., None]
-    base = np.take_along_axis(wins, first, axis=-1)[..., 0]  # NaN if none present
-    dev = np.where(present, wins - base[..., None], 0.0)
-    with np.errstate(invalid="ignore"):
-        out = base + dev.sum(axis=-1) / present.sum(axis=-1)
-    return Series(start=s.start, values=out, kind="smoothed")
+    return Series(start=s.start, values=_each_row(s, lambda v: _smooth_row(v, window)),
+                  kind="smoothed")
 
 
 def gradient(s: Series) -> Series:
@@ -131,16 +188,13 @@ def gradient(s: Series) -> Series:
     g[i] = (v[i+1] - v[i-1]) / 2 for interior days; any day whose stencil
     touches a missing value is itself missing.
     """
-    import numpy as np
-
-    v = s.values
     if len(s) < 2:
         raise ValueError("gradient needs at least 2 points")
-    g = np.empty_like(v)
-    g[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / 2.0
-    g[..., 0] = v[..., 1] - v[..., 0]
-    g[..., -1] = v[..., -1] - v[..., -2]
-    return Series(start=s.start, values=g, kind="gradient")
+    return Series(start=s.start, kind="gradient", values=_each_row(s, lambda v: (
+        [v[1] - v[0]]
+        + [(v[i + 1] - v[i - 1]) / 2.0 for i in range(1, len(v) - 1)]
+        + [v[-1] - v[-2]]
+    )))
 
 
 def smoothed_gradient(smoothed: Series, window: int) -> Series:
@@ -176,36 +230,49 @@ def _candidate_indices(v: list[float]) -> list[int]:
     return peaks
 
 
-def _prominence(v: list[float], i: int) -> float:
-    """Height above the higher of the two side minima.
+def _side_minima(values: Iterable[float]) -> list[float]:
+    """Per value, in walk order: the least present value since the nearest
+    earlier present value strictly higher than its own (inf if none); a
+    missing value neither stops the walk nor lowers the minimum.
 
-    Each side walk runs to the nearest strictly higher present value or the
-    series boundary; missing values are skipped (unknown terrain neither
-    stops the walk nor lowers the minimum).
+    One pass over a stack of present values, each strictly higher than the
+    next, each kept with the least present value after the one below it,
+    itself included.
     """
-    h = v[i]
-    side_mins = []
-    for step in (-1, 1):
+    out = []
+    highs: list[float] = []
+    lows: list[float] = []
+    for x in values:
+        if x != x:
+            out.append(math.inf)
+            continue
         m = math.inf
-        j = i + step
-        while 0 <= j < len(v):
-            x = v[j]
-            if x == x:  # present
-                if x > h:
-                    break
-                if x < m:
-                    m = x
-            j += step
-        side_mins.append(m)
-    return h - max(side_mins)
+        while highs and highs[-1] <= x:
+            highs.pop()
+            low = lows.pop()
+            if low < m:
+                m = low
+        out.append(m)
+        highs.append(x)
+        lows.append(m if m < x else x)
+    return out
 
 
 def find_peaks(s: Series) -> list[Peak]:
-    """All candidate peaks with their prominences, in index order."""
-    v = s.values.tolist()
+    """All candidate peaks with their prominences, in index order.
+
+    A prominence is the height above the higher of the two side minima, each
+    taken up to the nearest strictly higher present value or the boundary.
+    """
+    v = s.values
+    candidates = _candidate_indices(v)
+    if not candidates:
+        return []
+    left = _side_minima(v)
+    right = _side_minima(reversed(v))[::-1]
     return [
-        Peak(date=s.date_of(i), index=i, height=v[i], prominence=_prominence(v, i))
-        for i in _candidate_indices(v)
+        Peak(date=s.date_of(i), index=i, height=v[i], prominence=v[i] - max(left[i], right[i]))
+        for i in candidates
     ]
 
 
@@ -215,13 +282,17 @@ def filter_peaks(peaks: Sequence[Peak], sigma_mult: float = 1.0) -> list[Peak]:
     The statistics are computed over the candidate prominences themselves
     (population standard deviation). An empty candidate list stays empty.
     """
-    import numpy as np
-
     if not peaks:
         return []
-    proms = np.array([p.prominence for p in peaks])
-    threshold = proms.mean() + sigma_mult * proms.std()
+    threshold = _threshold([p.prominence for p in peaks], sigma_mult)
     return [p for p in peaks if p.prominence > threshold]
+
+
+def _threshold(proms: list[float], sigma_mult: float) -> float:
+    """mean + sigma_mult * population std, as NumPy's ``mean`` and ``std``."""
+    mean = _sum(proms) / len(proms)
+    std = math.sqrt(_sum([(x - mean) * (x - mean) for x in proms]) / len(proms))
+    return mean + sigma_mult * std
 
 
 def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
@@ -232,7 +303,7 @@ def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
     its own prominence filter. Results are merged in date order.
     """
     rises = filter_peaks(find_peaks(sg), sigma_mult)
-    neg = replace(sg, values=-sg.values)
+    neg = replace(sg, values=[-x for x in sg.values])
     falls = [
         replace(p, direction=FALL)
         for p in filter_peaks(find_peaks(neg), sigma_mult)
@@ -240,18 +311,22 @@ def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
     return sorted(rises + falls, key=lambda p: (p.index, p.direction))
 
 
-def _zscore(v: np.ndarray) -> np.ndarray:
+def _zscore(v: list[float]) -> list[float]:
     """Center and scale by the population std of present values; flat -> zeros,
-    a row with no present value as it is."""
-    import numpy as np
+    a row with no present value as it is.
 
-    if np.isnan(v).all():
+    As NumPy's ``nanmean`` and ``nanstd`` do, a missing day counts 0.0 in
+    each sum and the sums are divided by the present count.
+    """
+    n = sum(x == x for x in v)
+    if not n:
         return v
-    mean = np.nanmean(v)
-    std = np.nanstd(v)
+    mean = _sum([x if x == x else 0.0 for x in v]) / n
+    dev = [x - mean if x == x else 0.0 for x in v]
+    std = math.sqrt(_sum([d * d for d in dev]) / n)
     if std == 0.0:
-        return np.zeros_like(v)
-    return (v - mean) / std
+        return [0.0] * len(v)
+    return [(x - mean) / std for x in v]
 
 
 def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
@@ -263,14 +338,18 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
     like any other. A joint peak's direction reports whether the markers'
     signed changes were, on average, rising or falling at that moment.
     """
-    import numpy as np
-
-    if sg.values.ndim != 2 or not len(sg.values):
+    if sg.ndim != 2:
         raise ValueError("need markers x days with at least one marker row")
-    zs = np.vstack([_zscore(row) for row in sg.values])
-    combined = Series(start=sg.start, values=np.abs(zs).mean(axis=0), kind="gradient")
-    signed_mean = zs.mean(axis=0)
-    peaks = filter_peaks(find_peaks(combined), sigma_mult)
+    zs = [_zscore(row) for row in sg.values]
+    combined, signed_mean = [], []
+    for day in zip(*zs):  # each day's sums add the rows in order, from 0.0
+        magnitude = signed = 0.0
+        for z in day:
+            magnitude += abs(z)
+            signed += z
+        combined.append(magnitude / len(zs))
+        signed_mean.append(signed / len(zs))
+    peaks = filter_peaks(find_peaks(Series(sg.start, combined, "gradient")), sigma_mult)
     return [
         replace(p, direction=RISE if signed_mean[p.index] >= 0 else FALL)
         for p in peaks
@@ -296,7 +375,7 @@ def write_series_csv(
     """
     kinds = sorted(series_by_kind)
     days = [d.isoformat() for d in series_by_kind[kinds[0]].dates()]
-    values = {kind: series_by_kind[kind].values.tolist() for kind in kinds}
+    values = {kind: series_by_kind[kind].values for kind in kinds}
     write_csv(path, ["date", "category", "kind", "percent"], (
         [d, name, kind, cell(x)]
         for i, name in enumerate(names) for kind in kinds

@@ -355,3 +355,86 @@ def naive_units(matrix):
     units = np.zeros_like(m)
     units[ok] = m[ok] / norms[ok, None]
     return units, ok
+
+
+# -- The NumPy code the series, reporting and matching layers replaced --------
+# Each runs under ``np.errstate(all="ignore")``: NumPy warns where the Python
+# floats that replaced it must not raise, and the tests turn warnings into errors.
+
+
+def np_percent(matched, totals):
+    """Categories × days of 100*matched/total, NaN where the total is not positive."""
+    matched = np.array(matched, dtype=np.int64)
+    totals = np.array(totals, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        return np.where(totals > 0, 100.0 * matched / totals, np.nan)
+
+
+def np_smooth(values, window):
+    """Trailing mean of present values relative to each window's first present
+    value, over a (days × window) view of the NaN-padded rows."""
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        pad = np.full(v.shape[:-1] + (window,), np.nan)
+        padded = np.concatenate([pad, v], axis=-1)
+        wins = np.lib.stride_tricks.sliding_window_view(padded, window, axis=-1)[..., 1:, :]
+        present = ~np.isnan(wins)
+        first = present.argmax(axis=-1)[..., None]
+        base = np.take_along_axis(wins, first, axis=-1)[..., 0]
+        dev = np.where(present, wins - base[..., None], 0.0)
+        return base + dev.sum(axis=-1) / present.sum(axis=-1)
+
+
+def np_gradient(values):
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        g = np.empty_like(v)
+        g[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / 2.0
+        g[..., 0] = v[..., 1] - v[..., 0]
+        g[..., -1] = v[..., -1] - v[..., -2]
+    return g
+
+
+def np_threshold(prominences, sigma_mult=1.0):
+    """mean + sigma_mult * population std of the candidate prominences."""
+    proms = np.array(prominences, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        return float(proms.mean() + sigma_mult * proms.std())
+
+
+def np_zscore(v):
+    v = np.asarray(v, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        if np.isnan(v).all():
+            return v
+        mean = np.nanmean(v)
+        std = np.nanstd(v)
+        if std == 0.0:
+            return np.zeros_like(v)
+        return (v - mean) / std
+
+
+def np_joint(rows):
+    """The joint signal of markers × days smoothed gradients and its signed
+    mean: each row z-scored, then the mean over rows of |z| and of z."""
+    with np.errstate(all="ignore"):
+        zs = np.vstack([np_zscore(row) for row in np.asarray(rows, dtype=np.float64)])
+        return np.abs(zs).mean(axis=0), zs.mean(axis=0)
+
+
+def np_stage_table(rows, start: date, stages):
+    """Per row and stage, the maximum of 100*(v - median)/median over the
+    stage's present days; None for a zero or undefined median or no days.
+    ``stages``: (name, first day, last day) triples."""
+    out = []
+    with np.errstate(all="ignore"):
+        for v in np.asarray(rows, dtype=np.float64):
+            present = v[~np.isnan(v)]
+            median = float(np.median(present)) if present.size else None
+            for _, s0, s1 in stages:
+                lo = max((s0 - start).days, 0)
+                hi = min((s1 - start).days, v.shape[-1] - 1)
+                seg = v[lo : hi + 1] if median and lo <= hi else v[:0]
+                seg = seg[~np.isnan(seg)]
+                out.append(float(np.max(100.0 * (seg - median) / median)) if seg.size else None)
+    return out

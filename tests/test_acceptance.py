@@ -119,15 +119,15 @@ def test_criterion_4_smoothing_gradient_invariants():
         # smooth(constant) = constant, exactly
         for c in (0.0, 0.1, 5.0, -3.7, 123.456):
             out = smooth(Series(start=D0, values=np.full(50, c)), 7)
-            assert (out.values == c).all()
+            assert out.values == [c] * 50
 
         # linearity under affine transforms, 1e-9
         rng = np.random.default_rng(109)
         x = rng.normal(size=200)
         x[rng.integers(0, 200, size=12)] = np.nan
         for a, b in [(2.0, 3.0), (-1.5, 10.0), (0.125, -2.0)]:
-            lhs = smooth(Series(start=D0, values=a * x + b), 7).values
-            rhs = a * smooth(Series(start=D0, values=x), 7).values + b
+            lhs = np.array(smooth(Series(start=D0, values=a * x + b), 7).values)
+            rhs = a * np.array(smooth(Series(start=D0, values=x), 7).values) + b
             ok = ~np.isnan(lhs)
             assert np.isnan(lhs).tolist() == np.isnan(rhs).tolist()
             assert np.max(np.abs(lhs[ok] - rhs[ok])) < 1e-9
@@ -135,7 +135,7 @@ def test_criterion_4_smoothing_gradient_invariants():
         # gradient of a linear series recovers the slope everywhere, 1e-12
         for slope in (3.0, -0.25, 11.0):
             g = gradient(Series(start=D0, values=slope * np.arange(60.0)))
-            assert np.max(np.abs(g.values - slope)) < 1e-12
+            assert np.max(np.abs(np.array(g.values) - slope)) < 1e-12
 
         # peak indices invariant under positive affine transforms
         for _ in range(30):

@@ -278,13 +278,16 @@ def test_verbose_stderr_is_the_same_for_any_workers(tmp_path):
     assert b"INFO crisismon" in errs[0] and b"skipped 6 malformed line(s) of 603" in errs[0]
 
 
-def _cli_in_fresh_process(script, *argv):
+def _cli_in_fresh_process(script, *argv, block_numpy=False):
     """The last stdout line of ``script`` run in a new interpreter with the
-    pool on (two CPUs, no size floor), ``cli`` and ``os`` imported."""
+    pool on (two CPUs, no size floor), ``cli`` and ``os`` imported; with
+    ``block_numpy``, any import of NumPy raises ``ImportError``."""
     import crisismon
 
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crisismon.__file__))}
-    head = ("import os, sys; from crisismon import cli, corpus; "
+    head = ("import os, sys; "
+            + ("sys.modules['numpy'] = None; " if block_numpy else "")
+            + "from crisismon import cli, corpus; "
             "corpus.usable_cpus = lambda: 2; corpus.MIN_POOL_BYTES = 1; ")
     proc = subprocess.run([sys.executable, "-c", head + script, *argv],
                           capture_output=True, text=True, env=env)
@@ -296,6 +299,44 @@ def test_stats_never_loads_numpy(tmp_path):
     ws = _split_workspace(tmp_path)
     script = "code = cli.main(sys.argv[1:]); print(code, 'numpy' in sys.modules)"
     assert _cli_in_fresh_process(script, "stats", "--config", str(ws["config"])) == "0 False"
+
+
+def test_analyze_and_render_never_load_numpy(tmp_path, capsys, data_dir, pool_on):
+    """In an interpreter where importing NumPy raises, analyze (events,
+    stages and markers; serial and pooled) and render (raw and smoothed)
+    exit 0 and write the bytes of a run with NumPy importable."""
+    ws = _split_workspace(tmp_path)
+    stages = tmp_path / "stages.csv"
+    stages.write_text("stage,start,end\nearly,2020-03-01,2020-03-08\n"
+                      "late,2020-03-09,2020-03-20\n")
+    cfg = json.loads(ws["config"].read_text())
+    cfg.update(events=str(data_dir / "events" / "mental_health.csv"), stages=str(stages),
+               markers=["gama", "alfa"])
+    ws["config"].write_text(json.dumps(cfg))
+    prevalence = str(tmp_path / "open" / "serial" / "prevalence.csv")
+
+    def commands(root):
+        return [["analyze", "--config", str(ws["config"]), "--workers", "1",
+                 "--out", str(root / "serial")],
+                ["analyze", "--config", str(ws["config"]), "--workers", "2",
+                 "--out", str(root / "pooled")],
+                ["render", "--out", str(root / "raw"), prevalence],
+                ["render", "--window", "9", "--out", str(root / "smoothed"), prevalence]]
+
+    def outputs(root):
+        return {(d.name, p.name): p.read_bytes()
+                for d in sorted(root.iterdir()) for p in sorted(d.iterdir())}
+
+    for argv in commands(tmp_path / "open"):
+        assert run_cli(*argv) == 0
+    capsys.readouterr()
+    script = ("import json\n"
+              "print([cli.main(argv) for argv in json.loads(sys.argv[1])])")
+    assert _cli_in_fresh_process(script, json.dumps(commands(tmp_path / "blocked")),
+                                 block_numpy=True) == "[0, 0, 0, 0]"
+    expected = outputs(tmp_path / "open")
+    assert len(expected) == 6 + 6 + 1 + 1
+    assert outputs(tmp_path / "blocked") == expected
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

@@ -43,7 +43,7 @@ def test_imports_only_earlier_layers(module):
 
 def test_importing_the_package_loads_no_layer_and_no_numpy():
     """Fresh interpreters: the public names are imported on first use, and
-    no layer module imports NumPy until one of its functions builds an array."""
+    no layer module imports NumPy at its top."""
     layers = [f"crisismon.{m}" for m in LAYER]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     for imported, loaded in ((["crisismon"], []),
@@ -62,3 +62,24 @@ def test_every_public_name_resolves_to_its_module():
     assert set(crisismon.__all__) <= set(dir(crisismon))
     with pytest.raises(AttributeError):
         crisismon.no_such_name
+
+
+def test_numpy_is_imported_only_for_embeddings_and_the_prevalence_arrays():
+    """Only ``expansion`` works on arrays; ``DailyAggregate.prevalence``
+    builds them for library callers. Every other function uses Python floats."""
+    found = set()
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            if any(n and n.split(".")[0] == "numpy" for n in names):
+                found.add((module, func))
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert {module for module, _ in found} == {"expansion", "matching"}
+    assert {func for module, func in found if module != "expansion"} == {"prevalence"}

@@ -93,17 +93,16 @@ class TestAggregateDaily:
             _doc(0, ["otra"]),
         ]
         agg = _aggregate(tmp_path, docs, m, START, START)
-        p = agg.prevalence["C"]
-        assert (agg.start, p.matched.tolist(), p.total.tolist()) == (START, [1], [4])
-        assert agg.percent().tolist() == [[25.0]]
+        assert (agg.start, agg.categories) == (START, ("C",))
+        assert (agg.matched, agg.totals) == ([[1]], [[4]])
+        assert agg.percent() == [[25.0]]
 
     def test_day_without_docs_is_missing(self, tmp_path):
         m = build_matcher(_cats(C=["hit"]))
         docs = [_doc(0, ["hit"]), _doc(2, ["hit"])]
         agg = _aggregate(tmp_path, docs, m, START, START + timedelta(days=2))
-        p = agg.prevalence["C"]
-        assert (p.matched[1], p.total[1]) == (0, 0)
-        assert np.isnan(agg.percent()[0, 1])
+        assert (agg.matched[0][1], agg.totals[0][1]) == (0, 0)
+        assert np.isnan(agg.percent()[0][1])
 
     def test_reversed_range_is_an_error(self):
         m = build_matcher(_cats(C=["x"]))
@@ -121,11 +120,12 @@ class TestAggregateDaily:
         m = build_matcher(_cats(A=["a"], B=["b"]))
         docs = [_doc(0, ["a"]), _doc(0, ["b"]), _doc(0, ["c"])]
         agg = _aggregate(tmp_path, docs, m, START, START)
-        a, b = agg.prevalence["A"], agg.prevalence["B"]
-        assert a.total[0] == b.total[0] == 3
-        # one read-only totals array, and rows that are read-only views of one matrix
-        assert a.total is b.total
-        assert np.shares_memory(a.matched.base, b.matched)
+        assert agg.totals == [[3], [3]]
+        # one list of day totals, shared by every category
+        assert agg.totals[0] is agg.totals[1]
+        # the arrays built on demand for library callers are read-only
+        a = agg.prevalence["A"]
+        assert a.total.tolist() == [3]
         assert not (a.total.flags.writeable or a.matched.flags.writeable)
 
     def _random_corpus(self, seed, n_days=30, docs_per_day=25):
@@ -153,9 +153,10 @@ class TestAggregateDaily:
             [(day, text.split()) for day, text in docs], plain, START, end
         )
         assert dropped == agg.dropped == 0
-        assert list(agg.prevalence) == list(m.category_names)
-        for (name, prev), row in zip(agg.prevalence.items(), agg.percent().tolist()):
-            cols = zip(prev.matched.tolist(), prev.total.tolist(), row)
+        assert agg.categories == m.category_names
+        for name, m_row, t_row, row in zip(agg.categories, agg.matched, agg.totals,
+                                           agg.percent()):
+            cols = zip(m_row, t_row, row)
             for i, (m_count, t_count, pct) in enumerate(cols):
                 day = START + timedelta(days=i)
                 assert m_count == matched[name][day]
@@ -207,12 +208,11 @@ class TestPrevalenceCsv:
         back = read_prevalence_csv(path)
         assert isinstance(back, DailyAggregate)
         assert (back.start, back.end, back.dropped) == (agg.start, agg.end, 0)
-        assert list(back.prevalence) == ["A", "B"]
-        a = back.prevalence["A"]
-        assert a.matched.tolist() == [1, 0, 0]
-        assert a.total.tolist() == [2, 0, 1]
+        assert back.categories == ("A", "B")
+        assert back.matched[0] == [1, 0, 0]
+        assert back.totals[0] == [2, 0, 1]
         pct = back.percent()
-        assert pct[0, 0] == 50.0
-        assert np.isnan(pct[0, 1])  # empty day round-trips as missing
-        assert pct[0, 2] == 0.0
+        assert pct[0][0] == 50.0
+        assert np.isnan(pct[0][1])  # empty day round-trips as missing
+        assert pct[0][2] == 0.0
         assert np.array_equal(pct, agg.percent(), equal_nan=True)

@@ -94,6 +94,7 @@ def _markers_by_days(draw):
 def _same_bits(a, b):
     """Equal bit for bit, NaN for NaN; a NaN's sign and payload are not compared,
     since NumPy's vector and scalar loops may differ there and nothing reads them."""
+    a, b = np.asarray(a), np.asarray(b)
     holes = np.isnan(a)
     return (holes == np.isnan(b)).all() and a[~holes].tobytes() == b[~holes].tobytes()
 
