@@ -117,15 +117,16 @@ class DailyAggregate:
     the order of ``categories``, plus bookkeeping.
 
     ``totals[i]`` is category ``i``'s documents per day. The fold gives every
-    category the same list; a prevalence CSV may list a category on fewer
-    days than another, so its rows may differ.
+    category the same tuple; a prevalence CSV may list a category on fewer
+    days than another, so its rows may differ. Rows are tuples, so they
+    cannot be changed in place.
     """
 
     start: date
     end: date
     categories: tuple[str, ...]
-    matched: list[list[int]]  # categories × days
-    totals: list[list[int]]  # categories × days
+    matched: list[tuple[int, ...]]  # categories × days
+    totals: list[tuple[int, ...]]  # categories × days
     dropped: int  # documents outside the configured date range
 
     def percent(self) -> list[list[float]]:
@@ -205,9 +206,10 @@ def aggregate_daily(
     if dropped:
         log.info("aggregate_daily: dropped %d documents outside %s..%s",
                  dropped, start, end)
+    shared = tuple(day_totals)  # one denominator, which no category can change
     return DailyAggregate(start=start, end=end, categories=matcher.category_names,
-                          matched=counts, totals=[day_totals] * len(counts),
-                          dropped=dropped)
+                          matched=[tuple(row) for row in counts],
+                          totals=[shared] * len(counts), dropped=dropped)
 
 
 def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
@@ -227,21 +229,14 @@ def read_prevalence_csv(path: str | Path) -> DailyAggregate:
 
     Every category spans the first to the last day listed for any category;
     a day with no row for a category has total 0, which reads as missing. A
-    file with no rows is a ``ValueError``. Each distinct date is parsed once.
+    file with no rows is a ``ValueError``.
     """
-    day_of: dict[str, date] = {}
-
-    def parse(row: dict[str, str]) -> tuple[date, str, int, int]:
-        text = row["date"]
-        day = day_of.get(text)
-        if day is None:
-            day = day_of[text] = date.fromisoformat(text)
-        return day, row["category"], int(row["matched"]), int(row["total"])
-
-    rows = read_csv(path, ["date", "category", "matched", "total", "percent"], parse)
+    rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
+        date.fromisoformat(row["date"]), row["category"], int(row["matched"]), int(row["total"])
+    ))
     if not rows:
         raise ValueError(f"{path}: no prevalence rows")
-    start, end = min(day_of.values()), max(day_of.values())
+    start, end = min(row[0] for row in rows), max(row[0] for row in rows)
     n = (end - start).days + 1
     first = start.toordinal()
     cells: dict[str, tuple[list[int], list[int], set[int]]] = {}
@@ -256,5 +251,5 @@ def read_prevalence_csv(path: str | Path) -> DailyAggregate:
         m_row[i], t_row[i] = matched, total
     names = tuple(sorted(cells))
     return DailyAggregate(start=start, end=end, categories=names,
-                          matched=[cells[c][0] for c in names],
-                          totals=[cells[c][1] for c in names], dropped=0)
+                          matched=[tuple(cells[c][0]) for c in names],
+                          totals=[tuple(cells[c][1]) for c in names], dropped=0)

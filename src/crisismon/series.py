@@ -35,9 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from operator import add
+from operator import add, index
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import cell, write_csv
 
@@ -83,10 +83,15 @@ class Series:
         return len(self.values[0]) if self.ndim == 2 else len(self.values)
 
     def __getitem__(self, rows) -> "Series":
-        """Row ``rows`` (an index) or the rows listed in ``rows``, same days."""
-        if hasattr(rows, "__index__"):
+        """Row ``rows`` (an index), the rows of a slice, or the rows listed in
+        ``rows`` (a sequence or array of indices, not a boolean mask), same days."""
+        if isinstance(rows, slice):
             return replace(self, values=self.values[rows])
-        return replace(self, values=[self.values[i] for i in rows])
+        try:
+            i = index(rows)
+        except TypeError:
+            return replace(self, values=[self.values[i] for i in rows])
+        return replace(self, values=self.values[i])
 
     def dates(self) -> list[date]:
         return [self.start + timedelta(days=i) for i in range(len(self))]
@@ -230,49 +235,36 @@ def _candidate_indices(v: list[float]) -> list[int]:
     return peaks
 
 
-def _side_minima(values: Iterable[float]) -> list[float]:
-    """Per value, in walk order: the least present value since the nearest
-    earlier present value strictly higher than its own (inf if none); a
-    missing value neither stops the walk nor lowers the minimum.
+def _prominence(v: list[float], i: int) -> float:
+    """Height above the higher of the two side minima.
 
-    One pass over a stack of present values, each strictly higher than the
-    next, each kept with the least present value after the one below it,
-    itself included.
+    Each side walk runs to the nearest strictly higher present value or the
+    series boundary; missing values are skipped (unknown terrain neither
+    stops the walk nor lowers the minimum).
     """
-    out = []
-    highs: list[float] = []
-    lows: list[float] = []
-    for x in values:
-        if x != x:
-            out.append(math.inf)
-            continue
+    h = v[i]
+    side_mins = []
+    for step in (-1, 1):
         m = math.inf
-        while highs and highs[-1] <= x:
-            highs.pop()
-            low = lows.pop()
-            if low < m:
-                m = low
-        out.append(m)
-        highs.append(x)
-        lows.append(m if m < x else x)
-    return out
+        j = i + step
+        while 0 <= j < len(v):
+            x = v[j]
+            if x == x:  # present
+                if x > h:
+                    break
+                if x < m:
+                    m = x
+            j += step
+        side_mins.append(m)
+    return h - max(side_mins)
 
 
 def find_peaks(s: Series) -> list[Peak]:
-    """All candidate peaks with their prominences, in index order.
-
-    A prominence is the height above the higher of the two side minima, each
-    taken up to the nearest strictly higher present value or the boundary.
-    """
+    """All candidate peaks with their prominences, in index order."""
     v = s.values
-    candidates = _candidate_indices(v)
-    if not candidates:
-        return []
-    left = _side_minima(v)
-    right = _side_minima(reversed(v))[::-1]
     return [
-        Peak(date=s.date_of(i), index=i, height=v[i], prominence=v[i] - max(left[i], right[i]))
-        for i in candidates
+        Peak(date=s.date_of(i), index=i, height=v[i], prominence=_prominence(v, i))
+        for i in _candidate_indices(v)
     ]
 
 

@@ -94,7 +94,7 @@ class TestAggregateDaily:
         ]
         agg = _aggregate(tmp_path, docs, m, START, START)
         assert (agg.start, agg.categories) == (START, ("C",))
-        assert (agg.matched, agg.totals) == ([[1]], [[4]])
+        assert (agg.matched, agg.totals) == ([(1,)], [(4,)])
         assert agg.percent() == [[25.0]]
 
     def test_day_without_docs_is_missing(self, tmp_path):
@@ -120,9 +120,12 @@ class TestAggregateDaily:
         m = build_matcher(_cats(A=["a"], B=["b"]))
         docs = [_doc(0, ["a"]), _doc(0, ["b"]), _doc(0, ["c"])]
         agg = _aggregate(tmp_path, docs, m, START, START)
-        assert agg.totals == [[3], [3]]
-        # one list of day totals, shared by every category
+        assert agg.totals == [(3,), (3,)]
+        # one tuple of day totals, shared by every category; no row can change
         assert agg.totals[0] is agg.totals[1]
+        for row in agg.matched + agg.totals:
+            with pytest.raises(TypeError):
+                row[0] = 0
         # the arrays built on demand for library callers are read-only
         a = agg.prevalence["A"]
         assert a.total.tolist() == [3]
@@ -209,8 +212,8 @@ class TestPrevalenceCsv:
         assert isinstance(back, DailyAggregate)
         assert (back.start, back.end, back.dropped) == (agg.start, agg.end, 0)
         assert back.categories == ("A", "B")
-        assert back.matched[0] == [1, 0, 0]
-        assert back.totals[0] == [2, 0, 1]
+        assert back.matched[0] == (1, 0, 0)
+        assert back.totals[0] == (2, 0, 1)
         pct = back.percent()
         assert pct[0][0] == 50.0
         assert np.isnan(pct[0][1])  # empty day round-trips as missing

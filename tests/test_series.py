@@ -339,6 +339,9 @@ class TestSeriesBasics:
         assert len(s) == 4
         assert s[1].values == [4.0, 5.0, 6.0, 7.0]
         assert s[[2, 0]].values == [[8, 9, 10, 11], [0, 1, 2, 3]]
+        assert s[np.array([2, 0])].values == s[[2, 0]].values
+        assert s[np.int64(1)].values == s[1].values
+        assert s[0:2].values == [[0, 1, 2, 3], [4, 5, 6, 7]]
         c = s.crop(date(2020, 3, 2), date(2020, 3, 3))
         assert c.values == [[1, 2], [5, 6], [9, 10]]
         assert c.start == date(2020, 3, 2)
