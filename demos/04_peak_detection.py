@@ -33,21 +33,23 @@ def sparkline(values, width=72):
 
 
 # --- one marker with a burst ----------------------------------------------------
+# A Series is markers x days; a single marker is a series of one row, and each
+# function returns one result per row.
 raw = rng.normal(5.0, 0.4, 120)
 raw[60:64] += 7.0  # four loud days
-series = Series(start=start, values=raw)
+series = Series(start=start, values=[raw])
 
 print("raw:              ", sparkline(raw))
 smoothed = smooth(series, 7)
-print("smoothed:         ", sparkline(smoothed.values))
+print("smoothed:         ", sparkline(smoothed.values[0]))
 sg = smoothed_gradient(smoothed, 7)
-print("smoothed gradient:", sparkline(sg.values))
+print("smoothed gradient:", sparkline(sg.values[0]))
 
-candidates = find_peaks(sg)
+candidates = find_peaks(sg)[0]
 kept = filter_peaks(candidates, sigma_mult=1.0)
 print(f"\n{len(candidates)} rise candidates, {len(kept)} above mean+sigma")
 
-for p in marker_peaks(sg, sigma_mult=1.0):
+for p in marker_peaks(sg, sigma_mult=1.0)[0]:
     print(f"  {p.date}  {p.direction:4}  height={p.height:+.4f}  "
           f"prominence={p.prominence:.4f}")
 # The rise lands within a window of the onset (trailing smoothing delays the

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -120,6 +121,9 @@ def _marker_rows(markers: list[str] | None, names: Sequence[str]) -> list[int]:
     unknown = [m for m in markers if m not in names]
     if unknown:
         raise ValueError(f"unknown markers in config: {', '.join(unknown)}")
+    repeated = sorted({m for m in markers if markers.count(m) > 1})
+    if repeated:
+        raise ValueError(f"duplicate markers in config: {', '.join(repeated)}")
     return [names.index(m) for m in markers]
 
 
@@ -189,6 +193,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         raise ValueError("window must be >= 1")
     if cfg.lead < 0:
         raise ValueError("lead must be >= 0")
+    if not math.isfinite(cfg.sigma_mult):
+        raise ValueError(f"sigma_mult must be finite, got {cfg.sigma_mult}")
     cats = load_category_set(cfg.categories)
     if not cats.categories:
         raise ValueError(f"{cfg.categories}: no categories")
@@ -209,9 +215,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     # fails on the way leaves no output behind.
     smoothed = series.smooth(series.Series(agg.start, agg.percent()), cfg.window)
     sg = series.smoothed_gradient(smoothed, cfg.window)
-    peaks_by_marker = {
-        name: series.marker_peaks(sg[i], cfg.sigma_mult) for i, name in enumerate(names)
-    }
+    peaks_by_marker = dict(zip(names, series.marker_peaks(sg, cfg.sigma_mult)))
     joint = series.joint_peaks(sg[rows], cfg.sigma_mult)
     peaks_by_marker["JOINT"] = joint
     svg = reporting.render_heatmap(smoothed[rows], markers, start, end)
@@ -245,9 +249,7 @@ def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int
     agg = matching.read_prevalence_csv(input_csv)
     names = list(agg.categories)
     rows = _marker_rows(cfg.markers, names)
-    shown = series.Series(agg.start, agg.percent())[rows]
-    if window and window > 1:
-        shown = series.smooth(shown, window)
+    shown = series.smooth(series.Series(agg.start, agg.percent())[rows], window or 1)
     start = date.fromisoformat(cfg.date_from) if cfg.date_from else agg.start
     end = date.fromisoformat(cfg.date_to) if cfg.date_to else agg.end
     svg = reporting.render_heatmap(shown, [names[i] for i in rows], start, end)

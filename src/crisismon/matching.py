@@ -224,15 +224,24 @@ def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
     ))
 
 
+def _int64(row: dict[str, str], key: str) -> int:
+    n = int(row[key])
+    if not -2**63 <= n < 2**63:
+        raise ValueError(f"{key} outside the int64 range")
+    return n
+
+
 def read_prevalence_csv(path: str | Path) -> DailyAggregate:
     """Rebuild the daily counts of a long-format CSV, categories in sorted order.
 
     Every category spans the first to the last day listed for any category;
     a day with no row for a category has total 0, which reads as missing. A
-    file with no rows is a ``ValueError``.
+    file with no rows is a ``ValueError``; a count outside the int64 range, a
+    format error.
     """
     rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
-        date.fromisoformat(row["date"]), row["category"], int(row["matched"]), int(row["total"])
+        date.fromisoformat(row["date"]), row["category"], _int64(row, "matched"),
+        _int64(row, "total"),
     ))
     if not rows:
         raise ValueError(f"{path}: no prevalence rows")

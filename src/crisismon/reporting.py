@@ -1,9 +1,10 @@
 """Reporting: SVG heatmaps, peak-to-event annotation, stage prevalence tables.
 
-Heatmaps draw one row per marker and one cell per day; darker means higher.
-Values are min-max normalized per heatmap so rows are comparable within one
-figure, and the gray ramp is strictly monotone: two different values never
-share a fill. Missing days render as a hatched cell. Output is plain SVG 1.1
+Heatmaps and stage tables take a markers × days ``Series``, row ``i`` being
+``markers[i]``. Heatmaps draw one row per marker and one cell per day; darker
+means higher. Values are min-max normalized per heatmap so rows are
+comparable within one figure, and the gray ramp is strictly monotone: two
+different values never share a fill. Missing days render as a hatched cell. Output is plain SVG 1.1
 built by string assembly, so identical inputs produce identical bytes.
 
 Event annotation looks back a configurable number of days before each peak
@@ -57,7 +58,7 @@ def _fill(norm: float) -> str:
 
 
 def _check_rows(rows: Series, markers: Sequence[str]) -> None:
-    if rows.ndim != 2 or len(rows.values) != len(markers):
+    if len(rows.values) != len(markers):
         raise ValueError(f"need one markers x days row per marker ({len(markers)})")
 
 

@@ -1,9 +1,10 @@
 """Time-series smoothing, gradients, and prominence-based peak detection.
 
-A ``Series`` holds days, or markers × days, as lists of Python floats: rows
-are markers and each row lists the days from ``start``. ``len`` counts days,
-indexing selects rows, and ``smooth``, ``gradient`` and ``smoothed_gradient``
-work on each row alone.
+A ``Series`` holds markers × days as lists of Python floats: rows are
+markers and each row lists the days from ``start``. ``len`` counts days, a
+slice or a sequence of indices selects rows, and every function here works on
+each row alone, save ``joint_peaks``, which combines them; a single marker is
+a one-row series.
 
 A day with no signal is NaN, never 0: missing propagates through gradients,
 excludes itself from window means, and never hosts a peak.
@@ -35,9 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from operator import add, index
+from operator import add
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import cell, write_csv
 
@@ -45,53 +46,41 @@ RISE = "rise"
 FALL = "fall"
 
 
-def _floats(values) -> list:
-    """Days as a list of floats, or markers × days as a list of such rows;
-    an array is converted once, with ``tolist()``."""
+def _floats(values) -> list[list[float]]:
+    """Markers × days as a list of equal-length rows of floats; an array is
+    converted once, with ``tolist()``."""
     if hasattr(values, "tolist"):
         values = values.tolist()
-    try:
-        return [float(x) for x in values]
-    except TypeError:
-        pass
     try:
         rows = [[float(x) for x in row] for row in values]
     except TypeError:
         rows = None
     if rows is None or len({len(row) for row in rows}) > 1:
-        raise ValueError("series values must be days or markers x days")
+        raise ValueError("series values must be markers x days")
     return rows
 
 
 @dataclass(frozen=True)
 class Series:
-    """Contiguous daily values, days or markers × days; NaN marks a missing day."""
+    """Contiguous daily values, markers × days; NaN marks a missing day."""
 
     start: date
-    values: list  # floats, or one list of floats per marker
+    values: list[list[float]]  # one row of days per marker
     kind: str = "raw"  # raw | smoothed | gradient
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _floats(self.values))
 
-    @property
-    def ndim(self) -> int:
-        """1 for days, 2 for markers × days (an empty list counts as days)."""
-        return 2 if self.values and isinstance(self.values[0], list) else 1
-
     def __len__(self) -> int:
-        return len(self.values[0]) if self.ndim == 2 else len(self.values)
+        """The number of days; 0 without rows."""
+        return len(self.values[0]) if self.values else 0
 
     def __getitem__(self, rows) -> "Series":
-        """Row ``rows`` (an index), the rows of a slice, or the rows listed in
-        ``rows`` (a sequence or array of indices, not a boolean mask), same days."""
+        """The rows of a slice, or the rows listed in ``rows`` (a sequence or
+        array of indices, not a boolean mask), same days."""
         if isinstance(rows, slice):
             return replace(self, values=self.values[rows])
-        try:
-            i = index(rows)
-        except TypeError:
-            return replace(self, values=[self.values[i] for i in rows])
-        return replace(self, values=self.values[i])
+        return replace(self, values=[self.values[i] for i in rows])
 
     def dates(self) -> list[date]:
         return [self.start + timedelta(days=i) for i in range(len(self))]
@@ -111,7 +100,7 @@ class Series:
         i1 = self.index_of(end)
         if i1 < i0:
             raise ValueError(f"start {start} after end {end}")
-        return replace(self, start=start, values=_each_row(self, lambda v: v[i0 : i1 + 1]))
+        return replace(self, start=start, values=[v[i0 : i1 + 1] for v in self.values])
 
 
 @dataclass(frozen=True)
@@ -121,10 +110,6 @@ class Peak:
     height: float
     prominence: float
     direction: str = RISE
-
-
-def _each_row(s: Series, f: Callable[[list[float]], list[float]]) -> list:
-    return [f(row) for row in s.values] if s.ndim == 2 else f(s.values)
 
 
 def _sum(v: list[float]) -> float:
@@ -183,7 +168,7 @@ def smooth(s: Series, window: int) -> Series:
         raise ValueError(f"cannot smooth a series of kind {s.kind!r}")
     if window < 1:
         raise ValueError("window must be >= 1")
-    return Series(start=s.start, values=_each_row(s, lambda v: _smooth_row(v, window)),
+    return Series(start=s.start, values=[_smooth_row(v, window) for v in s.values],
                   kind="smoothed")
 
 
@@ -195,11 +180,12 @@ def gradient(s: Series) -> Series:
     """
     if len(s) < 2:
         raise ValueError("gradient needs at least 2 points")
-    return Series(start=s.start, kind="gradient", values=_each_row(s, lambda v: (
+    return Series(start=s.start, kind="gradient", values=[
         [v[1] - v[0]]
         + [(v[i + 1] - v[i - 1]) / 2.0 for i in range(1, len(v) - 1)]
         + [v[-1] - v[-2]]
-    )))
+        for v in s.values
+    ])
 
 
 def smoothed_gradient(smoothed: Series, window: int) -> Series:
@@ -259,13 +245,12 @@ def _prominence(v: list[float], i: int) -> float:
     return h - max(side_mins)
 
 
-def find_peaks(s: Series) -> list[Peak]:
-    """All candidate peaks with their prominences, in index order."""
-    v = s.values
-    return [
+def find_peaks(s: Series) -> list[list[Peak]]:
+    """Each row's candidate peaks with their prominences, in index order."""
+    return [[
         Peak(date=s.date_of(i), index=i, height=v[i], prominence=_prominence(v, i))
         for i in _candidate_indices(v)
-    ]
+    ] for v in s.values]
 
 
 def filter_peaks(peaks: Sequence[Peak], sigma_mult: float = 1.0) -> list[Peak]:
@@ -287,20 +272,20 @@ def _threshold(proms: list[float], sigma_mult: float) -> float:
     return mean + sigma_mult * std
 
 
-def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
-    """Signed change peaks of one marker, given its smoothed gradient ``sg``.
+def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> list[list[Peak]]:
+    """Signed change peaks of each marker, given the markers' smoothed
+    gradients ``sg``: one list per row.
 
-    Rises and falls are detected separately: once on ``sg`` and once on its
+    Rises and falls are detected separately: once on a row and once on its
     negation (fall peaks score the magnitude of decrease), each followed by
     its own prominence filter. Results are merged in date order.
     """
-    rises = filter_peaks(find_peaks(sg), sigma_mult)
-    neg = replace(sg, values=[-x for x in sg.values])
-    falls = [
-        replace(p, direction=FALL)
-        for p in filter_peaks(find_peaks(neg), sigma_mult)
-    ]
-    return sorted(rises + falls, key=lambda p: (p.index, p.direction))
+    neg = replace(sg, values=[[-x for x in v] for v in sg.values])
+    return [sorted(
+        filter_peaks(rises, sigma_mult)
+        + [replace(p, direction=FALL) for p in filter_peaks(falls, sigma_mult)],
+        key=lambda p: (p.index, p.direction),
+    ) for rises, falls in zip(find_peaks(sg), find_peaks(neg))]
 
 
 def _zscore(v: list[float]) -> list[float]:
@@ -330,8 +315,8 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
     like any other. A joint peak's direction reports whether the markers'
     signed changes were, on average, rising or falling at that moment.
     """
-    if sg.ndim != 2:
-        raise ValueError("need markers x days with at least one marker row")
+    if not sg.values:
+        raise ValueError("need at least one marker row")
     zs = [_zscore(row) for row in sg.values]
     combined, signed_mean = [], []
     for day in zip(*zs):  # each day's sums add the rows in order, from 0.0
@@ -341,7 +326,8 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
             signed += z
         combined.append(magnitude / len(zs))
         signed_mean.append(signed / len(zs))
-    peaks = filter_peaks(find_peaks(Series(sg.start, combined, "gradient")), sigma_mult)
+    (candidates,) = find_peaks(Series(sg.start, [combined], "gradient"))
+    peaks = filter_peaks(candidates, sigma_mult)
     return [
         replace(p, direction=RISE if signed_mean[p.index] >= 0 else FALL)
         for p in peaks

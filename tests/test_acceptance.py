@@ -101,8 +101,8 @@ def test_criterion_3_peak_pipeline_oracle():
             if trial % 3 == 0:  # runs of missing values
                 start = int(rng.integers(0, 160))
                 v[start : start + int(rng.integers(2, 15))] = np.nan
-            s = Series(start=D0, values=v, kind="gradient")
-            peaks = find_peaks(s)
+            s = Series(start=D0, values=[v], kind="gradient")
+            peaks = find_peaks(s)[0]
             got = [(p.index, p.prominence) for p in peaks]
             assert got == brute_peaks(list(v))
 
@@ -118,33 +118,33 @@ def test_criterion_4_smoothing_gradient_invariants():
     with criterion(4, "smoothing/gradient invariants at stated tolerances"):
         # smooth(constant) = constant, exactly
         for c in (0.0, 0.1, 5.0, -3.7, 123.456):
-            out = smooth(Series(start=D0, values=np.full(50, c)), 7)
-            assert out.values == [c] * 50
+            out = smooth(Series(start=D0, values=[np.full(50, c)]), 7)
+            assert out.values[0] == [c] * 50
 
         # linearity under affine transforms, 1e-9
         rng = np.random.default_rng(109)
         x = rng.normal(size=200)
         x[rng.integers(0, 200, size=12)] = np.nan
         for a, b in [(2.0, 3.0), (-1.5, 10.0), (0.125, -2.0)]:
-            lhs = np.array(smooth(Series(start=D0, values=a * x + b), 7).values)
-            rhs = a * np.array(smooth(Series(start=D0, values=x), 7).values) + b
+            lhs = np.array(smooth(Series(start=D0, values=[a * x + b]), 7).values[0])
+            rhs = a * np.array(smooth(Series(start=D0, values=[x]), 7).values[0]) + b
             ok = ~np.isnan(lhs)
             assert np.isnan(lhs).tolist() == np.isnan(rhs).tolist()
             assert np.max(np.abs(lhs[ok] - rhs[ok])) < 1e-9
 
         # gradient of a linear series recovers the slope everywhere, 1e-12
         for slope in (3.0, -0.25, 11.0):
-            g = gradient(Series(start=D0, values=slope * np.arange(60.0)))
-            assert np.max(np.abs(np.array(g.values) - slope)) < 1e-12
+            g = gradient(Series(start=D0, values=[slope * np.arange(60.0)]))
+            assert np.max(np.abs(np.array(g.values[0]) - slope)) < 1e-12
 
         # peak indices invariant under positive affine transforms
         for _ in range(30):
             v = np.round(rng.normal(size=150).cumsum(), 3)
-            base_idx = [p.index for p in find_peaks(Series(start=D0, values=v))]
+            base_idx = [p.index for p in find_peaks(Series(start=D0, values=[v]))[0]]
             for a, b in [(2.0, 0.0), (0.5, 100.0), (7.25, -40.0)]:
                 idx = [
                     p.index
-                    for p in find_peaks(Series(start=D0, values=a * v + b))
+                    for p in find_peaks(Series(start=D0, values=[a * v + b]))[0]
                 ]
                 assert idx == base_idx
 

@@ -622,11 +622,37 @@ class TestAnalyze:
         assert run_cli("analyze", "--config", str(ws["config"])) == 1
         assert not (ws["out"] / "prevalence.csv").exists()
 
+    def test_duplicate_marker_fails_before_the_corpus_is_read(self, tmp_path, capsys):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        cfg = json.loads(ws["config"].read_text())
+        cfg.update({"date_to": "2020-03-10", "markers": ["alfa", "beta", "alfa"]})
+        ws["config"].write_text(json.dumps(cfg))
+        missing = str(tmp_path / "no_such_corpus.jsonl")
+        assert run_cli("analyze", "--config", str(ws["config"]), missing) == 1
+        assert capsys.readouterr().err == "error: duplicate markers in config: alfa\n"
+        assert not ws["out"].exists()
+
     def test_bad_window_fails_before_the_corpus_is_read(self, tmp_path):
         ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
         missing = str(tmp_path / "no_such_corpus.jsonl")
         assert run_cli("analyze", "--config", str(ws["config"]),
                        "--window", "0", missing) == 1
+        assert not ws["out"].exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--sigma-mult", "nan"], {}),
+        (["--sigma-mult", "inf"], {}),
+        (["--sigma-mult=-inf"], {}),
+        ([], {"sigma_mult": float("nan")}),
+    ], ids=["nan-flag", "inf-flag", "minus-inf-flag", "nan-config"])
+    def test_non_finite_sigma_mult_fails_before_the_corpus_is_read(
+            self, tmp_path, capsys, flags, config):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        cfg = json.loads(ws["config"].read_text())
+        ws["config"].write_text(json.dumps({**cfg, **config}))  # NaN is written as NaN
+        missing = str(tmp_path / "no_such_corpus.jsonl")
+        assert run_cli("analyze", "--config", str(ws["config"]), *flags, missing) == 1
+        assert "error: sigma_mult must be finite" in capsys.readouterr().err
         assert not ws["out"].exists()
 
     def test_empty_category_set_fails_before_the_corpus_is_read(self, tmp_path, capsys):
@@ -730,7 +756,8 @@ class TestRender:
     @pytest.mark.parametrize("flags, config", [
         (["--from", "2020-03-10", "--to", "2020-03-05"], {}),
         ([], {"markers": ["alfa", "desconocido"]}),
-    ], ids=["from-after-to", "unknown-marker"])
+        ([], {"markers": ["alfa", "alfa"]}),
+    ], ids=["from-after-to", "unknown-marker", "duplicate-marker"])
     def test_validation_failure_leaves_no_output_directory(self, tmp_path, flags, config):
         ws = write_burst_workspace(tmp_path, seed=26, n_days=20, per_day=30)
         assert run_cli("analyze", "--config", str(ws["config"]),
@@ -768,7 +795,12 @@ class TestRender:
         (b"date,category,matched,total,percent\n2020-03-01,\xff,1,2,50.0\n", "utf-8"),
         (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
          b"2020-03-01,a,5,10,50.0\n", "line 3: duplicate 2020-03-01 a"),
-    ], ids=["missing-column", "bad-date", "invalid-utf8", "duplicate-row"])
+        (b"date,category,matched,total,percent\n2020-03-01,a,1" + b"0" * 400 + b",10,\n",
+         "line 2: matched outside the int64 range"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
+         b"2020-03-02,a,1,%d,0.0\n" % 2**63, "line 3: total outside the int64 range"),
+    ], ids=["missing-column", "bad-date", "invalid-utf8", "duplicate-row",
+            "count-of-401-digits", "count-of-2-to-the-63"])
     def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
         path = tmp_path / "prevalence.csv"
         path.write_bytes(body)
@@ -777,6 +809,17 @@ class TestRender:
         assert says in err
         assert f"error: {path}: " in err
         assert not (tmp_path / "out").exists()
+
+    def test_counts_at_the_int64_limit_render(self, tmp_path):
+        path = tmp_path / "prevalence.csv"
+        top = 2**63 - 1
+        path.write_text("date,category,matched,total,percent\n"
+                        f"2020-03-01,a,{top},{top},100.0\n2020-03-02,a,1,10,10.0\n")
+        assert run_cli("render", "--out", str(tmp_path / "out"), str(path)) == 0
+        fills = re.findall(r'<rect x="[^"]*" [^>]*fill="([^"]+)"/>',
+                           (tmp_path / "out" / "heatmap.svg").read_text())
+        assert fills == ["rgb(12.000000%,12.000000%,12.000000%)",
+                         "rgb(96.000000%,96.000000%,96.000000%)"]
 
 
 def test_console_entry_point_runs():

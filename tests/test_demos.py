@@ -1,4 +1,4 @@
-"""Smoke test: every demo runs to completion.
+"""Smoke test: every demo runs to completion, with warnings as errors.
 
 Demo 05 writes its heatmap into the directory given as its argument, here a
 temporary one.
@@ -38,5 +38,6 @@ def _run(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(DEMOS / name), *args], capture_output=True, text=True, env=env
+        [sys.executable, "-W", "error", str(DEMOS / name), *args],
+        capture_output=True, text=True, env=env,
     )

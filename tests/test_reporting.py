@@ -64,7 +64,7 @@ class TestRenderHeatmap:
         # days without a marker axis, cannot be drawn.
         with pytest.raises(ValueError, match="row per marker"):
             heatmap([[1]], ["m", "nope"])
-        with pytest.raises(ValueError, match="row per marker"):
+        with pytest.raises(ValueError, match="series values must be markers x days"):
             render_heatmap(S([1]), ["m"], D0, D0)
 
     def test_missing_cells_get_hatch_style(self):

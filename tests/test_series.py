@@ -14,45 +14,51 @@ from oracles import brute_filter, brute_peaks, ref_gradient, ref_marker_peaks, r
 D0 = date(2020, 3, 1)
 
 
-def S(values, kind="raw"):
-    return Series(start=D0, values=np.asarray(values, dtype=np.float64), kind=kind)
+def S(days, kind="raw"):
+    """One marker's days, as a one-row series."""
+    return Series(start=D0, values=[np.asarray(days, dtype=np.float64)], kind=kind)
 
 
-def SG(values, window=7):
-    """The smoothed gradient of raw days (or markers × days), as analyze derives it."""
-    return smoothed_gradient(smooth(S(values), window), window)
+def M(rows, kind="raw"):
+    """Markers × days."""
+    return Series(start=D0, values=np.asarray(rows, dtype=np.float64), kind=kind)
+
+
+def SG(rows, window=7):
+    """The smoothed gradient of raw markers × days, as analyze derives it."""
+    return smoothed_gradient(smooth(M(rows), window), window)
 
 
 class TestSmooth:
     @pytest.mark.parametrize("c", [0.0, 5.0, 0.1, -2.7, 1e6])
     def test_constant_is_exactly_constant(self, c):
         out = smooth(S([c] * 20), 7)
-        assert out.values == [c] * 20
+        assert out.values == [[c] * 20]
 
     def test_week_window_arithmetic(self):
         out = smooth(S([0, 0, 0, 0, 0, 0, 7]), 7)
-        assert out.values[-1] == 1.0
+        assert out.values[0][-1] == 1.0
 
     def test_leading_edge_uses_prefix(self):
         out = smooth(S([1, 2, 3]), 7)
-        assert list(out.values) == [1.0, 1.5, 2.0]
+        assert out.values == [[1.0, 1.5, 2.0]]
 
     def test_missing_values_excluded_from_window(self):
         out = smooth(S([2.0, np.nan, 4.0]), 3)
-        assert list(out.values) == [2.0, 2.0, 3.0]
+        assert out.values == [[2.0, 2.0, 3.0]]
 
     def test_all_missing_window_stays_missing(self):
         out = smooth(S([np.nan, np.nan, 1.0]), 2)
-        assert np.isnan(out.values[0])
-        assert out.values[2] == 1.0
+        assert np.isnan(out.values[0][0])
+        assert out.values[0][2] == 1.0
 
     def test_linearity_under_affine_transform(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=120)
         x[rng.integers(0, 120, size=10)] = np.nan
         for a, b in [(2.0, 1.0), (-3.5, 40.0), (0.25, -7.0)]:
-            lhs = np.array(smooth(S(a * x + b), 7).values)
-            rhs = a * np.array(smooth(S(x), 7).values) + b
+            lhs = np.array(smooth(S(a * x + b), 7).values[0])
+            rhs = a * np.array(smooth(S(x), 7).values[0]) + b
             both = ~np.isnan(lhs)
             assert np.isnan(lhs).tolist() == np.isnan(rhs).tolist()
             assert np.allclose(lhs[both], rhs[both], atol=1e-9)
@@ -61,7 +67,7 @@ class TestSmooth:
         rng = np.random.default_rng(5)
         x = rng.normal(5, 2, size=60)
         ref = ref_smooth(list(x), 7)
-        out = smooth(S(x), 7).values
+        out = smooth(S(x), 7).values[0]
         assert np.allclose(out, ref, atol=1e-9)
 
     def test_kind_contract(self):
@@ -78,22 +84,22 @@ class TestSmooth:
 class TestGradient:
     def test_constant_is_zero(self):
         out = gradient(S([4.0] * 10))
-        assert out.values == [0.0] * 10
+        assert out.values == [[0.0] * 10]
 
     def test_linear_slope_recovered_everywhere(self):
         out = gradient(S([3.0 * i for i in range(30)]))
-        assert max(abs(g - 3.0) for g in out.values) < 1e-12
+        assert max(abs(g - 3.0) for g in out.values[0]) < 1e-12
 
     def test_spike(self):
         out = gradient(S([0, 1, 0]))
-        assert list(out.values) == [1.0, 0.0, -1.0]
+        assert out.values == [[1.0, 0.0, -1.0]]
 
     def test_too_short(self):
         with pytest.raises(ValueError):
             gradient(S([1.0]))
 
     def test_missing_poisons_its_stencil_only(self):
-        out = gradient(S([1.0, 2.0, np.nan, 4.0, 5.0])).values
+        out = gradient(S([1.0, 2.0, np.nan, 4.0, 5.0])).values[0]
         # neighbors of the missing day touch it; the day itself does not
         assert np.isnan(out[1]) and np.isnan(out[3])
         assert out[2] == 1.0  # (v[3]-v[1])/2
@@ -101,13 +107,13 @@ class TestGradient:
 
     def test_gradient_of_smoothed_constant_is_identically_zero(self):
         out = gradient(smooth(S([0.1] * 40), 7))
-        assert out.values == [0.0] * 40
+        assert out.values == [[0.0] * 40]
 
     def test_matches_independent_stencil(self):
         rng = np.random.default_rng(7)
         v = rng.normal(size=80)
         v[rng.integers(0, 80, size=8)] = np.nan
-        got = gradient(S(v)).values
+        got = gradient(S(v)).values[0]
         ref = ref_gradient(list(v))
         for g, r in zip(got, ref):
             if r is None:
@@ -121,37 +127,37 @@ class TestGradient:
 
 class TestFindPeaks:
     def test_two_peaks_with_prominences(self):
-        peaks = find_peaks(S([0, 1, 0, 3, 0]))
+        peaks = find_peaks(S([0, 1, 0, 3, 0]))[0]
         assert [(p.index, p.height, p.prominence) for p in peaks] == [
             (1, 1.0, 1.0),
             (3, 3.0, 3.0),
         ]
 
     def test_monotone_series_has_none(self):
-        assert find_peaks(S([1, 2, 3, 4, 5])) == []
+        assert find_peaks(S([1, 2, 3, 4, 5]))[0] == []
 
     def test_plateau_reports_leftmost_index(self):
-        (peak,) = find_peaks(S([0, 2, 2, 2, 0]))
+        (peak,) = find_peaks(S([0, 2, 2, 2, 0]))[0]
         assert (peak.index, peak.prominence) == (1, 2.0)
 
     def test_boundaries_never_peak(self):
-        assert find_peaks(S([5, 1, 2])) == [] or all(
-            p.index not in (0, 2) for p in find_peaks(S([5, 1, 2]))
+        assert find_peaks(S([5, 1, 2]))[0] == [] or all(
+            p.index not in (0, 2) for p in find_peaks(S([5, 1, 2]))[0]
         )
-        assert find_peaks(S([2, 2, 0])) == []
-        assert find_peaks(S([0, 2, 2])) == []
+        assert find_peaks(S([2, 2, 0]))[0] == []
+        assert find_peaks(S([0, 2, 2]))[0] == []
 
     def test_nan_neighbor_disqualifies(self):
-        assert find_peaks(S([0, np.nan, 3, 0, 0])) == []
-        assert find_peaks(S([0, 3, np.nan, 0, 0])) == []
+        assert find_peaks(S([0, np.nan, 3, 0, 0]))[0] == []
+        assert find_peaks(S([0, 3, np.nan, 0, 0]))[0] == []
 
     def test_nan_inside_prominence_walk_is_skipped(self):
-        (peak,) = find_peaks(S([0, 4, np.nan, 1, 3, 1]))
+        (peak,) = find_peaks(S([0, 4, np.nan, 1, 3, 1]))[0]
         assert peak.index == 4
         assert peak.prominence == 2.0  # left walk skips NaN, stops at 4
 
     def test_peak_dates(self):
-        (peak,) = find_peaks(S([0, 1, 0]))
+        (peak,) = find_peaks(S([0, 1, 0]))[0]
         assert peak.date == date(2020, 3, 2)
 
     def test_prominence_bounded_by_global_range(self):
@@ -159,7 +165,7 @@ class TestFindPeaks:
         for _ in range(50):
             v = rng.normal(size=60)
             lo = np.min(v)
-            for p in find_peaks(S(v)):
+            for p in find_peaks(S(v))[0]:
                 assert p.prominence <= p.height - lo + 1e-12
 
     def test_equals_brute_force_on_random_series(self):
@@ -171,25 +177,25 @@ class TestFindPeaks:
                 v[rng.integers(0, n, size=max(1, n // 10))] = np.nan
             if trial % 5 == 0:  # force plateaus
                 v = np.repeat(v, 2)[:n]
-            got = [(p.index, p.prominence) for p in find_peaks(S(v))]
+            got = [(p.index, p.prominence) for p in find_peaks(S(v))[0]]
             assert got == brute_peaks(list(v))
 
 
 class TestFilterPeaks:
     def test_keep_only_the_five(self):
         # prominences [1, 1, 5]: mean 2.3333, pstd 1.8856, threshold 4.2190
-        peaks = find_peaks(S([0, 1, 0, 1, 0, 5, 0]))
+        peaks = find_peaks(S([0, 1, 0, 1, 0, 5, 0]))[0]
         assert [p.prominence for p in peaks] == [1.0, 1.0, 5.0]
         kept = filter_peaks(peaks, 1.0)
         assert [(p.index, p.prominence) for p in kept] == [(5, 5.0)]
 
     def test_single_candidate_never_survives(self):
-        peaks = find_peaks(S([0, 3, 0]))
+        peaks = find_peaks(S([0, 3, 0]))[0]
         assert len(peaks) == 1
         assert filter_peaks(peaks, 1.0) == []
 
     def test_all_equal_prominences_keep_none(self):
-        peaks = find_peaks(S([0, 2, 0, 2, 0, 2, 0]))
+        peaks = find_peaks(S([0, 2, 0, 2, 0, 2, 0]))[0]
         assert len(peaks) == 3
         assert filter_peaks(peaks, 1.0) == []
 
@@ -200,7 +206,7 @@ class TestFilterPeaks:
         rng = np.random.default_rng(17)
         for _ in range(40):
             v = rng.normal(size=200).cumsum()
-            peaks = find_peaks(S(v))
+            peaks = find_peaks(S(v))[0]
             kept = filter_peaks(peaks, 1.0)
             assert set(p.index for p in kept) <= set(p.index for p in peaks)
             proms = [p.prominence for p in peaks]
@@ -208,7 +214,7 @@ class TestFilterPeaks:
             assert [p.index for p in kept] == expect
 
     def test_sigma_mult_zero_keeps_above_mean(self):
-        peaks = find_peaks(S([0, 1, 0, 1, 0, 5, 0]))
+        peaks = find_peaks(S([0, 1, 0, 1, 0, 5, 0]))[0]
         kept = filter_peaks(peaks, 0.0)
         assert [p.prominence for p in kept] == [5.0]
 
@@ -218,39 +224,39 @@ class TestAffineInvariance:
         rng = np.random.default_rng(19)
         for _ in range(25):
             v = np.round(rng.normal(size=150).cumsum(), 3)
-            base = find_peaks(S(v))
+            base = find_peaks(S(v))[0]
             for a, b in [(2.0, 0.0), (0.5, 10.0), (3.25, -4.0)]:
-                scaled = find_peaks(S(a * v + b))
+                scaled = find_peaks(S(a * v + b))[0]
                 assert [p.index for p in scaled] == [p.index for p in base]
                 for ps, pb in zip(scaled, base):
                     assert ps.prominence == pytest.approx(a * pb.prominence, rel=1e-9)
             # filtered indices are invariant under any positive affine map
             kept = [p.index for p in filter_peaks(base, 1.0)]
-            kept2 = [p.index for p in filter_peaks(find_peaks(S(2.5 * v + 7.0)), 1.0)]
+            kept2 = [p.index for p in filter_peaks(find_peaks(S(2.5 * v + 7.0))[0], 1.0)]
             assert kept == kept2
 
 
 class TestMarkerPeaks:
     def test_constant_series_has_no_peaks(self):
-        assert marker_peaks(SG([3.0] * 60)) == []
+        assert marker_peaks(SG([[3.0] * 60]))[0] == []
 
     def test_step_series_candidates_and_filter(self):
         # A pure noiseless step yields exactly one rise candidate near the
         # step; being the only candidate it cannot beat mean + std, so the
         # filtered pipeline is empty. Realistic (noisy) series are covered
         # below.
-        sg = SG([0.0] * 45 + [10.0] * 45)
-        rises = find_peaks(sg)
+        sg = SG([[0.0] * 45 + [10.0] * 45])
+        rises = find_peaks(sg)[0]
         assert len(rises) == 1
         assert 45 <= rises[0].index <= 45 + 7 - 1
-        neg = S([-x for x in sg.values], kind="gradient")
-        assert find_peaks(neg) == []  # no fall candidates at all
-        assert marker_peaks(sg) == []
+        neg = S([-x for x in sg.values[0]], kind="gradient")
+        assert find_peaks(neg)[0] == []  # no fall candidates at all
+        assert marker_peaks(sg)[0] == []
 
     def test_noisy_step_yields_rise_near_step(self):
         rng = np.random.default_rng(42)
         v = np.concatenate([np.zeros(45), np.full(45, 10.0)]) + rng.normal(0, 0.2, 90)
-        peaks = marker_peaks(SG(v))
+        peaks = marker_peaks(SG([v]))[0]
         rises = [p for p in peaks if p.direction == "rise"]
         assert len(rises) == 1
         assert 45 <= rises[0].index <= 45 + 7 - 1
@@ -261,7 +267,7 @@ class TestMarkerPeaks:
             v = np.round(rng.normal(size=180).cumsum(), 6)
             got = [
                 (p.index, p.direction, p.height, p.prominence)
-                for p in marker_peaks(SG(v))
+                for p in marker_peaks(SG([v]))[0]
             ]
             ref = ref_marker_peaks(list(v), 7, 1.0)
             assert [(g[0], g[1]) for g in got] == [(r[0], r[1]) for r in ref]
@@ -273,7 +279,7 @@ class TestMarkerPeaks:
         rng = np.random.default_rng(29)
         v = rng.normal(5, 0.1, 90)
         v[40:43] += 10  # sharp burst: rise into it, fall out of it
-        peaks = marker_peaks(SG(v))
+        peaks = marker_peaks(SG([v]))[0]
         falls = [p for p in peaks if p.direction == "fall"]
         assert falls and all(p.height > 0 for p in falls)
 
@@ -286,7 +292,7 @@ class TestJointPeaks:
         sg = SG([v])
         joint = joint_peaks(sg)
         alone = filter_peaks(
-            find_peaks(S(np.abs(_zscore(sg.values[0])), kind="gradient")), 1.0
+            find_peaks(S(np.abs(_zscore(sg.values[0])), kind="gradient"))[0], 1.0
         )
         assert [(p.index, p.prominence) for p in joint] == [
             (p.index, p.prominence) for p in alone
@@ -320,7 +326,7 @@ class TestJointPeaks:
         with pytest.raises(ValueError):
             joint_peaks(SG([1, 2, 3]))
         with pytest.raises(ValueError):
-            joint_peaks(S(np.empty((0, 3)), kind="smoothed"))
+            joint_peaks(M(np.empty((0, 3)), kind="smoothed"))
 
     def test_flat_marker_contributes_zeros(self):
         # std = 0 -> z-scores all zero, not NaN
@@ -331,26 +337,29 @@ class TestSeriesBasics:
     def test_crop(self):
         s = S(list(range(10)))
         c = s.crop(date(2020, 3, 3), date(2020, 3, 5))
-        assert list(c.values) == [2.0, 3.0, 4.0]
+        assert c.values == [[2.0, 3.0, 4.0]]
         assert c.start == date(2020, 3, 3)
 
     def test_rows_share_one_date_axis(self):
-        s = S([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
+        s = M([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
         assert len(s) == 4
-        assert s[1].values == [4.0, 5.0, 6.0, 7.0]
+        assert len(M(np.empty((0, 4)))) == 0
+        assert s[[1]].values == [[4.0, 5.0, 6.0, 7.0]]
         assert s[[2, 0]].values == [[8, 9, 10, 11], [0, 1, 2, 3]]
         assert s[np.array([2, 0])].values == s[[2, 0]].values
-        assert s[np.int64(1)].values == s[1].values
+        assert s[[np.int64(1)]].values == s[[1]].values
+        with pytest.raises(TypeError):
+            s[1]  # a row is selected as s[[1]]
         assert s[0:2].values == [[0, 1, 2, 3], [4, 5, 6, 7]]
         c = s.crop(date(2020, 3, 2), date(2020, 3, 3))
         assert c.values == [[1, 2], [5, 6], [9, 10]]
         assert c.start == date(2020, 3, 2)
-        assert gradient(s)[2].values == gradient(S([8, 9, 10, 11])).values
+        assert gradient(s)[[2]].values == gradient(S([8, 9, 10, 11])).values
 
-    def test_values_are_days_or_markers_by_days(self):
-        for values in (5.0, np.zeros((2, 2, 2))):
-            with pytest.raises(ValueError):
-                S(values)
+    def test_values_are_markers_by_days(self):
+        for values in (5.0, [1.0, 2.0], np.zeros(3), np.zeros((2, 2, 2)), [[1.0], [1.0, 2.0]]):
+            with pytest.raises(ValueError, match="series values must be markers x days"):
+                Series(D0, values)
 
     def test_crop_outside_errors(self):
         s = S([1, 2, 3])
@@ -362,5 +371,5 @@ class TestSeriesBasics:
         for _ in range(20):
             v = rng.normal(size=100)
             v[rng.integers(0, 100, size=15)] = np.nan
-            for p in find_peaks(S(v)):
+            for p in find_peaks(S(v))[0]:
                 assert not math.isnan(v[p.index])

@@ -1,5 +1,5 @@
 """Property-based checks of smoothing and peak finding against the oracles,
-and of the markers × days path against the one-marker path."""
+and of each row of a markers × days series against that row alone."""
 
 import importlib.util
 from datetime import date
@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crisismon import Series, find_peaks, smooth, smoothed_gradient
+from crisismon import Series, find_peaks, marker_peaks, smooth, smoothed_gradient
 
 from oracles import brute_peaks, ref_smooth
 
@@ -38,7 +38,7 @@ peak_values = st.one_of(st.just(NAN), st.integers(-4, 4).map(float))
 @settings(max_examples=300, deadline=None)
 @given(_runs(smooth_values), st.integers(1, 30))
 def test_smooth_equals_reference_mean(values, window):
-    got = smooth(Series(start=D0, values=values), window).values
+    (got,) = smooth(Series(start=D0, values=[values]), window).values
     ref = ref_smooth(values, window)
     assert len(got) == len(ref)
     for i, (g, r) in enumerate(zip(got, ref)):
@@ -54,7 +54,7 @@ def test_smooth_equals_reference_mean(values, window):
 @settings(max_examples=300, deadline=None)
 @given(_runs(peak_values) | st.lists(peak_values, max_size=60))
 def test_find_peaks_equals_brute_force(values):
-    got = [(p.index, p.prominence) for p in find_peaks(Series(start=D0, values=values))]
+    got = [(p.index, p.prominence) for p in find_peaks(Series(start=D0, values=[values]))[0]]
     assert got == brute_peaks(values)
 
 
@@ -72,7 +72,7 @@ finite_values = st.one_of(
 def test_prominences_equal_scipy(values):
     from scipy.signal import peak_prominences
 
-    peaks = find_peaks(Series(start=D0, values=values))
+    peaks = find_peaks(Series(start=D0, values=[values]))[0]
     if not peaks:
         return
     expect, _, _ = peak_prominences(np.array(values), [p.index for p in peaks])
@@ -101,11 +101,14 @@ def _same_bits(a, b):
 
 @settings(max_examples=300, deadline=None)
 @given(_markers_by_days(), st.integers(1, 30))
-def test_each_row_of_the_array_path_equals_the_one_marker_path(rows, window):
+def test_each_row_equals_that_row_alone(rows, window):
     smoothed = smooth(Series(start=D0, values=rows), window)
     sg = smoothed_gradient(smoothed, window) if len(smoothed) >= 2 else None
+    peaks = marker_peaks(sg) if sg is not None else None
     for i, values in enumerate(rows):
-        alone = smooth(Series(start=D0, values=values), window)
-        assert _same_bits(smoothed.values[i], alone.values)
+        alone = smooth(Series(start=D0, values=[values]), window)
+        assert _same_bits(smoothed.values[i], alone.values[0])
         if sg is not None:
-            assert _same_bits(sg.values[i], smoothed_gradient(alone, window).values)
+            sg_alone = smoothed_gradient(alone, window)
+            assert _same_bits(sg.values[i], sg_alone.values[0])
+            assert peaks[i] == marker_peaks(sg_alone)[0]
