@@ -33,11 +33,12 @@ def sparkline(values, width=72):
 
 
 # --- one marker with a burst ----------------------------------------------------
-# A Series is markers x days; a single marker is a series of one row, and each
-# function returns one result per row.
+# A Series is markers x days, row i being the marker names[i]; a single marker
+# is a series of one row. find_peaks returns one list per row, marker_peaks
+# one per name.
 raw = rng.normal(5.0, 0.4, 120)
 raw[60:64] += 7.0  # four loud days
-series = Series(start=start, values=[raw])
+series = Series(start=start, names=["burst"], values=[raw])
 
 print("raw:              ", sparkline(raw))
 smoothed = smooth(series, 7)
@@ -49,7 +50,7 @@ candidates = find_peaks(sg)[0]
 kept = filter_peaks(candidates, sigma_mult=1.0)
 print(f"\n{len(candidates)} rise candidates, {len(kept)} above mean+sigma")
 
-for p in marker_peaks(sg, sigma_mult=1.0)[0]:
+for p in marker_peaks(sg, sigma_mult=1.0)["burst"]:
     print(f"  {p.date}  {p.direction:4}  height={p.height:+.4f}  "
           f"prominence={p.prominence:.4f}")
 # The rise lands within a window of the onset (trailing smoothing delays the
@@ -64,7 +65,8 @@ for _ in range(4):
     v = rng.normal(5.0, 0.4, 120)
     v[60:63] += 6.0
     rows.append(v)
-markers = smoothed_gradient(smooth(Series(start=start, values=rows), 7), 7)
+names = [f"m{i}" for i in range(len(rows))]
+markers = smoothed_gradient(smooth(Series(start=start, names=names, values=rows), 7), 7)
 
 print("\njoint peaks over 4 markers with a common burst at day 60:")
 for p in joint_peaks(markers, sigma_mult=1.0):

@@ -73,10 +73,10 @@ print(f"{report.parsed} tweets, {analyzable} analyzable (retweets left out), acr
       f"{n_days} days, {len(agg.categories)} categories")
 
 # --- joint peaks over the surged markers, annotated with real events --------------
-# One row per marker, one column per day; every derived series keeps that shape.
+# One named row per category, one column per day; rows are selected by name, and
+# every derived series keeps that shape and those names.
 markers = ["fear", "health", "nervousness", "sadness"]
-pct = dict(zip(agg.categories, agg.percent()))
-smoothed = smooth(Series(START, [pct[m] for m in markers]), 7)
+smoothed = smooth(Series(agg.start, agg.categories, agg.percent())[markers], 7)
 peaks = joint_peaks(smoothed_gradient(smoothed, 7))
 
 events = load_events_csv(DATA / "events" / "mental_health.csv")
@@ -87,7 +87,7 @@ for peak, matched in annotate_peaks(peaks, events, lead=6):
         print(f"      {e.date}  {e.description[:70]}")
 
 # --- heatmap of the smoothed prevalence --------------------------------------------
-svg = render_heatmap(smoothed, markers, START, END)
+svg = render_heatmap(smoothed)
 (OUT / "heatmap.svg").write_bytes(svg)
 print(f"\nwrote {OUT / 'heatmap.svg'} ({len(svg)} bytes; darker = more prevalent)")
 
@@ -96,7 +96,7 @@ stages = load_stages_csv(DATA / "stages" / "argentina_2020.csv")
 print("\nmax % difference vs the marker's median, per stage window:")
 header = "".join(f"{w.stage:>14}" for w in stages)
 print(f"{'marker':12}{header}")
-table = stage_prevalence_table(smoothed, markers, stages)
+table = stage_prevalence_table(smoothed, stages)
 for marker in markers:
     row = "".join(
         f"{(f'{cell:+.1f}' if cell is not None else 'n/a'):>14}"

@@ -7,9 +7,11 @@ value must have its field's type: a string or list of strings, ``null`` only
 where the field allows it, an integer (not ``true``/``false``) for an int,
 an integer or float for a float, a boolean for a bool; anything else is a
 format error naming the key. Exit codes: 0 on success, 1 for validation or
-contract failures (bad date range, empty lexicon), 2 for I/O and format
-failures (missing file, malformed input, a wrongly typed config value, a
-corpus worker that died).
+contract failures (bad date range, empty lexicon, a category named
+``series.JOINT``), 2 for I/O and format failures (missing file, malformed
+input, a wrongly typed config value, a corpus worker that died). The
+prevalence of every category is one ``Series`` named by category; the
+commands select the configured markers' rows from it by name.
 """
 
 from __future__ import annotations
@@ -109,22 +111,24 @@ def _workers(cfg: RunConfig) -> int:
 
 
 def _corpus(cfg: RunConfig) -> corpus_mod.Corpus:
+    """The corpus to read; its options are checked before any file is opened."""
     if not cfg.corpus:
         raise ValueError("config needs at least one corpus path")
+    if not -23 <= cfg.tz_offset_hours <= 23:  # whole hours that ``timezone`` takes
+        raise ValueError(f"tz_offset_hours must be within -23..23, got {cfg.tz_offset_hours}")
     return corpus_mod.Corpus(tuple(cfg.corpus), cfg.tz_offset_hours, cfg.strict)
 
 
-def _marker_rows(markers: list[str] | None, names: Sequence[str]) -> list[int]:
-    """Row indices in ``names`` of the configured markers (default: all)."""
-    if not markers:
-        return list(range(len(names)))
+def _markers(markers: list[str] | None, names: Sequence[str]) -> list[str]:
+    """The configured markers, each one of ``names`` (default: all of them)."""
+    markers = markers or list(names)
     unknown = [m for m in markers if m not in names]
     if unknown:
         raise ValueError(f"unknown markers in config: {', '.join(unknown)}")
     repeated = sorted({m for m in markers if markers.count(m) > 1})
     if repeated:
         raise ValueError(f"duplicate markers in config: {', '.join(repeated)}")
-    return [names.index(m) for m in markers]
+    return markers
 
 
 def _report_skips(report: corpus_mod.ParseReport) -> None:
@@ -195,17 +199,18 @@ def cmd_analyze(cfg: RunConfig) -> int:
         raise ValueError("lead must be >= 0")
     if not math.isfinite(cfg.sigma_mult):
         raise ValueError(f"sigma_mult must be finite, got {cfg.sigma_mult}")
+    corpus = _corpus(cfg)
     cats = load_category_set(cfg.categories)
     if not cats.categories:
         raise ValueError(f"{cfg.categories}: no categories")
+    if series.JOINT in cats.categories:
+        raise ValueError(f"{cfg.categories}: the name {series.JOINT!r} is kept for joint peaks")
     matcher = matching.build_matcher(cats)
-    names = matcher.category_names
-    rows = _marker_rows(cfg.markers, names)
-    markers = [names[i] for i in rows]
+    markers = _markers(cfg.markers, matcher.category_names)
     events = reporting.load_events_csv(cfg.events) if cfg.events else None
     stages = reporting.load_stages_csv(cfg.stages) if cfg.stages else None
     report = corpus_mod.ParseReport()
-    agg = matching.aggregate_daily(_corpus(cfg), matcher, start, end, workers, report=report)
+    agg = matching.aggregate_daily(corpus, matcher, start, end, workers, report=report)
     _report_skips(report)
     if agg.dropped:
         print(f"dropped {agg.dropped} document(s) outside {start}..{end}",
@@ -213,24 +218,24 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     # Everything is computed before the first file is written, so a run that
     # fails on the way leaves no output behind.
-    smoothed = series.smooth(series.Series(agg.start, agg.percent()), cfg.window)
+    smoothed = series.smooth(series.Series(agg.start, agg.categories, agg.percent()), cfg.window)
     sg = series.smoothed_gradient(smoothed, cfg.window)
-    peaks_by_marker = dict(zip(names, series.marker_peaks(sg, cfg.sigma_mult)))
-    joint = series.joint_peaks(sg[rows], cfg.sigma_mult)
-    peaks_by_marker["JOINT"] = joint
-    svg = reporting.render_heatmap(smoothed[rows], markers, start, end)
+    peaks_by_marker = series.marker_peaks(sg, cfg.sigma_mult)
+    joint = series.joint_peaks(sg[markers], cfg.sigma_mult)
+    peaks_by_marker[series.JOINT] = joint
+    svg = reporting.render_heatmap(smoothed[markers])
     annotated = (
         reporting.annotate_peaks(joint, events, lead=cfg.lead)
         if events is not None else None
     )
     table = (
-        reporting.stage_prevalence_table(smoothed[rows], markers, stages)
+        reporting.stage_prevalence_table(smoothed[markers], stages)
         if stages is not None else None
     )
 
     out = _out_dir(cfg)
     matching.write_prevalence_csv(out / "prevalence.csv", agg)
-    series.write_series_csv(out / "series.csv", names,
+    series.write_series_csv(out / "series.csv",
                             {"smoothed": smoothed, "smoothed_gradient": sg})
     series.write_peaks_csv(out / "peaks.csv", peaks_by_marker)
     (out / "heatmap.svg").write_bytes(svg)
@@ -247,12 +252,12 @@ def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int
     if window is not None and window < 1:
         raise ValueError("window must be >= 1")
     agg = matching.read_prevalence_csv(input_csv)
-    names = list(agg.categories)
-    rows = _marker_rows(cfg.markers, names)
-    shown = series.smooth(series.Series(agg.start, agg.percent())[rows], window or 1)
+    markers = _markers(cfg.markers, agg.categories)
+    shown = series.smooth(series.Series(agg.start, agg.categories, agg.percent())[markers],
+                          window or 1)
     start = date.fromisoformat(cfg.date_from) if cfg.date_from else agg.start
     end = date.fromisoformat(cfg.date_to) if cfg.date_to else agg.end
-    svg = reporting.render_heatmap(shown, [names[i] for i in rows], start, end)
+    svg = reporting.render_heatmap(shown.crop(start, end))
     out = _out_dir(cfg) / "heatmap.svg"
     out.write_bytes(svg)
     print(out)

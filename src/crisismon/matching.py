@@ -224,11 +224,20 @@ def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
     ))
 
 
-def _int64(row: dict[str, str], key: str) -> int:
-    n = int(row[key])
-    if not -2**63 <= n < 2**63:
+def _read_count(row: dict[str, str], key: str) -> int:
+    n = int(row[key])  # a missing cell keeps int's own error
+    if not (row[key].isascii() and row[key].isdigit()):
+        raise ValueError(f"{key} must be plain digits, got {row[key]!r}")
+    if n >= 2**63:
         raise ValueError(f"{key} outside the int64 range")
     return n
+
+
+def _counts(row: dict[str, str]) -> tuple[int, int]:
+    matched, total = _read_count(row, "matched"), _read_count(row, "total")
+    if matched > total:
+        raise ValueError(f"matched {matched} above total {total}")
+    return matched, total
 
 
 def read_prevalence_csv(path: str | Path) -> DailyAggregate:
@@ -236,12 +245,12 @@ def read_prevalence_csv(path: str | Path) -> DailyAggregate:
 
     Every category spans the first to the last day listed for any category;
     a day with no row for a category has total 0, which reads as missing. A
-    file with no rows is a ``ValueError``; a count outside the int64 range, a
-    format error.
+    file with no rows is a ``ValueError``; a count that is not plain ASCII
+    digits or lies outside the int64 range, or a ``matched`` above its
+    ``total``, a format error.
     """
     rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
-        date.fromisoformat(row["date"]), row["category"], _int64(row, "matched"),
-        _int64(row, "total"),
+        date.fromisoformat(row["date"]), row["category"], *_counts(row),
     ))
     if not rows:
         raise ValueError(f"{path}: no prevalence rows")

@@ -1,7 +1,7 @@
 """Reporting: SVG heatmaps, peak-to-event annotation, stage prevalence tables.
 
-Heatmaps and stage tables take a markers × days ``Series``, row ``i`` being
-``markers[i]``. Heatmaps draw one row per marker and one cell per day; darker
+Heatmaps and stage tables take a markers × days ``Series`` and label each
+row by its name. Heatmaps draw one row per marker and one cell per day; darker
 means higher. Values are min-max normalized per heatmap so rows are
 comparable within one figure, and the gray ramp is strictly monotone: two
 different values never share a fill. Missing days render as a hatched cell. Output is plain SVG 1.1
@@ -20,13 +20,14 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import cell, read_csv, write_csv
-from .series import Peak, Series, _sum
+from .series import JOINT, Peak, Series, _sum
 
 DEFAULT_EVENT_LEAD_DAYS = 6
 CELL_W = 8.0  # heatmap cell geometry
 CELL_H = 16.0
 LIGHT = 96.0  # luminance percent at the minimum value
 DARK = 12.0  # luminance percent at the maximum value
+StageRow = tuple[str, str, float | None]  # marker, stage, max_pct_diff (None: undefined)
 
 
 @dataclass(frozen=True)
@@ -57,34 +58,23 @@ def _fill(norm: float) -> str:
     return f"rgb({lum},{lum},{lum})"
 
 
-def _check_rows(rows: Series, markers: Sequence[str]) -> None:
-    if len(rows.values) != len(markers):
-        raise ValueError(f"need one markers x days row per marker ({len(markers)})")
+def render_heatmap(rows: Series) -> bytes:
+    """Render every day of ``rows`` as a deterministic SVG heatmap.
 
-
-def render_heatmap(
-    rows: Series, markers: Sequence[str], start: date, end: date
-) -> bytes:
-    """Render the days [start, end] of ``rows`` as a deterministic SVG heatmap.
-
-    ``rows`` is markers × days; row ``i`` is drawn as ``markers[i]``, top down.
+    ``rows`` is markers × days; each row is drawn under its name, top down.
     """
-    if not markers:
+    if not rows.names:
         raise ValueError("heatmap needs at least one marker row")
-    if start > end:
-        raise ValueError(f"start {start} after end {end}")
-    _check_rows(rows, markers)
 
-    cells = rows.crop(start, end).values
-    present = [v for row in cells for v in row if v == v]  # NaN equals nothing
+    present = [v for row in rows.values for v in row if v == v]  # NaN equals nothing
     vmin, vmax = (min(present), max(present)) if present else (0.0, 0.0)
     flat = vmax == vmin  # degenerate normalization: everything mid-ramp
 
-    n_days = (end - start).days + 1
-    left = 10.0 + 7.2 * max(len(m) for m in markers)
+    n_days = len(rows)
+    left = 10.0 + 7.2 * max(len(m) for m in rows.names)
     top = 30.0
     width = left + n_days * CELL_W + 10.0
-    height = top + len(markers) * CELL_H + 10.0
+    height = top + len(rows.values) * CELL_H + 10.0
 
     parts: list[str] = []
     parts.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -103,8 +93,7 @@ def render_heatmap(
     parts.append(f'<rect width="{width:.1f}" height="{height:.1f}" fill="#ffffff"/>')
 
     # Month labels along the top edge.
-    for di in range(n_days):
-        d = start + timedelta(days=di)
+    for di, d in enumerate(rows.dates()):
         if d.day == 1 or di == 0:
             x = left + di * CELL_W
             parts.append(
@@ -119,7 +108,7 @@ def render_heatmap(
     # A cell's text up to its y, per day, and from its y to its fill, formatted once.
     heads = [f'<rect x="{left + di * CELL_W:.2f}" y="' for di in range(n_days)]
     size = f'" width="{CELL_W:.2f}" height="{CELL_H:.2f}" fill="'
-    for ri, (marker, values) in enumerate(zip(markers, cells)):
+    for ri, (marker, values) in enumerate(zip(rows.names, rows.values)):
         y = top + ri * CELL_H
         parts.append(
             f'<text x="{left - 6:.2f}" y="{y + CELL_H * 0.72:.2f}" '
@@ -160,13 +149,11 @@ def annotate_peaks(
     return out
 
 
-def stage_prevalence_table(
-    rows: Series, markers: Sequence[str], stages: Sequence[StageWindow]
-) -> list[tuple[str, str, float | None]]:
+def stage_prevalence_table(rows: Series, stages: Sequence[StageWindow]) -> list[StageRow]:
     """Maximum percentage difference from each marker's overall median, per stage.
 
-    ``rows`` is markers × days, row ``i`` being ``markers[i]``; the table
-    lists the markers in that order, each with every stage. The median is
+    ``rows`` is markers × days; the table lists the markers in row order,
+    each with every stage. The median is
     taken over the marker's present values across its full span; each stage
     cell is the maximum of 100*(v - median)/median over the present days
     inside the stage window. A zero median, or a stage window with no
@@ -174,9 +161,8 @@ def stage_prevalence_table(
 
     The median is NumPy's: the mean of the one or two middle values.
     """
-    _check_rows(rows, markers)
-    table: list[tuple[str, str, float | None]] = []
-    for marker, v in zip(markers, rows.values):
+    table: list[StageRow] = []
+    for marker, v in zip(rows.names, rows.values):
         present = sorted(x for x in v if x == x)  # NaN equals nothing
         middle = present[(len(present) - 1) // 2 : len(present) // 2 + 1]
         median = _sum(middle) / len(middle) if middle else None
@@ -207,9 +193,7 @@ def load_stages_csv(path: str | Path) -> list[StageWindow]:
     ))
 
 
-def write_stage_table_csv(
-    path: str | Path, rows: Sequence[tuple[str, str, float | None]]
-) -> None:
+def write_stage_table_csv(path: str | Path, rows: Sequence[StageRow]) -> None:
     """Stage table CSV: marker,stage,max_pct_diff (blank = undefined)."""
     write_csv(path, ["marker", "stage", "max_pct_diff"],
               ([marker, stage, cell(value)] for marker, stage, value in rows))
@@ -222,7 +206,7 @@ def write_annotations_csv(
     """One row per (joint peak, event); peaks without events keep one blank-event row."""
     rows = []
     for peak, events in annotated:
-        base = [peak.date.isoformat(), "JOINT", peak.direction,
+        base = [peak.date.isoformat(), JOINT, peak.direction,
                 repr(peak.height), repr(peak.prominence)]
         if events:
             rows += [base + [e.date.isoformat(), e.description] for e in events]

@@ -1,10 +1,10 @@
 """Time-series smoothing, gradients, and prominence-based peak detection.
 
-A ``Series`` holds markers × days as lists of Python floats: rows are
-markers and each row lists the days from ``start``. ``len`` counts days, a
-slice or a sequence of indices selects rows, and every function here works on
-each row alone, save ``joint_peaks``, which combines them; a single marker is
-a one-row series.
+A ``Series`` holds markers × days as lists of Python floats: row ``i`` is
+the marker ``names[i]`` and lists the days from ``start``. ``len`` counts
+days, a sequence of names selects rows, and every function here works on each
+row alone, save ``joint_peaks``, which combines them into the row ``JOINT``;
+a single marker is a one-row series.
 
 A day with no signal is NaN, never 0: missing propagates through gradients,
 excludes itself from window means, and never hosts a peak.
@@ -44,6 +44,7 @@ from .errors import cell, write_csv
 
 RISE = "rise"
 FALL = "fall"
+JOINT = "JOINT"
 
 
 def _floats(values) -> list[list[float]]:
@@ -65,28 +66,29 @@ class Series:
     """Contiguous daily values, markers × days; NaN marks a missing day."""
 
     start: date
+    names: tuple[str, ...]  # the marker of each row, no two alike
     values: list[list[float]]  # one row of days per marker
     kind: str = "raw"  # raw | smoothed | gradient
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "values", _floats(self.values))
+        if not len(self.values) == len(set(self.names)) == len(self.names):
+            raise ValueError(f"need one distinct name per row, got {list(self.names)}")
 
     def __len__(self) -> int:
         """The number of days; 0 without rows."""
         return len(self.values[0]) if self.values else 0
 
-    def __getitem__(self, rows) -> "Series":
-        """The rows of a slice, or the rows listed in ``rows`` (a sequence or
-        array of indices, not a boolean mask), same days."""
-        if isinstance(rows, slice):
-            return replace(self, values=self.values[rows])
-        return replace(self, values=[self.values[i] for i in rows])
+    def __getitem__(self, names: Sequence[str]) -> "Series":
+        """The rows of ``names``, in that order; an unknown name is a ``KeyError``."""
+        if isinstance(names, str):
+            raise TypeError("select rows by a sequence of names, not one str")
+        row = dict(zip(self.names, self.values))
+        return replace(self, names=names, values=[row[n] for n in names])
 
     def dates(self) -> list[date]:
         return [self.start + timedelta(days=i) for i in range(len(self))]
-
-    def date_of(self, index: int) -> date:
-        return self.start + timedelta(days=int(index))
 
     def index_of(self, d: date) -> int:
         i = (d - self.start).days
@@ -96,10 +98,10 @@ class Series:
 
     def crop(self, start: date, end: date) -> "Series":
         """The days [start, end] of every row; both must lie inside."""
+        if start > end:
+            raise ValueError(f"start {start} after end {end}")
         i0 = self.index_of(start)
         i1 = self.index_of(end)
-        if i1 < i0:
-            raise ValueError(f"start {start} after end {end}")
         return replace(self, start=start, values=[v[i0 : i1 + 1] for v in self.values])
 
 
@@ -168,8 +170,7 @@ def smooth(s: Series, window: int) -> Series:
         raise ValueError(f"cannot smooth a series of kind {s.kind!r}")
     if window < 1:
         raise ValueError("window must be >= 1")
-    return Series(start=s.start, values=[_smooth_row(v, window) for v in s.values],
-                  kind="smoothed")
+    return replace(s, values=[_smooth_row(v, window) for v in s.values], kind="smoothed")
 
 
 def gradient(s: Series) -> Series:
@@ -180,7 +181,7 @@ def gradient(s: Series) -> Series:
     """
     if len(s) < 2:
         raise ValueError("gradient needs at least 2 points")
-    return Series(start=s.start, kind="gradient", values=[
+    return replace(s, kind="gradient", values=[
         [v[1] - v[0]]
         + [(v[i + 1] - v[i - 1]) / 2.0 for i in range(1, len(v) - 1)]
         + [v[-1] - v[-2]]
@@ -248,7 +249,7 @@ def _prominence(v: list[float], i: int) -> float:
 def find_peaks(s: Series) -> list[list[Peak]]:
     """Each row's candidate peaks with their prominences, in index order."""
     return [[
-        Peak(date=s.date_of(i), index=i, height=v[i], prominence=_prominence(v, i))
+        Peak(date=s.start + timedelta(days=i), index=i, height=v[i], prominence=_prominence(v, i))
         for i in _candidate_indices(v)
     ] for v in s.values]
 
@@ -272,20 +273,20 @@ def _threshold(proms: list[float], sigma_mult: float) -> float:
     return mean + sigma_mult * std
 
 
-def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> list[list[Peak]]:
+def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> dict[str, list[Peak]]:
     """Signed change peaks of each marker, given the markers' smoothed
-    gradients ``sg``: one list per row.
+    gradients ``sg``: one list per name, in row order.
 
     Rises and falls are detected separately: once on a row and once on its
     negation (fall peaks score the magnitude of decrease), each followed by
     its own prominence filter. Results are merged in date order.
     """
     neg = replace(sg, values=[[-x for x in v] for v in sg.values])
-    return [sorted(
+    return {name: sorted(
         filter_peaks(rises, sigma_mult)
         + [replace(p, direction=FALL) for p in filter_peaks(falls, sigma_mult)],
         key=lambda p: (p.index, p.direction),
-    ) for rises, falls in zip(find_peaks(sg), find_peaks(neg))]
+    ) for name, rises, falls in zip(sg.names, find_peaks(sg), find_peaks(neg))}
 
 
 def _zscore(v: list[float]) -> list[float]:
@@ -326,7 +327,7 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
             signed += z
         combined.append(magnitude / len(zs))
         signed_mean.append(signed / len(zs))
-    (candidates,) = find_peaks(Series(sg.start, [combined], "gradient"))
+    (candidates,) = find_peaks(Series(sg.start, [JOINT], [combined], "gradient"))
     peaks = filter_peaks(candidates, sigma_mult)
     return [
         replace(p, direction=RISE if signed_mean[p.index] >= 0 else FALL)
@@ -335,27 +336,26 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
 
 
 def write_peaks_csv(path: str | Path, peaks_by_marker: dict[str, list[Peak]]) -> None:
-    """CSV of peaks: date, marker (or JOINT), direction, height, prominence."""
+    """CSV of peaks: date, marker (or ``JOINT``), direction, height, prominence."""
     write_csv(path, ["date", "marker", "direction", "height", "prominence"], (
         [p.date.isoformat(), marker, p.direction, repr(p.height), repr(p.prominence)]
         for marker in sorted(peaks_by_marker) for p in peaks_by_marker[marker]
     ))
 
 
-def write_series_csv(
-    path: str | Path, names: Sequence[str], series_by_kind: dict[str, Series]
-) -> None:
+def write_series_csv(path: str | Path, series_by_kind: dict[str, Series]) -> None:
     """Long CSV of derived series: date, category, kind, percent (blank = missing).
 
-    Each series of ``series_by_kind`` (e.g. ``"smoothed"``) holds one row per
-    category, row ``i`` being ``names[i]``; all share one date axis. Rows are
-    written in the order of ``names``, each row's kinds in sorted order.
+    The series of ``series_by_kind`` (e.g. ``"smoothed"``) share one date
+    axis. Categories are written in the row order of the first kind, each
+    category's kinds in sorted order.
     """
     kinds = sorted(series_by_kind)
-    days = [d.isoformat() for d in series_by_kind[kinds[0]].dates()]
-    values = {kind: series_by_kind[kind].values for kind in kinds}
+    first = series_by_kind[kinds[0]]
+    days = [d.isoformat() for d in first.dates()]
+    values = {kind: series_by_kind[kind][first.names].values for kind in kinds}
     write_csv(path, ["date", "category", "kind", "percent"], (
         [d, name, kind, cell(x)]
-        for i, name in enumerate(names) for kind in kinds
+        for i, name in enumerate(first.names) for kind in kinds
         for d, x in zip(days, values[kind][i])
     ))

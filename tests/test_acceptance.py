@@ -31,6 +31,11 @@ from synth import write_burst_workspace
 D0 = date(2020, 3, 1)
 
 
+def one_row(days, kind="raw"):
+    """One marker's days, as a one-row series named ``m``."""
+    return Series(start=D0, names=["m"], values=[days], kind=kind)
+
+
 @contextlib.contextmanager
 def criterion(number: int, description: str):
     try:
@@ -101,7 +106,7 @@ def test_criterion_3_peak_pipeline_oracle():
             if trial % 3 == 0:  # runs of missing values
                 start = int(rng.integers(0, 160))
                 v[start : start + int(rng.integers(2, 15))] = np.nan
-            s = Series(start=D0, values=[v], kind="gradient")
+            s = one_row(v, kind="gradient")
             peaks = find_peaks(s)[0]
             got = [(p.index, p.prominence) for p in peaks]
             assert got == brute_peaks(list(v))
@@ -118,7 +123,7 @@ def test_criterion_4_smoothing_gradient_invariants():
     with criterion(4, "smoothing/gradient invariants at stated tolerances"):
         # smooth(constant) = constant, exactly
         for c in (0.0, 0.1, 5.0, -3.7, 123.456):
-            out = smooth(Series(start=D0, values=[np.full(50, c)]), 7)
+            out = smooth(one_row(np.full(50, c)), 7)
             assert out.values[0] == [c] * 50
 
         # linearity under affine transforms, 1e-9
@@ -126,25 +131,25 @@ def test_criterion_4_smoothing_gradient_invariants():
         x = rng.normal(size=200)
         x[rng.integers(0, 200, size=12)] = np.nan
         for a, b in [(2.0, 3.0), (-1.5, 10.0), (0.125, -2.0)]:
-            lhs = np.array(smooth(Series(start=D0, values=[a * x + b]), 7).values[0])
-            rhs = a * np.array(smooth(Series(start=D0, values=[x]), 7).values[0]) + b
+            lhs = np.array(smooth(one_row(a * x + b), 7).values[0])
+            rhs = a * np.array(smooth(one_row(x), 7).values[0]) + b
             ok = ~np.isnan(lhs)
             assert np.isnan(lhs).tolist() == np.isnan(rhs).tolist()
             assert np.max(np.abs(lhs[ok] - rhs[ok])) < 1e-9
 
         # gradient of a linear series recovers the slope everywhere, 1e-12
         for slope in (3.0, -0.25, 11.0):
-            g = gradient(Series(start=D0, values=[slope * np.arange(60.0)]))
+            g = gradient(one_row(slope * np.arange(60.0)))
             assert np.max(np.abs(np.array(g.values[0]) - slope)) < 1e-12
 
         # peak indices invariant under positive affine transforms
         for _ in range(30):
             v = np.round(rng.normal(size=150).cumsum(), 3)
-            base_idx = [p.index for p in find_peaks(Series(start=D0, values=[v]))[0]]
+            base_idx = [p.index for p in find_peaks(one_row(v))[0]]
             for a, b in [(2.0, 0.0), (0.5, 100.0), (7.25, -40.0)]:
                 idx = [
                     p.index
-                    for p in find_peaks(Series(start=D0, values=[a * v + b]))[0]
+                    for p in find_peaks(one_row(a * v + b))[0]
                 ]
                 assert idx == base_idx
 
@@ -211,10 +216,9 @@ def test_criterion_7_stage_table_mechanism():
         spike[55:60] += 6.0
         values_by_marker["stageB_marker"] = spike
 
-        rows = Series(start=D0, values=list(values_by_marker.values()))
-        got = stage_prevalence_table(
-            rows, list(values_by_marker), [StageWindow(n, s, e) for n, s, e in stages]
-        )
+        rows = Series(start=D0, names=list(values_by_marker),
+                      values=list(values_by_marker.values()))
+        got = stage_prevalence_table(rows, [StageWindow(n, s, e) for n, s, e in stages])
         expect = naive_stage_table(
             {k: [None if np.isnan(x) else float(x) for x in v]
              for k, v in values_by_marker.items()},
@@ -239,10 +243,10 @@ def test_criterion_8_heatmap_determinism_and_monotonicity():
         rng = np.random.default_rng(127)
         values = np.round(rng.uniform(0, 100, size=60), 4)
         values[10] = np.nan
-        rows = Series(start=D0, values=[values])
-        end = D0 + timedelta(days=59)
-        svg1 = render_heatmap(rows, ["m"], D0, end)
-        svg2 = render_heatmap(rows, ["m"], D0, end)
+        rows = one_row(values)
+        assert len(rows) == 60
+        svg1 = render_heatmap(rows)
+        svg2 = render_heatmap(rows)
         assert svg1 == svg2
 
         fills = [

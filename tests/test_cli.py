@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import inspect
 import json
 import os
@@ -22,6 +23,20 @@ from synth import write_burst_workspace
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+# SHA-256 of each file of TestAnalyze::test_outputs_keep_their_recorded_bytes.
+RECORDED_DIGESTS = {
+    "prevalence.csv": "7fbdae24e84369de3fc997e407bc57cbdcceb20932373257905e9488ede14087",
+    "series.csv": "50b808823c6ffca34f06277598fc02c84019cac301ffc91a78cffa5a1cfc2416",
+    "peaks.csv": "3007a3234696eb50302a16f4237a335be3b571a0eecd0fd29fc8e6f53c4f5c72",
+    "heatmap.svg": "402ca4962c3a9f4ac2cf4b081c58e6de5a5979c0d681e8a60716c0bb43fefac8",
+    "annotations.csv": "545e737a8fbb57a1ec8d7f60ad4a904cc673acac217f119ec8cea7359831114b",
+    "stage_table.csv": "76b0aec91b4b0eca1743f6762d40300ee5a81bcdf674d3ac148584b5bc4ce903",
+    "render-raw": "50645bd31256dcdd3b2600d1ec1f210728271c3ce60b95fa568627556337c66e",
+    "render-window-9": "5893dffbb8ede512536395f7a9bfe8b9c70a27fa21a2456c156a5d9f06efaf7e",
+    "render-cropped": "0c798d4b90d46e00407629db1d16ce1331bdabdfbeb60be65d77a96609b9eed6",
+}
 
 
 class TestRunConfig:
@@ -613,6 +628,32 @@ class TestAnalyze:
         assert {r["marker"] for r in rows} == {"alfa", "beta", "gama"}
         assert (ws["out"] / "annotations.csv").exists()
 
+    def test_outputs_keep_their_recorded_bytes(self, tmp_path, data_dir):
+        """A whole analyze run with events, stages and a marker subset out of
+        sorted order, and renders of its prevalence CSV, write the bytes
+        recorded when each file's layout was last settled."""
+        ws = write_burst_workspace(tmp_path, seed=23, n_days=60, per_day=40)
+        cfg = json.loads(ws["config"].read_text())
+        cfg.update({"date_to": "2020-04-29", "markers": ["gama", "alfa"],
+                    "events": str(data_dir / "events" / "mental_health.csv"),
+                    "stages": str(data_dir / "stages" / "argentina_2020.csv")})
+        ws["config"].write_text(json.dumps(cfg))
+        assert run_cli("analyze", "--config", str(ws["config"]), "--workers", "1") == 0
+        written = {name: (ws["out"] / name).read_bytes() for name in (
+            "prevalence.csv", "series.csv", "peaks.csv", "heatmap.svg",
+            "annotations.csv", "stage_table.csv")}
+        markers = tmp_path / "markers.json"
+        markers.write_text(json.dumps({"markers": ["gama", "alfa"]}))
+        for name, flags in {"render-raw": [], "render-window-9": ["--window", "9"],
+                            "render-cropped": ["--config", str(markers), "--from",
+                                               "2020-03-20", "--to", "2020-04-15"]}.items():
+            out = tmp_path / name
+            assert run_cli("render", "--out", str(out), *flags,
+                           str(ws["out"] / "prevalence.csv")) == 0
+            written[name] = (out / "heatmap.svg").read_bytes()
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
+        assert digests == RECORDED_DIGESTS
+
     def test_unknown_marker_subset_is_validation_error(self, tmp_path):
         ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
         cfg = json.loads(ws["config"].read_text())
@@ -630,6 +671,20 @@ class TestAnalyze:
         missing = str(tmp_path / "no_such_corpus.jsonl")
         assert run_cli("analyze", "--config", str(ws["config"]), missing) == 1
         assert capsys.readouterr().err == "error: duplicate markers in config: alfa\n"
+        assert not ws["out"].exists()
+
+    def test_a_category_named_joint_fails_before_the_corpus_is_read(self, tmp_path, capsys):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        cats = json.loads(ws["categories"].read_text())
+        cats["categories"]["JOINT"] = cats["categories"].pop("beta")
+        ws["categories"].write_text(json.dumps(cats))
+        cfg = json.loads(ws["config"].read_text())
+        cfg["date_to"] = "2020-03-10"
+        ws["config"].write_text(json.dumps(cfg))
+        missing = str(tmp_path / "no_such_corpus.jsonl")
+        assert run_cli("analyze", "--config", str(ws["config"]), missing) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ws['categories']}: the name 'JOINT' is kept for joint peaks\n")
         assert not ws["out"].exists()
 
     def test_bad_window_fails_before_the_corpus_is_read(self, tmp_path):
@@ -654,6 +709,31 @@ class TestAnalyze:
         assert run_cli("analyze", "--config", str(ws["config"]), *flags, missing) == 1
         assert "error: sigma_mult must be finite" in capsys.readouterr().err
         assert not ws["out"].exists()
+
+    @pytest.mark.parametrize("command", ["stats", "analyze"])
+    @pytest.mark.parametrize("hours", [24, -24, 30, 100000000000])
+    def test_tz_offset_beyond_23_hours_fails_before_any_input_is_opened(
+            self, tmp_path, capsys, command, hours):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        cfg = json.loads(ws["config"].read_text())
+        cfg.update({"tz_offset_hours": hours, "categories": str(tmp_path / "no_such.json")})
+        ws["config"].write_text(json.dumps(cfg))
+        missing = str(tmp_path / "no_such_corpus.jsonl")
+        assert run_cli(command, "--config", str(ws["config"]), missing) == 1
+        assert capsys.readouterr().err == (
+            f"error: tz_offset_hours must be within -23..23, got {hours}\n")
+        assert not ws["out"].exists()
+
+    @pytest.mark.parametrize("hours", [-23, 23])
+    def test_tz_offset_of_23_hours_either_way_is_read(self, tmp_path, hours):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        assert run_cli("stats", "--out", str(ws["out"]), str(ws["corpus"])) == 0
+        default = json.loads((ws["out"] / "stats.json").read_text())
+        cfg = tmp_path / "tz.json"
+        cfg.write_text(json.dumps({"tz_offset_hours": hours, "out": str(tmp_path / "tz")}))
+        assert run_cli("stats", "--config", str(cfg), str(ws["corpus"])) == 0
+        shifted = json.loads((tmp_path / "tz" / "stats.json").read_text())
+        assert shifted["total"] == default["total"]
 
     def test_empty_category_set_fails_before_the_corpus_is_read(self, tmp_path, capsys):
         ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
@@ -799,8 +879,22 @@ class TestRender:
          "line 2: matched outside the int64 range"),
         (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
          b"2020-03-02,a,1,%d,0.0\n" % 2**63, "line 3: total outside the int64 range"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,-5,10,-50.0\n",
+         "line 2: matched must be plain digits, got '-5'"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,5,+10,50.0\n",
+         "line 2: total must be plain digits, got '+10'"),
+        (b"date,category,matched,total,percent\n2020-03-01,a, 5,10,50.0\n",
+         "line 2: matched must be plain digits, got ' 5'"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
+         b"2020-03-02,a,1_0,10,100.0\n", "line 3: matched must be plain digits, got '1_0'"),
+        ("date,category,matched,total,percent\n2020-03-01,a,\u0663,10,30.0\n".encode(),
+         "line 2: matched must be plain digits, got '\u0663'"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,20,10,200.0\n",
+         "line 2: matched 20 above total 10"),
     ], ids=["missing-column", "bad-date", "invalid-utf8", "duplicate-row",
-            "count-of-401-digits", "count-of-2-to-the-63"])
+            "count-of-401-digits", "count-of-2-to-the-63", "negative-count",
+            "count-with-a-sign", "count-with-a-space", "count-with-an-underscore",
+            "count-in-arabic-indic-digits", "matched-above-total"])
     def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
         path = tmp_path / "prevalence.csv"
         path.write_bytes(body)
@@ -809,6 +903,14 @@ class TestRender:
         assert says in err
         assert f"error: {path}: " in err
         assert not (tmp_path / "out").exists()
+
+    def test_a_category_named_joint_renders(self, tmp_path):
+        # render writes no peaks, so no category name is kept from it.
+        path = tmp_path / "prevalence.csv"
+        path.write_text("date,category,matched,total,percent\n"
+                        "2020-03-01,JOINT,1,10,10.0\n2020-03-02,JOINT,2,10,20.0\n")
+        assert run_cli("render", "--out", str(tmp_path / "out"), str(path)) == 0
+        assert ">JOINT</text>" in (tmp_path / "out" / "heatmap.svg").read_text()
 
     def test_counts_at_the_int64_limit_render(self, tmp_path):
         path = tmp_path / "prevalence.csv"

@@ -29,6 +29,11 @@ SPECIAL = [NAN, 0.0, -0.0, INF, -INF, 1e308, -1e308, 5e-324]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e6, 1e6), st.floats(allow_nan=False))
 
 
+def names(rows):
+    """A name for each row of markers × days."""
+    return [f"m{i}" for i in range(len(rows))]
+
+
 def bits(x):
     """A float's bytes, NaN as one token (its sign and payload are not compared)."""
     return "nan" if x != x else struct.pack("<d", x)
@@ -93,7 +98,7 @@ def test_sum_matches_numpy(v):
 @settings(max_examples=120, deadline=None)
 @given(markers_by_days(), st.integers(1, 30))
 def test_smooth_and_smoothed_gradient_match_numpy(rows, window):
-    smoothed = smooth(Series(D0, rows), window)
+    smoothed = smooth(Series(D0, names(rows), rows), window)
     expect = np_smooth(rows, window)
     assert all(same(g, e) for g, e in zip(smoothed.values, expect))
     if len(smoothed) >= 2:
@@ -112,7 +117,7 @@ def test_zscores_and_joint_peaks_match_numpy(rows, sigma_mult):
     if candidates:
         threshold = np_threshold([prom for _, prom in candidates], sigma_mult)
         candidates = [(i, prom) for i, prom in candidates if prom > threshold]
-    got = joint_peaks(Series(D0, rows, "gradient"), sigma_mult)
+    got = joint_peaks(Series(D0, names(rows), rows, "gradient"), sigma_mult)
     assert [(p.index, bits(p.height), bits(p.prominence), p.direction) for p in got] == [
         (i, bits(float(combined[i])), bits(prom), "rise" if signed[i] >= 0 else "fall")
         for i, prom in candidates]
@@ -128,7 +133,7 @@ def test_threshold_matches_numpy(proms, sigma_mult):
 @settings(max_examples=100, deadline=None)
 @given(markers_by_days(max_rows=1, max_days=200))
 def test_prominences_match_brute_force_at_extreme_values(rows):
-    got = [(p.index, bits(p.prominence)) for p in find_peaks(Series(D0, rows))[0]]
+    got = [(p.index, bits(p.prominence)) for p in find_peaks(Series(D0, names(rows), rows))[0]]
     assert got == [(i, bits(prom)) for i, prom in brute_peaks(rows[0])]
 
 
@@ -149,8 +154,7 @@ def test_percent_matches_numpy(cells):
 def test_stage_table_matches_numpy(rows, windows):
     stages = [(f"s{i}", D0 + timedelta(days=lo), D0 + timedelta(days=lo + span))
               for i, (lo, span) in enumerate(windows)]
-    names = [f"m{i}" for i in range(len(rows))]
-    table = stage_prevalence_table(Series(D0, rows), names,
+    table = stage_prevalence_table(Series(D0, names(rows), rows),
                                    [StageWindow(*stage) for stage in stages])
     expect = np_stage_table(rows, D0, stages)
     assert [None if c is None else bits(c) for _, _, c in table] == [

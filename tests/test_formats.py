@@ -48,10 +48,10 @@ def _write_prevalence(path):
 
 
 def _write_series(path):
-    smoothed = Series(start=D1, values=[[THIRD, float("nan"), 1.0], [2.5, 0.0, -THIRD]])
-    grad = Series(start=D1, values=[[float("nan"), 1e-17, 100.0], [1 / 3, 2.0, 3.0]])
-    write_series_csv(path, ["pánico", "calma"],
-                     {"smoothed_gradient": grad, "smoothed": smoothed})
+    names = ["pánico", "calma"]
+    smoothed = Series(D1, names, [[THIRD, float("nan"), 1.0], [2.5, 0.0, -THIRD]])
+    grad = Series(D1, names, [[float("nan"), 1e-17, 100.0], [1 / 3, 2.0, 3.0]])
+    write_series_csv(path, {"smoothed_gradient": grad, "smoothed": smoothed})
 
 
 def _write_peaks(path):

@@ -83,3 +83,12 @@ def test_numpy_is_imported_only_for_embeddings_and_the_prevalence_arrays():
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
     assert {module for module, _ in found} == {"expansion", "matching"}
     assert {func for module, func in found if module != "expansion"} == {"prevalence"}
+
+
+def test_the_joint_row_is_named_only_in_series():
+    """``series.JOINT`` names the joint peaks' row; every other module reads
+    the constant, so the string literal appears nowhere else."""
+    spelled = {path.stem for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and node.value == "JOINT"}
+    assert spelled == {"series"}

@@ -18,14 +18,16 @@ from oracles import naive_stage_table
 D0 = date(2020, 3, 1)
 
 
-def S(values):
-    return Series(start=D0, values=np.asarray(values, dtype=np.float64))
+def S(values, names=None):
+    """Markers × days, row ``i`` named ``names[i]`` (default ``m{i}``)."""
+    rows = np.asarray(values, dtype=np.float64)
+    return Series(start=D0, names=names or [f"m{i}" for i in range(len(rows))], values=rows)
 
 
 def heatmap(rows, markers):
-    """The heatmap of every day of ``rows`` (markers × days)."""
-    s = S(rows)
-    return render_heatmap(s, markers, D0, s.date_of(len(s) - 1))
+    """The heatmap of every day of ``rows`` (markers × days), row ``i`` drawn
+    as ``markers[i]``."""
+    return render_heatmap(S(rows, markers))
 
 
 def cell_fills(svg: bytes) -> list[str]:
@@ -57,15 +59,15 @@ class TestRenderHeatmap:
 
     def test_empty_marker_list_errors(self):
         with pytest.raises(ValueError):
-            render_heatmap(S(np.empty((0, 1))), [], D0, D0)
+            render_heatmap(S(np.empty((0, 1))))
 
     def test_unknown_marker_errors(self):
-        # Row i is markers[i]: a label count other than the row count, or
+        # Row i is names[i]: a label count other than the row count, or
         # days without a marker axis, cannot be drawn.
-        with pytest.raises(ValueError, match="row per marker"):
+        with pytest.raises(ValueError, match="one distinct name per row"):
             heatmap([[1]], ["m", "nope"])
         with pytest.raises(ValueError, match="series values must be markers x days"):
-            render_heatmap(S([1]), ["m"], D0, D0)
+            render_heatmap(S([1], ["m"]))
 
     def test_missing_cells_get_hatch_style(self):
         svg = heatmap([[1.0, np.nan, 3.0]], ["m"])
@@ -74,14 +76,19 @@ class TestRenderHeatmap:
         assert fills[0].startswith("rgb(")
 
     def test_row_permutation_keeps_cell_colors(self):
-        rows = S([[0.0, 5.0], [10.0, 2.0]])
-        end = D0 + timedelta(days=1)
-        svg_ab = render_heatmap(rows, ["a", "b"], D0, end)
-        svg_ba = render_heatmap(rows[[1, 0]], ["b", "a"], D0, end)
+        rows = S([[0.0, 5.0], [10.0, 2.0]], ["a", "b"])
+        svg_ab = render_heatmap(rows)
+        svg_ba = render_heatmap(rows[["b", "a"]])
         ab = cell_fills(svg_ab)
         ba = cell_fills(svg_ba)
         assert ab[0:2] == ba[2:4]  # row "a"
         assert ab[2:4] == ba[0:2]  # row "b"
+
+    def test_draws_every_day_from_the_series_start(self):
+        rows = S([list(range(40))], ["m"]).crop(date(2020, 3, 30), date(2020, 4, 2))
+        svg = render_heatmap(rows)
+        assert len(cell_fills(svg)) == 4
+        assert re.findall(r">(\d{4}-\d{2})</text>", svg.decode()) == ["2020-03", "2020-04"]
 
     def test_month_labels_present(self):
         n = 40  # spans March into April
@@ -155,7 +162,7 @@ class TestStagePrevalenceTable:
         values = [4.0] * 9
         values[4] = 6.0
         stages = [StageWindow("s", D0 + timedelta(days=3), D0 + timedelta(days=5))]
-        ((_, _, cell),) = stage_prevalence_table(S([values]), ["m"], stages)
+        ((_, _, cell),) = stage_prevalence_table(S([values], ["m"]), stages)
         assert cell == pytest.approx(50.0)
 
     def test_constant_series_gives_zero_everywhere(self):
@@ -163,17 +170,17 @@ class TestStagePrevalenceTable:
             StageWindow("a", D0, D0 + timedelta(days=4)),
             StageWindow("b", D0 + timedelta(days=5), D0 + timedelta(days=9)),
         ]
-        rows = stage_prevalence_table(S([[3.0] * 10]), ["m"], stages)
+        rows = stage_prevalence_table(S([[3.0] * 10], ["m"]), stages)
         assert [cell for _, _, cell in rows] == [0.0, 0.0]
 
     def test_zero_median_is_undefined(self):
         stages = [StageWindow("s", D0, D0 + timedelta(days=2))]
-        ((_, _, cell),) = stage_prevalence_table(S([[0.0, 0.0, 0.0]]), ["m"], stages)
+        ((_, _, cell),) = stage_prevalence_table(S([[0.0, 0.0, 0.0]], ["m"]), stages)
         assert cell is None
 
     def test_stage_outside_series_is_undefined(self):
         stages = [StageWindow("s", D0 + timedelta(days=100), D0 + timedelta(days=120))]
-        ((_, _, cell),) = stage_prevalence_table(S([[1.0, 2.0]]), ["m"], stages)
+        ((_, _, cell),) = stage_prevalence_table(S([[1.0, 2.0]], ["m"]), stages)
         assert cell is None
 
     def test_120_day_fixture_matches_naive_double_loop(self):
@@ -189,7 +196,7 @@ class TestStagePrevalenceTable:
             v[rng.integers(0, 120, size=6)] = np.nan
             values_by_marker[f"m{mi}"] = v
         got = stage_prevalence_table(
-            S(list(values_by_marker.values())), list(values_by_marker),
+            S(list(values_by_marker.values()), list(values_by_marker)),
             [StageWindow(n, s, e) for n, s, e in stages],
         )
         expect = naive_stage_table(
@@ -209,8 +216,8 @@ class TestStagePrevalenceTable:
         rng = np.random.default_rng(59)
         v = rng.uniform(1, 9, 60)
         stages = [StageWindow("s", D0 + timedelta(days=10), D0 + timedelta(days=20))]
-        ((_, _, a),) = stage_prevalence_table(S([v]), ["m"], stages)
-        ((_, _, b),) = stage_prevalence_table(S([3.7 * v]), ["m"], stages)
+        ((_, _, a),) = stage_prevalence_table(S([v], ["m"]), stages)
+        ((_, _, b),) = stage_prevalence_table(S([3.7 * v], ["m"]), stages)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_csv_writer_blank_for_undefined(self, tmp_path):

@@ -15,13 +15,15 @@ D0 = date(2020, 3, 1)
 
 
 def S(days, kind="raw"):
-    """One marker's days, as a one-row series."""
-    return Series(start=D0, values=[np.asarray(days, dtype=np.float64)], kind=kind)
+    """One marker's days, as a one-row series named ``m0``."""
+    return Series(start=D0, names=["m0"], values=[np.asarray(days, dtype=np.float64)],
+                  kind=kind)
 
 
 def M(rows, kind="raw"):
-    """Markers × days."""
-    return Series(start=D0, values=np.asarray(rows, dtype=np.float64), kind=kind)
+    """Markers × days, row ``i`` named ``m{i}``."""
+    return Series(start=D0, names=[f"m{i}" for i in range(len(rows))],
+                  values=np.asarray(rows, dtype=np.float64), kind=kind)
 
 
 def SG(rows, window=7):
@@ -238,7 +240,7 @@ class TestAffineInvariance:
 
 class TestMarkerPeaks:
     def test_constant_series_has_no_peaks(self):
-        assert marker_peaks(SG([[3.0] * 60]))[0] == []
+        assert marker_peaks(SG([[3.0] * 60]))["m0"] == []
 
     def test_step_series_candidates_and_filter(self):
         # A pure noiseless step yields exactly one rise candidate near the
@@ -251,12 +253,12 @@ class TestMarkerPeaks:
         assert 45 <= rises[0].index <= 45 + 7 - 1
         neg = S([-x for x in sg.values[0]], kind="gradient")
         assert find_peaks(neg)[0] == []  # no fall candidates at all
-        assert marker_peaks(sg)[0] == []
+        assert marker_peaks(sg)["m0"] == []
 
     def test_noisy_step_yields_rise_near_step(self):
         rng = np.random.default_rng(42)
         v = np.concatenate([np.zeros(45), np.full(45, 10.0)]) + rng.normal(0, 0.2, 90)
-        peaks = marker_peaks(SG([v]))[0]
+        peaks = marker_peaks(SG([v]))["m0"]
         rises = [p for p in peaks if p.direction == "rise"]
         assert len(rises) == 1
         assert 45 <= rises[0].index <= 45 + 7 - 1
@@ -267,7 +269,7 @@ class TestMarkerPeaks:
             v = np.round(rng.normal(size=180).cumsum(), 6)
             got = [
                 (p.index, p.direction, p.height, p.prominence)
-                for p in marker_peaks(SG([v]))[0]
+                for p in marker_peaks(SG([v]))["m0"]
             ]
             ref = ref_marker_peaks(list(v), 7, 1.0)
             assert [(g[0], g[1]) for g in got] == [(r[0], r[1]) for r in ref]
@@ -279,9 +281,18 @@ class TestMarkerPeaks:
         rng = np.random.default_rng(29)
         v = rng.normal(5, 0.1, 90)
         v[40:43] += 10  # sharp burst: rise into it, fall out of it
-        peaks = marker_peaks(SG([v]))[0]
+        peaks = marker_peaks(SG([v]))["m0"]
         falls = [p for p in peaks if p.direction == "fall"]
         assert falls and all(p.height > 0 for p in falls)
+
+
+    def test_peaks_are_keyed_by_name_in_row_order(self):
+        rows = np.random.default_rng(47).normal(5, 0.1, (3, 90))
+        sg = SG(rows)[["m2", "m0", "m1"]]
+        peaks = marker_peaks(sg)
+        assert list(peaks) == ["m2", "m0", "m1"]
+        for name in peaks:
+            assert peaks[name] == marker_peaks(sg[[name]])[name]
 
 
 class TestJointPeaks:
@@ -344,27 +355,53 @@ class TestSeriesBasics:
         s = M([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
         assert len(s) == 4
         assert len(M(np.empty((0, 4)))) == 0
-        assert s[[1]].values == [[4.0, 5.0, 6.0, 7.0]]
-        assert s[[2, 0]].values == [[8, 9, 10, 11], [0, 1, 2, 3]]
-        assert s[np.array([2, 0])].values == s[[2, 0]].values
-        assert s[[np.int64(1)]].values == s[[1]].values
+        assert s[["m1"]].values == [[4.0, 5.0, 6.0, 7.0]]
+        assert s[["m2", "m0"]].values == [[8, 9, 10, 11], [0, 1, 2, 3]]
+        assert s[("m2", "m0")].values == s[["m2", "m0"]].values
+        assert s[[np.str_("m1")]].values == s[["m1"]].values
         with pytest.raises(TypeError):
-            s[1]  # a row is selected as s[[1]]
-        assert s[0:2].values == [[0, 1, 2, 3], [4, 5, 6, 7]]
+            s[1]  # a row is selected as s[["m1"]]
+        assert s[["m0", "m1"]].values == [[0, 1, 2, 3], [4, 5, 6, 7]]
         c = s.crop(date(2020, 3, 2), date(2020, 3, 3))
         assert c.values == [[1, 2], [5, 6], [9, 10]]
         assert c.start == date(2020, 3, 2)
-        assert gradient(s)[[2]].values == gradient(S([8, 9, 10, 11])).values
+        assert gradient(s)[["m2"]].values == gradient(S([8, 9, 10, 11])).values
+
+    def test_rows_are_selected_by_name_only(self):
+        s = M([[0, 1], [2, 3], [4, 5]])
+        assert s.names == ("m0", "m1", "m2")
+        picked = s[["m2", "m0"]]
+        assert picked.names == ("m2", "m0")
+        assert smooth(picked, 2).names == gradient(picked).names == ("m2", "m0")
+        for key in ("m1", 1, slice(0, 2), [0, 1]):
+            with pytest.raises((TypeError, KeyError)):
+                s[key]
+        with pytest.raises(TypeError, match="not one str"):
+            s["m1"]
+        with pytest.raises(KeyError):
+            s[["m3"]]
+        with pytest.raises(ValueError, match="one distinct name per row"):
+            s[["m0", "m0"]]
+
+    @pytest.mark.parametrize("names", [[], ["a"], ["a", "b", "c"], ["a", "a"]],
+                             ids=["none", "too-few", "too-many", "duplicate"])
+    def test_one_distinct_name_per_row(self, names):
+        with pytest.raises(ValueError, match="one distinct name per row"):
+            Series(D0, names, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_values_are_markers_by_days(self):
         for values in (5.0, [1.0, 2.0], np.zeros(3), np.zeros((2, 2, 2)), [[1.0], [1.0, 2.0]]):
             with pytest.raises(ValueError, match="series values must be markers x days"):
-                Series(D0, values)
+                Series(D0, ["m0", "m1"], values)
 
     def test_crop_outside_errors(self):
         s = S([1, 2, 3])
         with pytest.raises(ValueError):
             s.crop(date(2020, 2, 28), date(2020, 3, 2))
+
+    def test_crop_checks_the_order_before_the_range(self):
+        with pytest.raises(ValueError, match="start 2020-04-01 after end 2020-02-01"):
+            S([1, 2, 3]).crop(date(2020, 4, 1), date(2020, 2, 1))
 
     def test_peaks_never_on_missing_days(self):
         rng = np.random.default_rng(43)

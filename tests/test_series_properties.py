@@ -19,6 +19,11 @@ D0 = date(2020, 3, 1)
 NAN = float("nan")
 
 
+def one_row(days, kind="raw"):
+    """One marker's days, as a one-row series named ``m``."""
+    return Series(start=D0, names=["m"], values=[days], kind=kind)
+
+
 def _runs(values):
     """A series built from runs: each run repeats one value (NaN = a hole)."""
     return st.lists(
@@ -38,7 +43,7 @@ peak_values = st.one_of(st.just(NAN), st.integers(-4, 4).map(float))
 @settings(max_examples=300, deadline=None)
 @given(_runs(smooth_values), st.integers(1, 30))
 def test_smooth_equals_reference_mean(values, window):
-    (got,) = smooth(Series(start=D0, values=[values]), window).values
+    (got,) = smooth(one_row(values), window).values
     ref = ref_smooth(values, window)
     assert len(got) == len(ref)
     for i, (g, r) in enumerate(zip(got, ref)):
@@ -54,7 +59,7 @@ def test_smooth_equals_reference_mean(values, window):
 @settings(max_examples=300, deadline=None)
 @given(_runs(peak_values) | st.lists(peak_values, max_size=60))
 def test_find_peaks_equals_brute_force(values):
-    got = [(p.index, p.prominence) for p in find_peaks(Series(start=D0, values=[values]))[0]]
+    got = [(p.index, p.prominence) for p in find_peaks(one_row(values))[0]]
     assert got == brute_peaks(values)
 
 
@@ -72,7 +77,7 @@ finite_values = st.one_of(
 def test_prominences_equal_scipy(values):
     from scipy.signal import peak_prominences
 
-    peaks = find_peaks(Series(start=D0, values=[values]))[0]
+    peaks = find_peaks(one_row(values))[0]
     if not peaks:
         return
     expect, _, _ = peak_prominences(np.array(values), [p.index for p in peaks])
@@ -102,13 +107,13 @@ def _same_bits(a, b):
 @settings(max_examples=300, deadline=None)
 @given(_markers_by_days(), st.integers(1, 30))
 def test_each_row_equals_that_row_alone(rows, window):
-    smoothed = smooth(Series(start=D0, values=rows), window)
+    smoothed = smooth(Series(D0, [f"m{i}" for i in range(len(rows))], rows), window)
     sg = smoothed_gradient(smoothed, window) if len(smoothed) >= 2 else None
     peaks = marker_peaks(sg) if sg is not None else None
     for i, values in enumerate(rows):
-        alone = smooth(Series(start=D0, values=[values]), window)
+        alone = smooth(Series(D0, [f"m{i}"], [values]), window)
         assert _same_bits(smoothed.values[i], alone.values[0])
         if sg is not None:
             sg_alone = smoothed_gradient(alone, window)
             assert _same_bits(sg.values[i], sg_alone.values[0])
-            assert peaks[i] == marker_peaks(sg_alone)[0]
+            assert peaks[f"m{i}"] == marker_peaks(sg_alone)[f"m{i}"]
