@@ -17,7 +17,6 @@ commands select the configured markers' rows from it by name.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -293,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="crisismon",
         description="Lexicon-marker prevalence monitoring over tweet corpora",
     )
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
@@ -309,11 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
         cfg = _config_from_args(args)
         if args.command == "render":

@@ -9,7 +9,8 @@ Two broad failure families matter to callers (and to the CLI exit codes):
 
 Every CSV and JSON file but the corpus is read and written here, so the
 header check, the line-numbered error, the float cell (its ``repr``, blank
-when missing) and the JSON encoding are each decided once.
+when missing), the JSON encoding and the rejection of a repeated JSON key are
+each decided once.
 """
 
 import csv
@@ -66,10 +67,20 @@ def cell(x: float | None) -> str:
     return "" if x is None or x != x else repr(x)
 
 
-def read_json(path: str | Path, object_pairs_hook=None) -> object:
+def read_json(path: str | Path) -> object:
+    """A JSON file's value; a key repeated in any of its objects is a format
+    error rather than a silent last-wins."""
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            dupe = next(k for k in obj if keys.count(k) > 1)
+            raise FormatError(f"{path}: duplicate key {dupe!r}")
+        return obj
+
     with open_text(path) as fh:
         try:
-            return json.load(fh, object_pairs_hook=object_pairs_hook)
+            return json.load(fh, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 

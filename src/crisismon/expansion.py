@@ -13,9 +13,9 @@ unexpanded; out-of-vocabulary seeds are kept but contribute no neighbors.
 
 from __future__ import annotations
 
-import logging
 import os
 import stat
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -24,8 +24,6 @@ from .lexicon import CategorySet, Lexicon, MarkerMapping, Term
 
 if TYPE_CHECKING:
     import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 # Components per block of rows that one ``np.linalg.norm`` call squares, or
@@ -172,8 +170,8 @@ def _parse(path: Path) -> tuple[list[str], np.ndarray]:
                 raise FormatError(f"{path}: line {lineno}: non-numeric component") from exc
             token = fields[0]
             if token in seen:
-                log.warning("%s: line %d: duplicate token %r, last row wins",
-                            path, lineno, token)
+                print(f"warning: {path}: line {lineno}: duplicate token {token!r}, "
+                      "last row wins", file=sys.stderr)
             seen.add(token)
             tokens.append(token)
             lines.append(lineno)
@@ -237,12 +235,9 @@ def expand_lexicon(seed: Lexicon, table: EmbeddingTable, k: int = 10,
     neighbors = {} if neighbors is None else neighbors
     terms = set(seed.terms)
     for term in sorted(seed.terms):
-        if len(term) != 1:
+        if len(term) != 1 or not table.usable(term[0]):
             continue
         token = term[0]
-        if not table.usable(token):
-            log.debug("seed %r not expandable, kept as-is", token)
-            continue
         if (token, k) not in neighbors:
             neighbors[token, k] = [(t,) for t, _ in knn(table, token, k)]
         terms.update(neighbors[token, k])

@@ -89,21 +89,9 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_category_set(path: str | Path) -> CategorySet:
-    """Load ``{"name": ..., "categories": {cat: [terms]}}`` from JSON.
-
-    Duplicate category keys in the file are an error rather than a silent
-    last-wins, since they would change matching behavior.
-    """
+    """Load ``{"name": ..., "categories": {cat: [terms]}}`` from JSON."""
     path = Path(path)
-
-    def no_dupes(pairs):
-        keys = [k for k, _ in pairs]
-        if len(keys) != len(set(keys)):
-            dupe = next(k for k in keys if keys.count(k) > 1)
-            raise FormatError(f"{path}: duplicate key {dupe!r}")
-        return dict(pairs)
-
-    obj = read_json(path, object_pairs_hook=no_dupes)
+    obj = read_json(path)
     if not isinstance(obj, dict) or "name" not in obj or "categories" not in obj:
         raise FormatError(
             f"{path}: expected an object with 'name' and 'categories'"

@@ -30,7 +30,6 @@ signal.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -42,8 +41,6 @@ from typing import Iterator, Sequence
 from .corpus import KIND_RETWEET, Corpus, ParseReport, fold_corpus, preprocess
 from .errors import FormatError, cell, read_csv, write_csv
 from .lexicon import CategorySet
-
-log = logging.getLogger(__name__)
 
 
 class Matcher:
@@ -203,9 +200,6 @@ def aggregate_daily(
             row[:] = map(add, row, part)
         day_totals[:] = map(add, day_totals, part_totals)
         dropped += part_dropped
-    if dropped:
-        log.info("aggregate_daily: dropped %d documents outside %s..%s",
-                 dropped, start, end)
     shared = tuple(day_totals)  # one denominator, which no category can change
     return DailyAggregate(start=start, end=end, categories=matcher.category_names,
                           matched=[tuple(row) for row in counts],
@@ -225,10 +219,11 @@ def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
 
 
 def _read_count(row: dict[str, str], key: str) -> int:
-    n = int(row[key])  # a missing cell keeps int's own error
-    if not (row[key].isascii() and row[key].isdigit()):
-        raise ValueError(f"{key} must be plain digits, got {row[key]!r}")
-    if n >= 2**63:
+    text = row[key] or ""  # a short row leaves its last cells None
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{key} must be plain digits, got {text!r}")
+    # Checked before ``int``, which refuses more than 4,300 digits on its own terms.
+    if len(text) > 19 or (n := int(text)) >= 2**63:
         raise ValueError(f"{key} outside the int64 range")
     return n
 

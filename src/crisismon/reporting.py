@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import cell, read_csv, write_csv
-from .series import JOINT, Peak, Series, _sum
+from .series import JOINT, PEAK_COLUMNS, Peak, Series, _sum, peak_cells
 
 DEFAULT_EVENT_LEAD_DAYS = 6
 CELL_W = 8.0  # heatmap cell geometry
@@ -206,11 +206,9 @@ def write_annotations_csv(
     """One row per (joint peak, event); peaks without events keep one blank-event row."""
     rows = []
     for peak, events in annotated:
-        base = [peak.date.isoformat(), JOINT, peak.direction,
-                repr(peak.height), repr(peak.prominence)]
+        base = peak_cells(JOINT, peak)
         if events:
             rows += [base + [e.date.isoformat(), e.description] for e in events]
         else:
             rows.append(base + ["", ""])
-    write_csv(path, ["date", "marker", "direction", "height", "prominence",
-                     "event_date", "event_description"], rows)
+    write_csv(path, [*PEAK_COLUMNS, "event_date", "event_description"], rows)

@@ -335,10 +335,18 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
     ]
 
 
+PEAK_COLUMNS = ("date", "marker", "direction", "height", "prominence")
+
+
+def peak_cells(marker: str, p: Peak) -> list[str]:
+    """A peak's CSV cells, in the order of ``PEAK_COLUMNS``."""
+    return [p.date.isoformat(), marker, p.direction, repr(p.height), repr(p.prominence)]
+
+
 def write_peaks_csv(path: str | Path, peaks_by_marker: dict[str, list[Peak]]) -> None:
     """CSV of peaks: date, marker (or ``JOINT``), direction, height, prominence."""
-    write_csv(path, ["date", "marker", "direction", "height", "prominence"], (
-        [p.date.isoformat(), marker, p.direction, repr(p.height), repr(p.prominence)]
+    write_csv(path, PEAK_COLUMNS, (
+        peak_cells(marker, p)
         for marker in sorted(peaks_by_marker) for p in peaks_by_marker[marker]
     ))
 

@@ -103,6 +103,12 @@ class TestFlags:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    def test_there_is_no_verbose_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--verbose", "analyze", "corpus.jsonl"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["stats", "analyze"])
     def test_workers_below_one_fails_before_any_input_is_opened(self, tmp_path, capsys,
                                                                 command):
@@ -273,8 +279,8 @@ def test_workers_one_and_two_write_the_same_bytes(tmp_path, capsys, pool_on, com
     assert "skipped 6 malformed line(s) of 603" in runs[0][1].err
 
 
-def test_verbose_stderr_is_the_same_for_any_workers(tmp_path):
-    """Real processes, so that whatever a worker logs reaches stderr."""
+def test_stderr_is_the_same_for_any_workers(tmp_path):
+    """Real processes, so that whatever a worker writes reaches stderr."""
     import crisismon
 
     ws = _split_workspace(tmp_path)
@@ -284,13 +290,14 @@ def test_verbose_stderr_is_the_same_for_any_workers(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(crisismon.__file__))}
     errs = []
     for workers in ("1", "2"):
-        proc = subprocess.run([sys.executable, "-c", script, "--verbose", "analyze", "--config",
+        proc = subprocess.run([sys.executable, "-c", script, "analyze", "--config",
                                str(ws["config"]), "--workers", workers],
                               capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr
         errs.append(proc.stderr)
     assert errs[0] == errs[1]
-    assert b"INFO crisismon" in errs[0] and b"skipped 6 malformed line(s) of 603" in errs[0]
+    assert b"skipped 6 malformed line(s) of 603" in errs[0]
+    assert len(re.findall(rb"^dropped \d+ document\(s\) outside ", errs[0], re.M)) == 1
 
 
 def _cli_in_fresh_process(script, *argv, block_numpy=False):
@@ -471,6 +478,23 @@ class TestExpand:
         assert mapping["construct"] == "anxiety"
         assert 0 < len(mapping["ranked"]) <= 2
         assert mapping["ranked"][0]["category"] == "fear"
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("config.json", "out", '"elsewhere"'),
+        ("manifest.json", "anxiety", '"cats.json"'),
+        ("seed.json", "terms", '["calma"]'),
+        ("cats.json", "name", '"other"'),
+    ], ids=["run-config", "manifest", "lexicon", "category-set"])
+    def test_a_repeated_json_key_exits_two(self, tmp_path, monkeypatch, capsys,
+                                           name, key, value):
+        monkeypatch.chdir(tmp_path)
+        config, out = self._workspace(tmp_path)
+        path = tmp_path / name
+        path.write_text(path.read_text(encoding="utf-8").rstrip()[:-1]
+                        + f', "{key}": {value}}}', encoding="utf-8")
+        assert run_cli("expand", "--config", str(config)) == 2
+        assert capsys.readouterr().err == f"error: {path}: duplicate key '{key}'\n"
+        assert not out.exists() and not (tmp_path / "elsewhere").exists()
 
     def test_missing_embeddings_exits_two(self, tmp_path):
         config, _ = self._workspace(tmp_path)
@@ -877,6 +901,8 @@ class TestRender:
          b"2020-03-01,a,5,10,50.0\n", "line 3: duplicate 2020-03-01 a"),
         (b"date,category,matched,total,percent\n2020-03-01,a,1" + b"0" * 400 + b",10,\n",
          "line 2: matched outside the int64 range"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,1" + b"0" * 5000 + b",10,\n",
+         "line 2: matched outside the int64 range"),
         (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
          b"2020-03-02,a,1,%d,0.0\n" % 2**63, "line 3: total outside the int64 range"),
         (b"date,category,matched,total,percent\n2020-03-01,a,-5,10,-50.0\n",
@@ -891,10 +917,13 @@ class TestRender:
          "line 2: matched must be plain digits, got '\u0663'"),
         (b"date,category,matched,total,percent\n2020-03-01,a,20,10,200.0\n",
          "line 2: matched 20 above total 10"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,2\n",
+         "line 2: total must be plain digits, got ''"),
     ], ids=["missing-column", "bad-date", "invalid-utf8", "duplicate-row",
-            "count-of-401-digits", "count-of-2-to-the-63", "negative-count",
+            "count-of-401-digits", "count-of-5001-digits", "count-of-2-to-the-63", "negative-count",
             "count-with-a-sign", "count-with-a-space", "count-with-an-underscore",
-            "count-in-arabic-indic-digits", "matched-above-total"])
+            "count-in-arabic-indic-digits", "matched-above-total",
+            "row-without-a-total"])
     def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
         path = tmp_path / "prevalence.csv"
         path.write_bytes(body)

@@ -169,14 +169,14 @@ class TestErrorOrder:
         with pytest.raises(FormatError, match=r"line 3: non-numeric component$"):
             load_embeddings(path)
 
-    def test_duplicates_are_reported_up_to_the_faulty_line(self, tmp_path, caplog):
+    def test_duplicates_are_reported_up_to_the_faulty_line(self, tmp_path, capsys):
         path = tmp_path / "emb.txt"
         path.write_text("5 2\nuno 1 0\nuno 0 1\ndos x 0\ndos 1 1\nuno 1 1\n",
                         encoding="utf-8")
         with pytest.raises(FormatError, match="line 4: non-numeric component"):
             load_embeddings(path)
-        assert [r.getMessage() for r in caplog.records] == [
-            f"{path}: line 3: duplicate token 'uno', last row wins"]
+        assert capsys.readouterr().err == (
+            f"warning: {path}: line 3: duplicate token 'uno', last row wins\n")
 
 
 class TestMemory:

@@ -3,6 +3,7 @@
 ``__init__`` and ``__main__`` are exempt."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import crisismon
+from synth import write_burst_workspace
 
 PACKAGE = Path(crisismon.__file__).resolve().parent
 LAYER = {"corpus": 0, "lexicon": 1, "expansion": 2, "matching": 2,
@@ -53,6 +55,33 @@ def test_importing_the_package_loads_no_layer_and_no_numpy():
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, check=True)
         assert proc.stdout == f"{loaded}\n"
+
+
+def test_no_subcommand_loads_logging(tmp_path):
+    """A fresh interpreter runs every subcommand through ``cli.main``, one
+    duplicate embedding token warned about: stderr carries plain lines, and
+    ``logging`` is never imported."""
+    ws = write_burst_workspace(tmp_path, n_days=20, per_day=30)
+    (tmp_path / "anxiety.json").write_text('{"name": "anxiety", "terms": ["alfa"]}')
+    (tmp_path / "manifest.json").write_text('{"anxiety": "anxiety.json"}')
+    (tmp_path / "emb.txt").write_text("3 2\nalfa 1 0\nbeta 0.9 0.1\nalfa 0 1\n")
+    expand = tmp_path / "expand.json"
+    expand.write_text(json.dumps({"manifest": str(tmp_path / "manifest.json"),
+                                  "embeddings": str(tmp_path / "emb.txt"),
+                                  "categories": str(ws["categories"])}))
+    out = str(ws["out"])
+    runs = [["stats", "--config", str(ws["config"]), "--workers", "1"],
+            ["expand", "--config", str(expand), "--out", out],
+            ["analyze", "--config", str(ws["config"]), "--workers", "1"],
+            ["render", "--out", out, str(ws["out"] / "prevalence.csv")]]
+    script = ("import json, sys; from crisismon import cli; "
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+              "print(codes, 'logging' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False", proc.stderr
+    assert (f"warning: {tmp_path / 'emb.txt'}: line 4: duplicate token 'alfa', last row wins\n"
+            in proc.stderr)
 
 
 def test_every_public_name_resolves_to_its_module():
