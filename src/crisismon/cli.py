@@ -6,12 +6,15 @@ only the flags it reads; a flag sets the config field of its name. A config
 value must have its field's type: a string or list of strings, ``null`` only
 where the field allows it, an integer (not ``true``/``false``) for an int,
 an integer or float for a float, a boolean for a bool; anything else is a
-format error naming the key. Exit codes: 0 on success, 1 for validation or
-contract failures (bad date range, empty lexicon, a category named
-``series.JOINT``), 2 for I/O and format failures (missing file, malformed
-input, a wrongly typed config value, a corpus worker that died). The
-prevalence of every category is one ``Series`` named by category; the
-commands select the configured markers' rows from it by name.
+format error naming the key. Before a command opens any input,
+``RunConfig.check`` checks every config rule that needs none, on every key,
+whether the command reads it or not. Exit codes: 0 on success, 1 for
+validation or contract failures (a broken config rule, an empty category
+set, a category named ``series.JOINT``), 2 for I/O and format failures
+(missing file, malformed input, a wrongly typed config value, a corpus
+worker that died). The prevalence of every category is one ``Series``
+named by category; the commands select the configured markers' rows from it
+by name.
 """
 
 from __future__ import annotations
@@ -69,17 +72,47 @@ class RunConfig:
                                   f"{cls.__annotations__[key]}, got {value!r}")
         return cls(**obj)
 
-    def date_range(self) -> tuple[date, date]:
-        if not self.date_from or not self.date_to:
-            raise ValueError("config needs date_from and date_to (or --from/--to)")
-        lo = date.fromisoformat(self.date_from)
-        hi = date.fromisoformat(self.date_to)
-        if lo > hi:
+    def check(self, command: str) -> tuple[date | None, date | None]:
+        """Check every rule that needs no input, before ``command`` opens one.
+
+        Every key is checked, whether ``command`` reads it or not. Returns
+        ``date_from`` and ``date_to`` parsed, each None when unset.
+        """
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.k < 1 or self.m < 1:
+            raise ValueError("k and m must be >= 1")
+        for key, what in _NEEDS[command].items():
+            if not getattr(self, key):
+                raise ValueError(f"config needs {what}")
+        lo, hi = (date.fromisoformat(d) if d else None for d in (self.date_from, self.date_to))
+        if lo and hi and lo > hi:
             raise ValueError(f"date_from {lo} after date_to {hi}")
+        if command == "analyze" and lo == hi:
+            raise ValueError(f"date range {lo}..{hi} needs at least 2 days")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.lead < 0:
+            raise ValueError("lead must be >= 0")
+        if not math.isfinite(self.sigma_mult):
+            raise ValueError(f"sigma_mult must be finite, got {self.sigma_mult}")
+        if not -23 <= self.tz_offset_hours <= 23:  # whole hours that ``timezone`` takes
+            raise ValueError(f"tz_offset_hours must be within -23..23, got {self.tz_offset_hours}")
         return lo, hi
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
+
+# What each command cannot run without: a key, and how a missing one is named.
+_DATES = "date_from and date_to (or --from/--to)"
+_NEEDS = {
+    "stats": {"corpus": "at least one corpus path"},
+    "expand": {"manifest": "a lexicon manifest path", "embeddings": "an embeddings path",
+               "categories": "a category-set path"},
+    "analyze": {"categories": "a category-set path", "date_from": _DATES, "date_to": _DATES,
+                "corpus": "at least one corpus path"},
+    "render": {},
+}
 
 
 def _fits(value: object, hint: object) -> bool:
@@ -98,24 +131,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = vars(args)
     cfg = RunConfig.from_file(given["config"]) if "config" in given else RunConfig()
     return replace(cfg, **{k: v for k, v in given.items() if k in _FIELD_TYPES})
-
-
-def _workers(cfg: RunConfig) -> int:
-    """The cap on corpus-reading processes: ``workers``, else every usable CPU."""
-    if cfg.workers is None:
-        return corpus_mod.usable_cpus()
-    if cfg.workers < 1:
-        raise ValueError("workers must be >= 1")
-    return cfg.workers
-
-
-def _corpus(cfg: RunConfig) -> corpus_mod.Corpus:
-    """The corpus to read; its options are checked before any file is opened."""
-    if not cfg.corpus:
-        raise ValueError("config needs at least one corpus path")
-    if not -23 <= cfg.tz_offset_hours <= 23:  # whole hours that ``timezone`` takes
-        raise ValueError(f"tz_offset_hours must be within -23..23, got {cfg.tz_offset_hours}")
-    return corpus_mod.Corpus(tuple(cfg.corpus), cfg.tz_offset_hours, cfg.strict)
 
 
 def _markers(markers: list[str] | None, names: Sequence[str]) -> list[str]:
@@ -148,9 +163,10 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_stats(cfg: RunConfig) -> int:
     """Corpus statistics over all tweets (retweets included) as JSON."""
-    workers = _workers(cfg)
+    cfg.check("stats")
     report = corpus_mod.ParseReport()
-    stats = corpus_mod.corpus_stats(_corpus(cfg), workers, report)
+    corpus = corpus_mod.Corpus(tuple(cfg.corpus), cfg.tz_offset_hours, cfg.strict)
+    stats = corpus_mod.corpus_stats(corpus, cfg.workers or corpus_mod.usable_cpus(), report)
     _report_skips(report)
     out = _out_dir(cfg) / "stats.json"
     write_json(out, stats.to_json_dict())
@@ -160,14 +176,7 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 def cmd_expand(cfg: RunConfig) -> int:
     """Expand every manifest lexicon and rank categories against it."""
-    if cfg.k < 1 or cfg.m < 1:
-        raise ValueError("k and m must be >= 1")
-    if not cfg.manifest:
-        raise ValueError("config needs a lexicon manifest path")
-    if not cfg.embeddings:
-        raise ValueError("config needs an embeddings path")
-    if not cfg.categories:
-        raise ValueError("config needs a category-set path")
+    cfg.check("expand")
     seeds = load_manifest(cfg.manifest)
     table = load_embeddings(cfg.embeddings)
     cats = load_category_set(cfg.categories)
@@ -186,19 +195,8 @@ def cmd_expand(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     """Match, aggregate, detect peaks, render the heatmap, report stages."""
-    workers = _workers(cfg)
-    if not cfg.categories:
-        raise ValueError("config needs a category-set path")
-    start, end = cfg.date_range()
-    if start == end:
-        raise ValueError(f"date range {start}..{end} needs at least 2 days")
-    if cfg.window < 1:
-        raise ValueError("window must be >= 1")
-    if cfg.lead < 0:
-        raise ValueError("lead must be >= 0")
-    if not math.isfinite(cfg.sigma_mult):
-        raise ValueError(f"sigma_mult must be finite, got {cfg.sigma_mult}")
-    corpus = _corpus(cfg)
+    start, end = cfg.check("analyze")
+    corpus = corpus_mod.Corpus(tuple(cfg.corpus), cfg.tz_offset_hours, cfg.strict)
     cats = load_category_set(cfg.categories)
     if not cats.categories:
         raise ValueError(f"{cfg.categories}: no categories")
@@ -209,7 +207,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     events = reporting.load_events_csv(cfg.events) if cfg.events else None
     stages = reporting.load_stages_csv(cfg.stages) if cfg.stages else None
     report = corpus_mod.ParseReport()
-    agg = matching.aggregate_daily(corpus, matcher, start, end, workers, report=report)
+    agg = matching.aggregate_daily(corpus, matcher, start, end,
+                                  cfg.workers or corpus_mod.usable_cpus(), report=report)
     _report_skips(report)
     if agg.dropped:
         print(f"dropped {agg.dropped} document(s) outside {start}..{end}",
@@ -248,15 +247,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int:
     """Re-render a heatmap from a previously written prevalence CSV."""
-    if window is not None and window < 1:
-        raise ValueError("window must be >= 1")
+    start, end = cfg.check("render")
     agg = matching.read_prevalence_csv(input_csv)
     markers = _markers(cfg.markers, agg.categories)
     shown = series.smooth(series.Series(agg.start, agg.categories, agg.percent())[markers],
                           window or 1)
-    start = date.fromisoformat(cfg.date_from) if cfg.date_from else agg.start
-    end = date.fromisoformat(cfg.date_to) if cfg.date_to else agg.end
-    svg = reporting.render_heatmap(shown.crop(start, end))
+    svg = reporting.render_heatmap(shown.crop(start or agg.start, end or agg.end))
     out = _out_dir(cfg) / "heatmap.svg"
     out.write_bytes(svg)
     print(out)

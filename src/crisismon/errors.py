@@ -26,9 +26,10 @@ class FormatError(Exception):
 
 @contextmanager
 def open_text(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
-    """Open a UTF-8 text input; a decode error while reading names the file."""
+    """Open a UTF-8 text input, less a leading BOM; a decode error while
+    reading names the file."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         # The codec's position counts from a read buffer, not the file: left out.

@@ -138,13 +138,14 @@ def annotate_peaks(
     events: Sequence[EventRecord],
     lead: int = DEFAULT_EVENT_LEAD_DAYS,
 ) -> list[tuple[Peak, list[EventRecord]]]:
-    """Attach to each peak the events within [peak - lead, peak], date-sorted."""
+    """Attach to each peak the events within [peak - lead, peak], date-sorted;
+    a look-back past 0001-01-01 stops there."""
     if lead < 0:
         raise ValueError("lead must be >= 0")
     ordered = sorted(events, key=lambda e: (e.date, e.description))
     out = []
     for p in peaks:
-        lo = p.date - timedelta(days=lead)
+        lo = p.date - timedelta(days=min(lead, (p.date - date.min).days))
         out.append((p, [e for e in ordered if lo <= e.date <= p.date]))
     return out
 

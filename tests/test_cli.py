@@ -62,7 +62,7 @@ class TestRunConfig:
     def test_reversed_range_rejected(self):
         cfg = RunConfig(date_from="2020-05-01", date_to="2020-03-01")
         with pytest.raises(ValueError):
-            cfg.date_range()
+            cfg.check("analyze")
 
     @pytest.mark.parametrize("key, value", [
         ("window", "7"), ("lead", "6"), ("date_from", 20200301), ("strict", "no"),
@@ -88,6 +88,85 @@ class TestRunConfig:
         ws["config"].write_text(json.dumps(cfg))
         assert getattr(RunConfig.from_file(ws["config"]), key) == value
         assert run_cli("analyze", "--config", str(ws["config"])) == 0
+
+
+# One broken value per config rule, and what the error says.
+BROKEN_RULES = {
+    "k": ({"k": 0}, "error: k and m must be >= 1"),
+    "m": ({"m": 0}, "error: k and m must be >= 1"),
+    "window": ({"window": 0}, "error: window must be >= 1"),
+    "lead": ({"lead": -1}, "error: lead must be >= 0"),
+    "sigma_mult": ({"sigma_mult": float("inf")}, "error: sigma_mult must be finite, got inf"),
+    "tz_offset_hours": ({"tz_offset_hours": 24},
+                        "error: tz_offset_hours must be within -23..23, got 24"),
+    "workers": ({"workers": 0}, "error: workers must be >= 1"),
+    "malformed-date": ({"date_from": "March 1"}, "'March 1'"),
+    "reversed-dates": ({"date_from": "2020-03-10", "date_to": "2020-03-05"},
+                       "error: date_from 2020-03-10 after date_to 2020-03-05"),
+}
+
+
+def _unopened_inputs(tmp_path: Path, command: str) -> tuple[dict, list[str]]:
+    """A config naming every input ``command`` needs, none of which exists,
+    and the positional arguments that go with it."""
+    missing = str(tmp_path / "missing")
+    config = {"stats": {"corpus": [missing]},
+              "expand": {"manifest": missing, "embeddings": missing, "categories": missing},
+              "analyze": {"corpus": [missing], "categories": missing,
+                          "date_from": "2020-03-01", "date_to": "2020-03-10"},
+              "render": {}}[command]
+    return config, [missing] if command == "render" else []
+
+
+class TestCheck:
+    """``RunConfig.check`` runs before a command opens any input: each case
+    names only inputs that do not exist, so exit 1 rather than 2 shows the
+    rule was checked first."""
+
+    @pytest.mark.parametrize("command", ["stats", "expand", "analyze", "render"])
+    @pytest.mark.parametrize("rule", list(BROKEN_RULES))
+    def test_every_command_checks_every_rule(self, tmp_path, capsys, command, rule):
+        change, says = BROKEN_RULES[rule]
+        config, positional = _unopened_inputs(tmp_path, command)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, **change, "out": str(tmp_path / "out")}))
+        assert run_cli(command, "--config", str(path), *positional) == 1
+        assert says in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key, says", [
+        ("stats", "corpus", "at least one corpus path"),
+        ("expand", "manifest", "a lexicon manifest path"),
+        ("expand", "embeddings", "an embeddings path"),
+        ("expand", "categories", "a category-set path"),
+        ("analyze", "categories", "a category-set path"),
+        ("analyze", "date_from", "date_from and date_to (or --from/--to)"),
+        ("analyze", "date_to", "date_from and date_to (or --from/--to)"),
+        ("analyze", "corpus", "at least one corpus path"),
+    ])
+    def test_a_command_without_a_key_it_needs_exits_one(self, tmp_path, capsys, command,
+                                                        key, says):
+        config, positional = _unopened_inputs(tmp_path, command)
+        del config[key]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, "out": str(tmp_path / "out")}))
+        assert run_cli(command, "--config", str(path), *positional) == 1
+        assert capsys.readouterr().err == f"error: config needs {says}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_render_checks_its_date_flags_before_the_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("render", "--out", str(out), "--from", "2020-03-10", "--to",
+                       "2020-03-05", str(tmp_path / "missing.csv")) == 1
+        assert capsys.readouterr().err == (
+            "error: date_from 2020-03-10 after date_to 2020-03-05\n")
+        assert not out.exists()
+
+    def test_dates_are_returned_parsed_or_none(self):
+        assert RunConfig().check("render") == (None, None)
+        assert RunConfig(date_to="2020-03-05").check("render") == (None, date(2020, 3, 5))
+        assert RunConfig(date_from="2020-03-01", date_to="2020-03-02").check("render") == (
+            date(2020, 3, 1), date(2020, 3, 2))
 
 
 class TestFlags:
@@ -788,6 +867,21 @@ class TestAnalyze:
         assert run_cli("analyze", "--config", str(ws["config"]), missing) == 1
         assert capsys.readouterr().err == "error: lead must be >= 0\n"
         assert not ws["out"].exists()
+
+    def test_a_lead_past_year_one_looks_back_to_year_one(self, tmp_path, data_dir):
+        ws = write_burst_workspace(tmp_path, seed=20, n_days=60, per_day=60)
+        cfg = json.loads(ws["config"].read_text())
+        cfg.update({"date_to": "2020-04-29",
+                    "events": str(data_dir / "events" / "mental_health.csv")})
+        written = {}
+        # The first day's distance from 0001-01-01 reaches year 1 from any peak.
+        for lead in ((date(2020, 3, 1) - date.min).days, 800_000, 10**10):
+            ws["config"].write_text(json.dumps({**cfg, "lead": lead}))
+            assert run_cli("analyze", "--config", str(ws["config"]), "--workers", "1") == 0
+            written[lead] = (ws["out"] / "annotations.csv").read_bytes()
+        first, *rest = written.values()
+        assert first.count(b"\n") > 1  # a header and at least one joint peak
+        assert rest == [first, first]
 
     @pytest.mark.parametrize("key", ["categories", "events", "stages"])
     def test_invalid_utf8_exits_two_naming_the_file(self, tmp_path, capsys, data_dir, key):

@@ -3,7 +3,8 @@
 Each input is tiny and holds a missing cell (NaN or None), a float whose
 ``repr`` needs 17 significant digits, and the non-ASCII name ``pánico``
 where the format can carry one. A change to any writer that alters a byte
-fails here.
+fails here. Every reader but the corpus's also reads past a leading UTF-8
+byte order mark.
 """
 
 import json
@@ -15,9 +16,11 @@ import pytest
 from crisismon import (CategorySet, Corpus, DailyAggregate, EventRecord, Lexicon,
                        MarkerMapping, Peak, Series, aggregate_daily, build_matcher,
                        save_lexicon)
-from crisismon.cli import main
+from crisismon import (knn, load_category_set, load_embeddings, load_events_csv,
+                       load_lexicon, load_manifest, load_stages_csv)
+from crisismon.cli import RunConfig, main
 from crisismon.lexicon import save_marker_mapping
-from crisismon.matching import write_prevalence_csv
+from crisismon.matching import read_prevalence_csv, write_prevalence_csv
 from crisismon.reporting import write_annotations_csv, write_stage_table_csv
 from crisismon.series import write_peaks_csv, write_series_csv
 
@@ -202,3 +205,31 @@ def test_output_bytes_are_pinned(tmp_path, write):
     path = tmp_path / "output"
     write(path)
     assert path.read_bytes() == EXPECTED[write.__name__[1:]]
+
+
+def _bom_inputs(data: Path) -> dict:
+    """Each reader but the corpus's: the bytes of a valid input, and the reader."""
+    lexicon = data / "lexicons" / "anxiety.json"
+    return {
+        "config": (b'{"k": 3, "out": "sal\xc3\xadda"}', RunConfig.from_file),
+        "manifest": (json.dumps({"anxiety": str(lexicon)}).encode(), load_manifest),
+        "lexicon": (lexicon.read_bytes(), load_lexicon),
+        "category-set": ((data / "categories" / "demo_categories_es.json").read_bytes(),
+                         load_category_set),
+        "embeddings": (b"2 2\nmiedo 1 0\np\xc3\xa1nico 0 1\n",
+                       lambda p: [knn(load_embeddings(p), t, 1) for t in ("miedo", "pánico")]),
+        "events": ((data / "events" / "mental_health.csv").read_bytes(), load_events_csv),
+        "stages": ((data / "stages" / "argentina_2020.csv").read_bytes(), load_stages_csv),
+        "prevalence": (b"date,category,matched,total,percent\n2020-03-01,a,1,2,50.0\n",
+                       read_prevalence_csv),
+    }
+
+
+@pytest.mark.parametrize("kind", ["config", "manifest", "lexicon", "category-set",
+                                  "embeddings", "events", "stages", "prevalence"])
+def test_a_leading_bom_is_read_past(tmp_path, data_dir, kind):
+    body, read = _bom_inputs(data_dir)[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(body)
+    marked.write_bytes(b"\xef\xbb\xbf" + body)
+    assert read(marked) == read(plain)

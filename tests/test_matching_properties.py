@@ -1,4 +1,7 @@
-"""Property-based checks of the matcher against the brute-force oracle."""
+"""Property-based checks of the matcher against the brute-force oracle, and
+of the prevalence CSV's round trip."""
+
+from datetime import date, timedelta
 
 import pytest
 
@@ -6,7 +9,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crisismon import CategorySet, build_matcher, make_lexicon
+from crisismon import CategorySet, DailyAggregate, build_matcher, make_lexicon
+from crisismon.matching import read_prevalence_csv, write_prevalence_csv
 
 from oracles import naive_match
 
@@ -40,3 +44,37 @@ def test_matcher_equals_naive_scan(raw, tokens, term, data):
     )
     plain = {k: sorted(lex.terms) for k, lex in cats.categories.items()}
     assert build_matcher(cats).match(tuple(tokens)) == naive_match(plain, tokens)
+
+
+# Category names that the CSV must quote or escape, beside any other text
+# (less NUL, which the csv module of Python 3.10 rejects, and lone surrogates,
+# which UTF-8 cannot encode).
+names = st.lists(
+    st.sampled_from([",", '"', 'di "jo", y\n', "a\r\nb", "pánico", "不安"])
+    | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+              min_size=1, max_size=6),
+    min_size=1, max_size=5, unique=True,
+).map(sorted)
+# One day's (matched, total): a zero total now and then, else any int64 count.
+day_counts = (st.just(0) | st.integers(0, 2**63 - 1)).flatmap(
+    lambda total: st.tuples(st.integers(0, total), st.just(total)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(names, st.integers(1, 60), st.dates(max_value=date.max - timedelta(days=59)),
+       st.data())
+def test_prevalence_csv_round_trips(tmp_path_factory, categories, n_days, start, data):
+    matched, totals = [], []
+    for _ in categories:
+        days = data.draw(st.lists(day_counts, min_size=n_days, max_size=n_days))
+        never = data.draw(st.booleans())  # a category that matches nothing
+        matched.append(tuple(0 if never else m for m, _ in days))
+        totals.append(tuple(t for _, t in days))
+    agg = DailyAggregate(start=start, end=start + timedelta(days=n_days - 1),
+                         categories=tuple(categories), matched=matched, totals=totals,
+                         dropped=0)
+    path = tmp_path_factory.getbasetemp() / "prevalence.csv"
+    write_prevalence_csv(path, agg)
+    back = read_prevalence_csv(path)
+    assert (back.start, back.end, back.categories) == (agg.start, agg.end, agg.categories)
+    assert (back.matched, back.totals) == (agg.matched, agg.totals)
