@@ -65,7 +65,7 @@ print("\nday        total   fear%   health%")
 # One row per category, in the matcher's order; one column per day.
 pct = dict(zip(agg.categories, agg.percent()))
 fear, health = pct["fear"], pct["health"]
-for i, total in enumerate(agg.totals[0]):  # every category has the same day totals
+for i, total in enumerate(agg.totals):
     day = start + timedelta(days=i)
     bar = "#" * int(fear[i] / 2)
     print(f"{day}  {total:5}  {fear[i]:6.2f}  {health[i]:7.2f}  {bar}")

@@ -68,7 +68,7 @@ corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
 cats = load_category_set(DATA / "categories" / "demo_categories_es.json")
 report = ParseReport()
 agg = aggregate_daily(Corpus((str(corpus),)), build_matcher(cats), START, END, report=report)
-analyzable = sum(agg.totals[0])  # every category has the same day totals
+analyzable = sum(agg.totals)
 print(f"{report.parsed} tweets, {analyzable} analyzable (retweets left out), across "
       f"{n_days} days, {len(agg.categories)} categories")
 

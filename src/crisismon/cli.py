@@ -82,6 +82,8 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.k < 1 or self.m < 1:
             raise ValueError("k and m must be >= 1")
+        if self.markers == []:
+            raise ValueError("markers must name at least one category, or be null")
         for key, what in _NEEDS[command].items():
             if not getattr(self, key):
                 raise ValueError(f"config needs {what}")

@@ -110,43 +110,45 @@ class DailyPrevalence:
 
 @dataclass
 class DailyAggregate:
-    """The daily counts over [start, end]: one row of days per category, in
-    the order of ``categories``, plus bookkeeping.
+    """The daily counts from ``start`` on: one row of days per category, in
+    the order of ``categories``, and one row of the documents seen each day,
+    the denominator of every category, plus bookkeeping.
 
-    ``totals[i]`` is category ``i``'s documents per day. The fold gives every
-    category the same tuple; a prevalence CSV may list a category on fewer
-    days than another, so its rows may differ. Rows are tuples, so they
-    cannot be changed in place.
+    Rows are tuples, so they cannot be changed in place; ``end`` is the day
+    of the rows' last cell.
     """
 
     start: date
-    end: date
     categories: tuple[str, ...]
     matched: list[tuple[int, ...]]  # categories × days
-    totals: list[tuple[int, ...]]  # categories × days
+    totals: tuple[int, ...]  # documents per day
     dropped: int  # documents outside the configured date range
+
+    @property
+    def end(self) -> date:
+        return self.start + timedelta(days=len(self.totals) - 1)
 
     def percent(self) -> list[list[float]]:
         """Categories × days of 100*matched/total; NaN on a day with no documents."""
-        return [[100.0 * m / t if t > 0 else math.nan for m, t in zip(row, total)]
-                for row, total in zip(self.matched, self.totals)]
+        totals = self.totals
+        return [[100.0 * m / t if t > 0 else math.nan for m, t in zip(row, totals)]
+                for row in self.matched]
 
     @cached_property
     def prevalence(self) -> dict[str, DailyPrevalence]:
-        """Each category's counts as read-only int64 arrays, built on first use.
+        """Each category's counts as read-only int64 arrays, built on first use;
+        every category shares one ``total`` array.
 
         For library callers that want arrays; it loads NumPy, which nothing
         else in ``stats``, ``analyze`` or ``render`` does.
         """
         import numpy as np
 
-        out = {}
-        for name, matched, total in zip(self.categories, self.matched, self.totals):
-            rows = np.array(matched, dtype=np.int64), np.array(total, dtype=np.int64)
-            for row in rows:
-                row.flags.writeable = False
-            out[name] = DailyPrevalence(*rows)
-        return out
+        total = np.array(self.totals, dtype=np.int64)
+        rows = [np.array(matched, dtype=np.int64) for matched in self.matched]
+        for row in [total, *rows]:
+            row.flags.writeable = False
+        return {name: DailyPrevalence(row, total) for name, row in zip(self.categories, rows)}
 
 
 def _count(matcher: Matcher, start: date, n_days: int,
@@ -200,20 +202,19 @@ def aggregate_daily(
             row[:] = map(add, row, part)
         day_totals[:] = map(add, day_totals, part_totals)
         dropped += part_dropped
-    shared = tuple(day_totals)  # one denominator, which no category can change
-    return DailyAggregate(start=start, end=end, categories=matcher.category_names,
+    return DailyAggregate(start=start, categories=matcher.category_names,
                           matched=[tuple(row) for row in counts],
-                          totals=[shared] * len(counts), dropped=dropped)
+                          totals=tuple(day_totals), dropped=dropped)
 
 
 def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
     """Long-format CSV: date, category, matched, total, percent (blank = missing)."""
-    n_days = (aggregate.end - aggregate.start).days + 1
-    days = [(aggregate.start + timedelta(days=i)).isoformat() for i in range(n_days)]
+    totals = aggregate.totals
+    days = [(aggregate.start + timedelta(days=i)).isoformat() for i in range(len(totals))]
     write_csv(path, ["date", "category", "matched", "total", "percent"], (
         [d, name, m, t, cell(p)]
-        for name, matched, totals, pct in zip(aggregate.categories, aggregate.matched,
-                                              aggregate.totals, aggregate.percent())
+        for name, matched, pct in zip(aggregate.categories, aggregate.matched,
+                                      aggregate.percent())
         for d, m, t, p in zip(days, matched, totals, pct)
     ))
 
@@ -238,31 +239,40 @@ def _counts(row: dict[str, str]) -> tuple[int, int]:
 def read_prevalence_csv(path: str | Path) -> DailyAggregate:
     """Rebuild the daily counts of a long-format CSV, categories in sorted order.
 
-    Every category spans the first to the last day listed for any category;
-    a day with no row for a category has total 0, which reads as missing. A
-    file with no rows is a ``ValueError``; a count that is not plain ASCII
-    digits or lies outside the int64 range, or a ``matched`` above its
-    ``total``, a format error.
+    The counts span the first to the last day listed. Every listed day lists
+    every category, all with one ``total``; a day that no row lists has
+    total 0, which reads as missing. A file with no rows is a
+    ``ValueError``; a count that is not plain ASCII digits or lies outside
+    the int64 range, a ``matched`` above its ``total``, a repeated day and
+    category, a listed day that lacks a category, or a day whose categories
+    give different totals, a format error.
     """
     rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
         date.fromisoformat(row["date"]), row["category"], *_counts(row),
     ))
     if not rows:
         raise ValueError(f"{path}: no prevalence rows")
-    start, end = min(row[0] for row in rows), max(row[0] for row in rows)
-    n = (end - start).days + 1
+    start = min(row[0] for row in rows)
+    n = (max(row[0] for row in rows) - start).days + 1
     first = start.toordinal()
-    cells: dict[str, tuple[list[int], list[int], set[int]]] = {}
+    totals: list[int | None] = [None] * n  # None: a day that no row lists
+    cells: dict[str, list[int | None]] = {}
     for line, (day, cat, matched, total) in enumerate(rows, start=2):
-        if cat not in cells:
-            cells[cat] = [0] * n, [0] * n, set()
-        m_row, t_row, seen = cells[cat]
         i = day.toordinal() - first
-        if i in seen:
+        row = cells.setdefault(cat, [None] * n)
+        if row[i] is not None:
             raise FormatError(f"{path}: line {line}: duplicate {day} {cat}")
-        seen.add(i)
-        m_row[i], t_row[i] = matched, total
+        if totals[i] is None:
+            totals[i] = total
+        elif totals[i] != total:
+            raise FormatError(f"{path}: line {line}: total {total} for {day} {cat}, "
+                              f"where an earlier row of {day} gives {totals[i]}")
+        row[i] = matched
     names = tuple(sorted(cells))
-    return DailyAggregate(start=start, end=end, categories=names,
-                          matched=[tuple(cells[c][0]) for c in names],
-                          totals=[tuple(cells[c][1]) for c in names], dropped=0)
+    for i, total in enumerate(totals):
+        for c in names:
+            if total is not None and cells[c][i] is None:
+                raise FormatError(f"{path}: {start + timedelta(days=i)} has no row for {c}")
+    return DailyAggregate(start=start, categories=names,
+                          matched=[tuple(m or 0 for m in cells[c]) for c in names],
+                          totals=tuple(t or 0 for t in totals), dropped=0)

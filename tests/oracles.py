@@ -363,7 +363,8 @@ def naive_units(matrix):
 
 
 def np_percent(matched, totals):
-    """Categories × days of 100*matched/total, NaN where the total is not positive."""
+    """Categories × days of 100*matched/total, over one row of day totals; NaN
+    where the total is not positive."""
     matched = np.array(matched, dtype=np.int64)
     totals = np.array(totals, dtype=np.int64)
     with np.errstate(all="ignore"):

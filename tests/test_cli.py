@@ -100,6 +100,8 @@ BROKEN_RULES = {
     "tz_offset_hours": ({"tz_offset_hours": 24},
                         "error: tz_offset_hours must be within -23..23, got 24"),
     "workers": ({"workers": 0}, "error: workers must be >= 1"),
+    "markers": ({"markers": []},
+                "error: markers must name at least one category, or be null"),
     "malformed-date": ({"date_from": "March 1"}, "'March 1'"),
     "reversed-dates": ({"date_from": "2020-03-10", "date_to": "2020-03-05"},
                        "error: date_from 2020-03-10 after date_to 2020-03-05"),
@@ -937,19 +939,30 @@ class TestRender:
         svg = (render_out / "heatmap.svg").read_text()
         assert svg.count("<rect") < (ws["out"] / "heatmap.svg").read_text().count("<rect")
 
-    def test_categories_over_different_days_render_the_union(self, tmp_path):
-        # "a" lacks 2020-03-04 and "b" lacks 2020-03-01: both show hatched.
+    def test_categories_over_different_days_exit_two(self, tmp_path, capsys):
+        # "a" lacks 2020-03-04 and "b" lacks 2020-03-01: a listed day lacks a
+        # category, so the file holds no single row of day totals.
         path = tmp_path / "prevalence.csv"
         path.write_text(
             "date,category,matched,total,percent\n"
             + "".join(f"2020-03-0{d},a,{d},10,{10 * d}.0\n" for d in (1, 2, 3))
             + "".join(f"2020-03-0{d},b,{d},10,{10 * d}.0\n" for d in (2, 3, 4))
         )
+        assert run_cli("render", "--out", str(tmp_path / "out"), str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: 2020-03-01 has no row for b\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_day_that_no_row_lists_renders_as_missing(self, tmp_path):
+        path = tmp_path / "prevalence.csv"
+        path.write_text(
+            "date,category,matched,total,percent\n"
+            + "".join(f"2020-03-0{d},{c},{d},10,{10 * d}.0\n" for d in (1, 3) for c in "ab")
+        )
         assert run_cli("render", "--out", str(tmp_path / "out"), str(path)) == 0
         fills = re.findall(r'<rect x="[^"]*" [^>]*fill="([^"]+)"/>',
                            (tmp_path / "out" / "heatmap.svg").read_text())
         hatched = [i for i, f in enumerate(fills) if f == "url(#missing)"]
-        assert len(fills) == 8 and hatched == [3, 4]
+        assert len(fills) == 6 and hatched == [1, 4]
 
     @pytest.mark.parametrize("flags, config", [
         (["--from", "2020-03-10", "--to", "2020-03-05"], {}),
@@ -1013,11 +1026,16 @@ class TestRender:
          "line 2: matched 20 above total 10"),
         (b"date,category,matched,total,percent\n2020-03-01,a,2\n",
          "line 2: total must be plain digits, got ''"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
+         b"2020-03-01,b,2,10,20.0\n2020-03-02,a,1,10,10.0\n", "2020-03-02 has no row for b"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
+         b"2020-03-01,b,2,20,10.0\n",
+         "line 3: total 20 for 2020-03-01 b, where an earlier row of 2020-03-01 gives 10"),
     ], ids=["missing-column", "bad-date", "invalid-utf8", "duplicate-row",
             "count-of-401-digits", "count-of-5001-digits", "count-of-2-to-the-63", "negative-count",
             "count-with-a-sign", "count-with-a-space", "count-with-an-underscore",
             "count-in-arabic-indic-digits", "matched-above-total",
-            "row-without-a-total"])
+            "row-without-a-total", "day-lacking-a-category", "two-totals-on-one-day"])
     def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
         path = tmp_path / "prevalence.csv"
         path.write_bytes(body)

@@ -138,13 +138,15 @@ def test_prominences_match_brute_force_at_extreme_values(rows):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n_days: st.lists(
-    st.lists(st.tuples(st.integers(0, 2**40), st.integers(-2, 2**40)),
-             min_size=n_days, max_size=n_days), min_size=1, max_size=4)))
-def test_percent_matches_numpy(cells):
-    matched = [[m for m, _ in row] for row in cells]
-    totals = [[t if t % 3 else 0 for _, t in row] for row in cells]  # many empty days
-    agg = DailyAggregate(D0, D0, tuple("abcd"[: len(cells)]), matched, totals, 0)
+@given(st.integers(1, 5).flatmap(lambda n_days: st.tuples(
+    st.lists(st.integers(-2, 2**40), min_size=n_days, max_size=n_days),
+    st.lists(st.lists(st.integers(0, 2**40), min_size=n_days, max_size=n_days),
+             min_size=1, max_size=4))))
+def test_percent_matches_numpy(drawn):
+    totals, matched = drawn
+    totals = tuple(t if t % 3 else 0 for t in totals)  # many empty days
+    agg = DailyAggregate(D0, tuple("abcd"[: len(matched)]), matched, totals, 0)
+    assert agg.end == D0 + timedelta(days=len(totals) - 1)
     assert all(same(g, e) for g, e in zip(agg.percent(), np_percent(matched, totals)))
 
 

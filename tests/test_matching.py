@@ -93,15 +93,15 @@ class TestAggregateDaily:
             _doc(0, ["otra"]),
         ]
         agg = _aggregate(tmp_path, docs, m, START, START)
-        assert (agg.start, agg.categories) == (START, ("C",))
-        assert (agg.matched, agg.totals) == ([(1,)], [(4,)])
+        assert (agg.start, agg.end, agg.categories) == (START, START, ("C",))
+        assert (agg.matched, agg.totals) == ([(1,)], (4,))
         assert agg.percent() == [[25.0]]
 
     def test_day_without_docs_is_missing(self, tmp_path):
         m = build_matcher(_cats(C=["hit"]))
         docs = [_doc(0, ["hit"]), _doc(2, ["hit"])]
         agg = _aggregate(tmp_path, docs, m, START, START + timedelta(days=2))
-        assert (agg.matched[0][1], agg.totals[0][1]) == (0, 0)
+        assert (agg.matched[0][1], agg.totals[1]) == (0, 0)
         assert np.isnan(agg.percent()[0][1])
 
     def test_reversed_range_is_an_error(self):
@@ -120,15 +120,16 @@ class TestAggregateDaily:
         m = build_matcher(_cats(A=["a"], B=["b"]))
         docs = [_doc(0, ["a"]), _doc(0, ["b"]), _doc(0, ["c"])]
         agg = _aggregate(tmp_path, docs, m, START, START)
-        assert agg.totals == [(3,), (3,)]
-        # one tuple of day totals, shared by every category; no row can change
-        assert agg.totals[0] is agg.totals[1]
-        for row in agg.matched + agg.totals:
+        # one tuple of day totals, the denominator of every category; no row can change
+        assert agg.totals == (3,)
+        for row in agg.matched + [agg.totals]:
             with pytest.raises(TypeError):
                 row[0] = 0
-        # the arrays built on demand for library callers are read-only
+        # the arrays built on demand for library callers are read-only, and
+        # every category shares one total array
         a = agg.prevalence["A"]
         assert a.total.tolist() == [3]
+        assert a.total is agg.prevalence["B"].total
         assert not (a.total.flags.writeable or a.matched.flags.writeable)
 
     def _random_corpus(self, seed, n_days=30, docs_per_day=25):
@@ -157,9 +158,8 @@ class TestAggregateDaily:
         )
         assert dropped == agg.dropped == 0
         assert agg.categories == m.category_names
-        for name, m_row, t_row, row in zip(agg.categories, agg.matched, agg.totals,
-                                           agg.percent()):
-            cols = zip(m_row, t_row, row)
+        for name, m_row, row in zip(agg.categories, agg.matched, agg.percent()):
+            cols = zip(m_row, agg.totals, row)
             for i, (m_count, t_count, pct) in enumerate(cols):
                 day = START + timedelta(days=i)
                 assert m_count == matched[name][day]
@@ -213,7 +213,7 @@ class TestPrevalenceCsv:
         assert (back.start, back.end, back.dropped) == (agg.start, agg.end, 0)
         assert back.categories == ("A", "B")
         assert back.matched[0] == (1, 0, 0)
-        assert back.totals[0] == (2, 0, 1)
+        assert back.totals == (2, 0, 1)
         pct = back.percent()
         assert pct[0][0] == 50.0
         assert np.isnan(pct[0][1])  # empty day round-trips as missing

@@ -1,6 +1,7 @@
 """Property-based checks of the matcher against the brute-force oracle, and
 of the prevalence CSV's round trip."""
 
+import csv
 from datetime import date, timedelta
 
 import pytest
@@ -55,26 +56,35 @@ names = st.lists(
               min_size=1, max_size=6),
     min_size=1, max_size=5, unique=True,
 ).map(sorted)
-# One day's (matched, total): a zero total now and then, else any int64 count.
-day_counts = (st.just(0) | st.integers(0, 2**63 - 1)).flatmap(
-    lambda total: st.tuples(st.integers(0, total), st.just(total)))
+# One day's total: a zero now and then, else any int64 count.
+day_totals = st.just(0) | st.integers(0, 2**63 - 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(names, st.integers(1, 60), st.dates(max_value=date.max - timedelta(days=59)),
        st.data())
 def test_prevalence_csv_round_trips(tmp_path_factory, categories, n_days, start, data):
-    matched, totals = [], []
+    totals = tuple(data.draw(st.lists(day_totals, min_size=n_days, max_size=n_days)))
+    matched = []
     for _ in categories:
-        days = data.draw(st.lists(day_counts, min_size=n_days, max_size=n_days))
+        row = data.draw(st.tuples(*(st.integers(0, t) for t in totals)))
         never = data.draw(st.booleans())  # a category that matches nothing
-        matched.append(tuple(0 if never else m for m, _ in days))
-        totals.append(tuple(t for _, t in days))
-    agg = DailyAggregate(start=start, end=start + timedelta(days=n_days - 1),
-                         categories=tuple(categories), matched=matched, totals=totals,
-                         dropped=0)
+        matched.append(tuple(0 if never else m for m in row))
+    agg = DailyAggregate(start=start, categories=tuple(categories), matched=matched,
+                         totals=totals, dropped=0)
+    # Days between the first and the last that no row lists: they read as
+    # missing, with no documents and no matches.
+    unlisted = data.draw(st.sets(st.integers(1, n_days - 2)) if n_days > 2 else st.just(set()))
     path = tmp_path_factory.getbasetemp() / "prevalence.csv"
     write_prevalence_csv(path, agg)
+    gone = {(start + timedelta(days=i)).isoformat() for i in unlisted}
+    with path.open(encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row[0] not in gone]
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
     back = read_prevalence_csv(path)
     assert (back.start, back.end, back.categories) == (agg.start, agg.end, agg.categories)
-    assert (back.matched, back.totals) == (agg.matched, agg.totals)
+    listed = [i not in unlisted for i in range(n_days)]
+    assert back.totals == tuple(t if k else 0 for t, k in zip(totals, listed))
+    assert back.matched == [tuple(m if k else 0 for m, k in zip(row, listed))
+                            for row in matched]
