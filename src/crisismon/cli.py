@@ -35,6 +35,10 @@ from .lexicon import (load_category_set, load_manifest, save_lexicon,
                       save_marker_mapping)
 
 
+#: The longest smoothing window, in days: a year. The paper smooths by 7.
+MAX_WINDOW = 366
+
+
 @dataclass
 class RunConfig:
     """Declarative description of one pipeline run."""
@@ -94,6 +98,8 @@ class RunConfig:
             raise ValueError(f"date range {lo}..{hi} needs at least 2 days")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.window > MAX_WINDOW:
+            raise ValueError(f"window must be <= {MAX_WINDOW}, got {self.window}")
         if self.lead < 0:
             raise ValueError("lead must be >= 0")
         if not math.isfinite(self.sigma_mult):

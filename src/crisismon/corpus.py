@@ -43,9 +43,9 @@ per call.
 
 A :class:`Corpus` is folded range by range: :func:`fold_corpus` cuts its
 files into byte ranges that start at line starts, folds each range into a
-partial result and yields the partials in file order, so the caller's sum is
-the same whether the ranges ran in this process or in forked workers. Every
-parse error and skip names its file and the line within it.
+partial result and returns the partials merged in file order, so the result
+is the same whether the ranges ran in this process or in forked workers.
+Every parse error and skip names its file and the line within it.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import re
 import stat
 import unicodedata
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
@@ -323,23 +324,21 @@ def records(
 class CorpusStats:
     """Exact corpus counts, merged range by range."""
 
-    total: int = 0
-    n_original: int = 0
-    n_retweet: int = 0
-    n_reply: int = 0
+    kinds: Counter = field(default_factory=Counter)
     n_with_hashtag: int = 0
     per_user: Counter = field(default_factory=Counter)
     per_day: Counter = field(default_factory=Counter)
 
-    def merge(self, other: CorpusStats) -> None:
-        """Add the counts of another part of the corpus."""
-        self.total += other.total
-        self.n_original += other.n_original
-        self.n_retweet += other.n_retweet
-        self.n_reply += other.n_reply
-        self.n_with_hashtag += other.n_with_hashtag
-        self.per_user.update(other.per_user)
-        self.per_day.update(other.per_day)
+    @property
+    def total(self) -> int:
+        return sum(self.kinds.values())
+
+    def merge(self, later: CorpusStats) -> None:
+        """Add the counts of a later part of the corpus."""
+        self.kinds.update(later.kinds)
+        self.n_with_hashtag += later.n_with_hashtag
+        self.per_user.update(later.per_user)
+        self.per_day.update(later.per_day)
 
     def user_summary(self) -> dict | None:
         """min/avg/max/median tweets per user; None for an empty corpus.
@@ -361,9 +360,9 @@ class CorpusStats:
     def to_json_dict(self) -> dict:
         return {
             "total": self.total,
-            "original": self.n_original,
-            "retweet": self.n_retweet,
-            "reply": self.n_reply,
+            "original": self.kinds[KIND_ORIGINAL],
+            "retweet": self.kinds[KIND_RETWEET],
+            "reply": self.kinds[KIND_REPLY],
             "with_hashtag": self.n_with_hashtag,
             "users": len(self.per_user),
             "per_user": self.user_summary(),
@@ -385,8 +384,7 @@ def _count_stats(recs: Iterator[tuple[dict, str, date]]) -> CorpusStats:
         text = obj["text"]
         if "#" in text and _HASHTAG_RE.search(text):
             with_hashtag += 1
-    return CorpusStats(sum(kinds.values()), kinds[KIND_ORIGINAL], kinds[KIND_RETWEET],
-                       kinds[KIND_REPLY], with_hashtag, per_user, per_day)
+    return CorpusStats(kinds, with_hashtag, per_user, per_day)
 
 
 #: A corpus smaller than this is folded in this process: below about this
@@ -560,17 +558,18 @@ def _file_size(path: str) -> int | None:
 
 
 def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
-                report: ParseReport) -> Iterator[T]:
-    """Yield ``fold(recs)`` for each byte range of the corpus, in file order,
-    where ``recs`` iterates over the :func:`records` of the range's lines.
+                report: ParseReport) -> T:
+    """Return ``fold(recs)`` of each byte range of the corpus, merged in file
+    order, where ``recs`` iterates over the :func:`records` of the range's
+    lines and ``merge(later)`` on a result adds a later one in place.
 
-    Each range's parse outcomes are merged into ``report``, its lines
-    numbered within their file, before its result is yielded, so a sum of
-    the results in yield order, and ``report``, are those of one pass over
-    the files. Under ``strict`` the first malformed line in file order
-    raises :class:`MalformedLine`, as in one pass. Every path is looked up,
-    and every regular file opened, before the first line is parsed, so a
-    missing file fails first.
+    The merge starts from ``fold`` of no records. Each range's parse outcomes
+    are merged into ``report``, its lines numbered within their file, so the
+    result and ``report`` are those of one pass over the files. Under
+    ``strict`` the first malformed line in file order raises
+    :class:`MalformedLine`, as in one pass. Every path is looked up, and
+    every regular file opened, before the first line is parsed, so a missing
+    file fails first.
 
     With :func:`pool_size` above 1, the corpus is cut into that many shares
     (:func:`split_shares`): this process folds the first and a forked worker
@@ -589,23 +588,24 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
         shares = split_shares(corpus.paths, sizes, n)
     else:
         shares = [[ByteRange(path, 0, None) for path in corpus.paths]]
+    merged = fold(iter(()))
     lines_before = 0  # lines of the range's file in the ranges before it
-    for r, outcome in _fold_shares(fold, corpus, shares):
-        if r.start == 0:
-            lines_before = 0
-        if isinstance(outcome, Exception):
-            if isinstance(outcome, MalformedLine):
-                outcome.lineno += lines_before
-            raise outcome
-        part, part_report = outcome
-        report.merge(part_report, lines_before)
-        lines_before += part_report.lines
-        yield part
+    # Closed here, not when it is collected, so a raise kills the workers at once.
+    with closing(_fold_shares(fold, corpus, shares)) as outcomes:
+        for r, outcome in outcomes:
+            if r.start == 0:
+                lines_before = 0
+            if isinstance(outcome, Exception):
+                if isinstance(outcome, MalformedLine):
+                    outcome.lineno += lines_before
+                raise outcome
+            part, part_report = outcome
+            report.merge(part_report, lines_before)
+            lines_before += part_report.lines
+            merged.merge(part)
+    return merged
 
 
 def corpus_stats(corpus: Corpus, workers: int, report: ParseReport) -> CorpusStats:
     """Exact counts over every tweet of the corpus, read as :func:`fold_corpus` reads it."""
-    stats = CorpusStats()
-    for part in fold_corpus(corpus, _count_stats, workers, report):
-        stats.merge(part)
-    return stats
+    return fold_corpus(corpus, _count_stats, workers, report)

@@ -17,12 +17,13 @@ match starts with one of them.
 Daily aggregation is a single fold over a corpus into a categories × days
 count matrix; it never holds the documents, so memory grows with days ×
 categories, not with the corpus. A corpus is folded in byte ranges, in
-forked workers when more than one is allowed; the ranges' count matrices add
-up to the matrix of one pass. A range goes from its raw lines to counts in
-one loop: of each checked record (:func:`~crisismon.corpus.records`) it
-reads the kind, the day and the text, and counts in Python ints. The counts
-stay Python ints in lists, and the percentages are Python floats, so
-matching never loads NumPy. All categories share one denominator: the number
+forked workers when more than one is allowed. Each range's counts are a
+``DailyAggregate``, and ``DailyAggregate.merge`` adds them in file order into
+the counts of one pass. A range goes from its raw lines to counts in one
+loop: of each checked record (:func:`~crisismon.corpus.records`) it reads
+the kind, the day and the text, and counts in Python ints. The counts stay
+Python ints, in tuples, and the percentages are Python floats, so matching
+never loads NumPy. All categories share one denominator: the number
 of documents seen that day. Days with no documents yield a missing
 percentage rather than 0, so downstream smoothing can tell absence from zero
 signal.
@@ -128,6 +129,14 @@ class DailyAggregate:
     def end(self) -> date:
         return self.start + timedelta(days=len(self.totals) - 1)
 
+    def merge(self, later: DailyAggregate) -> None:
+        """Add the counts of a later part of the corpus, over the same days."""
+        self.matched = [tuple(map(add, row, part))
+                        for row, part in zip(self.matched, later.matched)]
+        self.totals = tuple(map(add, self.totals, later.totals))
+        self.dropped += later.dropped
+        self.__dict__.pop("prevalence", None)  # arrays of the counts before
+
     def percent(self) -> list[list[float]]:
         """Categories × days of 100*matched/total; NaN on a day with no documents."""
         totals = self.totals
@@ -152,10 +161,8 @@ class DailyAggregate:
 
 
 def _count(matcher: Matcher, start: date, n_days: int,
-           recs: Iterator[tuple]) -> tuple[list[list[int]], list[int], int]:
-    """Matches per category per day, documents per day, and documents dropped,
-    over the records of a corpus range, retweets left out; Python ints, in
-    lists that a forked worker pickles as they are."""
+           recs: Iterator[tuple]) -> DailyAggregate:
+    """The daily counts of the records of a corpus range, retweets left out."""
     first = start.toordinal()
     matched = [[0] * n_days for _ in range(len(matcher))]
     totals = [0] * n_days
@@ -171,7 +178,8 @@ def _count(matcher: Matcher, start: date, n_days: int,
         totals[di] += 1
         for ci in match_indices(preprocess(obj["text"])):
             matched[ci][di] += 1
-    return matched, totals, dropped
+    return DailyAggregate(start, matcher.category_names, [tuple(row) for row in matched],
+                          tuple(totals), dropped)
 
 
 def aggregate_daily(
@@ -185,26 +193,14 @@ def aggregate_daily(
     """Count matches per category per day over [start, end] inclusive.
 
     The corpus is parsed, its retweets dropped and the rest tokenized and
-    counted range by range, in up to ``workers`` processes (see
-    :func:`~crisismon.corpus.fold_corpus`); its parse outcomes land on
-    ``report``. The ranges' counts are summed in Python ints.
+    counted range by range, in up to ``workers`` processes, and the ranges'
+    counts merged (see :func:`~crisismon.corpus.fold_corpus`); its parse
+    outcomes land on ``report``.
     """
     if start > end:
         raise ValueError(f"start {start} after end {end}")
-    n_days = (end - start).days + 1
-    fold = partial(_count, matcher, start, n_days)
-    counts = [[0] * n_days for _ in range(len(matcher))]
-    day_totals = [0] * n_days
-    dropped = 0
-    for part_matched, part_totals, part_dropped in fold_corpus(
-            corpus, fold, workers, ParseReport() if report is None else report):
-        for row, part in zip(counts, part_matched):
-            row[:] = map(add, row, part)
-        day_totals[:] = map(add, day_totals, part_totals)
-        dropped += part_dropped
-    return DailyAggregate(start=start, categories=matcher.category_names,
-                          matched=[tuple(row) for row in counts],
-                          totals=tuple(day_totals), dropped=dropped)
+    fold = partial(_count, matcher, start, (end - start).days + 1)
+    return fold_corpus(corpus, fold, workers, ParseReport() if report is None else report)
 
 
 def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
@@ -236,24 +232,31 @@ def _counts(row: dict[str, str]) -> tuple[int, int]:
     return matched, total
 
 
+#: The most days a prevalence CSV may span, a century; each row has a cell a day.
+MAX_DAYS = 36_525
+
+
 def read_prevalence_csv(path: str | Path) -> DailyAggregate:
     """Rebuild the daily counts of a long-format CSV, categories in sorted order.
 
     The counts span the first to the last day listed. Every listed day lists
     every category, all with one ``total``; a day that no row lists has
     total 0, which reads as missing. A file with no rows is a
-    ``ValueError``; a count that is not plain ASCII digits or lies outside
-    the int64 range, a ``matched`` above its ``total``, a repeated day and
-    category, a listed day that lacks a category, or a day whose categories
-    give different totals, a format error.
+    ``ValueError``; a span of more than :data:`MAX_DAYS` days, a count that
+    is not plain ASCII digits or lies outside the int64 range, a ``matched``
+    above its ``total``, a repeated day and category, a listed day that
+    lacks a category, or a day whose categories give different totals, a
+    format error.
     """
     rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
         date.fromisoformat(row["date"]), row["category"], *_counts(row),
     ))
     if not rows:
         raise ValueError(f"{path}: no prevalence rows")
-    start = min(row[0] for row in rows)
-    n = (max(row[0] for row in rows) - start).days + 1
+    start, last = min(row[0] for row in rows), max(row[0] for row in rows)
+    n = (last - start).days + 1
+    if n > MAX_DAYS:
+        raise FormatError(f"{path}: {start}..{last} spans {n} days, more than {MAX_DAYS}")
     first = start.toordinal()
     totals: list[int | None] = [None] * n  # None: a day that no row lists
     cells: dict[str, list[int | None]] = {}

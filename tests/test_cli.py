@@ -95,6 +95,7 @@ BROKEN_RULES = {
     "k": ({"k": 0}, "error: k and m must be >= 1"),
     "m": ({"m": 0}, "error: k and m must be >= 1"),
     "window": ({"window": 0}, "error: window must be >= 1"),
+    "huge-window": ({"window": 2**62}, f"error: window must be <= 366, got {2**62}"),
     "lead": ({"lead": -1}, "error: lead must be >= 0"),
     "sigma_mult": ({"sigma_mult": float("inf")}, "error: sigma_mult must be finite, got inf"),
     "tz_offset_hours": ({"tz_offset_hours": 24},
@@ -990,6 +991,17 @@ class TestRender:
         assert "window must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", ["367", str(2**62), str(2**63)])
+    def test_a_window_over_a_year_exits_one(self, tmp_path, capsys, window):
+        path = tmp_path / "prevalence.csv"
+        path.write_text("date,category,matched,total,percent\n"
+                        "2020-03-01,a,1,10,10.0\n2020-03-02,a,2,10,20.0\n")
+        out = tmp_path / "out"
+        assert run_cli("render", "--out", str(out), "--window", window, str(path)) == 1
+        assert capsys.readouterr().err == f"error: window must be <= 366, got {window}\n"
+        assert not out.exists()
+        assert run_cli("render", "--out", str(out), "--window", "366", str(path)) == 0
+
     def test_a_csv_with_only_a_header_exits_one(self, tmp_path, capsys):
         path = tmp_path / "prevalence.csv"
         path.write_text("date,category,matched,total,percent\n")
@@ -1031,11 +1043,15 @@ class TestRender:
         (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
          b"2020-03-01,b,2,20,10.0\n",
          "line 3: total 20 for 2020-03-01 b, where an earlier row of 2020-03-01 gives 10"),
+        (b"date,category,matched,total,percent\n0001-01-01,a,1,10,10.0\n"
+         b"9999-12-31,a,1,10,10.0\n",
+         ": 0001-01-01..9999-12-31 spans 3652059 days, more than 36525"),
     ], ids=["missing-column", "bad-date", "invalid-utf8", "duplicate-row",
             "count-of-401-digits", "count-of-5001-digits", "count-of-2-to-the-63", "negative-count",
             "count-with-a-sign", "count-with-a-space", "count-with-an-underscore",
             "count-in-arabic-indic-digits", "matched-above-total",
-            "row-without-a-total", "day-lacking-a-category", "two-totals-on-one-day"])
+            "row-without-a-total", "day-lacking-a-category", "two-totals-on-one-day",
+            "span-of-eight-millennia"])
     def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
         path = tmp_path / "prevalence.csv"
         path.write_bytes(body)

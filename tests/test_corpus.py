@@ -327,8 +327,8 @@ class TestCorpusStats:
             _line(i, kind=rng.choice(["original", "reply", "retweet"]))
             for i in range(300)
         ]
-        stats = _stats(tmp_path, lines)
-        assert stats.total == stats.n_original + stats.n_retweet + stats.n_reply
+        counts = _stats(tmp_path, lines).to_json_dict()
+        assert counts["total"] == counts["original"] + counts["retweet"] + counts["reply"]
 
     def test_matches_naive_counting_script(self, tmp_path):
         tweets = _synthetic_records(10_000, seed=20)

@@ -114,13 +114,21 @@ def test_pool_size_is_capped_by_workers_cpus_and_corpus(monkeypatch):
     assert pool_size(8, None) == 1
 
 
-def _pids(tweets):
-    return {os.getpid()}, sum(1 for _ in tweets)
+class _Pids:
+    """A fold's partial: the records read, and the processes that read any."""
+
+    def __init__(self, tweets):
+        self.n = sum(1 for _ in tweets)
+        self.pids = {os.getpid()} if self.n else set()
+
+    def merge(self, later):
+        self.pids |= later.pids
+        self.n += later.n
 
 
 def _fold_pids(corpus, workers):
-    results = list(fold_corpus(corpus, _pids, workers, ParseReport()))
-    return set().union(*(p for p, _ in results)), sum(n for _, n in results)
+    folded = fold_corpus(corpus, _Pids, workers, ParseReport())
+    return folded.pids, folded.n
 
 
 def _no_children_left():
@@ -135,6 +143,10 @@ def test_small_corpus_stays_in_process(tmp_path, cpus):
     assert _fold_pids(Corpus((str(path),)), workers=2) == ({os.getpid()}, 1)
 
 
+def test_a_corpus_of_no_files_folds_no_records(cpus):
+    assert _fold_pids(Corpus(()), workers=2) == (set(), 0)
+
+
 def test_a_pool_folds_here_and_in_forked_workers(tmp_path, pool_on):
     paths = _write_corpus(tmp_path)
     pids, n = _fold_pids(Corpus(tuple(paths)), workers=3)
@@ -147,15 +159,14 @@ def _killed_in_worker(parent):
     def fold(tweets):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return 0
+        return _Pids(tweets)
     return fold
 
 
 def test_a_worker_that_dies_fails_the_fold_instead_of_hanging(tmp_path, pool_on):
     paths = _write_corpus(tmp_path)
     with pytest.raises(ChildProcessError, match="killed by signal 9"):
-        list(fold_corpus(Corpus(tuple(paths)), _killed_in_worker(os.getpid()), 2,
-                         ParseReport()))
+        fold_corpus(Corpus(tuple(paths)), _killed_in_worker(os.getpid()), 2, ParseReport())
     assert _no_children_left()
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from crisismon import (CategorySet, Corpus, aggregate_daily, build_matcher,
                        make_lexicon)
+from crisismon.errors import FormatError
 from crisismon.matching import DailyAggregate, read_prevalence_csv, write_prevalence_csv
 
 from oracles import naive_aggregate, naive_match
@@ -109,6 +110,14 @@ class TestAggregateDaily:
         with pytest.raises(ValueError):
             aggregate_daily(Corpus(()), m, START, START - timedelta(days=1))
 
+    def test_merge_adds_a_later_part_and_rebuilds_the_arrays(self):
+        agg = DailyAggregate(START, ("A", "B"), [(1, 0), (0, 2)], (3, 4), 1)
+        assert agg.prevalence["B"].matched.tolist() == [0, 2]
+        agg.merge(DailyAggregate(START, ("A", "B"), [(2, 1), (1, 1)], (2, 5), 2))
+        assert (agg.matched, agg.totals, agg.dropped) == ([(3, 1), (1, 3)], (5, 9), 3)
+        assert agg.prevalence["B"].matched.tolist() == [1, 3]
+        assert agg.prevalence["A"].total.tolist() == [5, 9]
+
     def test_out_of_range_docs_dropped_with_count(self, tmp_path):
         m = build_matcher(_cats(C=["x"]))
         docs = [_doc(-1, ["x"]), _doc(0, ["x"]), _doc(99, ["x"])]
@@ -202,6 +211,19 @@ class TestAggregateDaily:
 
 
 class TestPrevalenceCsv:
+    def test_a_span_of_a_century_is_read_and_a_longer_one_is_not(self, tmp_path):
+        path = tmp_path / "prev.csv"
+
+        def read_span(days):
+            last = START + timedelta(days=days - 1)
+            path.write_text("date,category,matched,total,percent\n"
+                            f"{START},a,1,2,50.0\n{last},a,1,4,25.0\n")
+            return read_prevalence_csv(path)
+
+        assert len(read_span(36_525).totals) == 36_525
+        with pytest.raises(FormatError, match="2020-03-01..2120-03-02 spans 36526 days"):
+            read_span(36_526)
+
     def test_round_trip_preserves_percentages(self, tmp_path):
         m = build_matcher(_cats(A=["a"], B=["b"]))
         docs = [_doc(0, ["a"]), _doc(0, ["x"]), _doc(2, ["b"])]
