@@ -34,7 +34,9 @@ for text in [
     "cadena de emisión nacional",
     "triste triste triste",
 ]:
-    print(f"  {text!r:40} -> {sorted(matcher.match(preprocess(text)))}")
+    # The matcher gives indices into its category_names, the rows of the counts.
+    names = sorted(matcher.category_names[i] for i in matcher.match_indices(preprocess(text)))
+    print(f"  {text!r:40} -> {names}")
 
 # --- a month of synthetic traffic ----------------------------------------------
 # Fear-related chatter ramps up in the second half of the month. Each tweet is

@@ -24,8 +24,7 @@ _MODULES = {
     "expansion": "EmbeddingTable associate_categories expand_lexicon knn load_embeddings",
     "lexicon": "CategorySet Lexicon MarkerMapping load_category_set load_lexicon "
                "load_manifest make_lexicon save_lexicon",
-    "matching": "DailyAggregate DailyPrevalence Matcher aggregate_daily build_matcher "
-                "write_prevalence_csv",
+    "matching": "DailyAggregate Matcher aggregate_daily build_matcher write_prevalence_csv",
     "reporting": "EventRecord StageWindow annotate_peaks load_events_csv load_stages_csv "
                  "render_heatmap stage_prevalence_table",
     "series": "Peak Series filter_peaks find_peaks gradient joint_peaks marker_peaks smooth "

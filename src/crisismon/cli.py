@@ -94,6 +94,9 @@ class RunConfig:
         lo, hi = (date.fromisoformat(d) if d else None for d in (self.date_from, self.date_to))
         if lo and hi and lo > hi:
             raise ValueError(f"date_from {lo} after date_to {hi}")
+        if lo and hi and (n := (hi - lo).days + 1) > matching.MAX_DAYS:
+            raise ValueError(f"date range {lo}..{hi} spans {n} days, "
+                             f"more than {matching.MAX_DAYS}")
         if command == "analyze" and lo == hi:
             raise ValueError(f"date range {lo}..{hi} needs at least 2 days")
         if self.window < 1:
@@ -229,20 +232,17 @@ def cmd_analyze(cfg: RunConfig) -> int:
     peaks_by_marker = series.marker_peaks(sg, cfg.sigma_mult)
     joint = series.joint_peaks(sg[markers], cfg.sigma_mult)
     peaks_by_marker[series.JOINT] = joint
-    svg = reporting.render_heatmap(smoothed[markers])
+    shown = smoothed[markers]
+    svg = reporting.render_heatmap(shown)
     annotated = (
         reporting.annotate_peaks(joint, events, lead=cfg.lead)
         if events is not None else None
     )
-    table = (
-        reporting.stage_prevalence_table(smoothed[markers], stages)
-        if stages is not None else None
-    )
+    table = reporting.stage_prevalence_table(shown, stages) if stages is not None else None
 
     out = _out_dir(cfg)
     matching.write_prevalence_csv(out / "prevalence.csv", agg)
-    series.write_series_csv(out / "series.csv",
-                            {"smoothed": smoothed, "smoothed_gradient": sg})
+    series.write_series_csv(out / "series.csv", smoothed, sg)
     series.write_peaks_csv(out / "peaks.csv", peaks_by_marker)
     (out / "heatmap.svg").write_bytes(svg)
     if annotated is not None:

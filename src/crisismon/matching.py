@@ -8,10 +8,10 @@ and nested terms all count; multiplicity is ignored (three occurrences count
 the same as one, since tweet length makes repeat counts a poor intensity
 signal). Every token is looked up alone; only at a token that starts a
 multiword term are the longer spans, up to that token's longest term, looked
-up too. ``Matcher.match(tokens)`` gives a document's category names,
-``Matcher.match_indices`` their indices. Most documents share no token with
-any term; the matcher keeps the set of tokens that start a term and returns
-no match for such a document without a lookup, which is exact because every
+up too. ``Matcher.match_indices(tokens)`` gives a document's categories
+as indices into ``category_names``. Most documents share no token with any
+term; the matcher keeps the set of tokens that start a term and returns no
+match for such a document without a lookup, which is exact because every
 match starts with one of them.
 
 Daily aggregation is a single fold over a corpus into a categories × days
@@ -92,9 +92,6 @@ class Matcher:
                     if hits:
                         found |= hits
         return found
-
-    def match(self, tokens: Sequence[str]) -> set[str]:
-        return {self.category_names[i] for i in self.match_indices(tokens)}
 
 
 def build_matcher(cats: CategorySet) -> Matcher:
@@ -232,7 +229,8 @@ def _counts(row: dict[str, str]) -> tuple[int, int]:
     return matched, total
 
 
-#: The most days a prevalence CSV may span, a century; each row has a cell a day.
+#: The most days that counts may span, a century, whether read from a
+#: prevalence CSV or configured as a date range; each row has a cell a day.
 MAX_DAYS = 36_525
 
 

@@ -351,19 +351,20 @@ def write_peaks_csv(path: str | Path, peaks_by_marker: dict[str, list[Peak]]) ->
     ))
 
 
-def write_series_csv(path: str | Path, series_by_kind: dict[str, Series]) -> None:
+def write_series_csv(path: str | Path, smoothed: Series, sg: Series) -> None:
     """Long CSV of derived series: date, category, kind, percent (blank = missing).
 
-    The series of ``series_by_kind`` (e.g. ``"smoothed"``) share one date
-    axis. Categories are written in the row order of the first kind, each
-    category's kinds in sorted order.
+    Each row of ``smoothed`` is written, in row order, with its days of kind
+    ``smoothed`` and then its days of ``sg``, its smoothed gradient, of kind
+    ``smoothed_gradient``. Series whose names, start or days differ are a
+    ``ValueError``.
     """
-    kinds = sorted(series_by_kind)
-    first = series_by_kind[kinds[0]]
-    days = [d.isoformat() for d in first.dates()]
-    values = {kind: series_by_kind[kind][first.names].values for kind in kinds}
+    if (sg.names, sg.start, len(sg)) != (smoothed.names, smoothed.start, len(smoothed)):
+        raise ValueError("smoothed and sg must have the same rows and days")
+    days = [d.isoformat() for d in smoothed.dates()]
     write_csv(path, ["date", "category", "kind", "percent"], (
         [d, name, kind, cell(x)]
-        for i, name in enumerate(first.names) for kind in kinds
-        for d, x in zip(days, values[kind][i])
+        for name, row, grad in zip(smoothed.names, smoothed.values, sg.values)
+        for kind, values in (("smoothed", row), ("smoothed_gradient", grad))
+        for d, x in zip(days, values)
     ))

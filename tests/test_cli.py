@@ -8,7 +8,7 @@ import signal
 import subprocess
 import sys
 import warnings
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -106,6 +106,9 @@ BROKEN_RULES = {
     "malformed-date": ({"date_from": "March 1"}, "'March 1'"),
     "reversed-dates": ({"date_from": "2020-03-10", "date_to": "2020-03-05"},
                        "error: date_from 2020-03-10 after date_to 2020-03-05"),
+    "century-plus-range": ({"date_from": "0001-01-01", "date_to": "9999-12-31"},
+                           "error: date range 0001-01-01..9999-12-31 spans 3652059 days, "
+                           "more than 36525"),
 }
 
 
@@ -164,6 +167,14 @@ class TestCheck:
         assert capsys.readouterr().err == (
             "error: date_from 2020-03-10 after date_to 2020-03-05\n")
         assert not out.exists()
+
+    def test_a_range_of_a_century_passes_and_a_longer_one_does_not(self):
+        start = date(2020, 3, 1)
+        last = start + timedelta(days=36_524)
+        assert RunConfig(date_from=str(start), date_to=str(last)).check("render") == (start, last)
+        with pytest.raises(ValueError, match=r"2020-03-01\.\.2120-03-02 spans 36526 days, "
+                                             "more than 36525"):
+            RunConfig(date_from=str(start), date_to=str(last + timedelta(days=1))).check("render")
 
     def test_dates_are_returned_parsed_or_none(self):
         assert RunConfig().check("render") == (None, None)

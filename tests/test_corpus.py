@@ -218,8 +218,9 @@ class TestFilterAnalyzable:
         report = ParseReport()
         agg = aggregate_daily(_write(tmp_path, lines), build_matcher(cats), date(2020, 3, 1),
                               date(2020, 3, 31), report=report)
-        assert int(agg.prevalence["hola"].matched.sum()) == int(agg.prevalence["hola"].total.sum())
-        return int(agg.prevalence["hola"].total.sum()), report.parsed
+        (matched,) = agg.matched
+        assert matched == agg.totals
+        return sum(agg.totals), report.parsed
 
     def test_original_is_analyzable(self, tmp_path):
         assert self._counted(tmp_path, [_line(0, kind="original")]) == (1, 1)

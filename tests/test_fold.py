@@ -243,8 +243,8 @@ def _matcher():
 
 
 def _outcome(agg, report):
-    matrix = {name: (p.matched.tolist(), p.total.tolist())
-              for name, p in agg.prevalence.items()}
+    matrix = {name: (list(row), list(agg.totals))
+              for name, row in zip(agg.categories, agg.matched)}
     return matrix, agg.dropped, report
 
 

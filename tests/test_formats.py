@@ -50,11 +50,15 @@ def _write_prevalence(path):
     write_prevalence_csv(path, _aggregate(path.parent))
 
 
-def _write_series(path):
+def _series() -> tuple[Series, Series]:
     names = ["pánico", "calma"]
     smoothed = Series(D1, names, [[THIRD, float("nan"), 1.0], [2.5, 0.0, -THIRD]])
     grad = Series(D1, names, [[float("nan"), 1e-17, 100.0], [1 / 3, 2.0, 3.0]])
-    write_series_csv(path, {"smoothed_gradient": grad, "smoothed": smoothed})
+    return smoothed, grad
+
+
+def _write_series(path):
+    write_series_csv(path, *_series())
 
 
 def _write_peaks(path):
@@ -205,6 +209,19 @@ def test_output_bytes_are_pinned(tmp_path, write):
     path = tmp_path / "output"
     write(path)
     assert path.read_bytes() == EXPECTED[write.__name__[1:]]
+
+
+@pytest.mark.parametrize("mismatch", [
+    lambda grad: grad[["calma", "pánico"]],
+    lambda grad: Series(D2, grad.names, grad.values),
+    lambda grad: grad.crop(D1, D2),
+], ids=["rows-in-another-order", "another-start", "fewer-days"])
+def test_a_gradient_that_does_not_fit_the_smoothed_rows_is_refused(tmp_path, mismatch):
+    smoothed, grad = _series()
+    path = tmp_path / "output"
+    with pytest.raises(ValueError, match="the same rows and days"):
+        write_series_csv(path, smoothed, mismatch(grad))
+    assert not path.exists()
 
 
 def _bom_inputs(data: Path) -> dict:
