@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 from . import corpus as corpus_mod
 from . import matching, reporting, series
@@ -156,14 +156,18 @@ def _markers(markers: list[str] | None, names: Sequence[str]) -> list[str]:
     return markers
 
 
-def _report_skips(report: corpus_mod.ParseReport) -> None:
+def _fold(cfg: RunConfig, fold: Callable, *args):
+    """``fold(corpus, *args, workers=, report=)`` over the configured corpus;
+    its malformed lines are reported on stderr."""
+    report = corpus_mod.ParseReport()
+    corpus = corpus_mod.Corpus(tuple(cfg.corpus), cfg.tz_offset_hours, cfg.strict)
+    result = fold(corpus, *args, workers=cfg.workers or corpus_mod.usable_cpus(),
+                  report=report)
     if report.skipped:
-        print(
-            f"skipped {report.skipped} malformed line(s) of {report.lines}",
-            file=sys.stderr,
-        )
+        print(f"skipped {report.skipped} malformed line(s) of {report.lines}", file=sys.stderr)
         for lineno, reason, source in report.examples:
             print(f"  {corpus_mod.where(source, lineno)}: {reason}", file=sys.stderr)
+    return result
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -175,10 +179,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 def cmd_stats(cfg: RunConfig) -> int:
     """Corpus statistics over all tweets (retweets included) as JSON."""
     cfg.check("stats")
-    report = corpus_mod.ParseReport()
-    corpus = corpus_mod.Corpus(tuple(cfg.corpus), cfg.tz_offset_hours, cfg.strict)
-    stats = corpus_mod.corpus_stats(corpus, cfg.workers or corpus_mod.usable_cpus(), report)
-    _report_skips(report)
+    stats = _fold(cfg, corpus_mod.corpus_stats)
     out = _out_dir(cfg) / "stats.json"
     write_json(out, stats.to_json_dict())
     print(out)
@@ -205,9 +206,8 @@ def cmd_expand(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    """Match, aggregate, detect peaks, render the heatmap, report stages."""
+    """Fold the corpus into counts per category and day, then report on them."""
     start, end = cfg.check("analyze")
-    corpus = corpus_mod.Corpus(tuple(cfg.corpus), cfg.tz_offset_hours, cfg.strict)
     cats = load_category_set(cfg.categories)
     if not cats.categories:
         raise ValueError(f"{cfg.categories}: no categories")
@@ -217,16 +217,18 @@ def cmd_analyze(cfg: RunConfig) -> int:
     markers = _markers(cfg.markers, matcher.category_names)
     events = reporting.load_events_csv(cfg.events) if cfg.events else None
     stages = reporting.load_stages_csv(cfg.stages) if cfg.stages else None
-    report = corpus_mod.ParseReport()
-    agg = matching.aggregate_daily(corpus, matcher, start, end,
-                                  cfg.workers or corpus_mod.usable_cpus(), report=report)
-    _report_skips(report)
+    agg = _fold(cfg, matching.aggregate_daily, matcher, start, end)
     if agg.dropped:
         print(f"dropped {agg.dropped} document(s) outside {start}..{end}",
               file=sys.stderr)
+    return _report(agg, cfg, markers, events, stages)
 
-    # Everything is computed before the first file is written, so a run that
-    # fails on the way leaves no output behind.
+
+def _report(agg: matching.DailyAggregate, cfg: RunConfig, markers: list[str],
+            events: list[reporting.EventRecord] | None,
+            stages: list[reporting.StageWindow] | None) -> int:
+    """Derive every ``analyze`` output from the counts alone and write them;
+    nothing is written unless all of them could be derived."""
     smoothed = series.smooth(series.Series(agg.start, agg.categories, agg.percent()), cfg.window)
     sg = series.smoothed_gradient(smoothed, cfg.window)
     peaks_by_marker = series.marker_peaks(sg, cfg.sigma_mult)

@@ -15,6 +15,7 @@ each decided once.
 
 import csv
 import json
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -68,9 +69,14 @@ def cell(x: float | None) -> str:
     return "" if x is None or x != x else repr(x)
 
 
+# A JSON escape of U+D800..U+DFFF; a pair of them decodes to one character.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def read_json(path: str | Path) -> object:
     """A JSON file's value; a key repeated in any of its objects is a format
-    error rather than a silent last-wins."""
+    error rather than a silent last-wins, and so is a key or string that
+    holds a lone surrogate escape, which no UTF-8 output could hold."""
     def unique(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
@@ -80,10 +86,18 @@ def read_json(path: str | Path) -> object:
         return obj
 
     with open_text(path) as fh:
+        text = fh.read()
+    try:
+        value = json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    if _SURROGATE_ESCAPE.search(text):  # rare: only then is the whole value encoded
         try:
-            return json.load(fh, object_pairs_hook=unique)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(f"{path}: lone surrogate {exc.object[exc.start]!r} in a string; "
+                              "JSON strings must be valid Unicode") from None
+    return value
 
 
 def write_json(path: str | Path, obj: object) -> None:

@@ -14,6 +14,7 @@ smoothing delays a series' response to its cause.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -127,9 +128,15 @@ def render_heatmap(rows: Series) -> bytes:
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
+# The characters XML 1.0 forbids that a UTF-8 input can hold.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def _xml_escape(text: str) -> str:
+    """``text`` as XML character data; a character XML forbids shows as U+FFFD."""
     return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        _NOT_XML.sub("\ufffd", text)
+        .replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
 
 

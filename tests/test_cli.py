@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -519,6 +520,71 @@ def test_a_dead_corpus_worker_is_an_error_line(tmp_path, capsys, monkeypatch, po
     assert capsys.readouterr().err == "error: a corpus worker was killed by signal 9\n"
 
 
+ANALYZE_FILES = ("prevalence.csv", "series.csv", "peaks.csv", "heatmap.svg",
+                 "annotations.csv", "stage_table.csv")
+
+
+def _study_workspace(tmp_path, data_dir):
+    """A burst workspace over 40 days whose config names events and stages."""
+    ws = write_burst_workspace(tmp_path, seed=26, n_days=40, per_day=30)
+    stages = tmp_path / "stages.csv"
+    stages.write_text("stage,start,end\nearly,2020-03-01,2020-03-25\n"
+                      "late,2020-03-20,2020-04-09\n")
+    cfg = json.loads(ws["config"].read_text())
+    cfg.update(date_to="2020-04-09", stages=str(stages),
+               events=str(data_dir / "events" / "mental_health.csv"))
+    ws["config"].write_text(json.dumps(cfg))
+    return ws
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in ANALYZE_FILES}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_the_report_is_a_function_of_the_counts(tmp_path, capsys, data_dir, pool_on,
+                                                workers):
+    """The report half of analyze, given only the counts read back from its
+    prevalence CSV, writes every analyze file with the same bytes."""
+    from crisismon import matching, reporting
+
+    ws = _study_workspace(tmp_path, data_dir)
+    assert run_cli("analyze", "--config", str(ws["config"]), "--workers", workers) == 0
+    cfg = replace(RunConfig.from_file(ws["config"]), out=str(tmp_path / "report"))
+    agg = matching.read_prevalence_csv(ws["out"] / "prevalence.csv")
+    assert cli._report(agg, cfg, cli._markers(cfg.markers, agg.categories),
+                       reporting.load_events_csv(cfg.events),
+                       reporting.load_stages_csv(cfg.stages)) == 0
+    assert _outputs(tmp_path / "report") == _outputs(ws["out"])
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == sorted(ANALYZE_FILES)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_every_line_twice_doubles_only_the_counts(tmp_path, capsys, data_dir, pool_on,
+                                                  workers):
+    """Each derived file depends on the prevalence percentages alone, and
+    ``2m / 2t`` rounds to the same float as ``m / t``."""
+    ws = _study_workspace(tmp_path, data_dir)
+    assert run_cli("analyze", "--config", str(ws["config"]), "--workers", workers) == 0
+    once = _outputs(ws["out"])
+    lines = ws["corpus"].read_bytes().splitlines(keepends=True)
+    ws["corpus"].write_bytes(b"".join(line + line for line in lines))
+    assert run_cli("analyze", "--config", str(ws["config"]), "--workers", workers,
+                   "--out", str(tmp_path / "twice")) == 0
+    twice = _outputs(tmp_path / "twice")
+    for name in ANALYZE_FILES[1:]:
+        assert twice[name] == once[name], name
+    rows = [list(csv.DictReader(data.decode("utf-8").splitlines()))
+            for data in (once["prevalence.csv"], twice["prevalence.csv"])]
+    assert len(rows[0]) == len(rows[1]) > 0
+    for a, b in zip(*rows):
+        assert (b["date"], b["category"], b["percent"]) == (a["date"], a["category"],
+                                                            a["percent"])
+        assert (int(b["matched"]), int(b["total"])) == (2 * int(a["matched"]),
+                                                        2 * int(a["total"]))
+    assert sum(int(r["matched"]) for r in rows[0]) > 0
+
+
 class TestExpand:
     def _workspace(self, tmp_path):
         lex = tmp_path / "seed.json"
@@ -588,6 +654,28 @@ class TestExpand:
         assert run_cli("expand", "--config", str(config)) == 2
         assert capsys.readouterr().err == f"error: {path}: duplicate key '{key}'\n"
         assert not out.exists() and not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("categories", [
+        '{"c\\ud800": ["miedo"]}', '{"fear": ["mi\\udc00edo"]}',
+        '{"fear": ["\\ude00\\ud83d"]}',
+    ], ids=["key", "value", "reversed-pair"])
+    def test_a_lone_surrogate_exits_two_and_writes_nothing(self, tmp_path, capsys, categories):
+        config, out = self._workspace(tmp_path)
+        cats = tmp_path / "cats.json"
+        cats.write_text(f'{{"name": "demo", "categories": {categories}}}', encoding="utf-8")
+        assert run_cli("expand", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cats}: lone surrogate ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_category_named_with_a_surrogate_pair_loads(self, tmp_path):
+        config, out = self._workspace(tmp_path)
+        cats = tmp_path / "cats.json"
+        cats.write_text(json.dumps({"name": "demo", "categories": {"fear\U0001f600": ["miedo"]}}))
+        assert "\\ud83d\\ude00" in cats.read_text()
+        assert run_cli("expand", "--config", str(config)) == 0
+        mapping = json.loads((out / "mappings" / "anxiety.json").read_text(encoding="utf-8"))
+        assert mapping["ranked"][0]["category"] == "fear\U0001f600"
 
     def test_missing_embeddings_exits_two(self, tmp_path):
         config, _ = self._workspace(tmp_path)
@@ -851,6 +939,19 @@ class TestAnalyze:
         assert run_cli("stats", "--config", str(cfg), str(ws["corpus"])) == 0
         shifted = json.loads((tmp_path / "tz" / "stats.json").read_text())
         assert shifted["total"] == default["total"]
+
+    def test_a_label_xml_forbids_is_drawn_as_u_fffd_and_kept_in_the_csvs(self, tmp_path):
+        from xml.dom import minidom
+
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        ws["categories"].write_text(json.dumps(
+            {"name": "s", "categories": {"fe\x01ar": ["palabraalfa"], "ok": ["palabrabeta"]}}))
+        assert run_cli("analyze", "--config", str(ws["config"]), "--to", "2020-03-10") == 0
+        svg = minidom.parse(str(ws["out"] / "heatmap.svg"))
+        labels = {t.firstChild.data for t in svg.getElementsByTagName("text")}
+        assert {"fe\ufffdar", "ok"} <= labels
+        with open(ws["out"] / "prevalence.csv", newline="", encoding="utf-8") as fh:
+            assert {r["category"] for r in csv.DictReader(fh)} == {"fe\x01ar", "ok"}
 
     def test_empty_category_set_fails_before_the_corpus_is_read(self, tmp_path, capsys):
         ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)

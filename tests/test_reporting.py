@@ -97,6 +97,17 @@ class TestRenderHeatmap:
         assert "2020-03" in text and "2020-04" in text
         assert ">m</text>" in text
 
+    def test_a_label_xml_forbids_shows_as_replacement_characters(self):
+        from xml.dom import minidom
+
+        forbidden = "".join(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20),
+                                      0xFFFE, 0xFFFF]))
+        svg = heatmap([[1.0, 2.0], [3.0, 4.0]], ["a&b<c>\té\U0001f600", f"x{forbidden}y"])
+        labels = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")
+                  if t.getAttribute("text-anchor") == "end"]
+        assert labels == ["a&b<c>\té\U0001f600", "x" + "\ufffd" * len(forbidden) + "y"]
+        assert ">a&amp;b&lt;c&gt;\té\U0001f600</text>" in svg.decode("utf-8")
+
     def test_normalization_shared_across_rows(self):
         # per-heatmap min-max: the single maximum is the only darkest cell
         svg = heatmap([[0.0, 1.0], [2.0, 8.0]], ["a", "b"])
