@@ -14,7 +14,7 @@ from datetime import date
 import numpy as np
 
 from crisismon import (Series, filter_peaks, find_peaks, joint_peaks,
-                       marker_peaks, smooth, smoothed_gradient)
+                       marker_peaks, smoothed_gradient)
 
 rng = np.random.default_rng(11)
 start = date(2020, 3, 1)
@@ -41,9 +41,8 @@ raw[60:64] += 7.0  # four loud days
 series = Series(start=start, names=["burst"], values=[raw])
 
 print("raw:              ", sparkline(raw))
-smoothed = smooth(series, 7)
+smoothed, sg = smoothed_gradient(series, 7)
 print("smoothed:         ", sparkline(smoothed.values[0]))
-sg = smoothed_gradient(smoothed, 7)
 print("smoothed gradient:", sparkline(sg.values[0]))
 
 candidates = find_peaks(sg)[0]
@@ -66,7 +65,7 @@ for _ in range(4):
     v[60:63] += 6.0
     rows.append(v)
 names = [f"m{i}" for i in range(len(rows))]
-markers = smoothed_gradient(smooth(Series(start=start, names=names, values=rows), 7), 7)
+_, markers = smoothed_gradient(Series(start=start, names=names, values=rows), 7)
 
 print("\njoint peaks over 4 markers with a common burst at day 60:")
 for p in joint_peaks(markers, sigma_mult=1.0):

@@ -22,7 +22,7 @@ from pathlib import Path
 from crisismon import (Corpus, ParseReport, aggregate_daily, annotate_peaks,
                        build_matcher, joint_peaks, load_category_set,
                        load_events_csv, load_stages_csv, render_heatmap, Series,
-                       smooth, smoothed_gradient, stage_prevalence_table)
+                       smoothed_gradient, stage_prevalence_table)
 
 HERE = Path(__file__).resolve().parent
 DATA = HERE.parent / "data"
@@ -76,8 +76,8 @@ print(f"{report.parsed} tweets, {analyzable} analyzable (retweets left out), acr
 # One named row per category, one column per day; rows are selected by name, and
 # every derived series keeps that shape and those names.
 markers = ["fear", "health", "nervousness", "sadness"]
-smoothed = smooth(Series(agg.start, agg.categories, agg.percent())[markers], 7)
-peaks = joint_peaks(smoothed_gradient(smoothed, 7))
+smoothed, sg = smoothed_gradient(Series(agg.start, agg.categories, agg.percent())[markers], 7)
+peaks = joint_peaks(sg)
 
 events = load_events_csv(DATA / "events" / "mental_health.csv")
 print("\njoint peaks and the events of the preceding week:")

@@ -229,8 +229,8 @@ def _report(agg: matching.DailyAggregate, cfg: RunConfig, markers: list[str],
             stages: list[reporting.StageWindow] | None) -> int:
     """Derive every ``analyze`` output from the counts alone and write them;
     nothing is written unless all of them could be derived."""
-    smoothed = series.smooth(series.Series(agg.start, agg.categories, agg.percent()), cfg.window)
-    sg = series.smoothed_gradient(smoothed, cfg.window)
+    smoothed, sg = series.smoothed_gradient(
+        series.Series(agg.start, agg.categories, agg.percent()), cfg.window)
     peaks_by_marker = series.marker_peaks(sg, cfg.sigma_mult)
     joint = series.joint_peaks(sg[markers], cfg.sigma_mult)
     peaks_by_marker[series.JOINT] = joint

@@ -41,15 +41,22 @@ def read_csv(path: str | Path, columns: Sequence[str],
              parse: Callable[[dict[str, str]], object]) -> list:
     """``parse(row)`` for each row of a CSV whose header holds ``columns``.
 
-    A missing column, or a ``ValueError`` or ``TypeError`` from ``parse``, is a
-    :class:`FormatError` naming the file; a row's error also names its line.
+    A missing column, one named twice, a row that lacks a cell of one, or a
+    ``ValueError`` or ``TypeError`` from ``parse``, is a :class:`FormatError`
+    naming the file and, but for a missing column, the line. So ``parse``
+    sees a string in each cell of ``columns``.
     """
     out = []
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+        header = reader.fieldnames or []
+        if not set(columns) <= set(header):
             raise FormatError(f"{path}: expected columns {','.join(columns)}")
+        if twice := [c for c in columns if header.count(c) > 1]:
+            raise FormatError(f"{path}: line 1: column {twice[0]!r} named twice")
         for lineno, row in enumerate(reader, start=2):
+            if short := [c for c in columns if row[c] is None]:  # cells a short row lacks
+                raise FormatError(f"{path}: line {lineno}: no cell for column {short[0]!r}")
             try:
                 out.append(parse(row))
             except (ValueError, TypeError) as exc:

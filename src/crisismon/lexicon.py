@@ -64,8 +64,6 @@ def make_lexicon(name: str, term_strings) -> Lexicon:
     """
     terms = set()
     for raw in term_strings:
-        if not isinstance(raw, str):
-            raise FormatError(f"lexicon {name!r}: term {raw!r} is not a string")
         toks = tuple(preprocess(raw))
         if toks:
             terms.add(toks)
@@ -74,14 +72,24 @@ def make_lexicon(name: str, term_strings) -> Lexicon:
     return Lexicon(name=name, terms=frozenset(terms))
 
 
+def _read_named(path: str | Path, key: str) -> tuple[str, object]:
+    """A lexicon or category-set file's ``name``, a string, and ``key`` value."""
+    obj = read_json(path)
+    if not (isinstance(obj, dict) and isinstance(obj.get("name"), str) and key in obj):
+        raise FormatError(f"{path}: expected an object with 'name' and {key!r}, 'name' a string")
+    return obj["name"], obj[key]
+
+
+def _file_lexicon(path: str | Path, name: str, terms: object) -> Lexicon:
+    """Lexicon or category ``name`` of a file, from ``terms``, an array of strings."""
+    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+        raise FormatError(f"{path}: the terms of {name!r} must be an array of strings")
+    return make_lexicon(name, terms)
+
+
 def load_lexicon(path: str | Path) -> Lexicon:
     """Load ``{"name": ..., "terms": [...]}`` from a JSON file."""
-    obj = read_json(path)
-    if not isinstance(obj, dict) or "name" not in obj or "terms" not in obj:
-        raise FormatError(f"{path}: expected an object with 'name' and 'terms'")
-    if not isinstance(obj["terms"], list):
-        raise FormatError(f"{path}: 'terms' must be a list")
-    return make_lexicon(str(obj["name"]), obj["terms"])
+    return _file_lexicon(path, *_read_named(path, "terms"))
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
@@ -90,19 +98,10 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 def load_category_set(path: str | Path) -> CategorySet:
     """Load ``{"name": ..., "categories": {cat: [terms]}}`` from JSON."""
-    path = Path(path)
-    obj = read_json(path)
-    if not isinstance(obj, dict) or "name" not in obj or "categories" not in obj:
-        raise FormatError(
-            f"{path}: expected an object with 'name' and 'categories'"
-        )
-    cats = obj["categories"]
+    name, cats = _read_named(path, "categories")
     if not isinstance(cats, dict):
         raise FormatError(f"{path}: 'categories' must be an object")
-    categories = {
-        cat: make_lexicon(cat, terms) for cat, terms in cats.items()
-    }
-    return CategorySet(name=str(obj["name"]), categories=categories)
+    return CategorySet(name, {cat: _file_lexicon(path, cat, terms) for cat, terms in cats.items()})
 
 
 _NOT_IN_NAME = set("/\0" + os.sep + (os.altsep or ""))

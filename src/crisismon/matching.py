@@ -213,7 +213,7 @@ def write_prevalence_csv(path: str | Path, aggregate: DailyAggregate) -> None:
 
 
 def _read_count(row: dict[str, str], key: str) -> int:
-    text = row[key] or ""  # a short row leaves its last cells None
+    text = row[key]
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{key} must be plain digits, got {text!r}")
     # Checked before ``int``, which refuses more than 4,300 digits on its own terms.

@@ -40,6 +40,8 @@ class StageWindow:
     end: date
 
     def __post_init__(self) -> None:
+        if not self.stage:
+            raise ValueError("stage name must be non-empty")
         if self.start > self.end:
             raise ValueError(f"stage {self.stage!r}: start after end")
 
@@ -189,7 +191,7 @@ def stage_prevalence_table(rows: Series, stages: Sequence[StageWindow]) -> list[
 def load_events_csv(path: str | Path) -> list[EventRecord]:
     """Events CSV: header ``date,description``, ISO dates, UTF-8 text."""
     return read_csv(path, ["date", "description"], lambda row: EventRecord(
-        date=date.fromisoformat(row["date"]), description=(row["description"] or "").strip()
+        date=date.fromisoformat(row["date"]), description=row["description"].strip()
     ))
 
 

@@ -12,7 +12,7 @@ excludes itself from window means, and never hosts a peak.
 Peaks are detected on the *smoothed gradient* of a prevalence series
 (trailing moving average, then central-difference gradient, then the same
 moving average again). A caller derives it once for all markers,
-``smoothed_gradient(smooth(raw, w), w)``, and hands its rows to
+``smoothed, sg = smoothed_gradient(raw, w)``, and hands the rows of ``sg`` to
 ``marker_peaks`` and ``joint_peaks``; neither derives it again. The trailing
 window makes the series respond slowly to recent changes, so a detected
 change lags its cause by up to a window.
@@ -68,7 +68,6 @@ class Series:
     start: date
     names: tuple[str, ...]  # the marker of each row, no two alike
     values: list[list[float]]  # one row of days per marker
-    kind: str = "raw"  # raw | smoothed | gradient
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names", tuple(self.names))
@@ -166,11 +165,9 @@ def smooth(s: Series, window: int) -> Series:
     constant: each window sums its deviations from that value, a missing day
     or a day before the start counting 0.0, and divides by the present count.
     """
-    if s.kind not in ("raw", "gradient"):
-        raise ValueError(f"cannot smooth a series of kind {s.kind!r}")
     if window < 1:
         raise ValueError("window must be >= 1")
-    return replace(s, values=[_smooth_row(v, window) for v in s.values], kind="smoothed")
+    return replace(s, values=[_smooth_row(v, window) for v in s.values])
 
 
 def gradient(s: Series) -> Series:
@@ -181,7 +178,7 @@ def gradient(s: Series) -> Series:
     """
     if len(s) < 2:
         raise ValueError("gradient needs at least 2 points")
-    return replace(s, kind="gradient", values=[
+    return replace(s, values=[
         [v[1] - v[0]]
         + [(v[i + 1] - v[i - 1]) / 2.0 for i in range(1, len(v) - 1)]
         + [v[-1] - v[-2]]
@@ -189,16 +186,11 @@ def gradient(s: Series) -> Series:
     ])
 
 
-def smoothed_gradient(smoothed: Series, window: int) -> Series:
-    """The signal peaks are detected on: differentiate, then smooth again.
-
-    Takes the output of ``smooth(raw, window)``, so the first smoothing is
-    shared with whatever else the caller shows of the marker; any other kind
-    of series is a ``ValueError``.
-    """
-    if smoothed.kind != "smoothed":
-        raise ValueError(f"smoothed_gradient needs a smoothed series, not {smoothed.kind!r}")
-    return smooth(gradient(smoothed), window)
+def smoothed_gradient(raw: Series, window: int) -> tuple[Series, Series]:
+    """``(smoothed, sg)``: ``smoothed = smooth(raw, window)``, and ``sg``, the
+    signal peaks are detected on, ``smoothed`` differentiated and smoothed again."""
+    smoothed = smooth(raw, window)
+    return smoothed, smooth(gradient(smoothed), window)
 
 
 def _candidate_indices(v: list[float]) -> list[int]:
@@ -327,7 +319,7 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
             signed += z
         combined.append(magnitude / len(zs))
         signed_mean.append(signed / len(zs))
-    (candidates,) = find_peaks(Series(sg.start, [JOINT], [combined], "gradient"))
+    (candidates,) = find_peaks(Series(sg.start, [JOINT], [combined]))
     peaks = filter_peaks(candidates, sigma_mult)
     return [
         replace(p, direction=RISE if signed_mean[p.index] >= 0 else FALL)

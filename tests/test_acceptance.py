@@ -31,9 +31,9 @@ from synth import write_burst_workspace
 D0 = date(2020, 3, 1)
 
 
-def one_row(days, kind="raw"):
+def one_row(days):
     """One marker's days, as a one-row series named ``m``."""
-    return Series(start=D0, names=["m"], values=[days], kind=kind)
+    return Series(start=D0, names=["m"], values=[days])
 
 
 @contextlib.contextmanager
@@ -106,7 +106,7 @@ def test_criterion_3_peak_pipeline_oracle():
             if trial % 3 == 0:  # runs of missing values
                 start = int(rng.integers(0, 160))
                 v[start : start + int(rng.integers(2, 15))] = np.nan
-            s = one_row(v, kind="gradient")
+            s = one_row(v)
             peaks = find_peaks(s)[0]
             got = [(p.index, p.prominence) for p in peaks]
             assert got == brute_peaks(list(v))

@@ -668,6 +668,22 @@ class TestExpand:
         assert err.startswith(f"error: {cats}: lone surrogate ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, body, says", [
+        ("seed.json", '{"name": null, "terms": ["miedo"]}',
+         "expected an object with 'name' and 'terms', 'name' a string"),
+        ("seed.json", '{"name": "anxiety", "terms": "miedo"}',
+         "the terms of 'anxiety' must be an array of strings"),
+        ("cats.json", '{"name": 5, "categories": {"fear": ["miedo"]}}',
+         "expected an object with 'name' and 'categories', 'name' a string"),
+    ], ids=["lexicon-name-null", "lexicon-terms-a-string", "category-set-name-a-number"])
+    def test_a_misshapen_lexicon_file_exits_two(self, tmp_path, capsys, name, body, says):
+        config, out = self._workspace(tmp_path)
+        path = tmp_path / name
+        path.write_text(body, encoding="utf-8")
+        assert run_cli("expand", "--config", str(config)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {says}\n"
+        assert not out.exists()
+
     def test_a_category_named_with_a_surrogate_pair_loads(self, tmp_path):
         config, out = self._workspace(tmp_path)
         cats = tmp_path / "cats.json"
@@ -1013,6 +1029,34 @@ class TestAnalyze:
         assert f"error: {path}: " in capsys.readouterr().err
         assert not ws["out"].exists()
 
+    @pytest.mark.parametrize("key, body, says", [
+        ("stages", "start,end,stage\n2020-03-01,2020-03-02\n",
+         "line 2: no cell for column 'stage'"),
+        ("stages", "start,end,stage\n2020-03-01,2020-03-02,\n",
+         "line 2: stage name must be non-empty"),
+        ("events", "date,description,date\n2020-03-01,x,2020-03-02\n",
+         "line 1: column 'date' named twice"),
+        ("categories", '{"name": "c", "categories": {"a": "miedo"}}',
+         "the terms of 'a' must be an array of strings"),
+        ("categories", '{"name": "c", "categories": {"a": 5}}',
+         "the terms of 'a' must be an array of strings"),
+        ("categories", '{"name": "c", "categories": {"a": ["miedo", null]}}',
+         "the terms of 'a' must be an array of strings"),
+    ], ids=["stage-row-without-a-name", "empty-stage-name", "events-repeating-a-column",
+            "category-a-string", "category-a-number", "category-with-a-null-term"])
+    def test_a_misshapen_input_exits_two_before_the_corpus_is_read(
+            self, tmp_path, capsys, key, body, says):
+        ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
+        path = tmp_path / f"bad-{key}"
+        path.write_text(body, encoding="utf-8")
+        cfg = json.loads(ws["config"].read_text())
+        cfg.update({key: str(path), "date_to": "2020-03-10"})
+        ws["config"].write_text(json.dumps(cfg))
+        missing = str(tmp_path / "no_such_corpus.jsonl")
+        assert run_cli("analyze", "--config", str(ws["config"]), missing) == 2
+        assert capsys.readouterr().err == f"error: {path}: {says}\n"
+        assert not ws["out"].exists()
+
     @pytest.mark.parametrize("bad", [b"{broken", b'{"id": \xff}'])
     def test_lenient_run_reports_malformed_line(self, tmp_path, capsys, bad):
         ws = write_burst_workspace(tmp_path, seed=27, n_days=10, per_day=10)
@@ -1149,7 +1193,13 @@ class TestRender:
         (b"date,category,matched,total,percent\n2020-03-01,a,20,10,200.0\n",
          "line 2: matched 20 above total 10"),
         (b"date,category,matched,total,percent\n2020-03-01,a,2\n",
-         "line 2: total must be plain digits, got ''"),
+         "line 2: no cell for column 'total'"),
+        (b"date,matched,total,percent,category\n2020-03-01,1,10,10.0,a\n2020-03-02,1,10,10.0\n",
+         "line 3: no cell for column 'category'"),
+        (b"date,matched,total,percent,category\n2020-03-01,1,10,10.0\n",
+         "line 2: no cell for column 'category'"),
+        (b"date,category,matched,total,percent,matched\n2020-03-01,a,1,10,10.0,2\n",
+         "line 1: column 'matched' named twice"),
         (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
          b"2020-03-01,b,2,10,20.0\n2020-03-02,a,1,10,10.0\n", "2020-03-02 has no row for b"),
         (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
@@ -1162,7 +1212,8 @@ class TestRender:
             "count-of-401-digits", "count-of-5001-digits", "count-of-2-to-the-63", "negative-count",
             "count-with-a-sign", "count-with-a-space", "count-with-an-underscore",
             "count-in-arabic-indic-digits", "matched-above-total",
-            "row-without-a-total", "day-lacking-a-category", "two-totals-on-one-day",
+            "row-without-a-total", "row-without-a-category", "every-row-without-a-category",
+            "a-repeated-column", "day-lacking-a-category", "two-totals-on-one-day",
             "span-of-eight-millennia"])
     def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
         path = tmp_path / "prevalence.csv"
@@ -1170,7 +1221,7 @@ class TestRender:
         assert run_cli("render", "--out", str(tmp_path / "out"), str(path)) == 2
         err = capsys.readouterr().err
         assert says in err
-        assert f"error: {path}: " in err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_a_category_named_joint_renders(self, tmp_path):

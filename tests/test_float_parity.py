@@ -98,11 +98,11 @@ def test_sum_matches_numpy(v):
 @settings(max_examples=120, deadline=None)
 @given(markers_by_days(), st.integers(1, 30))
 def test_smooth_and_smoothed_gradient_match_numpy(rows, window):
-    smoothed = smooth(Series(D0, names(rows), rows), window)
+    raw = Series(D0, names(rows), rows)
     expect = np_smooth(rows, window)
-    assert all(same(g, e) for g, e in zip(smoothed.values, expect))
-    if len(smoothed) >= 2:
-        sg = smoothed_gradient(smoothed, window).values
+    assert all(same(g, e) for g, e in zip(smooth(raw, window).values, expect))
+    if len(raw) >= 2:
+        sg = smoothed_gradient(raw, window)[1].values
         expect = np_smooth(np_gradient(expect), window)
         assert all(same(g, e) for g, e in zip(sg, expect))
 
@@ -117,7 +117,7 @@ def test_zscores_and_joint_peaks_match_numpy(rows, sigma_mult):
     if candidates:
         threshold = np_threshold([prom for _, prom in candidates], sigma_mult)
         candidates = [(i, prom) for i, prom in candidates if prom > threshold]
-    got = joint_peaks(Series(D0, names(rows), rows, "gradient"), sigma_mult)
+    got = joint_peaks(Series(D0, names(rows), rows), sigma_mult)
     assert [(p.index, bits(p.height), bits(p.prominence), p.direction) for p in got] == [
         (i, bits(float(combined[i])), bits(prom), "rise" if signed[i] >= 0 else "fall")
         for i, prom in candidates]

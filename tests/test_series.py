@@ -14,21 +14,20 @@ from oracles import brute_filter, brute_peaks, ref_gradient, ref_marker_peaks, r
 D0 = date(2020, 3, 1)
 
 
-def S(days, kind="raw"):
+def S(days):
     """One marker's days, as a one-row series named ``m0``."""
-    return Series(start=D0, names=["m0"], values=[np.asarray(days, dtype=np.float64)],
-                  kind=kind)
+    return Series(start=D0, names=["m0"], values=[np.asarray(days, dtype=np.float64)])
 
 
-def M(rows, kind="raw"):
+def M(rows):
     """Markers × days, row ``i`` named ``m{i}``."""
     return Series(start=D0, names=[f"m{i}" for i in range(len(rows))],
-                  values=np.asarray(rows, dtype=np.float64), kind=kind)
+                  values=np.asarray(rows, dtype=np.float64))
 
 
 def SG(rows, window=7):
     """The smoothed gradient of raw markers × days, as analyze derives it."""
-    return smoothed_gradient(smooth(M(rows), window), window)
+    return smoothed_gradient(M(rows), window)[1]
 
 
 class TestSmooth:
@@ -72,15 +71,16 @@ class TestSmooth:
         out = smooth(S(x), 7).values[0]
         assert np.allclose(out, ref, atol=1e-9)
 
-    def test_kind_contract(self):
-        smoothed = smooth(S([1, 2, 3]), 2)
-        assert smoothed.kind == "smoothed"
-        with pytest.raises(ValueError):
-            smooth(smoothed, 2)
-        assert smoothed_gradient(smoothed, 2).kind == "smoothed"
-        for kind in ("raw", "gradient"):
-            with pytest.raises(ValueError):
-                smoothed_gradient(S([1, 2, 3], kind=kind), 2)
+    def test_smoothed_gradient_is_smooth_gradient_smooth(self):
+        rng = np.random.default_rng(11)
+        rows = rng.normal(5, 2, size=(3, 60))
+        rows[rng.random(rows.shape) < 0.1] = np.nan
+        raw = M(rows)
+        smoothed, sg = smoothed_gradient(raw, 7)
+        expect = smooth(raw, 7)
+        for got, ref in ((smoothed, expect), (sg, smooth(gradient(expect), 7))):
+            assert (got.start, got.names) == (ref.start, ref.names)
+            assert np.array(got.values).tobytes() == np.array(ref.values).tobytes()
 
 
 class TestGradient:
@@ -122,9 +122,6 @@ class TestGradient:
                 assert math.isnan(g)
             else:
                 assert g == pytest.approx(r, abs=1e-12)
-
-    def test_kind(self):
-        assert gradient(S([1, 2, 3])).kind == "gradient"
 
 
 class TestFindPeaks:
@@ -251,7 +248,7 @@ class TestMarkerPeaks:
         rises = find_peaks(sg)[0]
         assert len(rises) == 1
         assert 45 <= rises[0].index <= 45 + 7 - 1
-        neg = S([-x for x in sg.values[0]], kind="gradient")
+        neg = S([-x for x in sg.values[0]])
         assert find_peaks(neg)[0] == []  # no fall candidates at all
         assert marker_peaks(sg)["m0"] == []
 
@@ -303,7 +300,7 @@ class TestJointPeaks:
         sg = SG([v])
         joint = joint_peaks(sg)
         alone = filter_peaks(
-            find_peaks(S(np.abs(_zscore(sg.values[0])), kind="gradient"))[0], 1.0
+            find_peaks(S(np.abs(_zscore(sg.values[0]))))[0], 1.0
         )
         assert [(p.index, p.prominence) for p in joint] == [
             (p.index, p.prominence) for p in alone
@@ -337,7 +334,7 @@ class TestJointPeaks:
         with pytest.raises(ValueError):
             joint_peaks(SG([1, 2, 3]))
         with pytest.raises(ValueError):
-            joint_peaks(M(np.empty((0, 3)), kind="smoothed"))
+            joint_peaks(M(np.empty((0, 3))))
 
     def test_flat_marker_contributes_zeros(self):
         # std = 0 -> z-scores all zero, not NaN
