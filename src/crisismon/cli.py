@@ -91,7 +91,7 @@ class RunConfig:
         for key, what in _NEEDS[command].items():
             if not getattr(self, key):
                 raise ValueError(f"config needs {what}")
-        lo, hi = (date.fromisoformat(d) if d else None for d in (self.date_from, self.date_to))
+        lo, hi = (_day(key, getattr(self, key)) for key in ("date_from", "date_to"))
         if lo and hi and lo > hi:
             raise ValueError(f"date_from {lo} after date_to {hi}")
         if lo and hi and (n := (hi - lo).days + 1) > matching.MAX_DAYS:
@@ -135,6 +135,14 @@ def _fits(value: object, hint: object) -> bool:
     if get_args(hint):  # a union such as ``str | None``
         return any(_fits(value, a) for a in get_args(hint))
     return type(value) is hint
+
+
+def _day(key: str, text: str | None) -> date | None:
+    """A configured date, None when unset; one that is not ISO is named by its key."""
+    try:
+        return date.fromisoformat(text) if text else None
+    except ValueError:
+        raise ValueError(f"{key} must be an ISO date (YYYY-MM-DD), got {text!r}") from None
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -41,26 +41,29 @@ def read_csv(path: str | Path, columns: Sequence[str],
              parse: Callable[[dict[str, str]], object]) -> list:
     """``parse(row)`` for each row of a CSV whose header holds ``columns``.
 
-    A missing column, one named twice, a row that lacks a cell of one, or a
-    ``ValueError`` or ``TypeError`` from ``parse``, is a :class:`FormatError`
-    naming the file and, but for a missing column, the line. So ``parse``
-    sees a string in each cell of ``columns``.
+    A missing column, one named twice, a row that lacks a cell of one, a cell
+    too long for ``csv``, or a ``ValueError`` or ``TypeError`` from ``parse``,
+    is a :class:`FormatError` naming the file and, but for a missing column,
+    the line its row ends on. So ``parse`` sees a string in each of ``columns``.
     """
     out = []
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if not set(columns) <= set(header):
-            raise FormatError(f"{path}: expected columns {','.join(columns)}")
-        if twice := [c for c in columns if header.count(c) > 1]:
-            raise FormatError(f"{path}: line 1: column {twice[0]!r} named twice")
-        for lineno, row in enumerate(reader, start=2):
-            if short := [c for c in columns if row[c] is None]:  # cells a short row lacks
-                raise FormatError(f"{path}: line {lineno}: no cell for column {short[0]!r}")
-            try:
-                out.append(parse(row))
-            except (ValueError, TypeError) as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        try:
+            header = reader.fieldnames or []
+            if not set(columns) <= set(header):
+                raise FormatError(f"{path}: expected columns {','.join(columns)}")
+            if twice := [c for c in columns if header.count(c) > 1]:
+                raise FormatError(f"{path}: line 1: column {twice[0]!r} named twice")
+            for row in reader:
+                try:
+                    if short := [c for c in columns if row[c] is None]:
+                        raise ValueError(f"no cell for column {short[0]!r}")
+                    out.append(parse(row))
+                except (ValueError, TypeError) as exc:
+                    raise FormatError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
     return out
 
 
@@ -96,7 +99,7 @@ def read_json(path: str | Path) -> object:
         text = fh.read()
     try:
         value = json.loads(text, object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, a 4,301-digit int, deep nesting
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if _SURROGATE_ESCAPE.search(text):  # rare: only then is the whole value encoded
         try:

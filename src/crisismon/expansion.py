@@ -73,9 +73,6 @@ class EmbeddingTable:
         self._token_rank = np.empty(len(order), dtype=np.int64)
         self._token_rank[order] = np.arange(len(order))
 
-    def __len__(self) -> int:
-        return len(self._index)
-
     def __contains__(self, token: str) -> bool:
         return token in self._index
 

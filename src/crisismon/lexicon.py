@@ -38,9 +38,6 @@ class CategorySet:
     name: str
     categories: dict[str, Lexicon] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.categories)
-
 
 @dataclass(frozen=True)
 class MarkerMapping:

@@ -244,36 +244,34 @@ def read_prevalence_csv(path: str | Path) -> DailyAggregate:
     is not plain ASCII digits or lies outside the int64 range, a ``matched``
     above its ``total``, a repeated day and category, a listed day that
     lacks a category, or a day whose categories give different totals, a
-    format error.
+    format error. Rows are checked as they are read, so the first faulty
+    row is the one named; the span and the lacking categories, after the last.
     """
-    rows = read_csv(path, ["date", "category", "matched", "total", "percent"], lambda row: (
-        date.fromisoformat(row["date"]), row["category"], *_counts(row),
-    ))
-    if not rows:
+    totals: dict[date, int] = {}
+    cells: dict[str, dict[date, int]] = {}  # category -> day -> matched
+
+    def take(row: dict[str, str]) -> None:
+        day, cat, (matched, total) = date.fromisoformat(row["date"]), row["category"], _counts(row)
+        counts = cells.setdefault(cat, {})
+        if day in counts:
+            raise ValueError(f"duplicate {day} {cat}")
+        if totals.setdefault(day, total) != total:
+            raise ValueError(f"total {total} for {day} {cat}, "
+                             f"where an earlier row of {day} gives {totals[day]}")
+        counts[day] = matched
+
+    read_csv(path, ["date", "category", "matched", "total", "percent"], take)
+    if not totals:
         raise ValueError(f"{path}: no prevalence rows")
-    start, last = min(row[0] for row in rows), max(row[0] for row in rows)
+    start, last = min(totals), max(totals)
     n = (last - start).days + 1
     if n > MAX_DAYS:
         raise FormatError(f"{path}: {start}..{last} spans {n} days, more than {MAX_DAYS}")
-    first = start.toordinal()
-    totals: list[int | None] = [None] * n  # None: a day that no row lists
-    cells: dict[str, list[int | None]] = {}
-    for line, (day, cat, matched, total) in enumerate(rows, start=2):
-        i = day.toordinal() - first
-        row = cells.setdefault(cat, [None] * n)
-        if row[i] is not None:
-            raise FormatError(f"{path}: line {line}: duplicate {day} {cat}")
-        if totals[i] is None:
-            totals[i] = total
-        elif totals[i] != total:
-            raise FormatError(f"{path}: line {line}: total {total} for {day} {cat}, "
-                              f"where an earlier row of {day} gives {totals[i]}")
-        row[i] = matched
     names = tuple(sorted(cells))
-    for i, total in enumerate(totals):
-        for c in names:
-            if total is not None and cells[c][i] is None:
-                raise FormatError(f"{path}: {start + timedelta(days=i)} has no row for {c}")
+    for day in sorted(totals):
+        if lacking := [c for c in names if day not in cells[c]]:
+            raise FormatError(f"{path}: {day} has no row for {lacking[0]}")
+    days = [start + timedelta(days=i) for i in range(n)]
     return DailyAggregate(start=start, categories=names,
-                          matched=[tuple(m or 0 for m in cells[c]) for c in names],
-                          totals=tuple(t or 0 for t in totals), dropped=0)
+                          matched=[tuple(cells[c].get(d, 0) for d in days) for c in names],
+                          totals=tuple(totals.get(d, 0) for d in days), dropped=0)

@@ -105,6 +105,8 @@ BROKEN_RULES = {
     "markers": ({"markers": []},
                 "error: markers must name at least one category, or be null"),
     "malformed-date": ({"date_from": "March 1"}, "'March 1'"),
+    "impossible-date": ({"date_from": "2020-02-30"},
+                        "error: date_from must be an ISO date (YYYY-MM-DD), got '2020-02-30'"),
     "reversed-dates": ({"date_from": "2020-03-10", "date_to": "2020-03-05"},
                        "error: date_from 2020-03-10 after date_to 2020-03-05"),
     "century-plus-range": ({"date_from": "0001-01-01", "date_to": "9999-12-31"},
@@ -675,14 +677,18 @@ class TestExpand:
          "the terms of 'anxiety' must be an array of strings"),
         ("cats.json", '{"name": 5, "categories": {"fear": ["miedo"]}}',
          "expected an object with 'name' and 'categories', 'name' a string"),
-    ], ids=["lexicon-name-null", "lexicon-terms-a-string", "category-set-name-a-number"])
+        ("config.json", '{"k": 1' + "0" * 5000 + "}",
+         "invalid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["lexicon-name-null", "lexicon-terms-a-string", "category-set-name-a-number",
+            "config-a-huge-integer"])
     def test_a_misshapen_lexicon_file_exits_two(self, tmp_path, capsys, name, body, says):
         config, out = self._workspace(tmp_path)
         path = tmp_path / name
         path.write_text(body, encoding="utf-8")
         assert run_cli("expand", "--config", str(config)) == 2
-        assert capsys.readouterr().err == f"error: {path}: {says}\n"
-        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {says}") and err.count("\n") == 1
+        assert err.endswith("\n") and not out.exists()
 
     def test_a_category_named_with_a_surrogate_pair_loads(self, tmp_path):
         config, out = self._workspace(tmp_path)
@@ -1042,8 +1048,15 @@ class TestAnalyze:
          "the terms of 'a' must be an array of strings"),
         ("categories", '{"name": "c", "categories": {"a": ["miedo", null]}}',
          "the terms of 'a' must be an array of strings"),
+        # A quoted description over lines 2 and 3: the bad date is on line 4.
+        ("events", 'date,description\n2020-03-01,"two\nlines"\n2020-13-01,x\n',
+         "line 4: month must be in 1..12"),
+        ("categories", "[" * 100_000 + "]" * 100_000,
+         "invalid JSON: maximum recursion depth exceeded while decoding a JSON array "
+         "from a unicode string"),
     ], ids=["stage-row-without-a-name", "empty-stage-name", "events-repeating-a-column",
-            "category-a-string", "category-a-number", "category-with-a-null-term"])
+            "category-a-string", "category-a-number", "category-with-a-null-term",
+            "event-spanning-two-lines", "category-set-nested-too-deep"])
     def test_a_misshapen_input_exits_two_before_the_corpus_is_read(
             self, tmp_path, capsys, key, body, says):
         ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
@@ -1208,13 +1221,21 @@ class TestRender:
         (b"date,category,matched,total,percent\n0001-01-01,a,1,10,10.0\n"
          b"9999-12-31,a,1,10,10.0\n",
          ": 0001-01-01..9999-12-31 spans 3652059 days, more than 36525"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n\n"
+         b"2020-03-02,a,x,10,10.0\n", "line 4: matched must be plain digits, got 'x'"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
+         b"2020-03-01,a,1,10,10.0\n2020-03-02,a,1,10,10.0\n2020-03-03,a,x,10,10.0\n",
+         "line 3: duplicate 2020-03-01 a"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
+         b"2020-03-02," + b"b" * 200_000 + b",1,10,10.0\n", "line 3: field larger than field limit"),
     ], ids=["missing-column", "bad-date", "invalid-utf8", "duplicate-row",
             "count-of-401-digits", "count-of-5001-digits", "count-of-2-to-the-63", "negative-count",
             "count-with-a-sign", "count-with-a-space", "count-with-an-underscore",
             "count-in-arabic-indic-digits", "matched-above-total",
             "row-without-a-total", "row-without-a-category", "every-row-without-a-category",
             "a-repeated-column", "day-lacking-a-category", "two-totals-on-one-day",
-            "span-of-eight-millennia"])
+            "span-of-eight-millennia", "bad-count-after-a-blank-line",
+            "duplicate-before-a-bad-count", "cell-past-the-field-size-limit"])
     def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
         path = tmp_path / "prevalence.csv"
         path.write_bytes(body)

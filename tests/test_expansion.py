@@ -30,7 +30,7 @@ class TestLoadEmbeddings:
     def test_small_table(self, tmp_path):
         path = _write_table(tmp_path, [["uno", 1, 0, 0], ["dos", 0, 1, 0]])
         table = load_embeddings(path)
-        assert len(table) == 2
+        assert "uno" in table and "dos" in table
         assert table.dim == 3
         # A unit row: normalizing leaves it as parsed.
         assert table._units[table._index["dos"]].tolist() == [0.0, 1.0, 0.0]

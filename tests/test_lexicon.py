@@ -82,7 +82,7 @@ class TestLoadCategorySet:
             {"name": "c", "categories": {"a": ["uno"], "b": ["dos"]}},
         )
         cats = load_category_set(path)
-        assert len(cats) == 2
+        assert len(cats.categories) == 2
         assert cats.categories["a"].terms == frozenset({("uno",)})
 
     def test_duplicate_category_key_is_an_error(self, tmp_path):
@@ -98,7 +98,7 @@ class TestLoadCategorySet:
         categories = {f"cat{i:03d}": [f"word{i}a", f"word{i}b"] for i in range(200)}
         path = _write(tmp_path, "big.json", {"name": "big", "categories": categories})
         cats = load_category_set(path)
-        assert len(cats) == 200
+        assert len(cats.categories) == 200
 
 
 class TestManifest:
