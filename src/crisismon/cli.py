@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import reprlib
 import sys
-from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
-from typing import Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 from . import corpus as corpus_mod
 from . import matching, reporting, series
@@ -39,11 +39,8 @@ from .lexicon import (load_category_set, load_manifest, save_lexicon,
 MAX_WINDOW = 366
 
 
-@dataclass
-class RunConfig:
-    """Declarative description of one pipeline run."""
-
-    corpus: list[str] = field(default_factory=list)
+class _Fields(NamedTuple):
+    corpus: list[str]
     manifest: str | None = None
     categories: str | None = None
     embeddings: str | None = None
@@ -62,6 +59,16 @@ class RunConfig:
     workers: int | None = None  # most processes reading the corpus; None: usable CPUs
     strict: bool = False
 
+
+class RunConfig(_Fields):
+    """Declarative description of one pipeline run; ``_replace`` sets fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, corpus: list[str] | None = None, *args, **kwargs) -> RunConfig:
+        # A fresh list for each config that names no corpus.
+        return super().__new__(cls, [] if corpus is None else corpus, *args, **kwargs)
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         obj = read_json(path)
@@ -73,7 +80,7 @@ class RunConfig:
         for key, value in obj.items():
             if not _fits(value, _FIELD_TYPES[key]):
                 raise FormatError(f"{path}: config key {key!r} must be "
-                                  f"{cls.__annotations__[key]}, got {value!r}")
+                                  f"{_type_name(_FIELD_TYPES[key])}, got {reprlib.repr(value)}")
         return cls(**obj)
 
     def check(self, command: str) -> tuple[date | None, date | None]:
@@ -137,6 +144,11 @@ def _fits(value: object, hint: object) -> bool:
     return type(value) is hint
 
 
+def _type_name(hint: object) -> str:
+    """A field's type as its annotation spells it: ``int``, ``list[str]``, ``str | None``."""
+    return hint.__name__ if type(hint) is type else repr(hint)
+
+
 def _day(key: str, text: str | None) -> date | None:
     """A configured date, None when unset; one that is not ISO is named by its key."""
     try:
@@ -149,7 +161,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # Absent flags leave no attribute, so only the given ones override.
     given = vars(args)
     cfg = RunConfig.from_file(given["config"]) if "config" in given else RunConfig()
-    return replace(cfg, **{k: v for k, v in given.items() if k in _FIELD_TYPES})
+    return cfg._replace(**{k: v for k, v in given.items() if k in _FIELD_TYPES})
 
 
 def _markers(markers: list[str] | None, names: Sequence[str]) -> list[str]:

@@ -52,13 +52,11 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import re
 import stat
 import unicodedata
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -105,7 +103,6 @@ def where(source: str, lineno: int) -> str:
     return f"{source}: line {lineno}" if source else f"line {lineno}"
 
 
-@dataclass
 class ParseReport:
     """Mutable sink for lenient-mode parse outcomes.
 
@@ -113,12 +110,15 @@ class ParseReport:
     reason, file)`` triples; the file is ``""`` for an unnamed stream.
     """
 
-    lines: int = 0
-    parsed: int = 0
-    skipped: int = 0
-    examples: list[tuple[int, str, str]] = field(default_factory=list)
-
     MAX_EXAMPLES = 10
+
+    def __init__(self, lines: int = 0, parsed: int = 0, skipped: int = 0,
+                 examples: list[tuple[int, str, str]] | None = None):
+        self.lines, self.parsed, self.skipped = lines, parsed, skipped
+        self.examples = [] if examples is None else examples
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
 
     def record_skip(self, lineno: int, reason: str, source: str = "") -> None:
         self.skipped += 1
@@ -320,14 +320,15 @@ def records(
         yield obj, kind, day
 
 
-@dataclass
 class CorpusStats:
     """Exact corpus counts, merged range by range."""
 
-    kinds: Counter = field(default_factory=Counter)
-    n_with_hashtag: int = 0
-    per_user: Counter = field(default_factory=Counter)
-    per_day: Counter = field(default_factory=Counter)
+    def __init__(self, kinds: Counter | None = None, n_with_hashtag: int = 0,
+                 per_user: Counter | None = None, per_day: Counter | None = None):
+        self.kinds = Counter() if kinds is None else kinds
+        self.n_with_hashtag = n_with_hashtag
+        self.per_user = Counter() if per_user is None else per_user
+        self.per_day = Counter() if per_day is None else per_day
 
     @property
     def total(self) -> int:
@@ -496,6 +497,8 @@ def _fork(fold: Callable[[Iterator], T], corpus: Corpus,
           share: list[ByteRange]) -> tuple[int, int]:
     """Fork a worker that folds ``share`` and writes the outcomes, pickled,
     to a pipe; return the worker's pid and the pipe's read end."""
+    import pickle  # here: a fold that forks no worker never needs it
+
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:  # the worker, which never returns from here
@@ -528,6 +531,8 @@ def _fold_shares(fold: Callable[[Iterator], T], corpus: Corpus, shares: list[lis
         for share in shares[1:]:
             workers.append(_fork(fold, corpus, share))
         yield from zip(shares[0], _fold_share(fold, corpus, shares[0]))
+        if workers:
+            import pickle  # as in ``_fork``
         for share in shares[1:]:
             pid, fd = workers[0]
             with open(fd, "rb", closefd=False) as pipe:

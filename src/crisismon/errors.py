@@ -100,7 +100,9 @@ def read_json(path: str | Path) -> object:
     try:
         value = json.loads(text, object_pairs_hook=unique)
     except (ValueError, RecursionError) as exc:  # bad syntax, a 4,301-digit int, deep nesting
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+        # Less CPython's advice to raise the digit limit: no crisismon user can.
+        reason = str(exc).split("; use sys.set_int_max_str_digits()")[0]
+        raise FormatError(f"{path}: invalid JSON: {reason}") from exc
     if _SURROGATE_ESCAPE.search(text):  # rare: only then is the whole value encoded
         try:
             json.dumps(value, ensure_ascii=False).encode("utf-8")

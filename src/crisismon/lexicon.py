@@ -14,8 +14,8 @@ after load.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import preprocess
 from .errors import FormatError, read_json, write_json
@@ -23,8 +23,7 @@ from .errors import FormatError, read_json, write_json
 Term = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(NamedTuple):
     name: str
     terms: frozenset[Term]
 
@@ -33,14 +32,21 @@ class Lexicon:
         return frozenset(t[0] for t in self.terms if len(t) == 1)
 
 
-@dataclass(frozen=True)
-class CategorySet:
+class _CategorySet(NamedTuple):
     name: str
-    categories: dict[str, Lexicon] = field(default_factory=dict)
+    categories: dict[str, Lexicon]
 
 
-@dataclass(frozen=True)
-class MarkerMapping:
+class CategorySet(_CategorySet):
+    """Lexicons by category name; with none given, a fresh empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, categories: dict[str, Lexicon] | None = None) -> CategorySet:
+        return super().__new__(cls, name, {} if categories is None else categories)
+
+
+class MarkerMapping(NamedTuple):
     """Categories ranked by shared-word count for one construct.
 
     ``ranked`` is sorted by count descending, ties broken by category name,

@@ -32,12 +32,11 @@ signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import cached_property, partial
 from operator import add
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .corpus import KIND_RETWEET, Corpus, ParseReport, fold_corpus, preprocess
 from .errors import FormatError, cell, read_csv, write_csv
@@ -98,15 +97,13 @@ def build_matcher(cats: CategorySet) -> Matcher:
     return Matcher(cats)
 
 
-@dataclass(frozen=True)
-class DailyPrevalence:
+class DailyPrevalence(NamedTuple):
     """One category's matched counts per day and the documents per day."""
 
     matched: object  # a read-only int64 NumPy array, one cell per day
     total: object  # the same, documents per day
 
 
-@dataclass
 class DailyAggregate:
     """The daily counts from ``start`` on: one row of days per category, in
     the order of ``categories``, and one row of the documents seen each day,
@@ -116,11 +113,19 @@ class DailyAggregate:
     of the rows' last cell.
     """
 
-    start: date
-    categories: tuple[str, ...]
-    matched: list[tuple[int, ...]]  # categories × days
-    totals: tuple[int, ...]  # documents per day
-    dropped: int  # documents outside the configured date range
+    def __init__(self, start: date, categories: tuple[str, ...], matched: list[tuple[int, ...]],
+                 totals: tuple[int, ...], dropped: int):
+        self.start = start
+        self.categories = categories
+        self.matched = matched  # categories × days
+        self.totals = totals  # documents per day
+        self.dropped = dropped  # documents outside the configured date range
+
+    def __eq__(self, other: object) -> bool:
+        """Equal counts; the cached ``prevalence`` arrays are left out."""
+        return type(other) is type(self) and (
+            (self.start, self.categories, self.matched, self.totals, self.dropped)
+            == (other.start, other.categories, other.matched, other.totals, other.dropped))
 
     @property
     def end(self) -> date:

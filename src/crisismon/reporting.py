@@ -15,7 +15,6 @@ smoothing delays a series' response to its cause.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -31,29 +30,36 @@ DARK = 12.0  # luminance percent at the maximum value
 StageRow = tuple[str, str, float | None]  # marker, stage, max_pct_diff (None: undefined)
 
 
-@dataclass(frozen=True)
 class StageWindow:
     """A labeled, inclusive date range; stages may overlap."""
 
-    stage: str
-    start: date
-    end: date
-
-    def __post_init__(self) -> None:
-        if not self.stage:
+    def __init__(self, stage: str, start: date, end: date):
+        if not stage:
             raise ValueError("stage name must be non-empty")
-        if self.start > self.end:
-            raise ValueError(f"stage {self.stage!r}: start after end")
+        if start > end:
+            raise ValueError(f"stage {stage!r}: start after end")
+        self.stage, self.start, self.end = stage, start, end
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and (
+            (self.stage, self.start, self.end) == (other.stage, other.start, other.end))
+
+    def __hash__(self) -> int:
+        return hash((self.stage, self.start, self.end))
 
 
-@dataclass(frozen=True)
 class EventRecord:
-    date: date
-    description: str
-
-    def __post_init__(self) -> None:
-        if not self.description:
+    def __init__(self, date: date, description: str):
+        if not description:
             raise ValueError("event description must be non-empty")
+        self.date, self.description = date, description
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and (
+            (self.date, self.description) == (other.date, other.description))
+
+    def __hash__(self) -> int:
+        return hash((self.date, self.description))
 
 
 def _fill(norm: float) -> str:

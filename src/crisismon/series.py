@@ -34,11 +34,10 @@ the loop. Where NumPy divided by zero and warned, the division is guarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from operator import add
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import cell, write_csv
 
@@ -61,19 +60,25 @@ def _floats(values) -> list[list[float]]:
     return rows
 
 
-@dataclass(frozen=True)
 class Series:
     """Contiguous daily values, markers × days; NaN marks a missing day."""
 
-    start: date
-    names: tuple[str, ...]  # the marker of each row, no two alike
-    values: list[list[float]]  # one row of days per marker
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "values", _floats(self.values))
+    def __init__(self, start: date, names: Sequence[str], values) -> None:
+        self.start = start
+        self.names = tuple(names)  # the marker of each row, no two alike
+        self.values = _floats(values)  # one row of days per marker
         if not len(self.values) == len(set(self.names)) == len(self.names):
             raise ValueError(f"need one distinct name per row, got {list(self.names)}")
+
+    def _with(self, values: list[list[float]], start: date | None = None,
+              names: tuple[str, ...] | None = None) -> Series:
+        """This series with ``values``, rows that are already lists of floats,
+        and ``start`` and ``names`` when given; the rows are not converted again."""
+        new = object.__new__(Series)
+        new.start = self.start if start is None else start
+        new.names = self.names if names is None else names
+        new.values = values
+        return new
 
     def __len__(self) -> int:
         """The number of days; 0 without rows."""
@@ -83,8 +88,12 @@ class Series:
         """The rows of ``names``, in that order; an unknown name is a ``KeyError``."""
         if isinstance(names, str):
             raise TypeError("select rows by a sequence of names, not one str")
+        names = tuple(names)
         row = dict(zip(self.names, self.values))
-        return replace(self, names=names, values=[row[n] for n in names])
+        values = [row[n] for n in names]
+        if len(set(names)) < len(names):
+            raise ValueError(f"need one distinct name per row, got {list(names)}")
+        return self._with(values, names=names)
 
     def dates(self) -> list[date]:
         return [self.start + timedelta(days=i) for i in range(len(self))]
@@ -101,11 +110,10 @@ class Series:
             raise ValueError(f"start {start} after end {end}")
         i0 = self.index_of(start)
         i1 = self.index_of(end)
-        return replace(self, start=start, values=[v[i0 : i1 + 1] for v in self.values])
+        return self._with([v[i0 : i1 + 1] for v in self.values], start=start)
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(NamedTuple):
     date: date
     index: int
     height: float
@@ -167,7 +175,7 @@ def smooth(s: Series, window: int) -> Series:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    return replace(s, values=[_smooth_row(v, window) for v in s.values])
+    return s._with([_smooth_row(v, window) for v in s.values])
 
 
 def gradient(s: Series) -> Series:
@@ -178,7 +186,7 @@ def gradient(s: Series) -> Series:
     """
     if len(s) < 2:
         raise ValueError("gradient needs at least 2 points")
-    return replace(s, values=[
+    return s._with([
         [v[1] - v[0]]
         + [(v[i + 1] - v[i - 1]) / 2.0 for i in range(1, len(v) - 1)]
         + [v[-1] - v[-2]]
@@ -273,10 +281,10 @@ def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> dict[str, list[Peak]]:
     negation (fall peaks score the magnitude of decrease), each followed by
     its own prominence filter. Results are merged in date order.
     """
-    neg = replace(sg, values=[[-x for x in v] for v in sg.values])
+    neg = sg._with([[-x for x in v] for v in sg.values])
     return {name: sorted(
         filter_peaks(rises, sigma_mult)
-        + [replace(p, direction=FALL) for p in filter_peaks(falls, sigma_mult)],
+        + [p._replace(direction=FALL) for p in filter_peaks(falls, sigma_mult)],
         key=lambda p: (p.index, p.direction),
     ) for name, rises, falls in zip(sg.names, find_peaks(sg), find_peaks(neg))}
 
@@ -319,10 +327,10 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
             signed += z
         combined.append(magnitude / len(zs))
         signed_mean.append(signed / len(zs))
-    (candidates,) = find_peaks(Series(sg.start, [JOINT], [combined]))
+    (candidates,) = find_peaks(sg._with([combined], names=(JOINT,)))
     peaks = filter_peaks(candidates, sigma_mult)
     return [
-        replace(p, direction=RISE if signed_mean[p.index] >= 0 else FALL)
+        p._replace(direction=RISE if signed_mean[p.index] >= 0 else FALL)
         for p in peaks
     ]
 

@@ -8,7 +8,6 @@ import signal
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -79,6 +78,38 @@ class TestRunConfig:
         assert run_cli("analyze", "--config", str(ws["config"])) == 2
         assert repr(key) in capsys.readouterr().err
         assert not ws["out"].exists()
+
+    @pytest.mark.parametrize("key, value, says", [
+        ("window", "7", "must be int, got '7'"),
+        ("corpus", ["a.jsonl", 1], "must be list[str], got ['a.jsonl', 1]"),
+        ("events", 3, "must be str | None, got 3"),
+        ("markers", "a", "must be list[str] | None, got 'a'"),
+        ("k", [[[[[[[[[[]]]]]]]]]], "must be int, got [[[[[[[...]]]]]]]"),
+        ("out", ["o" * 5000], "must be str, got ['oooooooooooo...ooooooooooooo']"),
+    ], ids=["int", "list", "optional", "optional-list", "nested", "long"])
+    def test_a_wrongly_typed_value_is_named_by_its_type_and_shown_cut_short(
+        self, tmp_path, capsys, key, value, says
+    ):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        assert run_cli("render", "--config", str(path), str(tmp_path / "p.csv")) == 2
+        assert capsys.readouterr().err == f"error: {path}: config key {key!r} {says}\n"
+
+    def test_a_deeply_nested_value_gives_a_short_error_line(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"k": ' + "[" * 400 + "]" * 400 + "}")
+        assert run_cli("render", "--config", str(path), str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: config key 'k' must be int, got [[[")
+        assert len(err) - len(str(path)) < 80
+
+    def test_a_huge_integer_is_reported_without_advice_no_user_can_take(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"k": 1' + "0" * 5000 + "}")
+        assert run_cli("render", "--config", str(path), str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: Exceeds the limit (4300")
+        assert err.endswith(" value has 5001 digits\n")
 
     @pytest.mark.parametrize("key, value", [("sigma_mult", 2), ("markers", None),
                                             ("workers", None)])
@@ -552,7 +583,7 @@ def test_the_report_is_a_function_of_the_counts(tmp_path, capsys, data_dir, pool
 
     ws = _study_workspace(tmp_path, data_dir)
     assert run_cli("analyze", "--config", str(ws["config"]), "--workers", workers) == 0
-    cfg = replace(RunConfig.from_file(ws["config"]), out=str(tmp_path / "report"))
+    cfg = RunConfig.from_file(ws["config"])._replace(out=str(tmp_path / "report"))
     agg = matching.read_prevalence_csv(ws["out"] / "prevalence.csv")
     assert cli._report(agg, cfg, cli._markers(cfg.markers, agg.categories),
                        reporting.load_events_csv(cfg.events),

@@ -84,6 +84,44 @@ def test_no_subcommand_loads_logging(tmp_path):
             in proc.stderr)
 
 
+# Modules whose import a command's start-up does without: ``dataclasses``
+# pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and only a fold that
+# forks pickles. NumPy, which ``expand`` loads, imports ``inspect`` and ``pickle``.
+START_UP_SPARES = ("dataclasses", "inspect", "pickle")
+
+
+@pytest.mark.parametrize("command, spared", [
+    ("stats", START_UP_SPARES), ("analyze", START_UP_SPARES), ("render", START_UP_SPARES),
+    ("expand", ("dataclasses",)),
+])
+def test_no_subcommand_loads_dataclasses(tmp_path, command, spared):
+    """A fresh interpreter runs one subcommand, the corpus read in this
+    process: none of ``spared`` is loaded that was not loaded before."""
+    ws = write_burst_workspace(tmp_path, n_days=20, per_day=30)
+    (tmp_path / "anxiety.json").write_text('{"name": "anxiety", "terms": ["alfa"]}')
+    (tmp_path / "manifest.json").write_text('{"anxiety": "anxiety.json"}')
+    (tmp_path / "emb.txt").write_text("2 2\nalfa 1 0\nbeta 0.9 0.1\n")
+    (tmp_path / "prevalence.csv").write_text(
+        "date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n2020-03-02,a,2,10,20.0\n")
+    expand = tmp_path / "expand.json"
+    expand.write_text(json.dumps({"manifest": str(tmp_path / "manifest.json"),
+                                  "embeddings": str(tmp_path / "emb.txt"),
+                                  "categories": str(ws["categories"])}))
+    out = str(ws["out"])
+    argv = {"stats": ["stats", "--config", str(ws["config"]), "--workers", "1"],
+            "analyze": ["analyze", "--config", str(ws["config"]), "--workers", "1"],
+            "render": ["render", "--out", out, str(tmp_path / "prevalence.csv")],
+            "expand": ["expand", "--config", str(expand), "--out", out]}[command]
+    script = ("import json, sys; before = set(sys.modules); from crisismon import cli; "
+              "code = cli.main(json.loads(sys.argv[1])); "
+              "print(code, sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0", proc.stderr
+    assert not set(spared) & set(ast.literal_eval(loaded))
+
+
 def test_every_public_name_resolves_to_its_module():
     for name in crisismon.__all__:
         value = getattr(crisismon, name)

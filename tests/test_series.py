@@ -7,6 +7,7 @@ import pytest
 
 from crisismon import (Series, filter_peaks, find_peaks, gradient,
                        joint_peaks, marker_peaks, smooth, smoothed_gradient)
+from crisismon import series as series_mod
 from crisismon.series import _zscore
 
 from oracles import brute_filter, brute_peaks, ref_gradient, ref_marker_peaks, ref_smooth
@@ -390,6 +391,22 @@ class TestSeriesBasics:
         for values in (5.0, [1.0, 2.0], np.zeros(3), np.zeros((2, 2, 2)), [[1.0], [1.0, 2.0]]):
             with pytest.raises(ValueError, match="series values must be markers x days"):
                 Series(D0, ["m0", "m1"], values)
+
+    def test_only_the_constructor_converts_rows(self, monkeypatch):
+        """``Series(...)`` turns an outside caller's rows into lists of floats;
+        every series derived from one reuses such rows without converting them."""
+        s = M([[0, 1, 4, 2, 3, 9, 1], [2, 3, 1, 5, 4, 8, 0]])
+        assert all(type(x) is float for row in s.values for x in row)
+
+        def converted_again(values):
+            raise AssertionError("rows converted again")
+
+        monkeypatch.setattr(series_mod, "_floats", converted_again)
+        smoothed, sg = smoothed_gradient(s[["m1", "m0"]], 2)
+        assert marker_peaks(sg).keys() == {"m1", "m0"}
+        joint_peaks(sg)
+        assert smoothed.crop(date(2020, 3, 2), date(2020, 3, 4)).values == [
+            row[1:4] for row in smoothed.values]
 
     def test_crop_outside_errors(self):
         s = S([1, 2, 3])
