@@ -56,12 +56,11 @@ import re
 import stat
 import unicodedata
 from collections import Counter
-from contextlib import closing
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .errors import FormatError
+from .errors import FormatError, error_text
 
 KIND_ORIGINAL = "original"
 KIND_REPLY = "reply"
@@ -313,8 +312,8 @@ def records(
                 raise ValueError(str(exc)) from exc
         except (ValueError, TypeError) as exc:
             if strict:
-                raise MalformedLine(source, lineno, str(exc)) from exc
-            report.record_skip(lineno, str(exc), source)
+                raise MalformedLine(source, lineno, error_text(exc)) from exc
+            report.record_skip(lineno, error_text(exc), source)
             continue
         report.parsed += 1
         yield obj, kind, day
@@ -500,7 +499,12 @@ def _fork(fold: Callable[[Iterator], T], corpus: Corpus,
     import pickle  # here: a fold that forks no worker never needs it
 
     rfd, wfd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:  # out of processes, say: no worker will use the pipe
+        os.close(rfd)
+        os.close(wfd)
+        raise
     if pid == 0:  # the worker, which never returns from here
         code = 1
         try:
@@ -519,38 +523,21 @@ def _fork(fold: Callable[[Iterator], T], corpus: Corpus,
     return pid, rfd
 
 
-def _fold_shares(fold: Callable[[Iterator], T], corpus: Corpus, shares: list[list[ByteRange]]
-                 ) -> Iterator[tuple[ByteRange, tuple[T, ParseReport] | Exception]]:
-    """Each range with its outcome, in file order. The first share is
-    folded in this process and every other one in a forked worker, all at
-    once; a worker's outcomes are read when the shares before it are done.
-    A worker that dies raises :class:`ChildProcessError`, and workers still
-    running when the fold stops are killed."""
-    workers: list[tuple[int, int]] = []  # (pid, read end) of each worker not yet reaped
-    try:
-        for share in shares[1:]:
-            workers.append(_fork(fold, corpus, share))
-        yield from zip(shares[0], _fold_share(fold, corpus, shares[0]))
-        if workers:
-            import pickle  # as in ``_fork``
-        for share in shares[1:]:
-            pid, fd = workers[0]
-            with open(fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(workers.pop(0)[1])
-            if code:
-                raise ChildProcessError(f"a corpus worker was killed by signal {-code}"
-                                        if code < 0 else
-                                        f"a corpus worker exited with status {code}")
-            yield from zip(share, pickle.loads(data))
-    finally:
-        if workers:
-            import signal  # here: a fold that runs to its end never needs it
-        for pid, fd in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
+def _reap(pending: list[tuple[int, int]]) -> list:
+    """The outcomes that the first of the ``pending`` workers wrote: its pipe
+    is read to the end, then the worker is waited for and leaves ``pending``.
+    A worker that died raises :class:`ChildProcessError`."""
+    import pickle  # loaded already: only a worker that ``_fork`` made is pending
+
+    pid, fd = pending[0]
+    with open(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    os.close(pending.pop(0)[1])
+    if code:
+        raise ChildProcessError(f"a corpus worker was killed by signal {-code}" if code < 0 else
+                                f"a corpus worker exited with status {code}")
+    return pickle.loads(data)
 
 
 def _file_size(path: str) -> int | None:
@@ -578,9 +565,11 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
 
     With :func:`pool_size` above 1, the corpus is cut into that many shares
     (:func:`split_shares`): this process folds the first and a forked worker
-    each other one. ``fork``, not ``spawn``: a spawned worker starts a fresh
-    interpreter and imports the package again, which, measured when that
-    import included NumPy, cost more than the parallel fold saved. Otherwise
+    each other one. A worker that dies raises :class:`ChildProcessError`, and
+    workers still running when the fold stops are killed. ``fork``, not
+    ``spawn``: a spawned worker starts a fresh interpreter and imports the
+    package again, which, measured when that import included NumPy, cost
+    more than the parallel fold saved. Otherwise
     each file is one range, read to its end in this process, so a pipe such
     as ``<(zcat corpus.jsonl.gz)`` works. The folds of ``stats`` and
     ``analyze`` count in Python ints, and neither command ever imports NumPy,
@@ -595,19 +584,30 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
         shares = [[ByteRange(path, 0, None) for path in corpus.paths]]
     merged = fold(iter(()))
     lines_before = 0  # lines of the range's file in the ranges before it
-    # Closed here, not when it is collected, so a raise kills the workers at once.
-    with closing(_fold_shares(fold, corpus, shares)) as outcomes:
-        for r, outcome in outcomes:
-            if r.start == 0:
-                lines_before = 0
-            if isinstance(outcome, Exception):
-                if isinstance(outcome, MalformedLine):
-                    outcome.lineno += lines_before
-                raise outcome
-            part, part_report = outcome
-            report.merge(part_report, lines_before)
-            lines_before += part_report.lines
-            merged.merge(part)
+    pending: list[tuple[int, int]] = []  # (pid, read end) of each worker not yet reaped
+    try:
+        for share in shares[1:]:
+            pending.append(_fork(fold, corpus, share))
+        for i, share in enumerate(shares):
+            # The first share here; a worker's once the shares before it are merged.
+            for r, outcome in zip(share, _reap(pending) if i else _fold_share(fold, corpus, share)):
+                if r.start == 0:
+                    lines_before = 0
+                if isinstance(outcome, Exception):
+                    if isinstance(outcome, MalformedLine):
+                        outcome.lineno += lines_before
+                    raise outcome
+                part, part_report = outcome
+                report.merge(part_report, lines_before)
+                lines_before += part_report.lines
+                merged.merge(part)
+    finally:
+        if pending:
+            import signal  # here: a fold that runs to its end never needs it
+        for pid, fd in pending:  # still running when the fold stopped
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
     return merged
 
 

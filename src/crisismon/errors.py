@@ -10,12 +10,14 @@ Two broad failure families matter to callers (and to the CLI exit codes):
 Every CSV and JSON file but the corpus is read and written here, so the
 header check, the line-numbered error, the float cell (its ``repr``, blank
 when missing), the JSON encoding and the rejection of a repeated JSON key are
-each decided once.
+each decided once. So is the text of Python's error for an integer of too
+many digits, which differs between patch releases.
 """
 
 import csv
 import json
 import re
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -79,6 +81,22 @@ def cell(x: float | None) -> str:
     return "" if x is None or x != x else repr(x)
 
 
+# Python's error for a decimal string of more digits than it converts; 3.10
+# says ``limit (4300)`` where later releases say ``limit (4300 digits)``.
+_INT_LIMIT = re.compile(r"Exceeds the limit \(\d+(?: digits)?\) for integer string conversion: "
+                        r"value has (\d+) digits")
+
+
+def error_text(exc: Exception) -> str:
+    """``str(exc)``, but an integer of too many digits reads ``an integer of N
+    digits, more than L`` on every Python, without Python's advice to raise
+    the limit: no crisismon user can."""
+    text = str(exc)
+    if m := _INT_LIMIT.match(text):
+        return f"an integer of {m[1]} digits, more than {sys.get_int_max_str_digits()}"
+    return text
+
+
 # A JSON escape of U+D800..U+DFFF; a pair of them decodes to one character.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
@@ -100,9 +118,7 @@ def read_json(path: str | Path) -> object:
     try:
         value = json.loads(text, object_pairs_hook=unique)
     except (ValueError, RecursionError) as exc:  # bad syntax, a 4,301-digit int, deep nesting
-        # Less CPython's advice to raise the digit limit: no crisismon user can.
-        reason = str(exc).split("; use sys.set_int_max_str_digits()")[0]
-        raise FormatError(f"{path}: invalid JSON: {reason}") from exc
+        raise FormatError(f"{path}: invalid JSON: {error_text(exc)}") from exc
     if _SURROGATE_ESCAPE.search(text):  # rare: only then is the whole value encoded
         try:
             json.dumps(value, ensure_ascii=False).encode("utf-8")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import cell, read_csv, write_csv
 from .series import JOINT, PEAK_COLUMNS, Peak, Series, _sum, peak_cells
@@ -30,36 +30,37 @@ DARK = 12.0  # luminance percent at the maximum value
 StageRow = tuple[str, str, float | None]  # marker, stage, max_pct_diff (None: undefined)
 
 
-class StageWindow:
+class _StageWindow(NamedTuple):
+    stage: str
+    start: date
+    end: date
+
+
+class StageWindow(_StageWindow):
     """A labeled, inclusive date range; stages may overlap."""
 
-    def __init__(self, stage: str, start: date, end: date):
+    __slots__ = ()
+
+    def __new__(cls, stage: str, start: date, end: date) -> StageWindow:
         if not stage:
             raise ValueError("stage name must be non-empty")
         if start > end:
             raise ValueError(f"stage {stage!r}: start after end")
-        self.stage, self.start, self.end = stage, start, end
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and (
-            (self.stage, self.start, self.end) == (other.stage, other.start, other.end))
-
-    def __hash__(self) -> int:
-        return hash((self.stage, self.start, self.end))
+        return super().__new__(cls, stage, start, end)
 
 
-class EventRecord:
-    def __init__(self, date: date, description: str):
+class _EventRecord(NamedTuple):
+    date: date
+    description: str
+
+
+class EventRecord(_EventRecord):
+    __slots__ = ()
+
+    def __new__(cls, date: date, description: str) -> EventRecord:
         if not description:
             raise ValueError("event description must be non-empty")
-        self.date, self.description = date, description
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and (
-            (self.date, self.description) == (other.date, other.description))
-
-    def __hash__(self) -> int:
-        return hash((self.date, self.description))
+        return super().__new__(cls, date, description)
 
 
 def _fill(norm: float) -> str:

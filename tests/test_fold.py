@@ -170,6 +170,26 @@ def test_a_worker_that_dies_fails_the_fold_instead_of_hanging(tmp_path, pool_on)
     assert _no_children_left()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_fork_that_fails_leaks_no_pipe_and_no_worker(tmp_path, monkeypatch, pool_on):
+    paths = _write_corpus(tmp_path)
+    forks, fork = [], os.fork
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(corpus_mod.os, "fork", second_fails)
+    with pytest.raises(BlockingIOError):
+        _fold_pids(Corpus(tuple(paths)), workers=3)
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert _no_children_left()
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_pipe_is_read_once_to_its_end(cpus):
     r, w = os.pipe()

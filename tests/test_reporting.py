@@ -241,6 +241,18 @@ class TestStagePrevalenceTable:
         assert lines[2] == "m,t,"
 
 
+@pytest.mark.parametrize("record, field, value", [
+    (StageWindow("s", D0, D0 + timedelta(days=4)), "start", D0 + timedelta(days=9)),
+    (StageWindow("s", D0, D0 + timedelta(days=4)), "stage", ""),
+    (EventRecord(D0, "cuarentena"), "description", ""),
+], ids=["window-start", "window-stage", "event-description"])
+def test_a_window_or_event_cannot_be_changed_past_its_checks(record, field, value):
+    fields, seen = tuple(record), {record}
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    assert tuple(record) == fields and record in seen
+
+
 class TestCsvLoaders:
     def test_events_fixture_loads(self, data_dir):
         events = load_events_csv(data_dir / "events" / "mental_health.csv")
