@@ -280,9 +280,13 @@ def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int
     start, end = cfg.check("render")
     agg = matching.read_prevalence_csv(input_csv)
     markers = _markers(cfg.markers, agg.categories)
+    start, end = start or agg.start, end or agg.end
+    if not agg.start <= start <= end <= agg.end:
+        raise ValueError(f"{input_csv}: cannot render {start}..{end}: "
+                         f"its days are {agg.start}..{agg.end}")
     shown = series.smooth(series.Series(agg.start, agg.categories, agg.percent())[markers],
                           window or 1)
-    svg = reporting.render_heatmap(shown.crop(start or agg.start, end or agg.end))
+    svg = reporting.render_heatmap(shown.crop(start, end))
     out = _out_dir(cfg) / "heatmap.svg"
     out.write_bytes(svg)
     print(out)

@@ -34,12 +34,13 @@ would return that same value, since all it does beyond the scan is skip
 whitespace before and after the value and reject anything else that
 follows. Every other line (blank, leading whitespace, a BOM, a ``\r\n``
 ending, trailing data, a scanner error) goes to ``json.loads``, so its value
-or error is ``json.loads``' own. One expression tests that every field is
-present with its type; only a line that fails it runs the field-by-field
-checks, which find the fault to report, so a good line skips them and a bad
-one is reported as before. The day is the timestamp plus a shift that
-depends only on its UTC offset, so each offset's shift is worked out once
-per call.
+or error is ``json.loads``' own. It parses the line without its final ``\n``,
+so a syntax error names JSON's message and a column of this line alone. One
+expression tests that every field is present with its type; only a line
+that fails it runs the field-by-field checks, which find the fault to
+report, so a good line skips them and a bad one is reported as before.
+The day is the timestamp plus a shift that depends only on its UTC offset,
+so each offset's shift is worked out once per call.
 
 A :class:`Corpus` is folded range by range: :func:`fold_corpus` cuts its
 files into byte ranges that start at line starts, folds each range into a
@@ -111,10 +112,9 @@ class ParseReport:
 
     MAX_EXAMPLES = 10
 
-    def __init__(self, lines: int = 0, parsed: int = 0, skipped: int = 0,
-                 examples: list[tuple[int, str, str]] | None = None):
-        self.lines, self.parsed, self.skipped = lines, parsed, skipped
-        self.examples = [] if examples is None else examples
+    def __init__(self) -> None:
+        self.lines = self.parsed = self.skipped = 0
+        self.examples: list[tuple[int, str, str]] = []
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and vars(self) == vars(other)
@@ -277,7 +277,10 @@ def records(
                 if not whole:
                     if not line.strip():
                         continue
-                    obj = json.loads(line)
+                    try:
+                        obj = json.loads(line[:-1] if line[-1] == "\n" else line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"{exc.msg}: column {exc.colno}") from None
             except RecursionError as exc:  # a deep stack and deep nesting
                 raise ValueError(str(exc)) from exc
             if not isinstance(obj, dict):
@@ -319,26 +322,22 @@ def records(
         yield obj, kind, day
 
 
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Exact corpus counts, merged range by range."""
 
-    def __init__(self, kinds: Counter | None = None, n_with_hashtag: int = 0,
-                 per_user: Counter | None = None, per_day: Counter | None = None):
-        self.kinds = Counter() if kinds is None else kinds
-        self.n_with_hashtag = n_with_hashtag
-        self.per_user = Counter() if per_user is None else per_user
-        self.per_day = Counter() if per_day is None else per_day
+    kinds: Counter
+    n_with_hashtag: int
+    per_user: Counter
+    per_day: Counter
 
     @property
     def total(self) -> int:
         return sum(self.kinds.values())
 
-    def merge(self, later: CorpusStats) -> None:
-        """Add the counts of a later part of the corpus."""
-        self.kinds.update(later.kinds)
-        self.n_with_hashtag += later.n_with_hashtag
-        self.per_user.update(later.per_user)
-        self.per_day.update(later.per_day)
+    def merge(self, later: CorpusStats) -> CorpusStats:
+        """These counts plus those of a later part of the corpus."""
+        return CorpusStats(self.kinds + later.kinds, self.n_with_hashtag + later.n_with_hashtag,
+                           self.per_user + later.per_user, self.per_day + later.per_day)
 
     def user_summary(self) -> dict | None:
         """min/avg/max/median tweets per user; None for an empty corpus.
@@ -553,7 +552,7 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
                 report: ParseReport) -> T:
     """Return ``fold(recs)`` of each byte range of the corpus, merged in file
     order, where ``recs`` iterates over the :func:`records` of the range's
-    lines and ``merge(later)`` on a result adds a later one in place.
+    lines and ``merge(later)`` on a result returns its sum with a later one.
 
     The merge starts from ``fold`` of no records. Each range's parse outcomes
     are merged into ``report``, its lines numbered within their file, so the
@@ -600,7 +599,7 @@ def fold_corpus(corpus: Corpus, fold: Callable[[Iterator], T], workers: int,
                 part, part_report = outcome
                 report.merge(part_report, lines_before)
                 lines_before += part_report.lines
-                merged.merge(part)
+                merged = merged.merge(part)
     finally:
         if pending:
             import signal  # here: a fold that runs to its end never needs it

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .corpus import preprocess
 from .errors import FormatError, read_json, write_json
@@ -32,18 +33,11 @@ class Lexicon(NamedTuple):
         return frozenset(t[0] for t in self.terms if len(t) == 1)
 
 
-class _CategorySet(NamedTuple):
+class CategorySet(NamedTuple):
+    """Lexicons by category name; with none given, an empty read-only mapping."""
+
     name: str
-    categories: dict[str, Lexicon]
-
-
-class CategorySet(_CategorySet):
-    """Lexicons by category name; with none given, a fresh empty dict."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, categories: dict[str, Lexicon] | None = None) -> CategorySet:
-        return super().__new__(cls, name, {} if categories is None else categories)
+    categories: Mapping[str, Lexicon] = MappingProxyType({})
 
 
 class MarkerMapping(NamedTuple):

@@ -18,9 +18,10 @@ Daily aggregation is a single fold over a corpus into a categories × days
 count matrix; it never holds the documents, so memory grows with days ×
 categories, not with the corpus. A corpus is folded in byte ranges, in
 forked workers when more than one is allowed. Each range's counts are a
-``DailyAggregate``, and ``DailyAggregate.merge`` adds them in file order into
-the counts of one pass. A range goes from its raw lines to counts in one
-loop: of each checked record (:func:`~crisismon.corpus.records`) it reads
+``DailyAggregate``, and ``DailyAggregate.merge`` returns the sum of two
+without changing either, so the ranges' counts summed in file order are the
+counts of one pass. A range goes from its raw lines to counts in one loop:
+of each checked record (:func:`~crisismon.corpus.records`) it reads
 the kind, the day and the text, and counts in Python ints. The counts stay
 Python ints, in tuples, and the percentages are Python floats, so matching
 never loads NumPy. All categories share one denominator: the number
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from datetime import date, timedelta
-from functools import cached_property, partial
+from functools import partial
 from operator import add
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -104,7 +105,7 @@ class DailyPrevalence(NamedTuple):
     total: object  # the same, documents per day
 
 
-class DailyAggregate:
+class DailyAggregate(NamedTuple):
     """The daily counts from ``start`` on: one row of days per category, in
     the order of ``categories``, and one row of the documents seen each day,
     the denominator of every category, plus bookkeeping.
@@ -113,31 +114,22 @@ class DailyAggregate:
     of the rows' last cell.
     """
 
-    def __init__(self, start: date, categories: tuple[str, ...], matched: list[tuple[int, ...]],
-                 totals: tuple[int, ...], dropped: int):
-        self.start = start
-        self.categories = categories
-        self.matched = matched  # categories × days
-        self.totals = totals  # documents per day
-        self.dropped = dropped  # documents outside the configured date range
-
-    def __eq__(self, other: object) -> bool:
-        """Equal counts; the cached ``prevalence`` arrays are left out."""
-        return type(other) is type(self) and (
-            (self.start, self.categories, self.matched, self.totals, self.dropped)
-            == (other.start, other.categories, other.matched, other.totals, other.dropped))
+    start: date
+    categories: tuple[str, ...]
+    matched: list[tuple[int, ...]]  # categories × days
+    totals: tuple[int, ...]  # documents per day
+    dropped: int  # documents outside the configured date range
 
     @property
     def end(self) -> date:
         return self.start + timedelta(days=len(self.totals) - 1)
 
-    def merge(self, later: DailyAggregate) -> None:
-        """Add the counts of a later part of the corpus, over the same days."""
-        self.matched = [tuple(map(add, row, part))
-                        for row, part in zip(self.matched, later.matched)]
-        self.totals = tuple(map(add, self.totals, later.totals))
-        self.dropped += later.dropped
-        self.__dict__.pop("prevalence", None)  # arrays of the counts before
+    def merge(self, later: DailyAggregate) -> DailyAggregate:
+        """These counts plus those of a later part of the corpus, over the same days."""
+        return self._replace(matched=[tuple(map(add, row, part))
+                                      for row, part in zip(self.matched, later.matched)],
+                             totals=tuple(map(add, self.totals, later.totals)),
+                             dropped=self.dropped + later.dropped)
 
     def percent(self) -> list[list[float]]:
         """Categories × days of 100*matched/total; NaN on a day with no documents."""
@@ -145,10 +137,10 @@ class DailyAggregate:
         return [[100.0 * m / t if t > 0 else math.nan for m, t in zip(row, totals)]
                 for row in self.matched]
 
-    @cached_property
+    @property
     def prevalence(self) -> dict[str, DailyPrevalence]:
-        """Each category's counts as read-only int64 arrays, built on first use;
-        every category shares one ``total`` array.
+        """Each category's counts as read-only int64 arrays, built anew on each
+        read; every category shares one ``total`` array.
 
         For library callers that want arrays; it loads NumPy, which nothing
         else in ``stats``, ``analyze`` or ``render`` does.

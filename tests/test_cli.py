@@ -507,13 +507,14 @@ def test_stats_and_analyze_fork_from_a_single_threaded_process(tmp_path):
     ("day", "date value out of range"),
     ("deep", "nested more than 500 deep"),
     ("bigid", "an integer of 5001 digits, more than 4300"),
+    ("truncated", "Expecting ',' delimiter: column 49"),
 ])
 @pytest.mark.parametrize("command", ["stats", "analyze"])
 def test_hostile_lines_are_malformed_for_any_workers(tmp_path, capsys, pool_on, command,
                                                      hostile, reason):
-    """A day before year 1 at UTC-3, nesting too deep for json and an id of
-    more digits than Python converts, in the share that the forked worker
-    folds when there are two processes."""
+    """A day before year 1 at UTC-3, nesting too deep for json, an id of
+    more digits than Python converts and a record cut short, in the share
+    that the forked worker folds when there are two processes."""
     ws = write_burst_workspace(tmp_path, seed=31, n_days=20, per_day=30)
     corpus = ws["corpus"]
     lines = corpus.read_bytes().splitlines(keepends=True)
@@ -525,6 +526,8 @@ def test_hostile_lines_are_malformed_for_any_workers(tmp_path, capsys, pool_on, 
         obj = json.loads(lines[449])
         obj["id"] = "?"
         lines[449] = json.dumps(obj).replace('"?"', "1" + "0" * 5000).encode() + b"\n"
+    elif hostile == "truncated":  # its column counts within the line, not past its \n
+        lines[449] = b'{"id": "1", "created_at": "2020-03-01T10:00:00Z"\n'
     else:
         lines[449] = b"[" * 100_000 + b"\n"
     corpus.write_bytes(b"".join(lines))
@@ -541,6 +544,24 @@ def test_hostile_lines_are_malformed_for_any_workers(tmp_path, capsys, pool_on, 
         assert run_cli(command, "--config", str(ws["config"]), "--workers", workers,
                        "--strict") == 2
         assert capsys.readouterr().err == f"error: {corpus}: line 450: {reason}\n"
+
+
+def test_a_worker_that_cannot_send_its_counts_is_an_error_line(tmp_path, capsys, monkeypatch,
+                                                                pool_on):
+    """A worker whose outcome does not pickle exits with a status, not a signal."""
+    from crisismon import corpus as corpus_mod
+
+    parent, count = os.getpid(), corpus_mod._count_stats
+
+    def unpicklable_in_worker(recs):
+        stats = count(recs)
+        return stats if os.getpid() == parent else (stats, recs)  # a generator does not pickle
+
+    monkeypatch.setattr(corpus_mod, "_count_stats", unpicklable_in_worker)
+    ws = _split_workspace(tmp_path)
+    assert run_cli("stats", "--config", str(ws["config"]), "--workers", "2") == 2
+    assert capsys.readouterr().err == "error: a corpus worker exited with status 1\n"
+    assert not ws["out"].exists()
 
 
 def test_a_dead_corpus_worker_is_an_error_line(tmp_path, capsys, monkeypatch, pool_on):
@@ -746,8 +767,17 @@ class TestExpand:
          "expected an object with 'name' and 'categories', 'name' a string"),
         ("config.json", '{"k": 1' + "0" * 5000 + "}",
          "invalid JSON: an integer of 5001 digits, more than 4300"),
+        ("config.json", '["k", 3]', "config must be a JSON object"),
+        ("cats.json", '{"name": "demo", "categories": ["miedo"]}',
+         "'categories' must be an object"),
+        ("manifest.json", '["seed.json"]', "manifest must be an object"),
+        ("emb.txt", "six 3\nmiedo 1.0 0.0 0.0\n", "line 1: non-integer header"),
+        ("emb.txt", "0 3\n", "line 1: header values must be >= 1"),
+        ("emb.txt", "1 0\nmiedo\n", "line 1: header values must be >= 1"),
     ], ids=["lexicon-name-null", "lexicon-terms-a-string", "category-set-name-a-number",
-            "config-a-huge-integer"])
+            "config-a-huge-integer", "config-an-array", "categories-an-array",
+            "manifest-an-array", "embeddings-header-a-word", "embeddings-of-no-rows",
+            "embeddings-of-no-dimensions"])
     def test_a_misshapen_lexicon_file_exits_two(self, tmp_path, capsys, name, body, says):
         config, out = self._workspace(tmp_path)
         path = tmp_path / name
@@ -1174,6 +1204,21 @@ class TestRender:
         assert code == 0
         svg = (render_out / "heatmap.svg").read_text()
         assert svg.count("<rect") < (ws["out"] / "heatmap.svg").read_text().count("<rect")
+
+    @pytest.mark.parametrize("flags, asked", [
+        (["--from", "2020-02-01"], "2020-02-01..2020-03-02"),
+        (["--to", "2020-03-03"], "2020-03-01..2020-03-03"),
+        (["--to", "2020-02-01"], "2020-03-01..2020-02-01"),
+    ], ids=["from-before-the-first-day", "to-after-the-last-day", "to-before-the-first-day"])
+    def test_dates_outside_the_csv_days_exit_one(self, tmp_path, capsys, flags, asked):
+        path = tmp_path / "prevalence.csv"
+        path.write_text("date,category,matched,total,percent\n"
+                        "2020-03-01,a,1,10,10.0\n2020-03-02,a,2,10,20.0\n")
+        out = tmp_path / "out"
+        assert run_cli("render", "--out", str(out), *flags, str(path)) == 1
+        assert capsys.readouterr().err == (f"error: {path}: cannot render {asked}: "
+                                           "its days are 2020-03-01..2020-03-02\n")
+        assert not out.exists()
 
     def test_categories_over_different_days_exit_two(self, tmp_path, capsys):
         # "a" lacks 2020-03-04 and "b" lacks 2020-03-01: a listed day lacks a

@@ -239,6 +239,15 @@ class TestKnn:
         with pytest.raises(ValueError, match="'zzz' is not in the vocabulary"):
             knn(table, "zzz", 1)
 
+    @pytest.mark.parametrize("tokens, matrix, says", [
+        (["a", "b"], [[1.0, 0.0]], "matrix shape does not match token list"),
+        (["a"], [1.0, 0.0], "matrix shape does not match token list"),
+        ([], np.zeros((0, 2)), "empty vocabulary"),
+    ], ids=["a-row-short", "a-flat-matrix", "no-tokens"])
+    def test_a_table_needs_a_row_per_token_and_a_token(self, tokens, matrix, says):
+        with pytest.raises(ValueError, match=f"^{says}$"):
+            EmbeddingTable(tokens, matrix)
+
     def test_tie_break_is_lexicographic(self):
         table = EmbeddingTable(
             ["query", "zeta", "alfa", "beta"],

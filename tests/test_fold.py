@@ -1,11 +1,13 @@
 """The corpus fold: shares of byte ranges tile the files, and a fold in
 forked workers equals the fold of one pass in this process."""
 
+import copy
 import json
 import os
 import random
 import re
 import signal
+from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -15,9 +17,10 @@ from hypothesis import strategies as st
 
 from crisismon import CategorySet, aggregate_daily, build_matcher, make_lexicon
 from crisismon import corpus as corpus_mod
-from crisismon.corpus import (ByteRange, Corpus, MalformedLine, ParseReport, corpus_stats,
-                              fold_corpus, pool_size, read_range, split_shares)
+from crisismon.corpus import (ByteRange, Corpus, CorpusStats, MalformedLine, ParseReport,
+                              corpus_stats, fold_corpus, pool_size, read_range, split_shares)
 from crisismon.errors import FormatError
+from crisismon.matching import DailyAggregate
 
 from oracles import naive_aggregate, naive_records, naive_stats, ref_preprocess
 
@@ -124,6 +127,24 @@ class _Pids:
     def merge(self, later):
         self.pids |= later.pids
         self.n += later.n
+        return self
+
+
+@pytest.mark.parametrize("a, b, total", [
+    (DailyAggregate(START, ("A", "B"), [(1, 0), (0, 2)], (3, 4), 1),
+     DailyAggregate(START, ("A", "B"), [(2, 1), (1, 1)], (2, 5), 2),
+     DailyAggregate(START, ("A", "B"), [(3, 1), (1, 3)], (5, 9), 3)),
+    (CorpusStats(Counter(original=2, reply=1), 1, Counter(u1=2, u2=1), Counter({START: 3})),
+     CorpusStats(Counter(original=1, retweet=4), 3, Counter(u2=1, u3=4),
+                 Counter({START: 1, END: 4})),
+     CorpusStats(Counter(original=3, reply=1, retweet=4), 4, Counter(u1=2, u2=2, u3=4),
+                 Counter({START: 4, END: 4}))),
+], ids=["daily-aggregate", "corpus-stats"])
+def test_merge_returns_the_sum_and_leaves_both_parts_as_they_were(a, b, total):
+    before = copy.deepcopy((a, b))
+    merged = a.merge(b)
+    assert type(merged) is type(a) and merged == total
+    assert (a, b) == before
 
 
 def _fold_pids(corpus, workers):

@@ -118,7 +118,7 @@ class TestAggregateDaily:
     def test_merge_adds_a_later_part_and_rebuilds_the_arrays(self):
         agg = DailyAggregate(START, ("A", "B"), [(1, 0), (0, 2)], (3, 4), 1)
         assert agg.prevalence["B"].matched.tolist() == [0, 2]
-        agg.merge(DailyAggregate(START, ("A", "B"), [(2, 1), (1, 1)], (2, 5), 2))
+        agg = agg.merge(DailyAggregate(START, ("A", "B"), [(2, 1), (1, 1)], (2, 5), 2))
         assert (agg.matched, agg.totals, agg.dropped) == ([(3, 1), (1, 3)], (5, 9), 3)
         assert agg.prevalence["B"].matched.tolist() == [1, 3]
         assert agg.prevalence["A"].total.tolist() == [5, 9]
@@ -141,9 +141,10 @@ class TestAggregateDaily:
                 row[0] = 0
         # the arrays built on demand for library callers are read-only, and
         # every category shares one total array
-        a = agg.prevalence["A"]
+        prevalence = agg.prevalence
+        a = prevalence["A"]
         assert a.total.tolist() == [3]
-        assert a.total is agg.prevalence["B"].total
+        assert a.total is prevalence["B"].total
         assert not (a.total.flags.writeable or a.matched.flags.writeable)
 
     def _random_corpus(self, seed, n_days=30, docs_per_day=25):

@@ -72,6 +72,11 @@ class TestSmooth:
         out = smooth(S(x), 7).values[0]
         assert np.allclose(out, ref, atol=1e-9)
 
+    @pytest.mark.parametrize("window", [0, -7])
+    def test_a_window_below_one_is_an_error(self, window):
+        with pytest.raises(ValueError, match="^window must be >= 1$"):
+            smooth(S([1.0, 2.0]), window)
+
     def test_smoothed_gradient_is_smooth_gradient_smooth(self):
         rng = np.random.default_rng(11)
         rows = rng.normal(5, 2, size=(3, 60))
