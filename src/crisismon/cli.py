@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence, get_args, get_origin, get_typ
 
 from . import corpus as corpus_mod
 from . import matching, reporting, series
-from .errors import FormatError, read_json, write_json
+from .errors import FormatError, iso_date, read_json, write_json
 from .expansion import associate_categories, expand_lexicon, load_embeddings
 from .lexicon import (load_category_set, load_manifest, save_lexicon,
                       save_marker_mapping)
@@ -39,8 +39,10 @@ from .lexicon import (load_category_set, load_manifest, save_lexicon,
 MAX_WINDOW = 366
 
 
-class _Fields(NamedTuple):
-    corpus: list[str]
+class RunConfig(NamedTuple):
+    """Declarative description of one pipeline run; ``_replace`` sets fields."""
+
+    corpus: list[str] = ()  # a tuple: no config can change the shared default
     manifest: str | None = None
     categories: str | None = None
     embeddings: str | None = None
@@ -58,16 +60,6 @@ class _Fields(NamedTuple):
     out: str = "out"
     workers: int | None = None  # most processes reading the corpus; None: usable CPUs
     strict: bool = False
-
-
-class RunConfig(_Fields):
-    """Declarative description of one pipeline run; ``_replace`` sets fields."""
-
-    __slots__ = ()
-
-    def __new__(cls, corpus: list[str] | None = None, *args, **kwargs) -> RunConfig:
-        # A fresh list for each config that names no corpus.
-        return super().__new__(cls, [] if corpus is None else corpus, *args, **kwargs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -152,7 +144,7 @@ def _type_name(hint: object) -> str:
 def _day(key: str, text: str | None) -> date | None:
     """A configured date, None when unset; one that is not ISO is named by its key."""
     try:
-        return date.fromisoformat(text) if text else None
+        return iso_date(text) if text else None
     except ValueError:
         raise ValueError(f"{key} must be an ISO date (YYYY-MM-DD), got {text!r}") from None
 

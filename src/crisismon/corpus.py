@@ -267,22 +267,16 @@ def records(
                 line = line.decode("utf-8", errors=errors)
             if len(line) > MAX_DEPTH and _too_deep(line):
                 raise ValueError(f"nested more than {MAX_DEPTH} deep")
+            # json.loads' own value when it ends the line (module docstring).
             try:
-                # json.loads' own value when it ends the line (module docstring).
-                try:
-                    obj, end = scan(line, 0)
-                    whole = line[end:] in ("", "\n")
-                except (StopIteration, ValueError):
-                    whole = False
-                if not whole:
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line[:-1] if line[-1] == "\n" else line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"{exc.msg}: column {exc.colno}") from None
-            except RecursionError as exc:  # a deep stack and deep nesting
-                raise ValueError(str(exc)) from exc
+                obj, end = scan(line, 0)
+                whole = line[end:] in ("", "\n")
+            except (StopIteration, ValueError):
+                whole = False
+            if not whole:
+                if not line.strip():
+                    continue
+                obj = json.loads(line[:-1] if line[-1] == "\n" else line)
             if not isinstance(obj, dict):
                 raise ValueError("line is not a JSON object")
             if not ("kind" in obj and type(obj.get("id")) in _ID_TYPES
@@ -308,15 +302,17 @@ def records(
             shift = shifts.get(created.tzinfo)
             if shift is None:
                 shift = shifts[created.tzinfo] = tz_delta - (created.utcoffset() or timedelta(0))
-            try:
-                # Not through UTC, which may lie past a year end the day does not.
-                day = (created + shift).date()
-            except OverflowError as exc:  # the day falls outside years 1..9999
-                raise ValueError(str(exc)) from exc
-        except (ValueError, TypeError) as exc:
+            # Not through UTC, which may lie past a year end the day does not;
+            # a day outside years 1..9999 overflows.
+            day = (created + shift).date()
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+            # A JSON syntax error names a column of this line; a RecursionError
+            # comes of deep nesting on a deep stack.
+            reason = (f"{exc.msg}: column {exc.colno}" if isinstance(exc, json.JSONDecodeError)
+                      else error_text(exc))
             if strict:
-                raise MalformedLine(source, lineno, error_text(exc)) from exc
-            report.record_skip(lineno, error_text(exc), source)
+                raise MalformedLine(source, lineno, reason) from exc
+            report.record_skip(lineno, reason, source)
             continue
         report.parsed += 1
         yield obj, kind, day

@@ -10,8 +10,9 @@ Two broad failure families matter to callers (and to the CLI exit codes):
 Every CSV and JSON file but the corpus is read and written here, so the
 header check, the line-numbered error, the float cell (its ``repr``, blank
 when missing), the JSON encoding and the rejection of a repeated JSON key are
-each decided once. So is the text of Python's error for an integer of too
-many digits, which differs between patch releases.
+each decided once. So are the date form, ``YYYY-MM-DD`` on every Python,
+and the text of Python's error for an integer of too many digits, which
+differs between patch releases.
 """
 
 import csv
@@ -19,6 +20,7 @@ import json
 import re
 import sys
 from contextlib import contextmanager
+from datetime import date
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -95,6 +97,18 @@ def error_text(exc: Exception) -> str:
     if m := _INT_LIMIT.match(text):
         return f"an integer of {m[1]} digits, more than {sys.get_int_max_str_digits()}"
     return text
+
+
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(text: str) -> date:
+    """A ``YYYY-MM-DD`` date on every Python: 3.11's ``date.fromisoformat``
+    also reads ``20200301`` and ``2020-W10-1``, and 3.10's does not. Any
+    other form fails in CPython's own words."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 # A JSON escape of U+D800..U+DFFF; a pair of them decodes to one character.

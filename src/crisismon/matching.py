@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 from .corpus import KIND_RETWEET, Corpus, ParseReport, fold_corpus, preprocess
-from .errors import FormatError, cell, read_csv, write_csv
+from .errors import FormatError, cell, iso_date, read_csv, write_csv
 from .lexicon import CategorySet
 
 
@@ -248,7 +248,7 @@ def read_prevalence_csv(path: str | Path) -> DailyAggregate:
     cells: dict[str, dict[date, int]] = {}  # category -> day -> matched
 
     def take(row: dict[str, str]) -> None:
-        day, cat, (matched, total) = date.fromisoformat(row["date"]), row["category"], _counts(row)
+        day, cat, (matched, total) = iso_date(row["date"]), row["category"], _counts(row)
         counts = cells.setdefault(cat, {})
         if day in counts:
             raise ValueError(f"duplicate {day} {cat}")

@@ -19,7 +19,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import cell, read_csv, write_csv
+from .errors import cell, iso_date, read_csv, write_csv
 from .series import JOINT, PEAK_COLUMNS, Peak, Series, _sum, peak_cells
 
 DEFAULT_EVENT_LEAD_DAYS = 6
@@ -30,37 +30,17 @@ DARK = 12.0  # luminance percent at the maximum value
 StageRow = tuple[str, str, float | None]  # marker, stage, max_pct_diff (None: undefined)
 
 
-class _StageWindow(NamedTuple):
+class StageWindow(NamedTuple):
+    """A labeled, inclusive date range; stages may overlap."""
+
     stage: str
     start: date
     end: date
 
 
-class StageWindow(_StageWindow):
-    """A labeled, inclusive date range; stages may overlap."""
-
-    __slots__ = ()
-
-    def __new__(cls, stage: str, start: date, end: date) -> StageWindow:
-        if not stage:
-            raise ValueError("stage name must be non-empty")
-        if start > end:
-            raise ValueError(f"stage {stage!r}: start after end")
-        return super().__new__(cls, stage, start, end)
-
-
-class _EventRecord(NamedTuple):
+class EventRecord(NamedTuple):
     date: date
     description: str
-
-
-class EventRecord(_EventRecord):
-    __slots__ = ()
-
-    def __new__(cls, date: date, description: str) -> EventRecord:
-        if not description:
-            raise ValueError("event description must be non-empty")
-        return super().__new__(cls, date, description)
 
 
 def _fill(norm: float) -> str:
@@ -196,18 +176,29 @@ def stage_prevalence_table(rows: Series, stages: Sequence[StageWindow]) -> list[
 
 
 def load_events_csv(path: str | Path) -> list[EventRecord]:
-    """Events CSV: header ``date,description``, ISO dates, UTF-8 text."""
-    return read_csv(path, ["date", "description"], lambda row: EventRecord(
-        date=date.fromisoformat(row["date"]), description=row["description"].strip()
-    ))
+    """Events CSV: header ``date,description``, ``YYYY-MM-DD`` dates, UTF-8 text;
+    a description is not blank."""
+    def event(row: dict[str, str]) -> EventRecord:
+        day, description = iso_date(row["date"]), row["description"].strip()
+        if not description:
+            raise ValueError("event description must be non-empty")
+        return EventRecord(day, description)
+
+    return read_csv(path, ["date", "description"], event)
 
 
 def load_stages_csv(path: str | Path) -> list[StageWindow]:
-    """Stage windows CSV: header ``stage,start,end``, ISO dates, windows may overlap."""
-    return read_csv(path, ["stage", "start", "end"], lambda row: StageWindow(
-        stage=row["stage"], start=date.fromisoformat(row["start"]),
-        end=date.fromisoformat(row["end"]),
-    ))
+    """Stage windows CSV: header ``stage,start,end``, ``YYYY-MM-DD`` dates; a
+    window is named and does not end before it starts, and windows may overlap."""
+    def window(row: dict[str, str]) -> StageWindow:
+        stage, start, end = row["stage"], iso_date(row["start"]), iso_date(row["end"])
+        if not stage:
+            raise ValueError("stage name must be non-empty")
+        if start > end:
+            raise ValueError(f"stage {stage!r}: start after end")
+        return StageWindow(stage, start, end)
+
+    return read_csv(path, ["stage", "start", "end"], window)
 
 
 def write_stage_table_csv(path: str | Path, rows: Sequence[StageRow]) -> None:

@@ -138,6 +138,11 @@ BROKEN_RULES = {
     "malformed-date": ({"date_from": "March 1"}, "'March 1'"),
     "impossible-date": ({"date_from": "2020-02-30"},
                         "error: date_from must be an ISO date (YYYY-MM-DD), got '2020-02-30'"),
+    # Forms that 3.11's date.fromisoformat reads and 3.10's does not.
+    "basic-date": ({"date_from": "20200301"},
+                   "error: date_from must be an ISO date (YYYY-MM-DD), got '20200301'"),
+    "week-date": ({"date_to": "2020-W10-1"},
+                  "error: date_to must be an ISO date (YYYY-MM-DD), got '2020-W10-1'"),
     "reversed-dates": ({"date_from": "2020-03-10", "date_to": "2020-03-05"},
                        "error: date_from 2020-03-10 after date_to 2020-03-05"),
     "century-plus-range": ({"date_from": "0001-01-01", "date_to": "9999-12-31"},
@@ -1150,9 +1155,19 @@ class TestAnalyze:
         ("categories", "[" * 100_000 + "]" * 100_000,
          "invalid JSON: maximum recursion depth exceeded while decoding a JSON array "
          "from a unicode string"),
+        ("events", "date,description\n2020-03-01,   \n",
+         "line 2: event description must be non-empty"),
+        ("stages", "stage,start,end\nlockdown,2020-03-05,2020-03-01\n",
+         "line 2: stage 'lockdown': start after end"),
+        ("events", "date,description\n20200301,x\n",
+         "line 2: Invalid isoformat string: '20200301'"),
+        ("stages", "stage,start,end\ns,2020-W10-1,2020-03-10\n",
+         "line 2: Invalid isoformat string: '2020-W10-1'"),
     ], ids=["stage-row-without-a-name", "empty-stage-name", "events-repeating-a-column",
             "category-a-string", "category-a-number", "category-with-a-null-term",
-            "event-spanning-two-lines", "category-set-nested-too-deep"])
+            "event-spanning-two-lines", "category-set-nested-too-deep",
+            "event-without-a-description", "stage-ending-before-it-starts",
+            "event-basic-date", "stage-week-date"])
     def test_a_misshapen_input_exits_two_before_the_corpus_is_read(
             self, tmp_path, capsys, key, body, says):
         ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)
@@ -1339,6 +1354,8 @@ class TestRender:
          "line 3: duplicate 2020-03-01 a"),
         (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n"
          b"2020-03-02," + b"b" * 200_000 + b",1,10,10.0\n", "line 3: field larger than field limit"),
+        (b"date,category,matched,total,percent\n2020-03-01,a,1,10,10.0\n20200302,a,1,10,10.0\n",
+         "line 3: Invalid isoformat string: '20200302'"),
     ], ids=["missing-column", "bad-date", "invalid-utf8", "duplicate-row",
             "count-of-401-digits", "count-of-5001-digits", "count-of-2-to-the-63", "negative-count",
             "count-with-a-sign", "count-with-a-space", "count-with-an-underscore",
@@ -1346,7 +1363,7 @@ class TestRender:
             "row-without-a-total", "row-without-a-category", "every-row-without-a-category",
             "a-repeated-column", "day-lacking-a-category", "two-totals-on-one-day",
             "span-of-eight-millennia", "bad-count-after-a-blank-line",
-            "duplicate-before-a-bad-count", "cell-past-the-field-size-limit"])
+            "duplicate-before-a-bad-count", "cell-past-the-field-size-limit", "basic-date-cell"])
     def test_malformed_prevalence_csv_exits_two(self, tmp_path, capsys, body, says):
         path = tmp_path / "prevalence.csv"
         path.write_bytes(body)
