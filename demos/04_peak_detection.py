@@ -33,12 +33,12 @@ def sparkline(values, width=72):
 
 
 # --- one marker with a burst ----------------------------------------------------
-# A Series is markers x days, row i being the marker names[i]; a single marker
-# is a series of one row. find_peaks returns one list per row, marker_peaks
-# one per name.
+# A Series is markers x days as lists of floats, row i being the marker
+# names[i]; a single marker is a series of one row. find_peaks returns one list
+# per row, marker_peaks one per name.
 raw = rng.normal(5.0, 0.4, 120)
 raw[60:64] += 7.0  # four loud days
-series = Series(start=start, names=["burst"], values=[raw])
+series = Series(start=start, names=("burst",), values=[raw.tolist()])
 
 print("raw:              ", sparkline(raw))
 smoothed, sg = smoothed_gradient(series, 7)
@@ -63,8 +63,8 @@ rows = []
 for _ in range(4):
     v = rng.normal(5.0, 0.4, 120)
     v[60:63] += 6.0
-    rows.append(v)
-names = [f"m{i}" for i in range(len(rows))]
+    rows.append(v.tolist())
+names = tuple(f"m{i}" for i in range(len(rows)))
 _, markers = smoothed_gradient(Series(start=start, names=names, values=rows), 7)
 
 print("\njoint peaks over 4 markers with a common burst at day 60:")

@@ -76,7 +76,8 @@ print(f"{report.parsed} tweets, {analyzable} analyzable (retweets left out), acr
 # One named row per category, one column per day; rows are selected by name, and
 # every derived series keeps that shape and those names.
 markers = ["fear", "health", "nervousness", "sadness"]
-smoothed, sg = smoothed_gradient(Series(agg.start, agg.categories, agg.percent())[markers], 7)
+smoothed, sg = smoothed_gradient(
+    Series(agg.start, agg.categories, agg.percent()).select(markers), 7)
 peaks = joint_peaks(sg)
 
 events = load_events_csv(DATA / "events" / "mental_health.csv")

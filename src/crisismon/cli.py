@@ -244,9 +244,9 @@ def _report(agg: matching.DailyAggregate, cfg: RunConfig, markers: list[str],
     smoothed, sg = series.smoothed_gradient(
         series.Series(agg.start, agg.categories, agg.percent()), cfg.window)
     peaks_by_marker = series.marker_peaks(sg, cfg.sigma_mult)
-    joint = series.joint_peaks(sg[markers], cfg.sigma_mult)
+    joint = series.joint_peaks(sg.select(markers), cfg.sigma_mult)
     peaks_by_marker[series.JOINT] = joint
-    shown = smoothed[markers]
+    shown = smoothed.select(markers)
     svg = reporting.render_heatmap(shown)
     annotated = (
         reporting.annotate_peaks(joint, events, lead=cfg.lead)
@@ -276,8 +276,8 @@ def cmd_render(cfg: RunConfig, input_csv: str, window: int | None = None) -> int
     if not agg.start <= start <= end <= agg.end:
         raise ValueError(f"{input_csv}: cannot render {start}..{end}: "
                          f"its days are {agg.start}..{agg.end}")
-    shown = series.smooth(series.Series(agg.start, agg.categories, agg.percent())[markers],
-                          window or 1)
+    shown = series.smooth(
+        series.Series(agg.start, agg.categories, agg.percent()).select(markers), window or 1)
     svg = reporting.render_heatmap(shown.crop(start, end))
     out = _out_dir(cfg) / "heatmap.svg"
     out.write_bytes(svg)

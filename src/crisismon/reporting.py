@@ -60,7 +60,7 @@ def render_heatmap(rows: Series) -> bytes:
     vmin, vmax = (min(present), max(present)) if present else (0.0, 0.0)
     flat = vmax == vmin  # degenerate normalization: everything mid-ramp
 
-    n_days = len(rows)
+    n_days = rows.days
     left = 10.0 + 7.2 * max(len(m) for m in rows.names)
     top = 30.0
     width = left + n_days * CELL_W + 10.0
@@ -165,7 +165,7 @@ def stage_prevalence_table(rows: Series, stages: Sequence[StageWindow]) -> list[
         median = _sum(middle) / len(middle) if middle else None
         for w in stages:
             lo = max((w.start - rows.start).days, 0)
-            hi = min((w.end - rows.start).days, len(rows) - 1)
+            hi = min((w.end - rows.start).days, rows.days - 1)
             # An undefined or zero median, or a window off the span, leaves no days.
             seg = [x for x in v[lo : hi + 1] if x == x] if median and lo <= hi else []
             # A finite median gives no NaN here, an infinite or NaN one only NaN,
@@ -189,10 +189,10 @@ def load_events_csv(path: str | Path) -> list[EventRecord]:
 
 def load_stages_csv(path: str | Path) -> list[StageWindow]:
     """Stage windows CSV: header ``stage,start,end``, ``YYYY-MM-DD`` dates; a
-    window is named and does not end before it starts, and windows may overlap."""
+    window is named by more than blanks, does not end before it starts, and may overlap."""
     def window(row: dict[str, str]) -> StageWindow:
         stage, start, end = row["stage"], iso_date(row["start"]), iso_date(row["end"])
-        if not stage:
+        if not stage.strip():
             raise ValueError("stage name must be non-empty")
         if start > end:
             raise ValueError(f"stage {stage!r}: start after end")

@@ -1,8 +1,8 @@
 """Time-series smoothing, gradients, and prominence-based peak detection.
 
 A ``Series`` holds markers × days as lists of Python floats: row ``i`` is
-the marker ``names[i]`` and lists the days from ``start``. ``len`` counts
-days, a sequence of names selects rows, and every function here works on each
+the marker ``names[i]`` and lists the days from ``start``. ``days`` counts
+them, ``select`` picks rows by name, and every function here works on each
 row alone, save ``joint_peaks``, which combines them into the row ``JOINT``;
 a single marker is a one-row series.
 
@@ -46,71 +46,35 @@ FALL = "fall"
 JOINT = "JOINT"
 
 
-def _floats(values) -> list[list[float]]:
-    """Markers × days as a list of equal-length rows of floats; an array is
-    converted once, with ``tolist()``."""
-    if hasattr(values, "tolist"):
-        values = values.tolist()
-    try:
-        rows = [[float(x) for x in row] for row in values]
-    except TypeError:
-        rows = None
-    if rows is None or len({len(row) for row in rows}) > 1:
-        raise ValueError("series values must be markers x days")
-    return rows
-
-
-class Series:
+class Series(NamedTuple):
     """Contiguous daily values, markers × days; NaN marks a missing day."""
 
-    def __init__(self, start: date, names: Sequence[str], values) -> None:
-        self.start = start
-        self.names = tuple(names)  # the marker of each row, no two alike
-        self.values = _floats(values)  # one row of days per marker
-        if not len(self.values) == len(set(self.names)) == len(self.names):
-            raise ValueError(f"need one distinct name per row, got {list(self.names)}")
+    start: date
+    names: tuple[str, ...]  # the marker of each row, no two alike
+    values: list[list[float]]  # one row of days per marker, all of one length
 
-    def _with(self, values: list[list[float]], start: date | None = None,
-              names: tuple[str, ...] | None = None) -> Series:
-        """This series with ``values``, rows that are already lists of floats,
-        and ``start`` and ``names`` when given; the rows are not converted again."""
-        new = object.__new__(Series)
-        new.start = self.start if start is None else start
-        new.names = self.names if names is None else names
-        new.values = values
-        return new
-
-    def __len__(self) -> int:
+    @property
+    def days(self) -> int:
         """The number of days; 0 without rows."""
         return len(self.values[0]) if self.values else 0
 
-    def __getitem__(self, names: Sequence[str]) -> "Series":
+    def select(self, names: Sequence[str]) -> Series:
         """The rows of ``names``, in that order; an unknown name is a ``KeyError``."""
-        if isinstance(names, str):
-            raise TypeError("select rows by a sequence of names, not one str")
-        names = tuple(names)
         row = dict(zip(self.names, self.values))
-        values = [row[n] for n in names]
-        if len(set(names)) < len(names):
-            raise ValueError(f"need one distinct name per row, got {list(names)}")
-        return self._with(values, names=names)
+        return self._replace(names=tuple(names), values=[row[n] for n in names])
 
     def dates(self) -> list[date]:
-        return [self.start + timedelta(days=i) for i in range(len(self))]
+        return [self.start + timedelta(days=i) for i in range(self.days)]
 
-    def index_of(self, d: date) -> int:
-        i = (d - self.start).days
-        if i < 0 or i >= len(self):
-            raise ValueError(f"{d} outside series range")
-        return i
-
-    def crop(self, start: date, end: date) -> "Series":
+    def crop(self, start: date, end: date) -> Series:
         """The days [start, end] of every row; both must lie inside."""
         if start > end:
             raise ValueError(f"start {start} after end {end}")
-        i0 = self.index_of(start)
-        i1 = self.index_of(end)
-        return self._with([v[i0 : i1 + 1] for v in self.values], start=start)
+        i0, i1 = (start - self.start).days, (end - self.start).days
+        for d, i in ((start, i0), (end, i1)):
+            if not 0 <= i < self.days:
+                raise ValueError(f"{d} outside series range")
+        return self._replace(start=start, values=[v[i0 : i1 + 1] for v in self.values])
 
 
 class Peak(NamedTuple):
@@ -175,7 +139,7 @@ def smooth(s: Series, window: int) -> Series:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    return s._with([_smooth_row(v, window) for v in s.values])
+    return s._replace(values=[_smooth_row(v, window) for v in s.values])
 
 
 def gradient(s: Series) -> Series:
@@ -184,9 +148,9 @@ def gradient(s: Series) -> Series:
     g[i] = (v[i+1] - v[i-1]) / 2 for interior days; any day whose stencil
     touches a missing value is itself missing.
     """
-    if len(s) < 2:
+    if s.days < 2:
         raise ValueError("gradient needs at least 2 points")
-    return s._with([
+    return s._replace(values=[
         [v[1] - v[0]]
         + [(v[i + 1] - v[i - 1]) / 2.0 for i in range(1, len(v) - 1)]
         + [v[-1] - v[-2]]
@@ -281,7 +245,7 @@ def marker_peaks(sg: Series, sigma_mult: float = 1.0) -> dict[str, list[Peak]]:
     negation (fall peaks score the magnitude of decrease), each followed by
     its own prominence filter. Results are merged in date order.
     """
-    neg = sg._with([[-x for x in v] for v in sg.values])
+    neg = sg._replace(values=[[-x for x in v] for v in sg.values])
     return {name: sorted(
         filter_peaks(rises, sigma_mult)
         + [p._replace(direction=FALL) for p in filter_peaks(falls, sigma_mult)],
@@ -327,7 +291,7 @@ def joint_peaks(sg: Series, sigma_mult: float = 1.0) -> list[Peak]:
             signed += z
         combined.append(magnitude / len(zs))
         signed_mean.append(signed / len(zs))
-    (candidates,) = find_peaks(sg._with([combined], names=(JOINT,)))
+    (candidates,) = find_peaks(sg._replace(names=(JOINT,), values=[combined]))
     peaks = filter_peaks(candidates, sigma_mult)
     return [
         p._replace(direction=RISE if signed_mean[p.index] >= 0 else FALL)
@@ -359,7 +323,7 @@ def write_series_csv(path: str | Path, smoothed: Series, sg: Series) -> None:
     ``smoothed_gradient``. Series whose names, start or days differ are a
     ``ValueError``.
     """
-    if (sg.names, sg.start, len(sg)) != (smoothed.names, smoothed.start, len(smoothed)):
+    if (sg.names, sg.start, sg.days) != (smoothed.names, smoothed.start, smoothed.days):
         raise ValueError("smoothed and sg must have the same rows and days")
     days = [d.isoformat() for d in smoothed.dates()]
     write_csv(path, ["date", "category", "kind", "percent"], (

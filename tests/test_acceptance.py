@@ -33,7 +33,7 @@ D0 = date(2020, 3, 1)
 
 def one_row(days):
     """One marker's days, as a one-row series named ``m``."""
-    return Series(start=D0, names=["m"], values=[days])
+    return Series(start=D0, names=("m",), values=[np.asarray(days, dtype=np.float64).tolist()])
 
 
 @contextlib.contextmanager
@@ -216,8 +216,8 @@ def test_criterion_7_stage_table_mechanism():
         spike[55:60] += 6.0
         values_by_marker["stageB_marker"] = spike
 
-        rows = Series(start=D0, names=list(values_by_marker),
-                      values=list(values_by_marker.values()))
+        rows = Series(start=D0, names=tuple(values_by_marker),
+                      values=[v.tolist() for v in values_by_marker.values()])
         got = stage_prevalence_table(rows, [StageWindow(n, s, e) for n, s, e in stages])
         expect = naive_stage_table(
             {k: [None if np.isnan(x) else float(x) for x in v]
@@ -244,7 +244,7 @@ def test_criterion_8_heatmap_determinism_and_monotonicity():
         values = np.round(rng.uniform(0, 100, size=60), 4)
         values[10] = np.nan
         rows = one_row(values)
-        assert len(rows) == 60
+        assert rows.days == 60
         svg1 = render_heatmap(rows)
         svg2 = render_heatmap(rows)
         assert svg1 == svg2

@@ -680,6 +680,47 @@ def test_the_corpus_cut_into_files_writes_the_same_bytes(tmp_path, capsys, data_
     assert runs[0][0] == whole
 
 
+def _rerun_with_lines(tmp_path, capsys, ws, workers, lines) -> None:
+    """``analyze`` of the corpus, then of ``lines`` in its place, write the
+    same files and the same stderr."""
+    runs = []
+    for i in range(2):
+        if i:
+            ws["corpus"].write_bytes(b"".join(lines))
+        out = str(tmp_path / f"run{i}")
+        assert run_cli("analyze", "--config", str(ws["config"]), "--workers", workers,
+                       "--out", out) == 0
+        runs.append((_outputs(Path(out)), capsys.readouterr().err))
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_the_corpus_lines_shuffled_write_the_same_bytes(tmp_path, capsys, data_dir, pool_on,
+                                                        workers):
+    """No output depends on the order of the corpus lines."""
+    ws = _study_workspace(tmp_path, data_dir)
+    lines = ws["corpus"].read_bytes().splitlines(keepends=True)
+    random.Random(40).shuffle(lines)
+    _rerun_with_lines(tmp_path, capsys, ws, workers, lines)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_retweets_added_write_the_same_bytes(tmp_path, capsys, data_dir, pool_on, workers):
+    """Retweets are left out before anything is counted: copies of drawn lines
+    as retweets with fresh ids, a third of them dated a year after the range,
+    change no file and no stderr line."""
+    ws = _study_workspace(tmp_path, data_dir)
+    lines = ws["corpus"].read_bytes().splitlines(keepends=True)
+    rng = random.Random(41)
+    for i in range(len(lines) // 3):
+        tweet = json.loads(rng.choice(lines))
+        tweet.update(id=f"rt{i}", kind="retweet")
+        if i % 3 == 0:
+            tweet["created_at"] = tweet["created_at"].replace("2020-", "2021-", 1)
+        lines.insert(rng.randrange(len(lines) + 1), json.dumps(tweet).encode() + b"\n")
+    _rerun_with_lines(tmp_path, capsys, ws, workers, lines)
+
+
 class TestExpand:
     def _workspace(self, tmp_path):
         lex = tmp_path / "seed.json"
@@ -1163,11 +1204,13 @@ class TestAnalyze:
          "line 2: Invalid isoformat string: '20200301'"),
         ("stages", "stage,start,end\ns,2020-W10-1,2020-03-10\n",
          "line 2: Invalid isoformat string: '2020-W10-1'"),
+        ("stages", "stage,start,end\n   ,2020-03-01,2020-03-02\n",
+         "line 2: stage name must be non-empty"),
     ], ids=["stage-row-without-a-name", "empty-stage-name", "events-repeating-a-column",
             "category-a-string", "category-a-number", "category-with-a-null-term",
             "event-spanning-two-lines", "category-set-nested-too-deep",
             "event-without-a-description", "stage-ending-before-it-starts",
-            "event-basic-date", "stage-week-date"])
+            "event-basic-date", "stage-week-date", "stage-named-by-blanks"])
     def test_a_misshapen_input_exits_two_before_the_corpus_is_read(
             self, tmp_path, capsys, key, body, says):
         ws = write_burst_workspace(tmp_path, seed=24, n_days=10, per_day=10)

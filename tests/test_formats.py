@@ -51,7 +51,7 @@ def _write_prevalence(path):
 
 
 def _series() -> tuple[Series, Series]:
-    names = ["pánico", "calma"]
+    names = ("pánico", "calma")
     smoothed = Series(D1, names, [[THIRD, float("nan"), 1.0], [2.5, 0.0, -THIRD]])
     grad = Series(D1, names, [[float("nan"), 1e-17, 100.0], [1 / 3, 2.0, 3.0]])
     return smoothed, grad
@@ -212,7 +212,7 @@ def test_output_bytes_are_pinned(tmp_path, write):
 
 
 @pytest.mark.parametrize("mismatch", [
-    lambda grad: grad[["calma", "pánico"]],
+    lambda grad: grad.select(["calma", "pánico"]),
     lambda grad: Series(D2, grad.names, grad.values),
     lambda grad: grad.crop(D1, D2),
 ], ids=["rows-in-another-order", "another-start", "fewer-days"])

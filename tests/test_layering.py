@@ -3,6 +3,7 @@
 ``__init__`` and ``__main__`` are exempt."""
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -41,6 +42,26 @@ def test_imports_only_earlier_layers(module):
     imported = relative_imports(PACKAGE / f"{module}.py") - {"errors"}
     later = {m for m in imported if LAYER[m] >= LAYER[module]}
     assert not later, f"{module} imports {sorted(later)} from its own or a later layer"
+
+
+def test_every_class_is_a_named_tuple_an_exception_or_one_of_three():
+    """Every record is a ``NamedTuple``; besides records and exceptions, the
+    only classes are the mutable parse sink and the two built lookups."""
+    classes = [node for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    bases = {c.name: [ast.unparse(b).split(".")[-1] for b in c.bases] for c in classes}
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    while True:  # an exception of the package may derive from another one
+        derived = {name for name, names in bases.items() if exceptions.intersection(names)}
+        if derived <= exceptions:
+            break
+        exceptions |= derived
+    other = sorted(name for name, names in bases.items()
+                   if names != ["NamedTuple"] and name not in exceptions
+                   and name not in {"ParseReport", "Matcher", "EmbeddingTable"})
+    assert other == []
 
 
 def test_importing_the_package_loads_no_layer_and_no_numpy():

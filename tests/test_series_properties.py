@@ -21,7 +21,7 @@ NAN = float("nan")
 
 def one_row(days):
     """One marker's days, as a one-row series named ``m``."""
-    return Series(start=D0, names=["m"], values=[days])
+    return Series(start=D0, names=("m",), values=[np.asarray(days, dtype=np.float64).tolist()])
 
 
 def _runs(values):
@@ -107,12 +107,12 @@ def _same_bits(a, b):
 @settings(max_examples=300, deadline=None)
 @given(_markers_by_days(), st.integers(1, 30))
 def test_each_row_equals_that_row_alone(rows, window):
-    raw = Series(D0, [f"m{i}" for i in range(len(rows))], rows)
+    raw = Series(D0, tuple(f"m{i}" for i in range(len(rows))), rows)
     smoothed = smooth(raw, window)
-    sg = smoothed_gradient(raw, window)[1] if len(raw) >= 2 else None
+    sg = smoothed_gradient(raw, window)[1] if raw.days >= 2 else None
     peaks = marker_peaks(sg) if sg is not None else None
     for i, values in enumerate(rows):
-        alone = Series(D0, [f"m{i}"], [values])
+        alone = Series(D0, (f"m{i}",), [values])
         assert _same_bits(smoothed.values[i], smooth(alone, window).values[0])
         if sg is not None:
             sg_alone = smoothed_gradient(alone, window)[1]
